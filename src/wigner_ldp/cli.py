@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage or config error, 3 numeric failure (including
 failed validation checks), 4 statistically inconclusive Monte Carlo.
 
 Every file payload embeds a manifest (command, profile label, options, seed,
-version).  Wall time goes to stdout only, and the thread count is excluded
+version).  Wall time goes to stderr only, and the thread count is excluded
 from the manifest, so equal-seed reruns produce byte-identical payloads
 regardless of thread count.
 """
@@ -57,11 +57,21 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _ints(text: str) -> list[int]:
+def _positive_int(text: str) -> int:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        n = int(text)
     except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return n
+
+
+def _positive_ints(text: str) -> list[int]:
+    vals = [_positive_int(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not vals:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+    return vals
 
 
 def _load(path) -> VarianceProfile:
@@ -93,6 +103,9 @@ def cmd_density(args) -> int:
     prof = _load(args.profile)
     if args.points < 2:
         raise ProfileConfigError("points must be >= 2")
+    eta = np.asarray(args.eta, dtype=float)
+    if eta.size == 0 or not np.all(np.isfinite(eta) & (eta > 0)) or np.any(np.diff(eta) >= 0):
+        raise ProfileConfigError("eta must be positive, finite and strictly decreasing")
     sm = spectral_measure(prof, args.xmin, args.xmax, args.points, tuple(args.eta))
     man = _manifest(
         "density", prof.label,
@@ -515,8 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = mcsub.add_parser("tail")
     p.add_argument("--profile", required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--N", type=_ints, required=True)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--N", type=_positive_ints, required=True)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")
     p.set_defaults(fn=cmd_mc_tail)
 
@@ -524,15 +537,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--N", type=int, default=150)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--N", type=_positive_int, default=150)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.set_defaults(fn=cmd_mc_spherical)
 
     p = mcsub.add_parser("annealed")
     p.add_argument("--profile", required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--N", type=_positive_int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--phi", type=_floats, default=None)
     p.set_defaults(fn=cmd_mc_annealed)
@@ -540,21 +553,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = mcsub.add_parser("tilt")
     p.add_argument("--profile", required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--N", type=_positive_int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--psi", type=_floats, default=None)
     p.set_defaults(fn=cmd_mc_tilt)
 
     p = mcsub.add_parser("dirichlet")
     p.add_argument("--profile", required=True)
-    p.add_argument("--N", type=int, default=100)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--N", type=_positive_int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.set_defaults(fn=cmd_mc_dirichlet)
 
     p = mcsub.add_parser("batch")
     p.add_argument("--profile", required=True)
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--N", type=_positive_int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")
     p.set_defaults(fn=cmd_mc_batch)
 

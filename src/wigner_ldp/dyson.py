@@ -10,6 +10,14 @@ Stieltjes transform of the limiting spectral measure.  The plain fixed-point
 map contracts in the hyperbolic metric for Im z > 0; close to the real axis
 the solver switches to Newton steps seeded by continuation, which reaches
 the same fixed point far faster.
+
+On the real axis above the edge every value of m(x) comes from one
+vectorized damped Newton, `_newton_real`, with one deterministic seed: the
+iterates of m <- 1/(x - sigma (w m)) from m = 0, stopped at a relative step
+of 1e-4.  That map is increasing on the positive cone, so the iterates rise
+to its smallest positive fixed point, which is the physical branch.  No
+solve depends on an earlier one, so a result depends only on its inputs;
+the per-profile memos hold values of pure functions of their keys.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from .profiles import VarianceProfile
 DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 STEP_TOL = 1e-13          # hyperbolic distance between successive iterates
 DENSITY_FLOOR = 1e-6      # edge predicate threshold
-_EDGE_ETAS = (1e-4, 1e-6)   # continuation ladder for real-axis work
 _PREDICATE_ETAS = (1e-5, 1e-7)  # finer pair: keeps the edge bias below 1e-4
 
 
@@ -169,15 +176,15 @@ def _ladder_complex(profile, x, eta, m0=None):
 
 
 class _ProfileCache:
-    __slots__ = ("exact", "last", "edge", "log_pot", "ginv", "sw")
+    """Memos of pure functions of their key: edge, m(x), log potential, G^{-1}."""
 
-    def __init__(self, profile: VarianceProfile):
+    __slots__ = ("exact", "edge", "log_pot", "ginv")
+
+    def __init__(self):
         self.exact: dict[float, np.ndarray] = {}
-        self.last: tuple[float, np.ndarray] | None = None
         self.edge: tuple[float, float] | None = None
         self.log_pot: dict[float, float] = {}
         self.ginv: dict[float, float] = {}
-        self.sw = profile.sigma @ profile.weights
 
 
 _caches: dict[tuple, _ProfileCache] = {}
@@ -186,130 +193,115 @@ _caches: dict[tuple, _ProfileCache] = {}
 def _cache(profile: VarianceProfile) -> _ProfileCache:
     c = _caches.get(profile.key)
     if c is None:
-        c = _ProfileCache(profile)
+        c = _ProfileCache()
         _caches[profile.key] = c
     return c
 
 
-def _is_stable_branch(profile, m, slack=1e-6):
-    """The physical real solution is the attracting fixed point: the map
-    Jacobian diag(m^2) sigma diag(w) must have spectral radius <= 1."""
-    M = (m**2)[:, None] * profile.sigma * profile.weights[None, :]
-    try:
-        rho = np.max(np.abs(np.linalg.eigvals(M)))
-    except np.linalg.LinAlgError:
-        return False
-    return rho <= 1.0 + slack
+def _real_residual(profile, xs, m):
+    return 1.0 / m - xs[:, None] + (m * profile.weights) @ profile.sigma
 
 
-def _newton_real(profile, x, m0, tol_factor=1e-12, max_iter=80):
-    """Newton on the real system; None when it leaves the feasible cone or
-    lands on the repelling (non-Stieltjes) branch."""
-    m = np.asarray(m0, dtype=float).copy()
-    if np.any(~np.isfinite(m)) or np.any(m <= 0):
-        return None
-    w, sig = profile.weights, profile.sigma
-    res = np.max(np.abs(1.0 / m - x + sig @ (w * m)))
-    for _ in range(max_iter):
-        if res < tol_factor * (1.0 + abs(x)):
-            return m if _is_stable_branch(profile, m) else None
-        J = sig * w[None, :] - np.diag(1.0 / m**2)
-        try:
-            delta = np.linalg.solve(J, -(1.0 / m - x + sig @ (w * m)))
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        for _ in range(50):
-            cand = m + t * delta
-            if np.all(cand > 0) and np.all(np.isfinite(cand)):
-                cres = np.max(np.abs(1.0 / cand - x + sig @ (w * cand)))
-                if cres < res * (1 - 1e-4 * t) or cres < tol_factor * (1 + abs(x)):
-                    m, res = cand, cres
+def _newton_real(profile, xs, m0, tol_factor=1e-12, max_iter=80):
+    """Damped Newton on the real system at each x in xs from the rows of m0.
+
+    The line search halves the step until it keeps m > 0 and lowers the
+    residual.  A row that fails, or that lands on the repelling branch
+    (spectral radius of the map Jacobian diag(m^2) sigma diag(w) above 1),
+    comes back as NaN.  Each row stops on its own test; only an exactly
+    singular Jacobian, which LAPACK reports for the whole stack, fails every
+    row still iterating.
+    """
+    xs = np.asarray(xs, dtype=float)
+    m = np.array(m0, dtype=float)
+    W = profile.sigma * profile.weights[None, :]
+    diag = np.arange(profile.p)
+    tol = tol_factor * (1.0 + np.abs(xs))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        act = np.all(np.isfinite(m) & (m > 0), axis=1)
+        m[~act] = np.nan
+        res = np.max(np.abs(_real_residual(profile, xs, m)), axis=1)
+        for _ in range(max_iter):
+            act &= ~(res < tol)
+            idx = np.flatnonzero(act)
+            if idx.size == 0:
+                break
+            ma, xa, ra, ta = m[idx], xs[idx], res[idx], tol[idx]
+            J = np.broadcast_to(W, (idx.size,) + W.shape).copy()
+            J[:, diag, diag] -= 1.0 / ma**2
+            try:
+                delta = np.linalg.solve(J, -_real_residual(profile, xa, ma)[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                delta = np.full_like(ma, np.nan)
+            t = np.ones(idx.size)
+            pend = np.ones(idx.size, dtype=bool)
+            for _ in range(50):
+                cand = ma + t[:, None] * delta
+                cres = np.max(np.abs(_real_residual(profile, xa, cand)), axis=1)
+                ok = np.all(cand > 0, axis=1) & np.isfinite(cres)
+                take = pend & ok & ((cres < ra * (1 - 1e-4 * t)) | (cres < ta))
+                ma[take], ra[take] = cand[take], cres[take]
+                pend &= ~take
+                if not pend.any():
                     break
-            t /= 2.0
-        else:
-            return None
-    return m if res < tol_factor * (1.0 + abs(x)) and _is_stable_branch(profile, m) else None
-
-
-def _series_seed(profile, x):
-    c = _cache(profile)
-    return 1.0 / x + c.sw / x**3
-
-
-def _solve_real(profile, x, allow_fail=False):
-    """Per-block values m_k(x) for real x above the support edge."""
-    c = _cache(profile)
-    x = float(x)
-    hit = c.exact.get(x)
-    if hit is not None:
-        return hit
-    m = None
-    if c.last is not None and abs(c.last[0] - x) < 0.5 * (1 + abs(x)):
-        m = _newton_real(profile, x, c.last[1])
-    if m is None and x > 2.0 * np.sqrt(profile.max_sigma):
-        m = _newton_real(profile, x, _series_seed(profile, x))
-    if m is None:
-        try:
-            seed = _ladder_complex(profile, x, _EDGE_ETAS[1])
-        except ConvergenceError:
-            seed = None
-        if seed is not None:
-            m = _newton_real(profile, x, np.real(seed))
-    if m is None:
-        if allow_fail:
-            return None
-        raise ConvergenceError(
-            f"real-axis continuation diverged at x={x}; is x above the support edge?"
-        )
-    c.last = (x, m)
-    if len(c.exact) < 65536:
-        c.exact[x] = m
+                t[pend] /= 2.0
+            m[idx], res[idx] = ma, ra
+            act[idx[pend]] = False
+        m[act | ~(res < tol)] = np.nan
+    good = np.flatnonzero(~np.isnan(m[:, 0]))
+    if good.size:
+        M = (m[good] ** 2)[:, :, None] * profile.sigma * profile.weights
+        rho = np.max(np.abs(np.linalg.eigvals(M)), axis=1)
+        m[good[~(rho <= 1.0 + 1e-6)]] = np.nan
     return m
 
 
-def _solve_real_batch(profile, s: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Vectorized real Newton at many points s (all above the edge)."""
-    w, sig = profile.weights, profile.sigma
-    n, p = s.size, profile.p
-    W = sig * w[None, :]
-    m = np.empty((n, p))
-    far = s > 2.0 * np.sqrt(profile.max_sigma) + 1.0
-    m[far] = 1.0 / s[far, None] + _cache(profile).sw[None, :] / s[far, None] ** 3
-    m[~far] = anchor[None, :]
-    act = np.ones(n, dtype=bool)
-    diag = np.arange(p)
-    for _ in range(200):
-        idx = np.flatnonzero(act)
-        if idx.size == 0:
-            break
-        ma, sa = m[idx], s[idx]
-        F = 1.0 / ma - sa[:, None] + ma @ W.T
-        res = np.max(np.abs(F), axis=1)
-        done = res < 1e-12 * (1.0 + np.abs(sa))
-        act[idx[done]] = False
-        idx = idx[~done]
-        if idx.size == 0:
-            break
-        ma, sa, F = ma[~done], sa[~done], F[~done]
-        J = np.broadcast_to(W, (idx.size, p, p)).copy()
-        J[:, diag, diag] -= 1.0 / ma**2
-        try:
-            delta = np.linalg.solve(J, -F[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        alpha = np.ones(idx.size)
-        for _ in range(40):
-            cand = ma + alpha[:, None] * delta
-            bad = np.any(cand <= 0, axis=1) | ~np.all(np.isfinite(cand), axis=1)
-            if not bad.any():
+def _fixed_point_seed(profile, xs):
+    """Iterates of m <- 1/(x - sigma (w m)) from m = 0, per row until the
+    relative step falls below 1e-4 (at most 1000 steps).
+
+    The map is increasing on the positive cone, so the iterates rise to its
+    smallest positive fixed point, the physical branch; below the edge they
+    leave the cone and the row becomes NaN.
+    """
+    m = np.zeros((xs.size, profile.p))
+    act = np.ones(xs.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(1000):
+            idx = np.flatnonzero(act)
+            if idx.size == 0:
                 break
-            alpha[bad] /= 2.0
-        else:
-            cand = np.where((np.any(cand <= 0, axis=1) | ~np.all(np.isfinite(cand), axis=1))[:, None], ma, cand)
-        m[idx] = cand
-    for i in np.flatnonzero(act):
-        m[i] = _solve_real(profile, float(s[i]))
+            old = m[idx]
+            nxt = 1.0 / (xs[idx, None] - (old * profile.weights) @ profile.sigma)
+            bad = ~np.all(np.isfinite(nxt) & (nxt > 0), axis=1)
+            done = np.max(np.abs(nxt - old) / nxt, axis=1) < 1e-4
+            nxt[bad] = np.nan
+            m[idx] = nxt
+            act[idx[bad | done]] = False
+    return m
+
+
+def _solve_real_many(profile, xs) -> np.ndarray:
+    """Rows m(x) for real x above the support edge, one per entry of xs."""
+    xs = np.asarray(xs, dtype=float)
+    m = _newton_real(profile, xs, _fixed_point_seed(profile, xs))
+    bad = np.isnan(m[:, 0])
+    if bad.any():
+        raise ConvergenceError(
+            f"real-axis solve failed at x={xs[bad][0]}; is x above the support edge?"
+        )
+    return m
+
+
+def _solve_real(profile, x):
+    """Per-block values m_k(x) for real x above the support edge (memoized)."""
+    c = _cache(profile)
+    x = float(x)
+    m = c.exact.get(x)
+    if m is None:
+        m = _solve_real_many(profile, [x])[0]
+        if len(c.exact) < 65536:
+            c.exact[x] = m
     return m
 
 
@@ -346,9 +338,9 @@ def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
     """Solve the block Dyson system at a spectral parameter z.
 
     Im z > 0 uses the contraction / Newton scheme directly.  Real z is
-    accepted when it lies above the support edge and is reached by vanishing
-    imaginary-part continuation; at or below the edge this raises
-    ConvergenceError.
+    accepted when it lies above the support edge and is solved by the
+    real-axis Newton from the fixed-point seed; at or below the edge this
+    raises ConvergenceError.
     """
     z = complex(z)
     if z.imag < 0:
@@ -484,8 +476,8 @@ def _edge_predicate(profile, x):
     dens = (e1 * f2 - e2 * f1) / (e1 - e2)
     if dens >= DENSITY_FLOOR:
         return False
-    m = _newton_real(profile, x, np.real(m_lo))
-    return m is not None and np.all(m > 0)
+    m = _newton_real(profile, [x], np.real(m_lo)[None, :])[0]
+    return bool(np.all(m > 0))
 
 
 def support_edge(profile: VarianceProfile) -> tuple[float, float]:
@@ -631,14 +623,10 @@ def _gl_rule(n: int):
     return _GL_RULES[n]
 
 
-def _tail_integrand_nodes(profile, x, n):
-    t, w = _gl_rule(n)
-    s = x / t
-    anchor = _solve_real(profile, x)
-    m = _solve_real_batch(profile, s, anchor)
-    g = m @ profile.weights
-    f = (g - t / x) * (x / t**2)
-    return float(w @ f)
+def _tail_integrand(profile, x, t):
+    """(G(x/t) - t/x) x/t^2 at each t in (0, 1]."""
+    g = _solve_real_many(profile, x / t) @ profile.weights
+    return (g - t / x) * (x / t**2)
 
 
 def log_potential(profile: VarianceProfile, x: float) -> float:
@@ -657,19 +645,14 @@ def log_potential(profile: VarianceProfile, x: float) -> float:
     hit = c.log_pot.get(x)
     if hit is not None:
         return hit
-    t80 = _tail_integrand_nodes(profile, x, 80)
-    t160 = _tail_integrand_nodes(profile, x, 160)
+    t80, t160 = (float(w @ _tail_integrand(profile, x, t)) for t, w in (_gl_rule(80), _gl_rule(160)))
     if abs(t160 - t80) < 5e-10:
         tail = t160
     else:
-        anchor = _solve_real(profile, x)
-
-        def f(t):
-            s = x / t
-            m = _solve_real_batch(profile, np.array([s]), anchor)[0]
-            return (float(profile.weights @ m) - t / x) * (x / t**2)
-
-        tail, _ = quad(f, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=300)
+        tail, _ = quad(
+            lambda t: float(_tail_integrand(profile, x, np.array([t]))[0]),
+            0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=300,
+        )
     val = float(np.log(x) - tail)
     if len(c.log_pot) < 65536:
         c.log_pot[x] = val

@@ -184,10 +184,10 @@ def wasserstein1(m1, m2) -> float:
 
 def projected_empirical(matrix: np.ndarray, profile: VarianceProfile):
     """Per-block spectral measures: atom lambda_i with weight <v_i, Pi_k v_i>/N."""
-    lam1, v1, ev = eig_top(matrix)
     H = np.asarray(matrix, dtype=float)
+    _check_symmetric(H)
     N = H.shape[0]
-    _, V = np.linalg.eigh(H)
+    ev, V = np.linalg.eigh(H)
     b = profile.row_blocks(N)
     starts = np.searchsorted(b, np.arange(profile.p), side="left")
     masses = np.add.reduceat(V**2, starts, axis=0) / N  # (p, N)
@@ -227,6 +227,25 @@ def _jackknife_logmean(vals: np.ndarray, n_total: int, groups: int = 10):
         return full, np.nan
     se = math.sqrt((g - 1) / g * np.sum((parts - parts.mean()) ** 2))
     return full, se
+
+
+def _sphere_draws(seed, samples: int, N: int):
+    """Standard normal rows for the sphere estimators, as (offset, g) chunks.
+
+    Chunk i holds at most MC_CHUNK * 16 rows of length N drawn from
+    default_rng([seed, i]), so the stream is fixed by (seed, samples, N).
+    """
+    size = MC_CHUNK * 16
+    for chunk_index, done in enumerate(range(0, samples, size)):
+        rng = np.random.default_rng([seed, chunk_index])
+        yield done, rng.standard_normal((min(size, samples - done), N))
+
+
+def _block_masses(g: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """rho(g/|g|) for each row of g: squared mass per partition block."""
+    u2 = g * g
+    u2 /= u2.sum(axis=1, keepdims=True)
+    return np.add.reduceat(u2, starts, axis=1)
 
 
 def _saddle_gap(gaps: np.ndarray, theta: float) -> float:
@@ -293,19 +312,14 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
         z = sign * (lam_max + d)
         scale = 1.0 / np.sqrt(d + gaps)
     vals = np.empty(samples)
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        cnt = min(MC_CHUNK * 16, samples - done)
-        rng = np.random.default_rng([seed, chunk_index])
-        g2 = (rng.standard_normal((cnt, N)) * scale) ** 2
+    for done, g in _sphere_draws(seed, samples, N):
+        g2 = (g * scale) ** 2
         s = (g2 @ gaps) / np.sum(g2, axis=1)  # lambda_max - q
+        rows = slice(done, done + g.shape[0])
         if uniform:
-            vals[done : done + cnt] = t * N * (lam_max - s)
+            vals[rows] = t * N * (lam_max - s)
         else:
-            vals[done : done + cnt] = 0.5 * N * np.log(d + s) - t * N * s
-        done += cnt
-        chunk_index += 1
+            vals[rows] = 0.5 * N * np.log(d + s) - t * N * s
     full, se = _jackknife_logmean(vals, samples)
     ess = _effective_sample_size(vals)
     if ess < ESS_FLOOR:
@@ -343,19 +357,11 @@ def annealed_integral_mc(
     sig = profile.sigma
     vals = np.empty(samples)
     inside = np.zeros(samples, dtype=bool)
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        cnt = min(MC_CHUNK * 16, samples - done)
-        rng = np.random.default_rng([seed, chunk_index])
-        g = rng.standard_normal((cnt, N))
-        u2 = g * g
-        u2 /= u2.sum(axis=1, keepdims=True)
-        rho = np.add.reduceat(u2, starts, axis=1)
-        vals[done : done + cnt] = N * theta**2 * np.einsum("ik,kl,il->i", rho, sig, rho)
-        inside[done : done + cnt] = np.max(np.abs(rho - phi[None, :]), axis=1) <= delta
-        done += cnt
-        chunk_index += 1
+    for done, g in _sphere_draws(seed, samples, N):
+        rho = _block_masses(g, starts)
+        rows = slice(done, done + g.shape[0])
+        vals[rows] = N * theta**2 * np.einsum("ik,kl,il->i", rho, sig, rho)
+        inside[rows] = np.max(np.abs(rho - phi[None, :]), axis=1) <= delta
     hits = int(inside.sum())
     if hits == 0:
         raise InconclusiveError(
@@ -378,19 +384,10 @@ def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed
     cov_exact = (np.diag(a * a0) - np.outer(a, a)) / (a0 * a0 * (a0 + 1.0))
     rho_sum = np.zeros(profile.p)
     rho_sq = np.zeros((profile.p, profile.p))
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        cnt = min(MC_CHUNK * 16, samples - done)
-        rng = np.random.default_rng([seed, chunk_index])
-        g = rng.standard_normal((cnt, N))
-        u2 = g * g
-        u2 /= u2.sum(axis=1, keepdims=True)
-        rho = np.add.reduceat(u2, starts, axis=1)
+    for _, g in _sphere_draws(seed, samples, N):
+        rho = _block_masses(g, starts)
         rho_sum += rho.sum(axis=0)
         rho_sq += rho.T @ rho
-        done += cnt
-        chunk_index += 1
     mean_emp = rho_sum / samples
     cov_emp = rho_sq / samples - np.outer(mean_emp, mean_emp)
     se_mean = np.sqrt(np.maximum(np.diag(cov_exact), 0.0) / samples)
@@ -489,10 +486,9 @@ def collect_batch(
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         H = _assemble(_draw(rng, (N, N), dist), _draw(rng, (N,), dist), off, diag)
-        l1, v1, ev = eig_top(H)
-        lam1[i] = l1
-        rho[i] = np.add.reduceat(v1**2, starts)
-        _, V = np.linalg.eigh(H)
+        ev, V = np.linalg.eigh(H)
+        lam1[i] = ev[-1]
+        rho[i] = np.add.reduceat(V[:, -1] ** 2, starts)
         agg_atoms.append(ev)
         agg_weights.append(np.add.reduceat(V**2, starts, axis=0) / N)
     atoms = np.concatenate(agg_atoms)

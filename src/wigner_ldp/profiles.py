@@ -37,6 +37,8 @@ class VarianceProfile:
         s = np.asarray(self.sigma, dtype=float).copy()
         if w.ndim != 1 or w.size == 0:
             raise ProfileConfigError("weights must be a nonempty 1-d sequence")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
+            raise ProfileConfigError("weights and sigma must be finite")
         if np.any(w <= 0):
             raise ProfileConfigError("all weights must be positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:

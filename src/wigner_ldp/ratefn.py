@@ -79,19 +79,11 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 # shared per-(profile, x) context
 # ---------------------------------------------------------------------------
 
-_ctx_cache: dict[tuple, tuple[np.ndarray, float]] = {}
-
 
 def _ctx(profile: VarianceProfile, x: float):
-    """(m(x), G(x)) for real x above the edge, memoized."""
-    key = (profile.key, float(x))
-    hit = _ctx_cache.get(key)
-    if hit is None:
-        m = _solve_real(profile, x)
-        hit = (m, float(profile.weights @ m))
-        if len(_ctx_cache) < 200000:
-            _ctx_cache[key] = hit
-    return hit
+    """(m(x), G(x)) for real x above the edge; m(x) is memoized per profile."""
+    m = _solve_real(profile, x)
+    return m, float(profile.weights @ m)
 
 
 def _require_above_edge(profile, x):

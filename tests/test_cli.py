@@ -62,6 +62,61 @@ def test_density_bad_points(prof_paths):
     assert code == 2
 
 
+def _exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_density_eta_not_decreasing(prof_paths):
+    code = _exit_code([
+        "density", "--profile", prof_paths["constant"],
+        "--xmin", "-2.0", "--xmax", "2.0", "--points", "11", "--eta", "0.001,0.01",
+    ])
+    assert code == 2
+
+
+def test_density_eta_not_positive(prof_paths):
+    code = _exit_code([
+        "density", "--profile", prof_paths["constant"],
+        "--xmin", "-2.0", "--xmax", "2.0", "--points", "11", "--eta", "0.01,0",
+    ])
+    assert code == 2
+
+
+def test_mc_tail_zero_N(prof_paths):
+    code = _exit_code([
+        "mc", "tail", "--profile", prof_paths["constant"], "--x", "2.2", "--N", "0",
+        "--samples", "100",
+    ])
+    assert code == 2
+
+
+def test_mc_tail_zero_samples(prof_paths):
+    code = _exit_code([
+        "mc", "tail", "--profile", prof_paths["constant"], "--x", "2.2", "--N", "20",
+        "--samples", "0",
+    ])
+    assert code == 2
+
+
+def test_mc_dirichlet_zero_samples(prof_paths):
+    code = _exit_code([
+        "mc", "dirichlet", "--profile", prof_paths["block"], "--N", "20", "--samples", "0",
+    ])
+    assert code == 2
+
+
+def test_edge_non_finite_profile(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"kind": "piecewise_constant", "weights": [NaN, 1.0], "sigma": [[1, 0], [0, 1]]}'
+    )
+    assert _exit_code(["edge", "--profile", str(path)]) == 2
+
+
 def test_rate_csv_rows(prof_paths, tmp_path):
     edge_out = tmp_path / "edge.json"
     assert main(["--out", str(edge_out), "edge", "--profile", prof_paths["constant"]]) == 0

@@ -93,9 +93,15 @@ def test_solve_dyson_rejects_lower_half(const_prof):
         solve_dyson(const_prof, 1.0 - 1j)
 
 
-def test_real_axis_below_edge_fails(const_prof):
+def test_real_axis_below_edge_fails(const_prof, named_profiles):
     with pytest.raises(ConvergenceError):
         solve_dyson(const_prof, 1.2)
+    # block(0.5, 1, 4) at 0.6 r lies above the edge of its sigma = 1 block alone
+    for prof in named_profiles:
+        _, r = support_edge(prof)
+        for x in (0.6 * r, 0.999 * r):
+            with pytest.raises(ConvergenceError):
+                solve_dyson(prof, x)
 
 
 # -- finite-N system ---------------------------------------------------------

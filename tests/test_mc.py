@@ -391,6 +391,14 @@ def test_collect_batch_invariants(block_14):
     assert len(text.splitlines()) == 9
 
 
+def test_collect_batch_one_eigh_per_matrix(block_14, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
+    mc.collect_batch(block_14, 30, 4, "gaussian", seed=2)
+    assert calls == [(30, 30)] * 4
+
+
 def test_edge_concentration_named_profiles(named_profiles):
     # P(|lambda_1 - r| > 0.15) stays small at N = 800
     for prof in named_profiles:

@@ -66,6 +66,23 @@ def test_bad_configs_raise(cfg):
         load_profile(cfg)
 
 
+@pytest.mark.parametrize(
+    "weights, sigma",
+    [
+        ([np.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.5, np.inf], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], [[1.0, np.nan], [np.nan, 1.0]]),
+        ([0.5, 0.5], [[np.inf, 0.0], [0.0, 1.0]]),
+    ],
+)
+def test_non_finite_profile_rejected(weights, sigma):
+    with pytest.raises(ProfileConfigError, match="finite"):
+        VarianceProfile(weights=weights, sigma=sigma)
+    cfg = {"kind": "piecewise_constant", "weights": weights, "sigma": sigma}
+    with pytest.raises(ProfileConfigError, match="finite"):
+        load_profile(json.dumps(cfg))
+
+
 def test_weight_tolerance_renormalizes():
     prof = load_profile(
         '{"kind": "piecewise_constant", "weights": [0.5, 0.5000000001], "sigma": [[1, 0], [0, 1]]}'

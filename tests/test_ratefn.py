@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import wigner_ldp
 from wigner_ldp import oracles
 from wigner_ldp.dyson import stieltjes_total, support_edge
 from wigner_ldp.profiles import ContinuousProfileSpec, VarianceProfile, discretize
@@ -384,3 +390,38 @@ def test_discretization_rate_converges():
     d2 = abs(vals[4] - vals[8])
     # refinement roughly quarters the error for this smooth profile
     assert d2 <= 0.6 * d1
+
+
+# -- call-history independence ------------------------------------------------------
+
+_HISTORY_SCRIPT = """
+import sys
+from wigner_ldp.dyson import log_potential, stieltjes_inverse, stieltjes_total
+from wigner_ldp.profiles import wishart_profile
+from wigner_ldp.ratefn import rate_function
+
+prof = wishart_profile(2.0)
+for x in map(float, sys.argv[1:]):
+    G = stieltjes_total(prof, x)
+    vals = (rate_function(prof, x).I, log_potential(prof, x), G, stieltjes_inverse(prof, G))
+    print(repr(x), *map(repr, vals))
+"""
+
+
+def _values_in_order(xs):
+    """{x: line of I, log potential, G, G^{-1}(G)} from a fresh interpreter,
+    so that every order starts with empty memos."""
+    paths = [str(Path(wigner_ldp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run(
+        [sys.executable, "-c", _HISTORY_SCRIPT, *map(repr, xs)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return {line.split()[0]: line for line in out.splitlines()}
+
+
+def test_values_independent_of_call_order():
+    forward = _values_in_order([1.6, 2.3])
+    backward = _values_in_order([2.3, 1.6])
+    assert set(forward) == {"1.6", "2.3"}
+    assert forward == backward
