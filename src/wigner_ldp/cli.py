@@ -103,6 +103,8 @@ def cmd_density(args) -> int:
     prof = _load(args.profile)
     if args.points < 2:
         raise ProfileConfigError("points must be >= 2")
+    if not (np.isfinite(args.xmin) and np.isfinite(args.xmax) and args.xmin < args.xmax):
+        raise ProfileConfigError("xmin and xmax must be finite with xmin < xmax")
     eta = np.asarray(args.eta, dtype=float)
     if eta.size == 0 or not np.all(np.isfinite(eta) & (eta > 0)) or np.any(np.diff(eta) >= 0):
         raise ProfileConfigError("eta must be positive, finite and strictly decreasing")

@@ -7,9 +7,13 @@ Im m_k < 0 on the upper half-plane, solve
 
 The mass-w_k transforms are G_k = w_k m_k and G_total = sum_k G_k is the
 Stieltjes transform of the limiting spectral measure.  The plain fixed-point
-map contracts in the hyperbolic metric for Im z > 0; close to the real axis
-the solver switches to Newton steps seeded by continuation, which reaches
-the same fixed point far faster.
+map contracts in the hyperbolic metric for Im z > 0, but slowly close to the
+real axis.  Every complex value comes from one batched solve,
+`_solve_complex_many`, over an array of spectral parameters: per row, damped
+Newton steps on the multiplicative residual with the contraction map as the
+fallback.  Near the real axis a row is started by descending a geometric
+ladder of Im z from 0.5 (`_descend`); the density grid and the edge
+predicate each solve all their points in one batch.
 
 On the real axis above the edge every value of m(x) comes from one
 vectorized damped Newton, `_newton_real`, with one deterministic seed: the
@@ -39,26 +43,23 @@ _PREDICATE_ETAS = (1e-5, 1e-7)  # finer pair: keeps the edge bias below 1e-4
 class ConvergenceError(RuntimeError):
     """Solver failed to reach the fixed point within its iteration budget."""
 
-    def __init__(self, msg: str, residual: float = np.nan):
-        super().__init__(msg)
-        self.residual = residual
-
 
 # ---------------------------------------------------------------------------
 # metric and map
 # ---------------------------------------------------------------------------
 
 
-def hyperbolic_D(u: np.ndarray, v: np.ndarray) -> float:
-    """max_k |u_k - v_k|^2 / (Im u_k Im v_k) for lower half-plane vectors."""
+def hyperbolic_D(u: np.ndarray, v: np.ndarray):
+    """max_k |u_k - v_k|^2 / (Im u_k Im v_k) over the last axis, for lower
+    half-plane vectors (one value per row of a stack)."""
     num = np.abs(u - v) ** 2
     den = np.imag(u) * np.imag(v)
-    if np.any(den <= 0):
-        return np.inf
-    return float(np.max(num / den))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = np.max(num / den, axis=-1)
+    return np.where(np.any(den <= 0, axis=-1), np.inf, D)[()]
 
 
-def hyperbolic_distance(u: np.ndarray, v: np.ndarray) -> float:
+def hyperbolic_distance(u: np.ndarray, v: np.ndarray):
     """d(u, v) = arcosh(1 + D(u, v)/2), maximized over components.
 
     arcosh(1 + t) loses all precision for t below machine epsilon; the
@@ -66,107 +67,162 @@ def hyperbolic_distance(u: np.ndarray, v: np.ndarray) -> float:
     step tolerances near 1e-13 remain meaningful.
     """
     D = hyperbolic_D(u, v)
-    if D < 1e-8:
-        return float(np.sqrt(D))
-    return float(np.arccosh(1.0 + D / 2.0))
+    return np.where(D < 1e-8, np.sqrt(D), np.arccosh(1.0 + D / 2.0))[()]
 
 
-def fixed_point_map(profile: VarianceProfile, z: complex, m: np.ndarray) -> np.ndarray:
+def _sigma_w(profile: VarianceProfile, m: np.ndarray) -> np.ndarray:
+    """(sigma (w m))_k along the last axis of m, summed over l in a fixed order
+    so that a row's value does not depend on the rows stacked beside it (a
+    BLAS product may change its summation order with the stack height)."""
+    mw = m * profile.weights
+    out = mw[..., :1] * profile.sigma[:, 0]
+    for l in range(1, profile.p):
+        out = out + mw[..., l : l + 1] * profile.sigma[:, l]
+    return out
+
+
+def fixed_point_map(profile: VarianceProfile, z, m: np.ndarray) -> np.ndarray:
     """One application of m -> 1 / (z - sigma (w m))."""
-    return 1.0 / (z - profile.sigma @ (profile.weights * m))
+    return 1.0 / (z - _sigma_w(profile, m))
 
 
-def _residual(profile: VarianceProfile, z: complex, m: np.ndarray) -> float:
-    r = 1.0 / m - (z - profile.sigma @ (profile.weights * m))
-    return float(np.max(np.abs(r)))
+def _residual(profile: VarianceProfile, z, m: np.ndarray):
+    """max_k |1/m_k - (z - (sigma (w m))_k)| over the last axis of m."""
+    return np.max(np.abs(1.0 / m - (z - _sigma_w(profile, m))), axis=-1)[()]
 
 
 # ---------------------------------------------------------------------------
-# complex solver: fixed-point warm-up, Newton finish
+# complex solver: one batched fixed-point / Newton iteration
 # ---------------------------------------------------------------------------
 
+_BLOCK_ROWS = 512   # spectral parameters per block of the batched complex solve
+_MAX_SWEEPS = 4000
 
-def _q_residual(profile, z, m):
+
+def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise solutions of J x = b; NaN rows where J is exactly singular."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular row fails the whole stack
+        if len(J) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_solve_rows(J[i : i + 1], b[i : i + 1]) for i in range(len(J))])
+
+
+def _newton_step(profile, z, m, out) -> np.ndarray:
+    """Damped Newton on the multiplicative residual for each row of m.
+
+    A row takes the longest of the step lengths 1, 1/2, ..., 2^-39 whose
+    candidate stays in the lower half-plane and lowers max |q|.  Accepted
+    candidates go to the rows of out; returns the mask of rows that got one.
+    """
     # multiplicative form 1 - m (z - S m): well scaled when components of m
     # differ by orders of magnitude (atoms)
-    return 1.0 - m * (z - profile.sigma @ (profile.weights * m))
+    zc = z[:, None]
+    Sm = _sigma_w(profile, m)
+    q = 1.0 - m * (zc - Sm)
+    qres = np.max(np.abs(q), axis=1)
+    J = m[:, :, None] * (profile.sigma * profile.weights)
+    diag = np.arange(profile.p)
+    J[:, diag, diag] -= zc - Sm
+    delta = _solve_rows(J, -q)
+
+    def accept(cand, zc, qres):
+        q = 1.0 - cand * (zc - _sigma_w(profile, cand))
+        return np.all(np.imag(cand) < 0, axis=-1) & (np.max(np.abs(q), axis=-1) < qres)
+
+    cand = m + delta
+    ok = accept(cand, zc, qres)
+    out[ok] = cand[ok]
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        # the shorter steps of every rejected row, all at once
+        cand = m[rows, None] + (0.5 ** np.arange(1, 40))[:, None] * delta[rows, None]
+        ok_t = accept(cand, zc[rows, None], qres[rows, None])
+        first = np.argmax(ok_t, axis=1)
+        got = ok_t[np.arange(rows.size), first]
+        out[rows[got]] = cand[got, first[got]]
+        ok[rows[got]] = True
+    return ok
 
 
-def _q_jacobian(profile, z, m):
-    Sm = profile.sigma @ (profile.weights * m)
-    return np.diag(-(z - Sm)) + m[:, None] * profile.sigma * profile.weights[None, :]
+def _solve_block(profile, z, m0):
+    """One block of rows of _solve_complex_many."""
+    m = np.repeat((1.0 / z)[:, None], profile.p, axis=1)
+    act = np.isfinite(z)
+    if m0 is not None:
+        keep = np.all(np.imag(m0) < 0, axis=1)
+        m[keep] = m0[keep]
+        act &= np.all(np.isfinite(m0), axis=1)
+    m[~act] = np.nan
+    its = np.zeros(z.size, dtype=int)
+    res_tol = 1e-10 * (1.0 + np.abs(z))
+    for sweep in range(_MAX_SWEEPS):
+        idx = np.flatnonzero(act)
+        if idx.size == 0:
+            break
+        za, ma = z[idx], m[idx]
+        nxt = np.empty_like(ma)
+        newton = _newton_step(profile, za, ma, nxt) if sweep else np.zeros(idx.size, bool)
+        fp = ~newton
+        if fp.any():
+            nxt[fp] = fixed_point_map(profile, za[fp, None], ma[fp])
+        step = hyperbolic_distance(ma, nxt)
+        small = np.max(np.abs(nxt - ma) / np.abs(nxt), axis=1) < 1e-13
+        converged = _residual(profile, za[:, None], nxt) < res_tol[idx]
+        # the hyperbolic step is not resolvable below ~1e-9 when Im m ~ eta
+        # is tiny; relative stagnation covers that case
+        done = np.where(
+            newton,
+            ((step < STEP_TOL) | small) & converged,
+            (step < STEP_TOL) | (small & converged),
+        )
+        m[idx] = nxt
+        its[idx] += 1
+        act[idx[done]] = False
+    m[act] = np.nan
+    return m, its
 
 
-def _solve_complex(profile, z, m0=None, step_tol=STEP_TOL, max_iter=4000):
-    """Fixed point of the Dyson map for Im z > 0.
+def _solve_complex_many(profile, zs, m0=None):
+    """Fixed points of the Dyson map at each z of zs (Im z > 0).
 
-    Returns (m, iterations, last_step_distance).  Newton steps on the
-    multiplicative residual are tried each sweep and rejected whenever they
-    leave the lower half-plane or fail to reduce the residual; the plain
-    contraction map is the fallback.
+    Returns (m, iterations), one row per z.  Each row starts from its row of
+    m0, or from 1/z when that row is missing or not in the lower half-plane.
+    The first sweep is a fixed-point step; each later sweep tries a damped
+    Newton step on the multiplicative residual and falls back to the
+    contraction map when no step length is accepted.  A row stops on a
+    hyperbolic step below STEP_TOL, or on a relative step below 1e-13 with
+    residual below 1e-10 (1 + |z|).  A row still running after _MAX_SWEEPS
+    sweeps, or whose z or m0 row is not finite, comes back as NaN; callers
+    decide what that means.  Rows are solved in blocks of _BLOCK_ROWS, and a
+    row's value does not depend on the rows solved with it.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("_solve_complex needs Im z > 0")
-    m = np.full(profile.p, 1.0 / z, dtype=complex) if m0 is None else m0.astype(complex).copy()
-    if np.any(np.imag(m) >= 0):
-        m = np.full(profile.p, 1.0 / z, dtype=complex)
-    it = 0
-    step = np.inf
-    while it < max_iter:
-        if it >= 1:
-            q = _q_residual(profile, z, m)
-            qres = np.max(np.abs(q))
-            try:
-                delta = np.linalg.solve(_q_jacobian(profile, z, m), -q)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
-                t = 1.0
-                for _ in range(40):
-                    cand = m + t * delta
-                    if np.all(np.imag(cand) < 0) and np.max(
-                        np.abs(_q_residual(profile, z, cand))
-                    ) < qres:
-                        break
-                    t /= 2.0
-                else:
-                    cand = None
-                if cand is not None:
-                    step = hyperbolic_distance(m, cand)
-                    rel = float(np.max(np.abs(cand - m) / np.abs(cand)))
-                    m = cand
-                    it += 1
-                    # the hyperbolic step is not resolvable below ~1e-9 when
-                    # Im m ~ eta is tiny; relative stagnation covers that case
-                    if (step < step_tol or rel < 1e-13) and _residual(
-                        profile, z, m
-                    ) < 1e-10 * (1 + abs(z)):
-                        return m, it, step
-                    continue
-        nxt = fixed_point_map(profile, z, m)
-        step = hyperbolic_distance(m, nxt)
-        rel = float(np.max(np.abs(nxt - m) / np.abs(nxt)))
-        m = nxt
-        it += 1
-        if step < step_tol or (rel < 1e-13 and _residual(profile, z, m) < 1e-10 * (1 + abs(z))):
-            return m, it, step
-    raise ConvergenceError(
-        f"Dyson iteration did not converge at z={z} within {max_iter} steps",
-        residual=_residual(profile, z, m),
-    )
+    zs = np.asarray(zs, dtype=complex)
+    if np.any(np.imag(zs) <= 0):
+        raise ValueError("_solve_complex_many needs Im z > 0")
+    if m0 is not None:
+        m0 = np.asarray(m0, dtype=complex)
+    m = np.empty((zs.size, profile.p), dtype=complex)
+    its = np.empty(zs.size, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for b in range(0, zs.size, _BLOCK_ROWS):
+            rows = slice(b, b + _BLOCK_ROWS)
+            m[rows], its[rows] = _solve_block(profile, zs[rows], None if m0 is None else m0[rows])
+    return m, its
 
 
-def _ladder_complex(profile, x, eta, m0=None):
-    """Solve at x + i eta descending a geometric ladder from eta0 = 0.5."""
+def _descend(profile, xs, eta):
+    """Rows m(x + i eta), each solved down the geometric ladder 0.5, ..., 8 eta,
+    eta from m = 1/z; a row that fails on any rung is NaN."""
     etas = [eta]
     e = eta
     while e < 0.25:
         e *= 8.0
         etas.append(min(e, 0.5))
-    m = m0
+    m = None
     for e in reversed(etas):
-        m, _, _ = _solve_complex(profile, complex(x, e), m0=m)
+        m, _ = _solve_complex_many(profile, xs + 1j * e, m)
     return m
 
 
@@ -318,7 +374,6 @@ class DysonSolution:
     G_total: complex
     iterations: int
     residual: float       # fixed-point residual max_k |1/m_k - (z - (S m)_k)|
-    last_step: float = 0.0  # hyperbolic distance of the final iterate step
 
     def to_json(self) -> str:
         return json.dumps(
@@ -329,7 +384,6 @@ class DysonSolution:
                 "G_total": [self.G_total.real, self.G_total.imag],
                 "iterations": self.iterations,
                 "residual": self.residual,
-                "last_step": self.last_step,
             }
         )
 
@@ -337,7 +391,8 @@ class DysonSolution:
 def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
     """Solve the block Dyson system at a spectral parameter z.
 
-    Im z > 0 uses the contraction / Newton scheme directly.  Real z is
+    Im z > 0 is a batch of one for the complex solve, started from init
+    when given; iterations is its sweep count.  Real z is
     accepted when it lies above the support edge and is solved by the
     real-axis Newton from the fixed-point seed; at or below the edge this
     raises ConvergenceError.
@@ -346,13 +401,14 @@ def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
     if z.imag < 0:
         raise ValueError("solve_dyson needs Im z >= 0")
     if z.imag > 0:
-        m0 = None if init is None else np.asarray(init, dtype=complex)
-        m, it, step = _solve_complex(profile, z, m0=m0)
-        mc = m
+        m0 = None if init is None else np.asarray(init, dtype=complex)[None, :]
+        m, its = _solve_complex_many(profile, np.array([z]), m0)
+        mc, it = m[0], int(its[0])
+        if np.isnan(mc).any():
+            raise ConvergenceError(f"Dyson iteration did not converge at z={z}")
     else:
-        mr = _solve_real(profile, z.real)
-        mc = mr.astype(complex)
-        it, step = 0, 0.0
+        mc = _solve_real(profile, z.real).astype(complex)
+        it = 0
     G_blocks = profile.weights * mc
     return DysonSolution(
         z=z,
@@ -360,8 +416,7 @@ def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
         G_blocks=G_blocks,
         G_total=complex(np.sum(G_blocks)),
         iterations=it,
-        residual=_residual(profile, z, mc),
-        last_step=step,
+        residual=float(_residual(profile, z, mc)),
     )
 
 
@@ -459,32 +514,37 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
 # support edge
 # ---------------------------------------------------------------------------
 
+_SCAN_CHUNK = 128    # scan grid points per batched edge predicate
+_BISECT_LEVELS = 4   # bisection levels whose midpoints are tested in one batch
 
-def _edge_predicate(profile, x):
-    """True when x is strictly above the support: vanishing density and a
-    stable real-axis solution with positive per-block values."""
-    if x <= 0:
-        return False
+
+def _edge_predicate(profile, xs) -> np.ndarray:
+    """For each x of xs, True when x is strictly above the support: vanishing
+    density and a stable real-axis solution with positive per-block values."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(xs.size, dtype=bool)
+    idx = np.flatnonzero(xs > 0)
     e1, e2 = _PREDICATE_ETAS
-    try:
-        m_mid = _ladder_complex(profile, x, e1)
-        m_lo, _, _ = _solve_complex(profile, complex(x, e2), m0=m_mid)
-    except ConvergenceError:
-        return False
-    f1 = -np.imag(profile.weights @ m_mid) / np.pi
-    f2 = -np.imag(profile.weights @ m_lo) / np.pi
+    x = xs[idx]
+    m_mid = _descend(profile, x, e1)
+    m_lo, _ = _solve_complex_many(profile, x + 1j * e2, m_mid)
+    f1 = -np.imag(m_mid @ profile.weights) / np.pi
+    f2 = -np.imag(m_lo @ profile.weights) / np.pi
     dens = (e1 * f2 - e2 * f1) / (e1 - e2)
-    if dens >= DENSITY_FLOOR:
-        return False
-    m = _newton_real(profile, [x], np.real(m_lo)[None, :])[0]
-    return bool(np.all(m > 0))
+    below = dens < DENSITY_FLOOR  # False on the NaN rows of a failed solve
+    m = _newton_real(profile, x[below], np.real(m_lo[below]))
+    out[idx[below]] = np.all(m > 0, axis=1)
+    return out
 
 
 def support_edge(profile: VarianceProfile) -> tuple[float, float]:
     """Support edges (l, r) of the limiting measure; l = -r by symmetry.
 
     The right edge is located by a coarse scan down from the operator-norm
-    bound 2 sqrt(A) followed by bisection of the edge predicate.
+    bound 2 sqrt(A) followed by bisection of the edge predicate.  The scan
+    tests its grid in chunks from the top; the bisection tests the midpoints
+    of its next few levels in one batch and then walks them in order, so its
+    brackets, and r, are those of the one-point-at-a-time bisection.
     """
     c = _cache(profile)
     if c.edge is not None:
@@ -492,24 +552,30 @@ def support_edge(profile: VarianceProfile) -> tuple[float, float]:
     A = profile.max_sigma
     hi = 2.0 * np.sqrt(A) + 0.1 * (1.0 + np.sqrt(A))
     grid = np.linspace(hi, 0.0, 257)
-    x_true = None
-    x_false = None
-    for x in grid:
-        if _edge_predicate(profile, x):
-            x_true = x
-        else:
-            x_false = x
+    for start in range(0, grid.size, _SCAN_CHUNK):  # the last point, 0, is never above
+        pred = _edge_predicate(profile, grid[start : start + _SCAN_CHUNK])
+        if not pred.all():
             break
-    if x_true is None or x_false is None:
+    first_false = start + int(np.argmin(pred))
+    if first_false == 0:
         raise ConvergenceError("support_edge bracket failure: no sign change on the scan grid")
-    lo, up = x_false, x_true
+    lo, up = grid[first_false], grid[first_false - 1]
     tol = 1e-6 * (1.0 + A)
     while up - lo > tol:
-        mid = 0.5 * (lo + up)
-        if _edge_predicate(profile, mid):
-            up = mid
-        else:
-            lo = mid
+        # the midpoints of the next levels in heap order: node i halves the
+        # span of spans[i], whose halves are spans[2i+1] and spans[2i+2]
+        spans = [(lo, up)]
+        for i in range(2**_BISECT_LEVELS - 1):
+            a, b = spans[i]
+            spans += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+        mids = [b for _, b in spans[1::2]]
+        pred = _edge_predicate(profile, mids)
+        i = 0
+        while i < len(mids) and up - lo > tol:
+            if pred[i]:
+                up, i = mids[i], 2 * i + 1
+            else:
+                lo, i = mids[i], 2 * i + 2
     r = 0.5 * (lo + up)
     c.edge = (-r, r)
     return c.edge
@@ -541,15 +607,15 @@ class SpectralMeasure:
         return "\n".join(lines) + "\n"
 
 
-def _extrapolate_eta(etas: np.ndarray, vals: np.ndarray):
-    """Polynomial extrapolation of vals(eta) to eta = 0 (Richardson)."""
+def _richardson_weights(etas: np.ndarray) -> np.ndarray:
+    """c with c @ f(etas) the polynomial extrapolation of f to eta = 0."""
     k = etas.size
     coef = np.ones(k)
     for i in range(k):
         for j in range(k):
             if j != i:
                 coef[i] *= etas[j] / (etas[j] - etas[i])
-    return coef @ vals
+    return coef
 
 
 def spectral_measure(
@@ -562,9 +628,13 @@ def spectral_measure(
     """Reconstruct the limiting density on a grid by vanishing-eta extrapolation.
 
     density(x) is the Richardson limit of -Im G(x + i eta)/pi over the eta
-    schedule; per-block densities use the mass-w_k transforms.  Grid points
-    where the extrapolation oscillates (atoms, edges) are flagged.
+    schedule; per-block densities use the mass-w_k transforms.  The whole
+    grid descends the eta ladder to the first eta in one batched solve, and
+    each later eta starts from the previous eta's rows.  Grid points where
+    the extrapolation oscillates (atoms, edges) are flagged.
     """
+    if not (np.isfinite(x_min) and np.isfinite(x_max)):
+        raise ValueError("x_min and x_max must be finite")
     if not x_min < x_max:
         raise ValueError("x_min must be below x_max")
     if points < 2:
@@ -573,29 +643,23 @@ def spectral_measure(
     if np.any(etas <= 0) or np.any(np.diff(etas) >= 0):
         raise ValueError("eta_schedule must be positive and decreasing")
     grid = np.linspace(x_min, x_max, points)
-    p = profile.p
-    vals = np.empty((etas.size, p, points), dtype=complex)
-    for ie, eta in enumerate(etas):
-        m = None
-        for ix, x in enumerate(grid):
-            m, _, _ = _solve_complex(profile, complex(x, eta), m0=m)
-            vals[ie, :, ix] = m
-    block_f = -np.imag(profile.weights[None, :, None] * vals) / np.pi  # (etas, p, points)
-    total_f = block_f.sum(axis=1)
-    density = np.empty(points)
-    blocks = np.empty((p, points))
-    flags = np.zeros(points, dtype=bool)
-    for ix in range(points):
-        fx = total_f[:, ix]
-        d0 = _extrapolate_eta(etas, fx)
-        # unstable when dropping the coarsest eta moves the answer: atoms and
-        # edge points do, smooth density and the empty region do not
-        d0_short = _extrapolate_eta(etas[1:], fx[1:]) if etas.size > 2 else d0
-        if abs(d0 - d0_short) > 0.05 * abs(d0) + 1e-6 or d0 < -1e-6:
-            flags[ix] = True
-        density[ix] = max(d0, 0.0)
-        for k in range(p):
-            blocks[k, ix] = max(_extrapolate_eta(etas, block_f[:, k, ix]), 0.0)
+    vals = np.empty((etas.size, points, profile.p), dtype=complex)
+    vals[0] = _descend(profile, grid, etas[0])
+    for ie in range(1, etas.size):
+        vals[ie], _ = _solve_complex_many(profile, grid + 1j * etas[ie], vals[ie - 1])
+    failed = np.isnan(vals).any(axis=(0, 2))
+    if failed.any():
+        raise ConvergenceError(f"Dyson iteration did not converge at x={grid[failed][0]}")
+    block_f = -np.imag(profile.weights * vals) / np.pi  # (etas, points, p)
+    total_f = block_f.sum(axis=2)
+    coef = _richardson_weights(etas)
+    d0 = coef @ total_f
+    # unstable when dropping the coarsest eta moves the answer: atoms and
+    # edge points do, smooth density and the empty region do not
+    d0_short = _richardson_weights(etas[1:]) @ total_f[1:] if etas.size > 2 else d0
+    flags = (np.abs(d0 - d0_short) > 0.05 * np.abs(d0) + 1e-6) | (d0 < -1e-6)
+    density = np.maximum(d0, 0.0)
+    blocks = np.maximum(np.tensordot(coef, block_f, 1).T, 0.0)
     mass = float(np.trapezoid(density, grid))
     l_edge, r_edge = support_edge(profile)
     return SpectralMeasure(

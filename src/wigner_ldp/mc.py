@@ -117,11 +117,27 @@ def eig_top(matrix: np.ndarray):
     return float(ev[-1]), v1, ev
 
 
+def _block_sums(a: np.ndarray, starts: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sums of a over the partition blocks that begin at `starts` along axis.
+
+    A block with no rows at this size (a repeated start, or one at the end)
+    sums to 0; np.add.reduceat alone returns the next block's first element
+    there, or fails past the end.
+    """
+    full = np.diff(starts, append=a.shape[axis]) > 0
+    sums = np.add.reduceat(a, starts[full], axis=axis)
+    shape = list(a.shape)
+    shape[axis] = starts.size
+    out = np.zeros(shape)
+    np.moveaxis(out, axis, -1)[..., full] = np.moveaxis(sums, axis, -1)
+    return out
+
+
 def vector_profile(profile: VarianceProfile, v: np.ndarray) -> np.ndarray:
     """rho(v): squared mass of v on each partition block."""
     b = profile.row_blocks(v.shape[-1])
     starts = np.searchsorted(b, np.arange(profile.p), side="left")
-    return np.add.reduceat(np.asarray(v) ** 2, starts, axis=-1)
+    return _block_sums(np.asarray(v) ** 2, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +206,7 @@ def projected_empirical(matrix: np.ndarray, profile: VarianceProfile):
     ev, V = np.linalg.eigh(H)
     b = profile.row_blocks(N)
     starts = np.searchsorted(b, np.arange(profile.p), side="left")
-    masses = np.add.reduceat(V**2, starts, axis=0) / N  # (p, N)
+    masses = _block_sums(V**2, starts, axis=0) / N  # (p, N)
     return [DiscreteMeasure(atoms=ev.copy(), weights=masses[k]) for k in range(profile.p)]
 
 
@@ -245,7 +261,7 @@ def _block_masses(g: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """rho(g/|g|) for each row of g: squared mass per partition block."""
     u2 = g * g
     u2 /= u2.sum(axis=1, keepdims=True)
-    return np.add.reduceat(u2, starts, axis=1)
+    return _block_sums(u2, starts)
 
 
 def _saddle_gap(gaps: np.ndarray, theta: float) -> float:
@@ -488,9 +504,9 @@ def collect_batch(
         H = _assemble(_draw(rng, (N, N), dist), _draw(rng, (N,), dist), off, diag)
         ev, V = np.linalg.eigh(H)
         lam1[i] = ev[-1]
-        rho[i] = np.add.reduceat(V[:, -1] ** 2, starts)
+        rho[i] = _block_sums(V[:, -1] ** 2, starts)
         agg_atoms.append(ev)
-        agg_weights.append(np.add.reduceat(V**2, starts, axis=0) / N)
+        agg_weights.append(_block_sums(V**2, starts, axis=0) / N)
     atoms = np.concatenate(agg_atoms)
     weights = np.concatenate(agg_weights, axis=1) / samples
     projected = [DiscreteMeasure(atoms, weights[k]) for k in range(profile.p)]

@@ -86,6 +86,15 @@ def test_density_eta_not_positive(prof_paths):
     assert code == 2
 
 
+@pytest.mark.parametrize("xmin,xmax", [("2", "-2"), ("1", "1"), ("nan", "2"), ("-2", "inf")])
+def test_density_bad_bounds(prof_paths, xmin, xmax):
+    code = _exit_code([
+        "density", "--profile", prof_paths["constant"],
+        "--xmin", xmin, "--xmax", xmax, "--points", "11",
+    ])
+    assert code == 2
+
+
 def test_mc_tail_zero_N(prof_paths):
     code = _exit_code([
         "mc", "tail", "--profile", prof_paths["constant"], "--x", "2.2", "--N", "0",
@@ -202,6 +211,24 @@ def test_mc_dirichlet(prof_paths, tmp_path):
     assert code == 0
     d = json.loads(out.read_text())
     assert d["max_mean_dev"] < 0.01
+
+
+@pytest.mark.parametrize("weights", [[0.05, 0.95], [0.95, 0.05]])
+def test_mc_dirichlet_empty_block(tmp_path, weights):
+    # at N = 8 the small block gets no row: its mass is 0, the other block's 1
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "kind": "piecewise_constant", "weights": weights, "sigma": [[1.0, 0.5], [0.5, 2.0]],
+    }))
+    out = tmp_path / "dir.json"
+    code = _exit_code([
+        "--out", str(out), "mc", "dirichlet", "--profile", str(path), "--N", "8",
+        "--samples", "2000",
+    ])
+    assert code == 0
+    d = json.loads(out.read_text())
+    assert sum(d["mean_emp"]) == pytest.approx(1.0, abs=1e-12)
+    assert d["mean_emp"] == pytest.approx(d["mean_exact"], abs=1e-12)
 
 
 def test_mc_annealed_exit4_on_empty_window(prof_paths, tmp_path):

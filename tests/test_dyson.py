@@ -5,6 +5,8 @@ from scipy.integrate import quad
 from wigner_ldp import oracles
 from wigner_ldp.dyson import (
     ConvergenceError,
+    _residual,
+    _solve_complex_many,
     fixed_point_map,
     hyperbolic_D,
     hyperbolic_distance,
@@ -60,6 +62,47 @@ def test_herglotz_many_random_profiles():
         z = complex(rng.uniform(-4, 4), rng.uniform(0.02, 3.0))
         sol = solve_dyson(prof, z)
         assert np.all(np.imag(sol.m) < 0)
+
+
+# -- batched complex solve -----------------------------------------------------
+
+
+def _random_batch(seed, n=40):
+    rng = np.random.default_rng(seed)
+    prof = random_profile(rng)
+    zs = rng.uniform(-4, 4, n) + 1j * 10 ** rng.uniform(-1.7, 0.5, n)
+    return prof, zs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_complex_many_row_independent_of_batch(seed):
+    prof, zs = _random_batch(seed)
+    m0, _ = _solve_complex_many(prof, zs + 0.05j)
+    perm = np.random.default_rng(seed).permutation(zs.size)
+    for start in (None, m0):
+        rows = (lambda sel: None) if start is None else (lambda sel: start[sel])
+        m, its = _solve_complex_many(prof, zs, start)
+        for i in range(zs.size):
+            mi, iti = _solve_complex_many(prof, zs[i : i + 1], rows(slice(i, i + 1)))
+            assert np.all(mi[0] == m[i]) and iti[0] == its[i]
+        mp, _ = _solve_complex_many(prof, zs[perm], rows(perm))
+        assert np.all(mp == m[perm])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_complex_many_herglotz_and_residual(seed):
+    prof, zs = _random_batch(seed, n=200)
+    m, _ = _solve_complex_many(prof, zs)
+    assert np.all(np.imag(m) < 0)
+    assert np.all(_residual(prof, zs[:, None], m) < 1e-10 * (1 + np.abs(zs)))
+
+
+def test_solve_complex_many_nan_row(block_14):
+    zs = np.array([1.0 + 1.0j, complex(np.nan, 1.0), complex(np.nan, np.nan), 0.5 + 0.2j])
+    m, its = _solve_complex_many(block_14, zs)
+    assert np.all(np.isnan(m[1:3])) and np.all(its[1:3] == 0)
+    ok, _ = _solve_complex_many(block_14, zs[[0, 3]])
+    assert np.all(m[[0, 3]] == ok)
 
 
 def test_contraction_certificate(wishart2):
@@ -178,6 +221,9 @@ def test_spectral_measure_validates_args(const_prof):
         spectral_measure(const_prof, 2.0, -2.0, 100)
     with pytest.raises(ValueError):
         spectral_measure(const_prof, -2.0, 2.0, 100, eta_schedule=(1e-3, 1e-2))
+    for x_min, x_max in ((-2.0, np.inf), (np.nan, 2.0), (-np.inf, 2.0)):
+        with pytest.raises(ValueError):
+            spectral_measure(const_prof, x_min, x_max, 100)
 
 
 def test_spectral_measure_csv(const_prof):
@@ -199,6 +245,14 @@ def test_edges(const_prof, wishart2, block_14):
     assert rw == pytest.approx(oracles.wishart_edge(2.0), abs=1e-3)
     _, rb = support_edge(block_14)
     assert rb == pytest.approx(2 * np.sqrt(2.0), abs=1e-3)
+
+
+def test_edges_pinned(named_profiles):
+    # the batched scan and bisection reproduce the one-point-at-a-time
+    # bisection's brackets, so r is pinned bit for bit
+    expected = (2.0000070095062252, 1.3938549518585208, 2.8284301280975335, 2.30940536721227)
+    for prof, r in zip(named_profiles, expected):
+        assert support_edge(prof)[1] == r
 
 
 def test_block_edge_scaling(block_12):

@@ -22,6 +22,7 @@ from wigner_ldp.mc import (
     wasserstein1,
     wilson_interval,
 )
+from wigner_ldp.profiles import VarianceProfile
 from wigner_ldp.ratefn import eval_J, eval_K, eval_phi, rate_function
 
 
@@ -389,6 +390,27 @@ def test_collect_batch_invariants(block_14):
     text = batch.to_csv()
     assert text.splitlines()[0] == "seed_index,lambda1,rho_1,rho_2"
     assert len(text.splitlines()) == 9
+
+
+@pytest.mark.parametrize("weights", [[0.05, 0.95], [0.95, 0.05], [0.45, 0.05, 0.5]])
+def test_block_masses_with_an_empty_block(weights):
+    # at N = 8 the weight-0.05 block gets no row; it must carry mass 0
+    p = len(weights)
+    prof = VarianceProfile(weights=np.array(weights), sigma=np.eye(p) + 0.5)
+    N = 8
+    empty = np.bincount(prof.row_blocks(N), minlength=p) == 0
+    assert empty.sum() == 1
+    v = np.random.default_rng(0).standard_normal(N)
+    rho = vector_profile(prof, v / np.linalg.norm(v))
+    assert rho.sum() == pytest.approx(1.0, abs=1e-12) and rho[empty] == 0.0
+    masses = projected_empirical(sample_matrix(prof, N, seed=1), prof)
+    assert sum(m.total_mass for m in masses) == pytest.approx(1.0, abs=1e-12)
+    batch = mc.collect_batch(prof, N, 3, seed=2)
+    assert np.allclose(batch.rho_v1.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(batch.rho_v1[:, empty] == 0.0)
+    rep = profile_dirichlet_check(prof, N, 1000, seed=3)
+    assert rep["mean_emp"].sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(rep["mean_emp"][empty] == 0.0)
 
 
 def test_collect_batch_one_eigh_per_matrix(block_14, monkeypatch):
