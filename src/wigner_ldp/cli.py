@@ -50,11 +50,18 @@ def _json_payload(manifest: dict, body: dict) -> str:
     return json.dumps({"manifest": manifest, **body}, sort_keys=True, indent=1) + "\n"
 
 
-def _floats(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        v = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        v = np.nan
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite float: {text!r}")
+    return v
+
+
+def _floats(text: str) -> list[float]:
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _positive_int(text: str) -> int:
@@ -81,6 +88,14 @@ def _load(path) -> VarianceProfile:
     return prof
 
 
+def _mass_option(prof: VarianceProfile, values, name: str) -> np.ndarray:
+    """--phi/--psi: p nonnegative masses with a positive sum; the weights when absent."""
+    v = prof.weights if values is None else np.asarray(values, dtype=float)
+    if v.shape != (prof.p,) or np.any(v < 0) or not v.sum() > 0:
+        raise ProfileConfigError(f"--{name} needs {prof.p} nonnegative values with a positive sum")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -103,11 +118,11 @@ def cmd_density(args) -> int:
     prof = _load(args.profile)
     if args.points < 2:
         raise ProfileConfigError("points must be >= 2")
-    if not (np.isfinite(args.xmin) and np.isfinite(args.xmax) and args.xmin < args.xmax):
-        raise ProfileConfigError("xmin and xmax must be finite with xmin < xmax")
+    if not args.xmin < args.xmax:
+        raise ProfileConfigError("xmin must be below xmax")
     eta = np.asarray(args.eta, dtype=float)
-    if eta.size == 0 or not np.all(np.isfinite(eta) & (eta > 0)) or np.any(np.diff(eta) >= 0):
-        raise ProfileConfigError("eta must be positive, finite and strictly decreasing")
+    if eta.size == 0 or np.any(eta <= 0) or np.any(np.diff(eta) >= 0):
+        raise ProfileConfigError("eta must be positive and strictly decreasing")
     sm = spectral_measure(prof, args.xmin, args.xmax, args.points, tuple(args.eta))
     man = _manifest(
         "density", prof.label,
@@ -394,6 +409,8 @@ def cmd_mc_tail(args) -> int:
 
 def cmd_mc_spherical(args) -> int:
     prof = _load(args.profile)
+    if args.samples < mc.MIN_SPHERE_SAMPLES:
+        raise ProfileConfigError(f"samples must be >= {mc.MIN_SPHERE_SAMPLES}")
     M = mc.quantile_spectrum_matrix(prof, args.N, args.x)
     est = mc.spherical_integral_mc(M, args.theta, args.samples, args.seed)
     ref = eval_J(prof, args.x, args.theta)
@@ -408,7 +425,9 @@ def cmd_mc_spherical(args) -> int:
 
 def cmd_mc_annealed(args) -> int:
     prof = _load(args.profile)
-    phi = np.asarray(args.phi if args.phi else prof.weights, dtype=float)
+    phi = _mass_option(prof, args.phi, "phi")
+    if not args.delta > 0:
+        raise ProfileConfigError("delta must be positive")
     try:
         est = mc.annealed_integral_mc(prof, args.theta, phi, args.delta, args.N, args.samples, args.seed)
     except InconclusiveError as e:
@@ -428,7 +447,7 @@ def cmd_mc_annealed(args) -> int:
 
 def cmd_mc_tilt(args) -> int:
     prof = _load(args.profile)
-    psi = np.asarray(args.psi if args.psi else prof.weights, dtype=float)
+    psi = _mass_option(prof, args.psi, "psi")
     rep = mc.tilted_outlier_check(prof, args.x, psi / psi.sum(), args.N, args.samples, args.seed)
     man = _manifest(
         "mc tilt", prof.label,
@@ -506,8 +525,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="limiting spectral density on a grid")
     p.add_argument("--profile", required=True)
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmin", type=_finite_float, required=True)
+    p.add_argument("--xmax", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--eta", type=_floats, default=[1e-2, 5e-3, 2.5e-3])
     p.set_defaults(fn=cmd_density)
@@ -516,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--x", type=_floats, required=True)
     p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(fn=cmd_rate)
 
     p = sub.add_parser("validate", help="run a named validation suite")
@@ -529,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = mcsub.add_parser("tail")
     p.add_argument("--profile", required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_ints, required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")
@@ -537,24 +556,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = mcsub.add_parser("spherical")
     p.add_argument("--profile", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=150)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.set_defaults(fn=cmd_mc_spherical)
 
     p = mcsub.add_parser("annealed")
     p.add_argument("--profile", required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", type=_finite_float, default=0.1)
     p.add_argument("--phi", type=_floats, default=None)
     p.set_defaults(fn=cmd_mc_annealed)
 
     p = mcsub.add_parser("tilt")
     p.add_argument("--profile", required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--psi", type=_floats, default=None)

@@ -20,14 +20,21 @@ vectorized damped Newton, `_newton_real`, with one deterministic seed: the
 iterates of m <- 1/(x - sigma (w m)) from m = 0, stopped at a relative step
 of 1e-4.  That map is increasing on the positive cone, so the iterates rise
 to its smallest positive fixed point, which is the physical branch.  No
-solve depends on an earlier one, so a result depends only on its inputs;
-the per-profile memos hold values of pure functions of their keys.
+solve depends on an earlier one, so a result depends only on its inputs.
+
+Memo policy: `support_edge`, `log_potential`, `stieltjes_inverse` and the
+real-axis solve `_solve_real` are pure functions of (profile, argument), and
+each is its own memo, a `functools.lru_cache` of at most _MEMO_SIZE entries
+over all profiles (`cache_info()` gives its hits and misses).  Profiles
+compare and hash by their weights and sigma, not their label, so equal
+profiles loaded separately share entries.  Eviction only costs a recompute.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,6 +45,7 @@ DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 STEP_TOL = 1e-13          # hyperbolic distance between successive iterates
 DENSITY_FLOOR = 1e-6      # edge predicate threshold
 _PREDICATE_ETAS = (1e-5, 1e-7)  # finer pair: keeps the edge bias below 1e-4
+_MEMO_SIZE = 1 << 16      # entries per memoized function, over all profiles
 
 
 class ConvergenceError(RuntimeError):
@@ -213,45 +221,25 @@ def _solve_complex_many(profile, zs, m0=None):
 
 
 def _descend(profile, xs, eta):
-    """Rows m(x + i eta), each solved down the geometric ladder 0.5, ..., 8 eta,
-    eta from m = 1/z; a row that fails on any rung is NaN."""
+    """(m, iterations): rows m(x + i eta), each solved down the geometric
+    ladder 0.5, ..., 8 eta, eta from m = 1/z, with its sweeps summed over the
+    rungs; a row that fails on any rung is NaN.  For eta >= 0.25 this is one
+    cold solve."""
     etas = [eta]
     e = eta
     while e < 0.25:
         e *= 8.0
         etas.append(min(e, 0.5))
-    m = None
+    m, its = None, 0
     for e in reversed(etas):
-        m, _ = _solve_complex_many(profile, xs + 1j * e, m)
-    return m
+        m, n = _solve_complex_many(profile, xs + 1j * e, m)
+        its = its + n
+    return m, its
 
 
 # ---------------------------------------------------------------------------
 # real-axis solver (x above the support edge)
 # ---------------------------------------------------------------------------
-
-
-class _ProfileCache:
-    """Memos of pure functions of their key: edge, m(x), log potential, G^{-1}."""
-
-    __slots__ = ("exact", "edge", "log_pot", "ginv")
-
-    def __init__(self):
-        self.exact: dict[float, np.ndarray] = {}
-        self.edge: tuple[float, float] | None = None
-        self.log_pot: dict[float, float] = {}
-        self.ginv: dict[float, float] = {}
-
-
-_caches: dict[tuple, _ProfileCache] = {}
-
-
-def _cache(profile: VarianceProfile) -> _ProfileCache:
-    c = _caches.get(profile.key)
-    if c is None:
-        c = _ProfileCache()
-        _caches[profile.key] = c
-    return c
 
 
 def _real_residual(profile, xs, m):
@@ -349,16 +337,10 @@ def _solve_real_many(profile, xs) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _solve_real(profile, x):
     """Per-block values m_k(x) for real x above the support edge (memoized)."""
-    c = _cache(profile)
-    x = float(x)
-    m = c.exact.get(x)
-    if m is None:
-        m = _solve_real_many(profile, [x])[0]
-        if len(c.exact) < 65536:
-            c.exact[x] = m
-    return m
+    return _solve_real_many(profile, [float(x)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +373,22 @@ class DysonSolution:
 def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
     """Solve the block Dyson system at a spectral parameter z.
 
-    Im z > 0 is a batch of one for the complex solve, started from init
-    when given; iterations is its sweep count.  Real z is
-    accepted when it lies above the support edge and is solved by the
-    real-axis Newton from the fixed-point seed; at or below the edge this
-    raises ConvergenceError.
+    Im z > 0 is a batch of one for the complex solve: started from init
+    when given, otherwise descended down the Im z ladder (`_descend`), which
+    for Im z >= 0.25 is one solve from 1/z; iterations is its sweep count,
+    summed over the rungs.  Real z is accepted when it lies above the support
+    edge and is solved by the real-axis Newton from the fixed-point seed; at
+    or below the edge this raises ConvergenceError.
     """
     z = complex(z)
     if z.imag < 0:
         raise ValueError("solve_dyson needs Im z >= 0")
     if z.imag > 0:
-        m0 = None if init is None else np.asarray(init, dtype=complex)[None, :]
-        m, its = _solve_complex_many(profile, np.array([z]), m0)
+        if init is None:
+            m, its = _descend(profile, np.array([z.real]), z.imag)
+        else:
+            m0 = np.asarray(init, dtype=complex)[None, :]
+            m, its = _solve_complex_many(profile, np.array([z]), m0)
         mc, it = m[0], int(its[0])
         if np.isnan(mc).any():
             raise ConvergenceError(f"Dyson iteration did not converge at z={z}")
@@ -462,6 +448,7 @@ def _g_prime(profile, x, m=None):
     return float(profile.weights @ mprime)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     """The v > r_edge with G(v) = two_theta, by safeguarded Newton.
 
@@ -470,10 +457,6 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     """
     if two_theta <= 0:
         raise ValueError("two_theta must be positive")
-    c = _cache(profile)
-    hit = c.ginv.get(two_theta)
-    if hit is not None:
-        return hit
     _, r = support_edge(profile)
     eps = 1e-9 * (1.0 + profile.max_sigma)
     lo = r + eps
@@ -505,8 +488,6 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
         v = cand
     if abs(_g_total(profile, v) - two_theta) > 1e-10:
         raise ConvergenceError(f"stieltjes_inverse polish failed at two_theta={two_theta}")
-    if len(c.ginv) < 65536:
-        c.ginv[two_theta] = float(v)
     return float(v)
 
 
@@ -526,7 +507,7 @@ def _edge_predicate(profile, xs) -> np.ndarray:
     idx = np.flatnonzero(xs > 0)
     e1, e2 = _PREDICATE_ETAS
     x = xs[idx]
-    m_mid = _descend(profile, x, e1)
+    m_mid, _ = _descend(profile, x, e1)
     m_lo, _ = _solve_complex_many(profile, x + 1j * e2, m_mid)
     f1 = -np.imag(m_mid @ profile.weights) / np.pi
     f2 = -np.imag(m_lo @ profile.weights) / np.pi
@@ -537,6 +518,7 @@ def _edge_predicate(profile, xs) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def support_edge(profile: VarianceProfile) -> tuple[float, float]:
     """Support edges (l, r) of the limiting measure; l = -r by symmetry.
 
@@ -546,9 +528,6 @@ def support_edge(profile: VarianceProfile) -> tuple[float, float]:
     of its next few levels in one batch and then walks them in order, so its
     brackets, and r, are those of the one-point-at-a-time bisection.
     """
-    c = _cache(profile)
-    if c.edge is not None:
-        return c.edge
     A = profile.max_sigma
     hi = 2.0 * np.sqrt(A) + 0.1 * (1.0 + np.sqrt(A))
     grid = np.linspace(hi, 0.0, 257)
@@ -577,8 +556,7 @@ def support_edge(profile: VarianceProfile) -> tuple[float, float]:
             else:
                 lo, i = mids[i], 2 * i + 2
     r = 0.5 * (lo + up)
-    c.edge = (-r, r)
-    return c.edge
+    return (-r, r)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +622,7 @@ def spectral_measure(
         raise ValueError("eta_schedule must be positive and decreasing")
     grid = np.linspace(x_min, x_max, points)
     vals = np.empty((etas.size, points, profile.p), dtype=complex)
-    vals[0] = _descend(profile, grid, etas[0])
+    vals[0], _ = _descend(profile, grid, etas[0])
     for ie in range(1, etas.size):
         vals[ie], _ = _solve_complex_many(profile, grid + 1j * etas[ie], vals[ie - 1])
     failed = np.isnan(vals).any(axis=(0, 2))
@@ -677,14 +655,10 @@ def spectral_measure(
 # log potential
 # ---------------------------------------------------------------------------
 
-_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _gl_rule(n: int):
-    if n not in _GL_RULES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_RULES[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_RULES[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _tail_integrand(profile, x, t):
@@ -693,6 +667,7 @@ def _tail_integrand(profile, x, t):
     return (g - t / x) * (x / t**2)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def log_potential(profile: VarianceProfile, x: float) -> float:
     """integral log(x - y) d mu(y) for x above the support edge.
 
@@ -705,10 +680,6 @@ def log_potential(profile: VarianceProfile, x: float) -> float:
     _, r = support_edge(profile)
     if not x > r:
         raise ValueError(f"log_potential needs x > r_edge = {r:.9g}")
-    c = _cache(profile)
-    hit = c.log_pot.get(x)
-    if hit is not None:
-        return hit
     t80, t160 = (float(w @ _tail_integrand(profile, x, t)) for t, w in (_gl_rule(80), _gl_rule(160)))
     if abs(t160 - t80) < 5e-10:
         tail = t160
@@ -717,7 +688,4 @@ def log_potential(profile: VarianceProfile, x: float) -> float:
             lambda t: float(_tail_integrand(profile, x, np.array([t]))[0]),
             0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=300,
         )
-    val = float(np.log(x) - tail)
-    if len(c.log_pot) < 65536:
-        c.log_pot[x] = val
-    return val
+    return float(np.log(x) - tail)

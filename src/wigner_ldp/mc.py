@@ -25,6 +25,7 @@ from .ratefn import eval_phi, find_tilt_theta
 ENTRY_KINDS = ("gaussian", "rademacher", "uniform")
 _SQRT3 = math.sqrt(3.0)
 MC_CHUNK = 256
+MIN_SPHERE_SAMPLES = 1000  # fewest samples spherical_integral_mc accepts
 # effective sample size below which spherical_integral_mc warns: the log-mean
 # then rests on a few dozen draws and the jackknife stderr understates its error
 ESS_FLOOR = 100.0
@@ -307,8 +308,8 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
     sample size (sum w)^2 / sum w^2 as "ess" and z as "z"; an ESS below
     ESS_FLOOR raises a RuntimeWarning, as the stderr is then unreliable.
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    if samples < MIN_SPHERE_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SPHERE_SAMPLES}")
     M = np.asarray(matrix, dtype=float)
     _check_symmetric(M)
     if not math.isfinite(theta):

@@ -26,7 +26,7 @@ def _as_vector(v) -> np.ndarray:
     return np.asarray(getattr(v, "values", v), dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceProfile:
     weights: np.ndarray
     sigma: np.ndarray
@@ -59,6 +59,7 @@ class VarianceProfile:
         s.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "_key", (w.tobytes(), s.tobytes()))
 
     @property
     def p(self) -> int:
@@ -76,8 +77,15 @@ class VarianceProfile:
 
     @property
     def key(self) -> tuple:
-        """Hashable identity used by solver caches."""
-        return (self.weights.tobytes(), self.sigma.tobytes())
+        """Identity behind == and hash (so behind the solver memos): the bytes
+        of weights and sigma; the label does not count."""
+        return self._key
+
+    def __eq__(self, other):
+        return isinstance(other, VarianceProfile) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def boundaries(self) -> np.ndarray:
         """Partition boundaries 0 = c_0 < c_1 < ... < c_p = 1."""

@@ -171,13 +171,8 @@ def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> flo
     _require_above_edge(profile, x)
     if theta_hat < 0:
         raise ValueError("theta_hat must be nonnegative")
-    psi = _mass_vector(psi, profile.p)
-    m_x, _ = _ctx(profile, x)
-    a = float(psi @ profile.sigma @ psi)
-    lin = float(np.sum(psi / m_x))
-    u = 2.0 * psi / (profile.weights * m_x)
-    log_term = 0.5 * float(profile.weights @ np.log1p(theta_hat * u))
-    return theta_hat * lin - theta_hat**2 * a - log_term
+    fhat, _ = _fhat_closure(profile, x, _mass_vector(psi, profile.p))
+    return fhat(theta_hat)
 
 
 def f_hat_gradient(profile: VarianceProfile, theta_hat: float, x: float, psi) -> np.ndarray:
@@ -224,6 +219,7 @@ def _golden_max(f, lo: float, hi: float, tol: float):
 
 
 def _fhat_closure(profile, x, psi):
+    """(theta_hat -> Fhat(theta_hat, x, psi), <psi, S psi>)."""
     m_x, _ = _ctx(profile, x)
     a = float(psi @ profile.sigma @ psi)
     lin = float(np.sum(psi / m_x))
@@ -233,25 +229,33 @@ def _fhat_closure(profile, x, psi):
     def fhat(th):
         return th * lin - th * th * a - 0.5 * float(w @ np.log1p(th * u))
 
-    return fhat, a, lin
+    return fhat, a
+
+
+def _sup_fhat(profile, x, psi, a_floor):
+    """Golden-section (theta_hat, value) of the sup of Fhat(., x, psi), or
+    None when a = <psi, S psi> <= a_floor.
+
+    The search interval [0, x/a] covers the maximum: beyond it the parabola
+    bound forces the objective negative.
+    """
+    fhat, a = _fhat_closure(profile, x, psi)
+    if a <= a_floor:
+        return None
+    return _golden_max(fhat, 0.0, x / a, 1e-10)
 
 
 def sup_theta(profile: VarianceProfile, x: float, psi):
     """Maximize the tilt objective; returns (theta_star, F_star).
 
-    The search interval [0, x/<psi,S psi>] in the shifted variable covers the
-    maximum: beyond it the parabola bound forces the objective negative.
     A zero quadratic form makes the supremum infinite (the linear term always
     has positive coefficient for a mass vector), reported as (inf, inf).
     """
     _require_above_edge(profile, x)
-    psi = _mass_vector(psi, profile.p)
-    fhat, a, lin = _fhat_closure(profile, x, psi)
-    if a <= 0.0:
-        if lin > 0.0:
-            return np.inf, np.inf
-        return float(_ctx(profile, x)[1] / 2.0), 0.0
-    th, val = _golden_max(fhat, 0.0, x / a, 1e-10)
+    best = _sup_fhat(profile, x, _mass_vector(psi, profile.p), 0.0)
+    if best is None:
+        return np.inf, np.inf
+    th, val = best
     _, G = _ctx(profile, x)
     if val < 0.0:  # theta = theta_x is always feasible and gives zero
         return G / 2.0, 0.0
@@ -306,42 +310,53 @@ def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> list[
     return starts
 
 
+def _descend_simplex(f, grad, psi, max_iter, min_gain):
+    """Projected-gradient descent over the simplex from psi, f(psi) -> (value,
+    aux), grad(psi, aux) -> gradient.  Each step backtracks from twice the
+    last accepted length to the Armijo test; the descent stops when no length
+    passes or the gain falls below min_gain.  Returns (psi, value, aux,
+    iterations); a start where f is not finite comes back as it is."""
+    val, aux = f(psi)
+    if not np.isfinite(val):
+        return psi, val, aux, 0
+    step = 1.0
+    its = 0
+    for its in range(max_iter):
+        g = grad(psi, aux)
+        gain = None
+        t = step * 2.0
+        for _ in range(40):
+            cand = project_simplex(psi - t * g)
+            nd = float(np.linalg.norm(cand - psi))
+            if nd < 1e-13:
+                break
+            cval, caux = f(cand)
+            if cval <= val - 1e-4 * nd * nd / max(t, 1e-300):
+                gain = val - cval
+                psi, val, aux, step = cand, cval, caux, t
+                break
+            t /= 2.0
+        if gain is None or gain < min_gain:
+            break
+    return psi, val, aux, its + 1
+
+
 def _minimize_from(profile, x, psi0, eps_floor, tol, max_iter=400):
     """Projected-gradient descent of psi -> sup_theta Fhat from one start."""
 
     def value_and_theta(psi):
-        fhat, a, _ = _fhat_closure(profile, x, psi)
-        if a < eps_floor:
+        best = _sup_fhat(profile, x, psi, eps_floor)
+        if best is None:
             return np.inf, 0.0
-        th, val = _golden_max(fhat, 0.0, x / a, 1e-10)
+        th, val = best
         return max(val, 0.0), th
 
+    def grad(psi, th):
+        return f_hat_gradient(profile, th, x, psi)
+
     psi = project_simplex(psi0.copy())
-    val, th = value_and_theta(psi)
-    if not np.isfinite(val):
-        return None
-    step = 1.0
-    its = 0
-    for its in range(max_iter):
-        g = f_hat_gradient(profile, th, x, psi)
-        moved = False
-        t = step * 2.0
-        for _ in range(40):
-            cand = project_simplex(psi - t * g)
-            delta = cand - psi
-            nd = float(np.linalg.norm(delta))
-            if nd < 1e-13:
-                break
-            cval, cth = value_and_theta(cand)
-            if cval <= val - 1e-4 * nd * nd / max(t, 1e-300):
-                gain = val - cval
-                psi, val, th, step = cand, cval, cth, t
-                moved = True
-                break
-            t /= 2.0
-        if not moved or gain < tol * 1e-3:
-            break
-    return psi, val, th, its + 1
+    out = _descend_simplex(value_and_theta, grad, psi, max_iter, tol * 1e-3)
+    return out if np.isfinite(out[1]) else None
 
 
 def rate_function(
@@ -426,31 +441,16 @@ def _sup_K_over_psi(profile, theta, x, iters=300):
     c = w * m_x / (2.0 * theta)
     beta = 1.0 - G / (2.0 * theta)
 
-    def K_of(psi):
+    # ascent of K as the descent of -K (negation is exact)
+    def minus_K(psi):
         phi = c + beta * psi
-        return theta**2 * float(phi @ sig @ phi) + 0.5 * float(w @ np.log(phi / w))
+        return -(theta**2 * float(phi @ sig @ phi) + 0.5 * float(w @ np.log(phi / w))), None
 
-    psi = w.copy()
-    val = K_of(psi)
-    step = 1.0
-    for _ in range(iters):
+    def minus_grad(psi, _):
         phi = c + beta * psi
-        g = beta * (2.0 * theta**2 * (sig @ phi) + 0.5 * w / phi)
-        t = step * 2.0
-        moved = False
-        for _ in range(40):
-            cand = project_simplex(psi + t * g)
-            nd = float(np.linalg.norm(cand - psi))
-            if nd < 1e-13:
-                break
-            cval = K_of(cand)
-            if cval >= val + 1e-4 * nd * nd / max(t, 1e-300):
-                psi, val, step, moved = cand, cval, t, True
-                break
-            t /= 2.0
-        if not moved:
-            break
-    return val
+        return -(beta * (2.0 * theta**2 * (sig @ phi) + 0.5 * w / phi))
+
+    return -_descend_simplex(minus_K, minus_grad, w.copy(), iters, 0.0)[1]
 
 
 def rate_function_concave(profile: VarianceProfile, x: float) -> float:

@@ -260,3 +260,30 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
         ])
         assert code == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "annealed", "--profile", "constant", "--theta", "nan", "--N", "40",
+         "--samples", "2000"],
+        ["mc", "annealed", "--profile", "constant", "--theta", "0.5", "--N", "40",
+         "--samples", "2000", "--phi", "1,2"],
+        ["mc", "annealed", "--profile", "wishart", "--theta", "0.5", "--N", "40",
+         "--samples", "2000", "--phi=-1,2"],
+        ["mc", "annealed", "--profile", "constant", "--theta", "0.5", "--N", "40",
+         "--samples", "2000", "--delta", "0"],
+        ["mc", "tail", "--profile", "constant", "--x", "nan", "--N", "20", "--samples", "300"],
+        ["mc", "spherical", "--profile", "constant", "--x", "3.0", "--theta", "0.3", "--N", "40",
+         "--samples", "500"],
+        ["mc", "tilt", "--profile", "wishart", "--x", "3.0", "--N", "40", "--samples", "2",
+         "--psi", "0,0"],
+        ["rate", "--profile", "constant", "--x", "nan"],
+    ],
+    ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
+         "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
+         "rate-x-nan"],
+)
+def test_bad_numeric_options_exit_2(prof_paths, argv):
+    argv = [prof_paths.get(a, a) for a in argv]
+    assert _exit_code(argv) == 2

@@ -4,9 +4,11 @@ from scipy.integrate import quad
 
 from wigner_ldp import oracles
 from wigner_ldp.dyson import (
+    _MEMO_SIZE,
     ConvergenceError,
     _residual,
     _solve_complex_many,
+    _solve_real,
     fixed_point_map,
     hyperbolic_D,
     hyperbolic_distance,
@@ -18,6 +20,7 @@ from wigner_ldp.dyson import (
     stieltjes_total,
     support_edge,
 )
+from wigner_ldp.profiles import VarianceProfile
 
 from conftest import random_profile
 
@@ -129,6 +132,23 @@ def test_hyperbolic_distance_basics():
     assert hyperbolic_distance(u, u) == 0.0
     assert hyperbolic_distance(u, v) == pytest.approx(hyperbolic_distance(v, u))
     assert hyperbolic_distance(u, v) > 0
+
+
+@pytest.mark.parametrize("z", [-1.0984 + 0.0053j, 1.3199 + 0.0002j, -1.4869 + 0.0002j])
+def test_solve_dyson_cold_start_near_axis(z):
+    # a single solve from 1/z stalls at these z; the Im z ladder converges
+    prof = random_profile(np.random.default_rng(1))
+    sol = solve_dyson(prof, z)
+    assert np.all(np.imag(sol.m) < 0)
+    assert sol.residual < 1e-10 * (1 + abs(z))
+
+
+def test_solve_dyson_cold_start_one_rung_far_from_axis(block_14):
+    # Im z >= 0.25 is one solve from 1/z, as the batch solve gives it
+    for z in (0.3 + 0.25j, -1.0 + 2.0j):
+        m, its = _solve_complex_many(block_14, np.array([z]))
+        sol = solve_dyson(block_14, z)
+        assert np.all(sol.m == m[0]) and sol.iterations == its[0]
 
 
 def test_solve_dyson_rejects_lower_half(const_prof):
@@ -356,3 +376,17 @@ def test_solution_json_round_trip(const_prof):
     d = json.loads(sol.to_json())
     assert d["z"] == [0.0, 2.0]
     assert d["residual"] == sol.residual
+
+
+def test_memos_bounded():
+    for fn in (support_edge, log_potential, stieltjes_inverse, _solve_real):
+        assert fn.cache_info().maxsize == _MEMO_SIZE
+
+
+def test_edge_memo_shared_by_equal_profiles():
+    w, s = np.array([0.3, 0.7]), np.array([[1.0, 0.25], [0.25, 0.5]])
+    first = support_edge(VarianceProfile(w, s, label="one"))
+    hits = support_edge.cache_info().hits
+    again = support_edge(VarianceProfile(w.copy(), s.copy(), label="two"))
+    assert again == first
+    assert support_edge.cache_info().hits == hits + 1

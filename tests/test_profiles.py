@@ -108,6 +108,25 @@ def test_serialization_roundtrip_bit_exact(named_profiles):
         assert np.array_equal(back.sigma, prof.sigma)
 
 
+def test_equal_profiles_compare_and_hash_equal():
+    sigma = [[1.0, 0.5, 0.2], [0.5, 2.0, 0.1], [0.2, 0.1, 3.0]]
+    a = VarianceProfile(np.array([0.2, 0.3, 0.5]), np.array(sigma), label="a")
+    b = VarianceProfile(np.array([0.2, 0.3, 0.5]), np.array(sigma), label="b")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert load_profile('{"kind": "wishart", "alpha": 2}') == load_profile(
+        '{"kind": "wishart", "alpha": 2, "label": "other"}'
+    )
+
+
+def test_profiles_with_different_sigma_differ():
+    w = np.array([0.5, 0.5])
+    a = VarianceProfile(w, np.array([[1.0, 0.0], [0.0, 4.0]]))
+    b = VarianceProfile(w, np.array([[1.0, 0.0], [0.0, 4.0 + 1e-12]]))
+    assert a != b
+    assert a != (a.weights, a.sigma)
+
+
 # -- discretization ----------------------------------------------------------
 
 
