@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -64,14 +65,17 @@ def _floats(text: str) -> list[float]:
     return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(lo: int, text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    if n < lo:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {lo}: {text!r}")
     return n
+
+
+_positive_int = partial(_int_at_least, 1)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -86,6 +90,11 @@ def _load(path) -> VarianceProfile:
     if not isinstance(prof, VarianceProfile):
         raise ProfileConfigError("this command needs a block profile; give the grid a block count p")
     return prof
+
+
+def _above_edge(prof: VarianceProfile, x: float) -> None:
+    if not x > (r := support_edge(prof)[1]):
+        raise ProfileConfigError(f"--x {x!r} must exceed the support edge r = {r!r}")
 
 
 def _mass_option(prof: VarianceProfile, values, name: str) -> np.ndarray:
@@ -154,10 +163,7 @@ def cmd_rate(args) -> int:
         "rate", prof.label,
         {"x": list(args.x), "starts": args.starts, "tol": args.tol}, args.seed,
     )
-    rows = []
-    for x in args.x:
-        rep = rate_function(prof, x, starts=args.starts, tol=args.tol, seed=args.seed)
-        rows.append(rep)
+    rows = [rate_function(prof, x, starts=args.starts, tol=args.tol, seed=args.seed) for x in args.x]
     if args.format == "json":
         body = {
             "reports": [json.loads(r.to_json()) for r in rows],
@@ -409,6 +415,7 @@ def cmd_mc_tail(args) -> int:
 
 def cmd_mc_spherical(args) -> int:
     prof = _load(args.profile)
+    _above_edge(prof, args.x)
     if args.samples < mc.MIN_SPHERE_SAMPLES:
         raise ProfileConfigError(f"samples must be >= {mc.MIN_SPHERE_SAMPLES}")
     M = mc.quantile_spectrum_matrix(prof, args.N, args.x)
@@ -447,6 +454,7 @@ def cmd_mc_annealed(args) -> int:
 
 def cmd_mc_tilt(args) -> int:
     prof = _load(args.profile)
+    _above_edge(prof, args.x)
     psi = _mass_option(prof, args.psi, "psi")
     rep = mc.tilted_outlier_check(prof, args.x, psi / psi.sum(), args.N, args.samples, args.seed)
     man = _manifest(
@@ -518,52 +526,47 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("csv", "json"), default=None,
                     help="table commands default to csv, report commands to json")
     sub = ap.add_subparsers(dest="command", required=True)
+    prof = argparse.ArgumentParser(add_help=False)  # --profile, shared by every command
+    prof.add_argument("--profile", required=True)
 
-    p = sub.add_parser("edge", help="support edges of the limiting measure")
-    p.add_argument("--profile", required=True)
+    p = sub.add_parser("edge", parents=[prof], help="support edges of the limiting measure")
     p.set_defaults(fn=cmd_edge)
 
-    p = sub.add_parser("density", help="limiting spectral density on a grid")
-    p.add_argument("--profile", required=True)
+    p = sub.add_parser("density", parents=[prof], help="limiting spectral density on a grid")
     p.add_argument("--xmin", type=_finite_float, required=True)
     p.add_argument("--xmax", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--eta", type=_floats, default=[1e-2, 5e-3, 2.5e-3])
     p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("rate", help="rate function at one or more x")
-    p.add_argument("--profile", required=True)
+    p = sub.add_parser("rate", parents=[prof], help="rate function at one or more x")
     p.add_argument("--x", type=_floats, required=True)
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--starts", type=partial(_int_at_least, 0), default=8)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(fn=cmd_rate)
 
-    p = sub.add_parser("validate", help="run a named validation suite")
-    p.add_argument("--profile", required=True)
+    p = sub.add_parser("validate", parents=[prof], help="run a named validation suite")
     p.add_argument("--suite", required=True)
     p.set_defaults(fn=cmd_validate)
 
     pmc = sub.add_parser("mc", help="Monte Carlo estimators")
     mcsub = pmc.add_subparsers(dest="mc_command", required=True)
 
-    p = mcsub.add_parser("tail")
-    p.add_argument("--profile", required=True)
+    p = mcsub.add_parser("tail", parents=[prof])
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_ints, required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")
     p.set_defaults(fn=cmd_mc_tail)
 
-    p = mcsub.add_parser("spherical")
-    p.add_argument("--profile", required=True)
+    p = mcsub.add_parser("spherical", parents=[prof])
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=150)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.set_defaults(fn=cmd_mc_spherical)
 
-    p = mcsub.add_parser("annealed")
-    p.add_argument("--profile", required=True)
+    p = mcsub.add_parser("annealed", parents=[prof])
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=100000)
@@ -571,22 +574,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_floats, default=None)
     p.set_defaults(fn=cmd_mc_annealed)
 
-    p = mcsub.add_parser("tilt")
-    p.add_argument("--profile", required=True)
+    p = mcsub.add_parser("tilt", parents=[prof])
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--psi", type=_floats, default=None)
     p.set_defaults(fn=cmd_mc_tilt)
 
-    p = mcsub.add_parser("dirichlet")
-    p.add_argument("--profile", required=True)
+    p = mcsub.add_parser("dirichlet", parents=[prof])
     p.add_argument("--N", type=_positive_int, default=100)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.set_defaults(fn=cmd_mc_dirichlet)
 
-    p = mcsub.add_parser("batch")
-    p.add_argument("--profile", required=True)
+    p = mcsub.add_parser("batch", parents=[prof])
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")

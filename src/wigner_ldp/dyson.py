@@ -22,6 +22,16 @@ of 1e-4.  That map is increasing on the positive cone, so the iterates rise
 to its smallest positive fixed point, which is the physical branch.  No
 solve depends on an earlier one, so a result depends only on its inputs.
 
+The log potential L(x) = integral log(x - y) d mu(y) needs no quadrature.
+It is the Dyson free energy at its stationary point (the variational form of
+the quadratic vector equation, Ajanki-Erdos-Kruger, arXiv 1506.05095),
+
+    L(x) = sum_k w_k (x m_k - log m_k) - (1/2) (w m)^T sigma (w m) - 1,
+
+evaluated at the one real solve m = m(x): the functional is stationary in m
+exactly at the Dyson equation, so its x-derivative is G(x) and an error in
+m moves it only at second order; it tends to log x at infinity.
+
 Memo policy: `support_edge`, `log_potential`, `stieltjes_inverse` and the
 real-axis solve `_solve_real` are pure functions of (profile, argument), and
 each is its own memo, a `functools.lru_cache` of at most _MEMO_SIZE entries
@@ -34,10 +44,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .profiles import VarianceProfile
 
@@ -78,15 +87,19 @@ def hyperbolic_distance(u: np.ndarray, v: np.ndarray):
     return np.where(D < 1e-8, np.sqrt(D), np.arccosh(1.0 + D / 2.0))[()]
 
 
-def _sigma_w(profile: VarianceProfile, m: np.ndarray) -> np.ndarray:
-    """(sigma (w m))_k along the last axis of m, summed over l in a fixed order
-    so that a row's value does not depend on the rows stacked beside it (a
-    BLAS product may change its summation order with the stack height)."""
-    mw = m * profile.weights
-    out = mw[..., :1] * profile.sigma[:, 0]
-    for l in range(1, profile.p):
-        out = out + mw[..., l : l + 1] * profile.sigma[:, l]
+def _rows_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(A v)_k along the last axis of v, summed over l in a fixed order so
+    that a row's value does not depend on the rows stacked beside it (a BLAS
+    product may change its summation order with the stack height)."""
+    out = v[..., :1] * A[:, 0]
+    for l in range(1, A.shape[1]):
+        out = out + v[..., l : l + 1] * A[:, l]
     return out
+
+
+def _sigma_w(profile: VarianceProfile, m: np.ndarray) -> np.ndarray:
+    """(sigma (w m))_k along the last axis of m (see `_rows_matvec`)."""
+    return _rows_matvec(profile.sigma, m * profile.weights)
 
 
 def fixed_point_map(profile: VarianceProfile, z, m: np.ndarray) -> np.ndarray:
@@ -325,22 +338,14 @@ def _fixed_point_seed(profile, xs):
     return m
 
 
-def _solve_real_many(profile, xs) -> np.ndarray:
-    """Rows m(x) for real x above the support edge, one per entry of xs."""
-    xs = np.asarray(xs, dtype=float)
-    m = _newton_real(profile, xs, _fixed_point_seed(profile, xs))
-    bad = np.isnan(m[:, 0])
-    if bad.any():
-        raise ConvergenceError(
-            f"real-axis solve failed at x={xs[bad][0]}; is x above the support edge?"
-        )
-    return m
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _solve_real(profile, x):
     """Per-block values m_k(x) for real x above the support edge (memoized)."""
-    return _solve_real_many(profile, [float(x)])[0]
+    xs = np.array([float(x)])
+    m = _newton_real(profile, xs, _fixed_point_seed(profile, xs))[0]
+    if np.isnan(m[0]):
+        raise ConvergenceError(f"real-axis solve failed at x={x}; is x above the support edge?")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +437,7 @@ def stieltjes_total(profile: VarianceProfile, x: float) -> float:
     _, r = support_edge(profile)
     if not x > r + 1e-9:
         raise ValueError(f"stieltjes_total needs x > r_edge + 1e-9 = {r + 1e-9:.9g}")
-    m = _solve_real(profile, x)
-    return float(profile.weights @ m)
-
-
-def _g_total(profile, x):
     return float(profile.weights @ _solve_real(profile, x))
-
-
-def _g_prime(profile, x, m=None):
-    if m is None:
-        m = _solve_real(profile, x)
-    J = profile.sigma * profile.weights[None, :] - np.diag(1.0 / m**2)
-    mprime = np.linalg.solve(J, np.ones(profile.p))
-    return float(profile.weights @ mprime)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -460,7 +452,7 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     _, r = support_edge(profile)
     eps = 1e-9 * (1.0 + profile.max_sigma)
     lo = r + eps
-    g_lo = _g_total(profile, lo)
+    g_lo = float(profile.weights @ _solve_real(profile, lo))
     if two_theta >= g_lo:
         raise ValueError(
             f"two_theta={two_theta:.6g} out of range: G just above the edge is {g_lo:.6g}"
@@ -477,7 +469,8 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
             lo = max(lo, v)
         else:
             hi = v if hi is None else min(hi, v)
-        cand = v - (g - two_theta) / _g_prime(profile, v, m)
+        J = profile.sigma * profile.weights[None, :] - np.diag(1.0 / m**2)  # G'(v) = w . m'(v)
+        cand = v - (g - two_theta) / float(profile.weights @ np.linalg.solve(J, np.ones(profile.p)))
         if not (cand > lo) or (hi is not None and not (cand < hi)):
             if hi is None:
                 cand = max(2.0 * v, 2.0 * lo)
@@ -486,7 +479,7 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
         if cand > 1e300:
             raise ValueError("two_theta too small to invert")
         v = cand
-    if abs(_g_total(profile, v) - two_theta) > 1e-10:
+    if abs(float(profile.weights @ _solve_real(profile, v)) - two_theta) > 1e-10:
         raise ConvergenceError(f"stieltjes_inverse polish failed at two_theta={two_theta}")
     return float(v)
 
@@ -655,37 +648,21 @@ def spectral_measure(
 # log potential
 # ---------------------------------------------------------------------------
 
-@cache
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _tail_integrand(profile, x, t):
-    """(G(x/t) - t/x) x/t^2 at each t in (0, 1]."""
-    g = _solve_real_many(profile, x / t) @ profile.weights
-    return (g - t / x) * (x / t**2)
-
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def log_potential(profile: VarianceProfile, x: float) -> float:
-    """integral log(x - y) d mu(y) for x above the support edge.
+    """integral log(x - y) d mu(y) for x above the support edge, in closed
+    form from the one real-axis solve m = m(x):
 
-    Computed through the tail identity
-        log x - integral_x^inf (G(s) - 1/s) ds,
-    with the infinite range mapped to (0, 1] by s = x/t.  Gauss-Legendre with
-    order doubling covers the absolute tolerance 1e-9; adaptive quadrature is
-    the fallback when the doubling disagrees (x hugging the edge).
-    """
+        L(x) = sum_k w_k (x m_k - log m_k) - (1/2) (w m)^T sigma (w m) - 1.
+
+    This Dyson free energy is stationary in m exactly where 1/m = x - sigma
+    (w m), so by the envelope theorem dL/dx = sum_k w_k m_k = G(x), and
+    L(x) = log x + O(x^-2) at infinity, as for the log potential; an error
+    in m moves L only at second order."""
     _, r = support_edge(profile)
     if not x > r:
         raise ValueError(f"log_potential needs x > r_edge = {r:.9g}")
-    t80, t160 = (float(w @ _tail_integrand(profile, x, t)) for t, w in (_gl_rule(80), _gl_rule(160)))
-    if abs(t160 - t80) < 5e-10:
-        tail = t160
-    else:
-        tail, _ = quad(
-            lambda t: float(_tail_integrand(profile, x, np.array([t]))[0]),
-            0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=300,
-        )
-    return float(np.log(x) - tail)
+    m = _solve_real(profile, x)
+    g = profile.weights * m
+    return float((x * g.sum() - 1.0) - profile.weights @ np.log(m) - 0.5 * (g @ profile.sigma @ g))

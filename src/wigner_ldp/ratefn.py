@@ -4,12 +4,22 @@ sup over tilt strengths.
 Two equivalent objective forms are carried: the shifted form
 
     Fhat(th, x, psi) = th <1/m(x), psi> - th^2 <psi, S psi>
-                       - (1/2) sum_k w_k log(1 + 2 th psi_k / (w_k m_k(x)))
+                       - (1/2) sum_k w_k log(1 + th u_k),   u_k = 2 psi_k / (w_k m_k(x)),
 
 which is what the optimizer runs on (no log potential, no transform
 inversion), and the tilt form F(theta, x, psi) = J(x, theta) -
 K(theta, phi(theta, x, psi)) built from its published ingredients.  They
 agree through theta = th + G(x)/2, which the test suite pins at 1e-9.
+
+Since <1/m, psi> = (1/2) sum_k w_k u_k, Fhat'(th) = th h(th) with
+h(th) = (1/2) sum_k w_k u_k^2 / (1 + th u_k) - 2 <psi, S psi>, which is
+strictly decreasing and convex: the sup over th is at 0 when h(0) <= 0 and
+otherwise at the root of h, which Newton from below reaches monotonically,
+with no bracket or fallback (`_sup_fhat`).  The inf over psi is a
+projected-gradient descent from all p + 1 + `starts` starts of one x as the
+rows of one array; each row keeps its own Armijo length and stopping test,
+and every per-row sum runs in a fixed order, never a BLAS product across
+rows, so a row's trajectory is the same alone, stacked or permuted.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyson import _solve_real, log_potential, stieltjes_inverse, support_edge
+from .dyson import _rows_matvec, _solve_real, log_potential, stieltjes_inverse, support_edge
 from .profiles import VarianceProfile
 
 _SEAM_TOL = 1e-12  # evaluate J from the 2 theta >= G(x) side inside this
@@ -68,11 +78,21 @@ def _mass_vector(psi, p: int) -> np.ndarray:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = (np.cumsum(u) - 1.0) / np.arange(1, v.size + 1)
-    k = np.nonzero(u > css)[0][-1]
-    return np.maximum(v - css[k], 0.0)
+    """Euclidean projection onto the probability simplex, of each row of v
+    along its last axis."""
+    rows = np.asarray(v, dtype=float).reshape(-1, np.shape(v)[-1])
+    u = -np.sort(-rows, axis=1)
+    css = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, u.shape[1] + 1)
+    k = u.shape[1] - 1 - np.argmax((u > css)[:, ::-1], axis=1)  # last k with u_k > css_k
+    return np.maximum(rows - css[np.arange(len(css)), k][:, None], 0.0).reshape(np.shape(v))
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in a fixed order (see `dyson._rows_matvec`)."""
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +110,6 @@ def _require_above_edge(profile, x):
     _, r = support_edge(profile)
     if not x > r:
         raise ValueError(f"x={x:.9g} must exceed the support edge r={r:.9g}")
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -171,78 +190,63 @@ def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> flo
     _require_above_edge(profile, x)
     if theta_hat < 0:
         raise ValueError("theta_hat must be nonnegative")
-    fhat, _ = _fhat_closure(profile, x, _mass_vector(psi, profile.p))
-    return fhat(theta_hat)
+    u, lin, a = _fhat_parts(profile, _solve_real(profile, x), _mass_vector(psi, profile.p)[None])
+    return float(_fhat(profile.weights, u, lin, a, np.array([float(theta_hat)]))[0])
 
 
 def f_hat_gradient(profile: VarianceProfile, theta_hat: float, x: float, psi) -> np.ndarray:
     """Analytic simplex gradient of Fhat in psi at fixed theta_hat."""
-    psi = _mass_vector(psi, profile.p)
-    m_x, _ = _ctx(profile, x)
-    th = theta_hat
-    spsi = profile.sigma @ psi
-    return th / m_x - 2.0 * th**2 * spsi - th / (m_x + 2.0 * th * psi / profile.weights)
+    psi = _mass_vector(psi, profile.p)[None]
+    return _fhat_grad(profile, _solve_real(profile, x), np.array([float(theta_hat)]), psi)[0]
 
 
-# ---------------------------------------------------------------------------
-# sup over the tilt strength
-# ---------------------------------------------------------------------------
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximum of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        mid = 0.5 * (a + b)
-        return mid, f(mid)
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(_INVPHI))))
-    for _ in range(n):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    ends = [(lo, f(lo)), (hi, f(hi))] if h > tol else []
-    best = max([(c, fc), (d, fd)] + ends, key=lambda t: t[1])
-    return best
+def _fhat_parts(profile, m, psi):
+    """(u, lin, a) per row of psi at m = m(x): u_k = 2 psi_k / (w_k m_k),
+    lin = <1/m, psi> and a = <psi, S psi>."""
+    u = 2.0 * psi / (profile.weights * m)
+    return u, _rowsum(psi / m), _rowsum(psi * _rows_matvec(profile.sigma, psi))
 
 
-def _fhat_closure(profile, x, psi):
-    """(theta_hat -> Fhat(theta_hat, x, psi), <psi, S psi>)."""
-    m_x, _ = _ctx(profile, x)
-    a = float(psi @ profile.sigma @ psi)
-    lin = float(np.sum(psi / m_x))
-    u = 2.0 * psi / (profile.weights * m_x)
-    w = profile.weights
-
-    def fhat(th):
-        return th * lin - th * th * a - 0.5 * float(w @ np.log1p(th * u))
-
-    return fhat, a
+def _fhat(w, u, lin, a, th):
+    """Fhat per row at the tilt strengths th."""
+    return th * lin - th * th * a - 0.5 * _rowsum(w * np.log1p(th[:, None] * u))
 
 
-def _sup_fhat(profile, x, psi, a_floor):
-    """Golden-section (theta_hat, value) of the sup of Fhat(., x, psi), or
-    None when a = <psi, S psi> <= a_floor.
+def _fhat_grad(profile, m, th, psi):
+    """Simplex gradient of Fhat in psi per row at the tilt strengths th."""
+    t = th[:, None]
+    spsi = _rows_matvec(profile.sigma, psi)
+    return t / m - 2.0 * t * t * spsi - t / (m + 2.0 * t * psi / profile.weights)
 
-    The search interval [0, x/a] covers the maximum: beyond it the parabola
-    bound forces the objective negative.
-    """
-    fhat, a = _fhat_closure(profile, x, psi)
-    if a <= a_floor:
-        return None
-    return _golden_max(fhat, 0.0, x / a, 1e-10)
+
+def _sup_fhat(profile, m, psi, a_floor):
+    """(sup, theta_hat) per row of psi at m = m(x): the sup of Fhat over th >= 0
+    (clamped at 0 against rounding) and its maximizer, (inf, 0) where the sup
+    is infinite (a = <psi, S psi> <= a_floor).  theta_hat is 0 when h(0) <= 0,
+    else the root of h, by Newton from the root of its lower bound
+    (h(0) + 2a) / (1 + th max_k u_k) - 2a (the root itself when p = 1).  A row
+    stops when h is no longer positive (the root to rounding) or its step
+    falls below 4 ulp."""
+    u, lin, a = _fhat_parts(profile, m, psi)
+    val, th = np.full(len(psi), np.inf), np.zeros(len(psi))
+    fin = a > a_floor
+    c = 0.5 * profile.weights * u * u
+    h0 = _rowsum(c) - 2.0 * a
+    act = fin & (h0 > 0.0)
+    th[act] = h0[act] / (2.0 * a[act] * u[act].max(axis=1))
+    for _ in range(200):
+        idx = np.flatnonzero(act)
+        if idx.size == 0:
+            break
+        t, uu, ci = th[idx], u[idx], c[idx]
+        q = 1.0 / (1.0 + t[:, None] * uu)
+        h = _rowsum(ci * q) - 2.0 * a[idx]
+        up = h > 0.0
+        nxt = t + h / _rowsum(ci * uu * q * q)
+        th[idx[up]] = nxt[up]
+        act[idx[~up | (nxt - t <= 4.0 * np.spacing(nxt))]] = False
+    val[fin] = np.maximum(_fhat(profile.weights, u[fin], lin[fin], a[fin], th[fin]), 0.0)
+    return val, th
 
 
 def sup_theta(profile: VarianceProfile, x: float, psi):
@@ -252,14 +256,11 @@ def sup_theta(profile: VarianceProfile, x: float, psi):
     has positive coefficient for a mass vector), reported as (inf, inf).
     """
     _require_above_edge(profile, x)
-    best = _sup_fhat(profile, x, _mass_vector(psi, profile.p), 0.0)
-    if best is None:
+    m, G = _ctx(profile, x)
+    val, th = _sup_fhat(profile, m, _mass_vector(psi, profile.p)[None], 0.0)
+    if np.isinf(val[0]):
         return np.inf, np.inf
-    th, val = best
-    _, G = _ctx(profile, x)
-    if val < 0.0:  # theta = theta_x is always feasible and gives zero
-        return G / 2.0, 0.0
-    return float(th + G / 2.0), float(val)
+    return float(th[0] + G / 2.0), float(val[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,8 @@ class RateEvalReport:
         )
 
 
-def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> list[np.ndarray]:
+def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> np.ndarray:
+    """Rows: the weights, a vertex (or pair midpoint) per block, Dirichlet draws."""
     p = profile.p
     starts = [profile.weights.copy()]
     for k in range(p):
@@ -307,56 +309,59 @@ def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> list[
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         starts.append(rng.dirichlet(np.ones(p)))
-    return starts
+    return np.array(starts)
 
 
 def _descend_simplex(f, grad, psi, max_iter, min_gain):
-    """Projected-gradient descent over the simplex from psi, f(psi) -> (value,
-    aux), grad(psi, aux) -> gradient.  Each step backtracks from twice the
-    last accepted length to the Armijo test; the descent stops when no length
-    passes or the gain falls below min_gain.  Returns (psi, value, aux,
-    iterations); a start where f is not finite comes back as it is."""
-    val, aux = f(psi)
-    if not np.isfinite(val):
-        return psi, val, aux, 0
-    step = 1.0
-    its = 0
-    for its in range(max_iter):
-        g = grad(psi, aux)
-        gain = None
-        t = step * 2.0
-        for _ in range(40):
-            cand = project_simplex(psi - t * g)
-            nd = float(np.linalg.norm(cand - psi))
-            if nd < 1e-13:
-                break
-            cval, caux = f(cand)
-            if cval <= val - 1e-4 * nd * nd / max(t, 1e-300):
-                gain = val - cval
-                psi, val, aux, step = cand, cval, caux, t
-                break
-            t /= 2.0
-        if gain is None or gain < min_gain:
+    """Projected-gradient descent over the simplex from every row of psi at
+    once, with f(rows, idx) -> (values, aux) and grad(rows, aux, idx) acting
+    row by row (idx: the rows' indices in psi, for per-row parameters).  Each
+    row backtracks from twice its last accepted length to the Armijo test and
+    drops out when no length passes or its gain falls below min_gain.
+    Returns (psi, values, aux, iterations) per row; a row where f is not
+    finite at its start comes back as it is, with 0 iterations."""
+    psi = np.array(psi, dtype=float)
+    val, aux = f(psi, np.arange(len(psi)))
+    step = np.ones(len(psi))
+    its = np.zeros(len(psi), dtype=int)
+    act = np.isfinite(val)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(act)
+        if idx.size == 0:
             break
-    return psi, val, aux, its + 1
+        its[idx] += 1
+        x0, v0, t = psi[idx], val[idx], 2.0 * step[idx]
+        g = grad(x0, aux[idx], idx)
+        gain = np.full(idx.size, -np.inf)
+        j = np.arange(idx.size)  # rows of the stack still backtracking
+        for _ in range(40):
+            cand = project_simplex(x0[j] - t[j, None] * g[j])
+            nd = np.sqrt(_rowsum((cand - x0[j]) ** 2))
+            moved = nd >= 1e-13  # a row that no longer moves stops
+            cval, caux = f(cand, idx[j])
+            ok = moved & (cval <= v0[j] - 1e-4 * nd * nd / np.maximum(t[j], 1e-300))
+            acc = j[ok]
+            gain[acc] = v0[acc] - cval[ok]
+            rows = idx[acc]
+            psi[rows], val[rows], aux[rows], step[rows] = cand[ok], cval[ok], caux[ok], t[acc]
+            j = j[moved & ~ok]
+            if j.size == 0:
+                break
+            t[j] /= 2.0
+        act[idx[~(gain >= min_gain)]] = False
+    return psi, val, aux, its
 
 
-def _minimize_from(profile, x, psi0, eps_floor, tol, max_iter=400):
-    """Projected-gradient descent of psi -> sup_theta Fhat from one start."""
-
-    def value_and_theta(psi):
-        best = _sup_fhat(profile, x, psi, eps_floor)
-        if best is None:
-            return np.inf, 0.0
-        th, val = best
-        return max(val, 0.0), th
-
-    def grad(psi, th):
-        return f_hat_gradient(profile, th, x, psi)
-
-    psi = project_simplex(psi0.copy())
-    out = _descend_simplex(value_and_theta, grad, psi, max_iter, tol * 1e-3)
-    return out if np.isfinite(out[1]) else None
+def _minimize_from(profile, x, starts, eps_floor, tol, max_iter=400):
+    """Projected-gradient descent of psi -> sup_theta Fhat from every row of
+    starts at once; returns (psi, value, theta_hat, iterations) per row, with
+    value inf on rows whose start is degenerate (a <= eps_floor)."""
+    m, _ = _ctx(profile, x)
+    return _descend_simplex(
+        lambda psi, _: _sup_fhat(profile, m, psi, eps_floor),
+        lambda psi, th, _: _fhat_grad(profile, m, th, psi),
+        project_simplex(starts), max_iter, tol * 1e-3,
+    )
 
 
 def rate_function(
@@ -371,48 +376,36 @@ def rate_function(
 
     Infinite below the support edge, zero at it.  Above it the value is the
     best of a multi-start projected-gradient minimization of the tilt
-    envelope over mass vectors kept off the degenerate set by eps_floor; the
-    spread across converged starts is reported rather than hidden.
+    envelope over mass vectors kept off the degenerate set by eps_floor, all
+    starts descending together as rows; the spread across converged starts
+    is reported rather than hidden.
     """
     _, r = support_edge(profile)
-    p = profile.p
     edge_tol = 1e-9 * (1.0 + profile.max_sigma)
-    if x < r - edge_tol:
-        return RateEvalReport(
-            x=x, I=np.inf, psi_star=SimplexVector.uniform(p), theta_star=0.0,
-            starts_used=0, spread=0.0, diagnostics={"note": "below support edge"},
-        )
     if x <= r + edge_tol:
+        below = x < r - edge_tol
         return RateEvalReport(
-            x=x, I=0.0, psi_star=SimplexVector.uniform(p), theta_star=0.0,
-            starts_used=0, spread=0.0, diagnostics={"note": "at support edge"},
+            x=x, I=np.inf if below else 0.0, psi_star=SimplexVector.uniform(profile.p),
+            theta_star=0.0, starts_used=0, spread=0.0,
+            diagnostics={"note": "below support edge" if below else "at support edge"},
         )
-    results = []
-    total_iters = 0
-    start_list = _default_starts(profile, starts, seed)
-    for s in start_list:
-        out = _minimize_from(profile, x, s, eps_floor, tol)
-        if out is None:
-            continue
-        psi, val, th, its = out
-        total_iters += its
-        results.append((val, psi, th))
-    if not results:
+    start_rows = _default_starts(profile, starts, seed)
+    psi, vals, th, its = _minimize_from(profile, x, start_rows, eps_floor, tol)
+    conv = np.flatnonzero(np.isfinite(vals))
+    if conv.size == 0:
         raise ValueError("no feasible start: quadratic form below eps_floor everywhere")
-    results.sort(key=lambda t: t[0])
-    vals = [v for v, _, _ in results]
-    best_val, best_psi, best_th = results[0]
+    best = conv[np.argmin(vals[conv])]  # the first start among equal values
     _, G = _ctx(profile, x)
     return RateEvalReport(
         x=x,
-        I=float(best_val),
-        psi_star=SimplexVector(best_psi / best_psi.sum()),
-        theta_star=float(best_th + G / 2.0),
-        starts_used=len(start_list),
-        spread=float(vals[-1] - vals[0]),
+        I=float(vals[best]),
+        psi_star=SimplexVector(psi[best] / psi[best].sum()),
+        theta_star=float(th[best] + G / 2.0),
+        starts_used=len(start_rows),
+        spread=float(vals[conv].max() - vals[best]),
         diagnostics={
-            "iterations": total_iters,
-            "converged_starts": len(results),
+            "iterations": int(its[conv].sum()),
+            "converged_starts": int(conv.size),
             "upper_bound_4a": x * x / (4.0 * profile.mean_sigma),
         },
     )
@@ -431,26 +424,60 @@ def _tangent_concave(profile: VarianceProfile, tol=1e-10) -> bool:
     return bool(ev.max() <= tol * max(1.0, profile.max_sigma))
 
 
-def _sup_K_over_psi(profile, theta, x, iters=300):
-    """sup over mass vectors of K(theta, phi(theta, x, psi)) by projected
-    gradient ascent; K is concave in psi on concave profiles."""
+def _sup_K_over_psi(profile, thetas, x, iters=300):
+    """sup over psi of K(theta, phi(theta, x, psi)) per theta of thetas, as the
+    rows of one projected-gradient ascent; K is concave in psi on concave profiles."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     m_x, G = _ctx(profile, x)
     w, sig = profile.weights, profile.sigma
-    if 2.0 * theta <= G:
-        return eval_K(profile, theta, eval_phi(profile, theta, x, SimplexVector.uniform(profile.p)))
-    c = w * m_x / (2.0 * theta)
-    beta = 1.0 - G / (2.0 * theta)
+    out = np.empty(thetas.size)
+    flat = 2.0 * thetas <= G  # phi does not depend on psi there
+    out[flat] = [eval_K(profile, t, eval_phi(profile, t, x, w)) for t in thetas[flat]]
+    th = thetas[~flat]
+    c = w * m_x / (2.0 * th[:, None])
+    beta = 1.0 - G / (2.0 * th)
 
     # ascent of K as the descent of -K (negation is exact)
-    def minus_K(psi):
-        phi = c + beta * psi
-        return -(theta**2 * float(phi @ sig @ phi) + 0.5 * float(w @ np.log(phi / w))), None
+    def minus_K(psi, i):
+        phi = c[i] + beta[i, None] * psi
+        K = th[i] ** 2 * _rowsum(phi * _rows_matvec(sig, phi)) + 0.5 * _rowsum(w * np.log(phi / w))
+        return -K, np.zeros(len(psi))
 
-    def minus_grad(psi, _):
-        phi = c + beta * psi
-        return -(beta * (2.0 * theta**2 * (sig @ phi) + 0.5 * w / phi))
+    def minus_grad(psi, _, i):
+        phi = c[i] + beta[i, None] * psi
+        return -(beta[i, None] * (2.0 * th[i, None] ** 2 * _rows_matvec(sig, phi) + 0.5 * w / phi))
 
-    return -_descend_simplex(minus_K, minus_grad, w.copy(), iters, 0.0)[1]
+    out[~flat] = -_descend_simplex(minus_K, minus_grad, np.tile(w, (th.size, 1)), iters, 0.0)[1]
+    return out
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo: float, hi: float, tol: float):
+    """Golden-section maximum of a unimodal f on [lo, hi]."""
+    a, b = lo, hi
+    h = b - a
+    if h <= tol:
+        mid = 0.5 * (a + b)
+        return mid, f(mid)
+    c = b - _INVPHI * h
+    d = a + _INVPHI * h
+    fc, fd = f(c), f(d)
+    n = max(1, int(math.ceil(math.log(tol / h) / math.log(_INVPHI))))
+    for _ in range(n):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INVPHI * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+    ends = [(lo, f(lo)), (hi, f(hi))] if h > tol else []
+    return max([(c, fc), (d, fd)] + ends, key=lambda t: t[1])
 
 
 def rate_function_concave(profile: VarianceProfile, x: float) -> float:
@@ -462,20 +489,16 @@ def rate_function_concave(profile: VarianceProfile, x: float) -> float:
     if not _tangent_concave(profile):
         raise ValueError("profile is not concave on the simplex tangent space")
     _require_above_edge(profile, x)
-    m_x, G = _ctx(profile, x)
-    a_w = profile.mean_sigma
+    _, G = _ctx(profile, x)
 
-    def value(th_hat):
-        theta = th_hat + G / 2.0
-        return eval_J(profile, x, theta) - _sup_K_over_psi(profile, theta, x)
+    def value(th_hat):  # J - sup K at each shifted tilt strength of th_hat
+        theta = np.atleast_1d(th_hat) + G / 2.0
+        return np.array([eval_J(profile, x, t) for t in theta]) - _sup_K_over_psi(profile, theta, x)
 
-    hi = x / a_w
-    grid = np.linspace(0.0, hi, 161)
-    vals = [value(t) for t in grid]
-    i = int(np.argmax(vals))
-    lo_b = grid[max(i - 1, 0)]
-    hi_b = grid[min(i + 1, len(grid) - 1)]
-    _, best = _golden_max(value, lo_b, hi_b, 1e-9)
+    grid = np.linspace(0.0, x / profile.mean_sigma, 161)
+    i = int(np.argmax(value(grid)))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    _, best = _golden_max(lambda t: float(value(t)[0]), lo, hi, 1e-9)
     return float(max(best, 0.0))
 
 

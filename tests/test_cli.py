@@ -279,11 +279,25 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
         ["mc", "tilt", "--profile", "wishart", "--x", "3.0", "--N", "40", "--samples", "2",
          "--psi", "0,0"],
         ["rate", "--profile", "constant", "--x", "nan"],
+        ["rate", "--profile", "constant", "--x", "3.0", "--starts", "-3"],
+        ["mc", "spherical", "--profile", "constant", "--x", "1.0", "--theta", "0.3", "--N", "40",
+         "--samples", "2000"],
+        ["mc", "tilt", "--profile", "constant", "--x", "1.0", "--N", "40", "--samples", "2"],
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
-         "rate-x-nan"],
+         "rate-x-nan", "rate-starts-negative", "spherical-x-below-edge", "tilt-x-below-edge"],
 )
 def test_bad_numeric_options_exit_2(prof_paths, argv):
     argv = [prof_paths.get(a, a) for a in argv]
     assert _exit_code(argv) == 2
+
+
+def test_rate_zero_starts_runs_the_deterministic_starts(prof_paths, tmp_path):
+    out = tmp_path / "rate.json"
+    code = main(["--format", "json", "--out", str(out), "rate", "--profile", prof_paths["wishart"],
+                 "--x", "2.0", "--starts", "0"])
+    assert code == 0
+    d = json.loads(out.read_text())
+    assert d["manifest"]["options"]["starts"] == 0
+    assert d["reports"][0]["starts_used"] == 3  # the weights and one vertex per block

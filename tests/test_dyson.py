@@ -369,6 +369,40 @@ def test_log_potential_below_edge_raises(const_prof):
         log_potential(const_prof, 1.0)
 
 
+def _log_potential_by_tail_quadrature(prof, x):
+    """log x - integral_x^inf (G(s) - 1/s) ds, mapped to (0, 1] by s = x/t."""
+    tail, _ = quad(
+        lambda t: (stieltjes_total(prof, x / t) - t / x) * x / t**2,
+        0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400,
+    )
+    return np.log(x) - tail
+
+
+_LOG_POTENTIAL_OFFSETS = (1e-5, 1e-3, 0.1, 1.0, 20.0)
+
+
+def test_log_potential_closed_form_matches_tail_quadrature(named_profiles):
+    rng = np.random.default_rng(29)
+    for prof in list(named_profiles) + [random_profile(rng, pmax=5) for _ in range(10)]:
+        _, r = support_edge(prof)
+        for d in _LOG_POTENTIAL_OFFSETS:
+            ref = _log_potential_by_tail_quadrature(prof, r + d)
+            assert abs(log_potential(prof, r + d) - ref) < 1e-10, (prof.p, d)
+
+
+def test_log_potential_scaling(named_profiles):
+    # sigma -> c sigma stretches the measure by sqrt(c): L_{c sigma}(x) = L(x / sqrt c) + log(c)/2
+    rng = np.random.default_rng(31)
+    for prof in list(named_profiles) + [random_profile(rng, pmax=5) for _ in range(4)]:
+        _, r = support_edge(prof)
+        c = rng.uniform(0.3, 3.0)
+        scaled = VarianceProfile(prof.weights, c * prof.sigma)
+        for d in (0.01, 0.5, 5.0):
+            x = np.sqrt(c) * (r + d)
+            lhs = log_potential(scaled, x)
+            assert lhs == pytest.approx(log_potential(prof, x / np.sqrt(c)) + 0.5 * np.log(c), abs=1e-11)
+
+
 def test_solution_json_round_trip(const_prof):
     import json
 

@@ -9,10 +9,13 @@ from scipy.integrate import quad
 
 import wigner_ldp
 from wigner_ldp import oracles
-from wigner_ldp.dyson import stieltjes_total, support_edge
+from wigner_ldp.dyson import solve_dyson, stieltjes_total, support_edge
 from wigner_ldp.profiles import ContinuousProfileSpec, VarianceProfile, discretize
 from wigner_ldp.ratefn import (
     SimplexVector,
+    _default_starts,
+    _minimize_from,
+    _sup_fhat,
     eval_F,
     eval_F_hat,
     eval_J,
@@ -298,6 +301,86 @@ def test_rate_wishart_positive_and_bounded(wishart2):
     rep = rate_function(wishart2, x)
     assert 0 < rep.I <= x * x / (4 * wishart2.mean_sigma) + 1e-6
     assert rep.spread < 1e-8  # all feasible starts agree on this concave profile
+
+
+# -- Newton theta_hat and the stacked descent ------------------------------------
+
+
+def test_theta_hat_is_the_maximizer(named_profiles):
+    # Fhat on a 4001-point grid over [0, x/a] never beats Fhat at theta_hat, and
+    # h(theta_hat) = 0; Fhat and h are computed here from their definitions
+    rng = np.random.default_rng(17)
+    profs = list(named_profiles) + [random_profile(rng, pmax=5) for _ in range(6)]
+    for prof in profs:
+        _, r = support_edge(prof)
+        w = prof.weights
+        for _ in range(8):
+            x = r + rng.choice([1e-4, 1e-2, rng.uniform(0.05, 3.0)])
+            psi = rng.dirichlet(np.ones(prof.p) * rng.choice([0.3, 1.0, 5.0]))
+            a = float(psi @ prof.sigma @ psi)
+            if a <= 0:
+                continue
+            m = np.real(solve_dyson(prof, x).m)
+            u = 2.0 * psi / (w * m)
+            lin = float(np.sum(psi / m))
+
+            def fhat(t):
+                t = np.atleast_1d(t)
+                return t * lin - t * t * a - 0.5 * np.log1p(np.outer(t, u)) @ w
+
+            def h(t):
+                return 0.5 * float(np.sum(w * u * u / (1.0 + t * u))) - 2.0 * a
+
+            val, th = _sup_fhat(prof, m, psi[None], 0.0)
+            th = float(th[0])
+            grid_max = fhat(np.linspace(0.0, x / a, 4001)).max()
+            top = float(fhat(th)[0])
+            assert val[0] == pytest.approx(top, rel=1e-13, abs=1e-15)
+            assert top >= grid_max - 4 * np.finfo(float).eps * (1.0 + abs(top))  # rounding only
+            if h(0.0) > 0:
+                assert abs(h(th)) <= 1e-12 * (1.0 + h(0.0))
+            else:
+                assert th == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_descent_rows_independent(seed):
+    # each row's trajectory is bit-identical alone, in the stack and permuted
+    rng = np.random.default_rng(seed)
+    prof = random_profile(rng, pmax=5)
+    _, r = support_edge(prof)
+    x = r + rng.uniform(0.05, 1.0)
+    starts = _default_starts(prof, 8, seed)
+    stacked = _minimize_from(prof, x, starts, 1e-8, 1e-9)
+    perm = rng.permutation(len(starts))
+    permuted = _minimize_from(prof, x, starts[perm], 1e-8, 1e-9)
+    for full, other in zip(stacked, permuted):
+        assert np.array_equal(full[perm], other)
+    for i in range(len(starts)):
+        alone = _minimize_from(prof, x, starts[i : i + 1], 1e-8, 1e-9)
+        for full, one in zip(stacked, alone):
+            assert np.array_equal(full[i : i + 1], one)
+
+
+def test_rate_metamorphic_relations():
+    # sigma -> c sigma: r -> sqrt(c) r and I_{c sigma}(sqrt(c) x) = I(x); a block
+    # permutation changes nothing; I(x) <= x^2 / (4a)
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        prof = random_profile(rng, pmax=4)
+        c = rng.uniform(0.3, 3.0)
+        scaled = VarianceProfile(prof.weights, c * prof.sigma)
+        perm = rng.permutation(prof.p)
+        permuted = VarianceProfile(prof.weights[perm], prof.sigma[np.ix_(perm, perm)])
+        _, r = support_edge(prof)
+        # the edge is known to its bisection bracket plus the predicate bias (< 1e-4)
+        assert support_edge(scaled)[1] == pytest.approx(np.sqrt(c) * r, abs=1e-4 + 1e-6 * (1 + c * prof.max_sigma))
+        for d in (0.1, 0.7):
+            x = r + d
+            I = rate_function(prof, x).I
+            assert rate_function(scaled, np.sqrt(c) * x).I == pytest.approx(I, abs=1e-9)
+            assert rate_function(permuted, x).I == pytest.approx(I, abs=1e-9)
+            assert I <= x * x / (4.0 * prof.mean_sigma)
 
 
 # -- exchanged min-max -------------------------------------------------------------
