@@ -305,27 +305,22 @@ def _suite_wishart(prof, seed, threads):
 
 def _suite_mc_light(prof, seed, threads):
     checks = []
-    # entry-law calibration on small matrices
-    from .mc import _sample_chunk, _scale_matrices
-
+    # entry-law calibration on small matrices, through the tail's own draw
     N = 6
-    _, off, diag = _scale_matrices(prof, N)
-    Hs = np.concatenate(
-        [_sample_chunk(prof, N, "gaussian", seed, ci, mc.MC_CHUNK, off, diag) for ci in range(79)]
-    )
+    draws = [mc._tril_draw(prof, N, "gaussian", seed, ci, mc.MC_CHUNK) for ci in range(79)]
+    var = np.concatenate([vals for vals, _, _ in draws]).var(axis=0) * N
+    _, i, j = draws[0]
     b = prof.row_blocks(N)
-    S = prof.sigma[np.ix_(b, b)]
-    iu = np.triu_indices(N, 1)
-    pick = int(np.argmax(S[iu]))
-    i, j = iu[0][pick], iu[1][pick]
-    v_off = float(Hs[:, i, j].var() * N)
-    target_off = S[i, j]
+    S = prof.sigma[b[i], b[j]]
+    off = np.flatnonzero(i != j)
+    k = off[np.argmax(S[off])]
+    v_off, target_off = float(var[k]), float(S[k])
     ok = abs(v_off / target_off - 1) < 0.05 if target_off > 0 else v_off == 0.0
-    checks.append(_check("variance_offdiag", v_off, float(target_off), ok))
-    kk = int(np.argmax(np.diag(prof.sigma[np.ix_(b, b)])))
-    v_diag = float(Hs[:, kk, kk].var() * N)
-    target_diag = 2.0 * prof.sigma[b[kk], b[kk]]
-    checks.append(_check("variance_diag", v_diag, float(target_diag), abs(v_diag / target_diag - 1) < 0.05))
+    checks.append(_check("variance_offdiag", v_off, target_off, ok))
+    on = np.flatnonzero(i == j)
+    k = on[np.argmax(S[on])]
+    v_diag, target_diag = float(var[k]), 2.0 * float(S[k])
+    checks.append(_check("variance_diag", v_diag, target_diag, abs(v_diag / target_diag - 1) < 0.05))
     # sharp sub-Gaussian certificate
     t = np.linspace(-5, 5, 201)
     ok_ssg = all(np.all(mc.entry_log_mgf(d, t) <= t * t / 2 + 1e-12) for d in mc.ENTRY_KINDS)
@@ -521,7 +516,7 @@ def cmd_mc_dirichlet(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wigner-ldp", description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=_positive_int, default=1)
     ap.add_argument("--out", type=str, default=None)
     ap.add_argument("--format", choices=("csv", "json"), default=None,
                     help="table commands default to csv, report commands to json")

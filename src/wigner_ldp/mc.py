@@ -5,6 +5,13 @@ partition interval containing t_i.  Off-diagonal entries have variance
 sigma_{kl}/N, diagonal entries 2 sigma_{kk}/N.  Estimators draw in fixed
 chunks whose generators derive from (master seed, chunk index), so results
 are bit-identical for any thread count.
+
+The tail estimator tests lambda_1 < x by a Cholesky factorization of x I - H,
+and LAPACK's lower factorization reads only the lower triangle.  So the tail
+draws only that triangle, N(N+1)/2 variates per matrix, column by column, and
+scales them straight into the Fortran-order lower triangle of the buffer that
+is factorized in place: the full symmetric H is never built on that path,
+which halves the draws and drops the symmetric assembly.
 """
 
 from __future__ import annotations
@@ -90,11 +97,19 @@ def sample_matrix(profile: VarianceProfile, N: int, dist: str = "gaussian", seed
     return _assemble(A, d, off, diag)
 
 
-def _sample_chunk(profile, N, dist, seed, chunk_index, count, off, diag):
-    rng = np.random.default_rng([seed, chunk_index])
-    A = _draw(rng, (count, N, N), dist)
-    d = _draw(rng, (count, N), dist)
-    return _assemble(A, d, off, diag)
+def _tril_draw(profile: VarianceProfile, N: int, dist: str, seed, chunk_index: int, count: int):
+    """Lower triangles of `count` draws of H from default_rng([seed, chunk_index]).
+
+    Returns (vals, i, j) with i >= j listed column by column: vals[r, k] is
+    H[i[k], j[k]] of draw r, with variance sigma_ij/N off the diagonal and
+    2 sigma_ii/N on it.
+    """
+    j, i = np.triu_indices(N)
+    b = profile.row_blocks(N)
+    sd = np.sqrt(np.where(i == j, 2.0, 1.0) * profile.sigma[b[i], b[j]] / N)
+    vals = _draw(np.random.default_rng([seed, chunk_index]), (count, sd.size), dist)
+    vals *= sd
+    return vals, i, j
 
 
 def _check_symmetric(H: np.ndarray) -> None:
@@ -528,19 +543,6 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _count_exceedances(H_batch: np.ndarray, x: float) -> int:
-    """Number of matrices with lambda_1 >= x, by testing x I - H for positive
-    definiteness (Cholesky succeeds iff lambda_1 < x)."""
-    n = H_batch.shape[-1]
-    M = x * np.eye(n)
-    hits = 0
-    for H in H_batch:
-        _, info = dpotrf(M - H, lower=1, overwrite_a=1)
-        if info != 0:
-            hits += 1
-    return hits
-
-
 @dataclass
 class TailPoint:
     N: int
@@ -564,22 +566,35 @@ def tail_estimate(
 ) -> list[TailPoint]:
     """Plain MC frequency of {lambda_1 >= x} per matrix size.
 
+    A draw hits when the Cholesky factorization of x I - H fails, which it
+    does iff lambda_1 >= x; only the lower triangle is drawn (module docstring).
+
     rate = -(1/N) log p_hat with a Wilson interval mapped through the same
     transform; zero hits produce a one-sided point (rate = inf, finite
     rate_lo from the interval's upper endpoint).
     """
     out = []
+    n_chunks = math.ceil(samples / MC_CHUNK)
+    workers = min(threads, n_chunks)
     for N in N_list:
-        _, off, diag = _scale_matrices(profile, N)
-        n_chunks = math.ceil(samples / MC_CHUNK)
 
-        def chunk_hits(ci, N=N, off=off, diag=diag):
+        def chunk_hits(ci, N=N):
             cnt = min(MC_CHUNK, samples - ci * MC_CHUNK)
-            H = _sample_chunk(profile, N, dist, seed, ci, cnt, off, diag)
-            return _count_exceedances(H, x)
+            vals, i, j = _tril_draw(profile, N, dist, seed, ci, cnt)
+            np.negative(vals, out=vals)
+            vals[:, i == j] += x
+            # row r holds matrix r in Fortran order: entry (i, j) at i + N j,
+            # so row.reshape(N, N).T is an F-contiguous view LAPACK writes in place
+            buf = np.zeros((cnt, N * N))
+            buf[:, i + N * j] = vals
+            hits = 0
+            for row in buf:
+                _, info = dpotrf(row.reshape(N, N).T, lower=1, overwrite_a=1)
+                hits += info != 0
+            return hits
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
                 hits = sum(ex.map(chunk_hits, range(n_chunks)))
         else:
             hits = sum(chunk_hits(ci) for ci in range(n_chunks))

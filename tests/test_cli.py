@@ -283,10 +283,15 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
         ["mc", "spherical", "--profile", "constant", "--x", "1.0", "--theta", "0.3", "--N", "40",
          "--samples", "2000"],
         ["mc", "tilt", "--profile", "constant", "--x", "1.0", "--N", "40", "--samples", "2"],
+        ["--threads", "0", "mc", "tail", "--profile", "constant", "--x", "2.2", "--N", "20",
+         "--samples", "300"],
+        ["--threads", "-1", "mc", "tail", "--profile", "constant", "--x", "2.2", "--N", "20",
+         "--samples", "300"],
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
-         "rate-x-nan", "rate-starts-negative", "spherical-x-below-edge", "tilt-x-below-edge"],
+         "rate-x-nan", "rate-starts-negative", "spherical-x-below-edge", "tilt-x-below-edge",
+         "threads-zero", "threads-negative"],
 )
 def test_bad_numeric_options_exit_2(prof_paths, argv):
     argv = [prof_paths.get(a, a) for a in argv]

@@ -60,22 +60,23 @@ def test_sampler_rejects_tiny(const_prof):
 
 
 def test_variance_calibration(block_14):
-    from wigner_ldp.mc import _sample_chunk, _scale_matrices
-
+    # the variances the tail estimator draws: sigma_ij/N off the diagonal,
+    # 2 sigma_ii/N on it, in both blocks
     N = 6
-    _, off, diag = _scale_matrices(block_14, N)
-    Hs = np.concatenate(
-        [_sample_chunk(block_14, N, "gaussian", 5, ci, mc.MC_CHUNK, off, diag) for ci in range(200)]
-    )
+    draws = [mc._tril_draw(block_14, N, "gaussian", 5, ci, mc.MC_CHUNK) for ci in range(200)]
+    var = np.concatenate([vals for vals, _, _ in draws]).var(axis=0) * N
+    _, i, j = draws[0]
+    assert np.all(i >= j) and i.size == N * (N + 1) // 2
+    assert np.all(np.diff(j * N + i) > 0)  # column by column
     b = block_14.row_blocks(N)
     S = block_14.sigma[np.ix_(b, b)]
-    for (i, j) in [(0, 1), (4, 5), (0, 0), (5, 5)]:
-        target = (2.0 if i == j else 1.0) * S[i, j]
-        got = Hs[:, i, j].var() * N
+    for (r, c) in [(1, 0), (5, 4), (0, 0), (5, 5)]:
+        k = np.flatnonzero((i == r) & (j == c))[0]
+        target = (2.0 if r == c else 1.0) * S[r, c]
         if target == 0:
-            assert got == 0.0
+            assert var[k] == 0.0
         else:
-            assert abs(got / target - 1) < 0.02
+            assert abs(var[k] / target - 1) < 0.02
 
 
 @pytest.mark.parametrize("dist", mc.ENTRY_KINDS)
@@ -369,10 +370,83 @@ def test_tail_zero_hits_one_sided(const_prof):
     assert np.isfinite(pts[0].rate_lo)
 
 
-def test_tail_thread_count_invariance(const_prof):
+def test_tail_thread_count_invariance(const_prof, block_14):
     a = tail_estimate(const_prof, 2.2, [24], 3000, "gaussian", seed=9, threads=1)
     b = tail_estimate(const_prof, 2.2, [24], 3000, "gaussian", seed=9, threads=4)
     assert a[0].hits == b[0].hits
+    a = tail_estimate(block_14, 3.0, [20], 3000, "rademacher", seed=9, threads=1)
+    b = tail_estimate(block_14, 3.0, [20], 3000, "rademacher", seed=9, threads=3)
+    assert a == b and 0 < a[0].hits < 3000
+
+
+def test_tail_points_independent_of_N_order(block_14):
+    both = tail_estimate(block_14, 3.0, [20, 40], 2000, "gaussian", seed=4)
+    assert tail_estimate(block_14, 3.0, [40, 20], 2000, "gaussian", seed=4) == both[::-1]
+    for pt in both:
+        assert tail_estimate(block_14, 3.0, [pt.N], 2000, "gaussian", seed=4) == [pt]
+
+
+def _eigvalsh_hits(prof, x, N, samples, dist, seed):
+    """lambda_1 >= x counts on the tail's chunk streams, rebuilt as full matrices."""
+    hits = 0
+    for ci in range(-(-samples // mc.MC_CHUNK)):
+        cnt = min(mc.MC_CHUNK, samples - ci * mc.MC_CHUNK)
+        vals, i, j = mc._tril_draw(prof, N, dist, seed, ci, cnt)
+        H = np.zeros((cnt, N, N))
+        H[:, i, j] = vals
+        H[:, j, i] = vals
+        hits += int(np.sum(np.linalg.eigvalsh(H)[:, -1] >= x))
+    return hits
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("N", [7, 20])
+def test_tail_hits_match_eigvalsh(block_14, N, dist):
+    # pins the lower-triangle index map: a transposed view would factor the
+    # wrong entries and miss this count
+    x, samples, seed = 3.0, 2000, 11
+    pt = tail_estimate(block_14, x, [N], samples, dist, seed=seed)[0]
+    assert 0 < pt.hits < samples
+    assert pt.hits == _eigvalsh_hits(block_14, x, N, samples, dist, seed)
+
+
+def test_tail_one_factorization_per_matrix(block_14, monkeypatch):
+    shapes = []
+    dpotrf = mc.dpotrf
+
+    def counted(a, **kw):
+        shapes.append((a.shape, a.flags.f_contiguous))
+        return dpotrf(a, **kw)
+
+    monkeypatch.setattr(mc, "dpotrf", counted)
+    tail_estimate(block_14, 3.0, [7, 20], 300, "gaussian", seed=1)
+    assert shapes == [((7, 7), True)] * 300 + [((20, 20), True)] * 300
+
+
+def test_tail_pool_never_exceeds_chunks(const_prof, monkeypatch):
+    # a fake executor records the requested pool size and runs the chunks inline
+    sizes = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, it):
+            return map(fn, it)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Inline)
+    pts = tail_estimate(const_prof, 2.2, [10, 12], 3 * mc.MC_CHUNK - 5, seed=2, threads=64)
+    assert sizes == [3, 3]
+    assert pts == tail_estimate(const_prof, 2.2, [10, 12], 3 * mc.MC_CHUNK - 5, seed=2, threads=1)
+    sizes.clear()
+    tail_estimate(const_prof, 2.2, [10], mc.MC_CHUNK, seed=2, threads=64)
+    assert sizes == []  # one chunk runs without a pool
 
 
 def test_vector_profile_sums_to_one(block_14):
