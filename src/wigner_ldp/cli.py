@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, mc, ratefn
-from .dyson import ConvergenceError, spectral_measure, stieltjes_total, support_edge
+from .dyson import EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge
 from .mc import InconclusiveError
 from .profiles import ProfileConfigError, VarianceProfile, load_profile_file
 from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_concave
@@ -117,7 +117,7 @@ def cmd_edge(args) -> int:
     body = {
         "l_edge": l,
         "r_edge": r,
-        "tolerances": {"bisection": 1e-6 * (1.0 + prof.max_sigma), "density_floor": 1e-6},
+        "tolerances": {"duality_gap": EDGE_GAP_TOL * (1.0 + r)},
     }
     _emit(_json_payload(man, body), args.out)
     return EXIT_OK

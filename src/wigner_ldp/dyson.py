@@ -12,15 +12,20 @@ real axis.  Every complex value comes from one batched solve,
 `_solve_complex_many`, over an array of spectral parameters: per row, damped
 Newton steps on the multiplicative residual with the contraction map as the
 fallback.  Near the real axis a row is started by descending a geometric
-ladder of Im z from 0.5 (`_descend`); the density grid and the edge
-predicate each solve all their points in one batch.
+ladder of Im z from 0.5 (`_descend`); the density grid solves all its points
+in one batch.
 
-On the real axis above the edge every value of m(x) comes from one
-vectorized damped Newton, `_newton_real`, with one deterministic seed: the
-iterates of m <- 1/(x - sigma (w m)) from m = 0, stopped at a relative step
-of 1e-4.  That map is increasing on the positive cone, so the iterates rise
-to its smallest positive fixed point, which is the physical branch.  No
-solve depends on an earlier one, so a result depends only on its inputs.
+On the real axis above the edge every value of m(x) comes from one damped
+Newton, `_newton_real`, started from m = 1/x, the first iterate of
+m <- 1/(x - sigma (w m)) from m = 0.  That start lies below the physical
+branch, the smallest positive fixed point, and on this convex system the
+Newton iterates rise monotonically to it.  No solve depends on an earlier
+one, so a result depends only on its inputs.
+
+The support edge needs no complex solve either: `support_edge` finds r as
+the fold point of the real system, where sigma diag(w) - diag(1/m^2) becomes
+singular (Ajanki-Erdos-Kruger, arXiv 1506.05095; Alt-Erdos-Kruger, arXiv
+1804.07752), and certifies it by weak duality.
 
 The log potential L(x) = integral log(x - y) d mu(y) needs no quadrature.
 It is the Dyson free energy at its stationary point (the variational form of
@@ -52,8 +57,6 @@ from .profiles import VarianceProfile
 
 DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 STEP_TOL = 1e-13          # hyperbolic distance between successive iterates
-DENSITY_FLOOR = 1e-6      # edge predicate threshold
-_PREDICATE_ETAS = (1e-5, 1e-7)  # finer pair: keeps the edge bias below 1e-4
 _MEMO_SIZE = 1 << 16      # entries per memoized function, over all profiles
 
 
@@ -255,95 +258,42 @@ def _descend(profile, xs, eta):
 # ---------------------------------------------------------------------------
 
 
-def _real_residual(profile, xs, m):
-    return 1.0 / m - xs[:, None] + (m * profile.weights) @ profile.sigma
-
-
-def _newton_real(profile, xs, m0, tol_factor=1e-12, max_iter=80):
-    """Damped Newton on the real system at each x in xs from the rows of m0.
+def _newton_real(profile, x, m, tol_factor=1e-14, max_iter=80):
+    """Damped Newton on the real system at x from m > 0.
 
     The line search halves the step until it keeps m > 0 and lowers the
-    residual.  A row that fails, or that lands on the repelling branch
-    (spectral radius of the map Jacobian diag(m^2) sigma diag(w) above 1),
-    comes back as NaN.  Each row stops on its own test; only an exactly
-    singular Jacobian, which LAPACK reports for the whole stack, fails every
-    row still iterating.
+    residual.  The result is NaN when the search fails, when the residual
+    stays above tol_factor (1 + |x|), or when m lands on the repelling branch
+    (spectral radius of the map Jacobian diag(m^2) sigma diag(w) above 1).
     """
-    xs = np.asarray(xs, dtype=float)
-    m = np.array(m0, dtype=float)
-    W = profile.sigma * profile.weights[None, :]
-    diag = np.arange(profile.p)
-    tol = tol_factor * (1.0 + np.abs(xs))
+    W = profile.sigma * profile.weights
+    tol = tol_factor * (1.0 + abs(x))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        act = np.all(np.isfinite(m) & (m > 0), axis=1)
-        m[~act] = np.nan
-        res = np.max(np.abs(_real_residual(profile, xs, m)), axis=1)
+        res = np.max(np.abs(1.0 / m - x + W @ m))
         for _ in range(max_iter):
-            act &= ~(res < tol)
-            idx = np.flatnonzero(act)
-            if idx.size == 0:
+            if res < tol:
                 break
-            ma, xa, ra, ta = m[idx], xs[idx], res[idx], tol[idx]
-            J = np.broadcast_to(W, (idx.size,) + W.shape).copy()
-            J[:, diag, diag] -= 1.0 / ma**2
-            try:
-                delta = np.linalg.solve(J, -_real_residual(profile, xa, ma)[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                delta = np.full_like(ma, np.nan)
-            t = np.ones(idx.size)
-            pend = np.ones(idx.size, dtype=bool)
-            for _ in range(50):
-                cand = ma + t[:, None] * delta
-                cres = np.max(np.abs(_real_residual(profile, xa, cand)), axis=1)
-                ok = np.all(cand > 0, axis=1) & np.isfinite(cres)
-                take = pend & ok & ((cres < ra * (1 - 1e-4 * t)) | (cres < ta))
-                ma[take], ra[take] = cand[take], cres[take]
-                pend &= ~take
-                if not pend.any():
+            step = _solve_rows((W - np.diag(1.0 / m**2))[None], (x - 1.0 / m - W @ m)[None])[0]
+            for t in 0.5 ** np.arange(50):
+                cand = m + t * step
+                cres = np.max(np.abs(1.0 / cand - x + W @ cand))
+                if np.all(cand > 0) and (cres < res * (1 - 1e-4 * t) or cres < tol):
                     break
-                t[pend] /= 2.0
-            m[idx], res[idx] = ma, ra
-            act[idx[pend]] = False
-        m[act | ~(res < tol)] = np.nan
-    good = np.flatnonzero(~np.isnan(m[:, 0]))
-    if good.size:
-        M = (m[good] ** 2)[:, :, None] * profile.sigma * profile.weights
-        rho = np.max(np.abs(np.linalg.eigvals(M)), axis=1)
-        m[good[~(rho <= 1.0 + 1e-6)]] = np.nan
-    return m
-
-
-def _fixed_point_seed(profile, xs):
-    """Iterates of m <- 1/(x - sigma (w m)) from m = 0, per row until the
-    relative step falls below 1e-4 (at most 1000 steps).
-
-    The map is increasing on the positive cone, so the iterates rise to its
-    smallest positive fixed point, the physical branch; below the edge they
-    leave the cone and the row becomes NaN.
-    """
-    m = np.zeros((xs.size, profile.p))
-    act = np.ones(xs.size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(1000):
-            idx = np.flatnonzero(act)
-            if idx.size == 0:
+            else:
                 break
-            old = m[idx]
-            nxt = 1.0 / (xs[idx, None] - (old * profile.weights) @ profile.sigma)
-            bad = ~np.all(np.isfinite(nxt) & (nxt > 0), axis=1)
-            done = np.max(np.abs(nxt - old) / nxt, axis=1) < 1e-4
-            nxt[bad] = np.nan
-            m[idx] = nxt
-            act[idx[bad | done]] = False
-    return m
+            m, res = cand, cres
+    if not res < tol:
+        return np.full_like(m, np.nan)
+    rho = np.max(np.abs(np.linalg.eigvals((m**2)[:, None] * W)))
+    return m if rho <= 1.0 + 1e-6 else np.full_like(m, np.nan)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _solve_real(profile, x):
-    """Per-block values m_k(x) for real x above the support edge (memoized)."""
-    xs = np.array([float(x)])
-    m = _newton_real(profile, xs, _fixed_point_seed(profile, xs))[0]
-    if np.isnan(m[0]):
+    """Per-block values m_k(x) for real x above the support edge (memoized),
+    by Newton from m = 1/x, which rises monotonically to the physical branch."""
+    m = _newton_real(profile, float(x), np.full(profile.p, 1.0 / x)) if x > 0 else None
+    if m is None or np.isnan(m[0]):
         raise ConvergenceError(f"real-axis solve failed at x={x}; is x above the support edge?")
     return m
 
@@ -382,8 +332,8 @@ def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
     when given, otherwise descended down the Im z ladder (`_descend`), which
     for Im z >= 0.25 is one solve from 1/z; iterations is its sweep count,
     summed over the rungs.  Real z is accepted when it lies above the support
-    edge and is solved by the real-axis Newton from the fixed-point seed; at
-    or below the edge this raises ConvergenceError.
+    edge and is solved by the real-axis Newton from m = 1/z; at or below the
+    edge this raises ConvergenceError.
     """
     z = complex(z)
     if z.imag < 0:
@@ -488,67 +438,112 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
 # support edge
 # ---------------------------------------------------------------------------
 
-_SCAN_CHUNK = 128    # scan grid points per batched edge predicate
-_BISECT_LEVELS = 4   # bisection levels whose midpoints are tested in one batch
+EDGE_GAP_TOL = 1e-10   # certified width around support_edge's r, relative to 1 + r
 
 
-def _edge_predicate(profile, xs) -> np.ndarray:
-    """For each x of xs, True when x is strictly above the support: vanishing
-    density and a stable real-axis solution with positive per-block values."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.size, dtype=bool)
-    idx = np.flatnonzero(xs > 0)
-    e1, e2 = _PREDICATE_ETAS
-    x = xs[idx]
-    m_mid, _ = _descend(profile, x, e1)
-    m_lo, _ = _solve_complex_many(profile, x + 1j * e2, m_mid)
-    f1 = -np.imag(m_mid @ profile.weights) / np.pi
-    f2 = -np.imag(m_lo @ profile.weights) / np.pi
-    dens = (e1 * f2 - e2 * f1) / (e1 - e2)
-    below = dens < DENSITY_FLOOR  # False on the NaN rows of a failed solve
-    m = _newton_real(profile, x[below], np.real(m_lo[below]))
-    out[idx[below]] = np.all(m > 0, axis=1)
-    return out
+def _perron(profile, m):
+    """Unit-sum right and left Perron vectors (v, lam = w v) of diag(m^2) sigma
+    diag(w), from the symmetric D sigma D with D = diag(m sqrt(w))."""
+    d = m * np.sqrt(profile.weights)
+    u = np.abs(np.linalg.eigh(d[:, None] * profile.sigma * d)[1][:, -1])
+    v = u * m / np.sqrt(profile.weights)
+    return v / v.sum(), u * d / np.sum(u * d)
+
+
+def _irreducible_parts(profile):
+    """Profiles of the parts that sigma > 0 links blocks into, on which the
+    Dyson system decouples: weights rescaled to unit sum and sigma by the
+    part's mass, so m is unchanged; parts with sigma = 0 (an atom at 0) are
+    left out."""
+    link = profile.sigma > 0
+    label = np.arange(profile.p)
+    while True:  # each block takes the least label it is linked to
+        new = np.minimum(label, np.where(link, label, profile.p).min(axis=1))
+        if np.array_equal(new, label):
+            break
+        label = new
+    if not label.any():
+        return [profile]
+    parts = []
+    for c in np.unique(label):
+        idx = np.flatnonzero(label == c)
+        mass, block = profile.weights[idx].sum(), profile.sigma[np.ix_(idx, idx)]
+        if block.any():
+            parts.append(VarianceProfile(profile.weights[idx] / mass, mass * block))
+    return parts
+
+
+def _fold_point(profile):
+    """(x, m): damped Newton on the fold system of an irreducible profile
+    (see `support_edge`) in the unknowns z = (m, v, x)."""
+    W, p = profile.sigma * profile.weights, profile.p
+    x = 2.0 * np.sqrt(W.sum(axis=1).max()) * 1.01
+    m = _solve_real(profile, x)
+    z = np.concatenate([m, _perron(profile, m)[0], [x]])
+
+    def residual(z):
+        m, v, x = z[:p], z[p:-1], z[-1]
+        K = W - np.diag(1.0 / m**2)
+        return np.concatenate([1.0 / m - x + W @ m, K @ v, [v.sum() - 1.0]]), K
+
+    F, K = residual(z)
+    J = np.zeros((2 * p + 1, 2 * p + 1))
+    J[:p, -1], J[-1, p:-1] = -1.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):
+            res = np.max(np.abs(F))
+            if not res > 1e-14 * (1.0 + z[-1]):
+                break
+            J[:p, :p] = J[p:-1, p:-1] = K
+            J[p:-1, :p] = np.diag(2.0 * z[p:-1] / z[:p] ** 3)
+            step = _solve_rows(J[None], -F[None])[0]
+            for t in 0.5 ** np.arange(50):  # halve until m stays positive and |F| falls
+                cand = z + t * step
+                if np.all(cand[:p] > 0):
+                    Fc, Kc = residual(cand)
+                    if np.max(np.abs(Fc)) < res * (1.0 - 1e-4 * t):
+                        break
+            else:
+                break
+            z, F, K = cand, Fc, Kc
+    return float(z[-1]), z[:p]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def support_edge(profile: VarianceProfile) -> tuple[float, float]:
     """Support edges (l, r) of the limiting measure; l = -r by symmetry.
 
-    The right edge is located by a coarse scan down from the operator-norm
-    bound 2 sqrt(A) followed by bisection of the edge predicate.  The scan
-    tests its grid in chunks from the top; the bisection tests the midpoints
-    of its next few levels in one batch and then walks them in order, so its
-    brackets, and r, are those of the one-point-at-a-time bisection.
+    With S = sigma diag(w), r is the fold point of the real Dyson system,
+    where the stability operator S - diag(1/m^2) becomes singular.  On each
+    irreducible part of the profile, damped Newton solves the fold system
+
+        1/m - x + S m = 0,   (S - diag(1/m^2)) v = 0,   sum(v) = 1
+
+    in (m, v, x), whose Jacobian is regular at a square-root edge.  It starts
+    1% above the bound x = 2 sqrt(max_k (S 1)_k), from the real solve m(x)
+    and the Perron vector v of diag(m^2) S there; r is the largest fold point.
+
+    Certificate, by weak duality for r = min_{m>0} max_k (1/m_k + (S m)_k): a
+    positive m with max_k (1/m_k + (S m)_k) <= x is a supersolution of the
+    increasing map m -> 1/(x - S m), so its iterates from 0 rise below m to a
+    least positive fixed point at x, which exists only for x >= r; above r
+    the physical m(x) attains the bound.  So every m > 0 bounds r above, and
+    every lam on the simplex gives r >= 2 sum_k sqrt(lam_k w_k (sigma lam)_k)
+    (average the max over lam, minimize each term over m_k).  The bounds are
+    taken at the converged m and at the left Perron vector of diag(m^2)
+    diag(w) sigma there; ConvergenceError is raised unless they and r lie
+    within EDGE_GAP_TOL (1 + r).
     """
-    A = profile.max_sigma
-    hi = 2.0 * np.sqrt(A) + 0.1 * (1.0 + np.sqrt(A))
-    grid = np.linspace(hi, 0.0, 257)
-    for start in range(0, grid.size, _SCAN_CHUNK):  # the last point, 0, is never above
-        pred = _edge_predicate(profile, grid[start : start + _SCAN_CHUNK])
-        if not pred.all():
-            break
-    first_false = start + int(np.argmin(pred))
-    if first_false == 0:
-        raise ConvergenceError("support_edge bracket failure: no sign change on the scan grid")
-    lo, up = grid[first_false], grid[first_false - 1]
-    tol = 1e-6 * (1.0 + A)
-    while up - lo > tol:
-        # the midpoints of the next levels in heap order: node i halves the
-        # span of spans[i], whose halves are spans[2i+1] and spans[2i+2]
-        spans = [(lo, up)]
-        for i in range(2**_BISECT_LEVELS - 1):
-            a, b = spans[i]
-            spans += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
-        mids = [b for _, b in spans[1::2]]
-        pred = _edge_predicate(profile, mids)
-        i = 0
-        while i < len(mids) and up - lo > tol:
-            if pred[i]:
-                up, i = mids[i], 2 * i + 1
-            else:
-                lo, i = mids[i], 2 * i + 2
-    r = 0.5 * (lo + up)
+    r, upper, lower = -np.inf, -np.inf, -np.inf
+    for part in _irreducible_parts(profile):
+        x, m = _fold_point(part)
+        w, sigma = part.weights, part.sigma
+        lam = _perron(part, m)[1]
+        r = max(r, x)
+        upper = max(upper, float(np.max(1.0 / m + sigma @ (w * m))))
+        lower = max(lower, float(2.0 * np.sum(np.sqrt(lam * w * (sigma @ lam)))))
+    if not max(upper, r) - min(lower, r) <= EDGE_GAP_TOL * (1.0 + r):
+        raise ConvergenceError(f"support_edge not certified: r={r!r}, bounds [{lower!r}, {upper!r}]")
     return (-r, r)
 
 

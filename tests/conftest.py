@@ -38,3 +38,13 @@ def random_profile(rng, pmax=4):
     from wigner_ldp.profiles import VarianceProfile
 
     return VarianceProfile(weights=w, sigma=s)
+
+
+def split_block(prof, k):
+    """The same profile with block k cut into two identical halves."""
+    from wigner_ldp.profiles import VarianceProfile
+
+    idx = np.insert(np.arange(prof.p), k, k)
+    w = prof.weights[idx].copy()
+    w[k : k + 2] /= 2
+    return VarianceProfile(w, prof.sigma[np.ix_(idx, idx)])

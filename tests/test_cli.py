@@ -32,6 +32,14 @@ def test_edge_constant(prof_paths, tmp_path, capsys):
     assert d["manifest"]["command"] == "edge"
 
 
+def test_edge_payload_carries_duality_gap(prof_paths, tmp_path):
+    out = tmp_path / "edge.json"
+    assert main(["--out", str(out), "edge", "--profile", prof_paths["constant"]]) == 0
+    d = json.loads(out.read_text())
+    assert d["r_edge"] == pytest.approx(2.0, abs=1e-10)
+    assert d["tolerances"] == {"duality_gap": 1e-10 * (1.0 + d["r_edge"])}
+
+
 def test_edge_missing_file(tmp_path):
     assert main(["edge", "--profile", str(tmp_path / "nope.json")]) == 2
 
@@ -200,6 +208,15 @@ def test_mc_tilt(prof_paths, tmp_path):
     assert code == 0
     d = json.loads(out.read_text())
     assert abs(d["mean_lambda1"] - 3.0) < 0.3
+
+
+def test_mc_tilt_just_above_edge(prof_paths, tmp_path):
+    out = tmp_path / "tilt.json"
+    code = main([
+        "--out", str(out), "mc", "tilt", "--profile", prof_paths["constant"],
+        "--x", "2.000005", "--N", "20", "--samples", "2",
+    ])
+    assert code == 0
 
 
 def test_mc_dirichlet(prof_paths, tmp_path):

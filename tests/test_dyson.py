@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wigner_ldp import oracles
+from wigner_ldp import dyson, oracles
 from wigner_ldp.dyson import (
     _MEMO_SIZE,
     ConvergenceError,
@@ -22,7 +22,7 @@ from wigner_ldp.dyson import (
 )
 from wigner_ldp.profiles import VarianceProfile
 
-from conftest import random_profile
+from conftest import random_profile, split_block
 
 SC_M3 = (3 - np.sqrt(5)) / 2  # root of m^2 - 3m + 1 = 0 with |m| <= 1
 
@@ -267,12 +267,81 @@ def test_edges(const_prof, wishart2, block_14):
     assert rb == pytest.approx(2 * np.sqrt(2.0), abs=1e-3)
 
 
-def test_edges_pinned(named_profiles):
-    # the batched scan and bisection reproduce the one-point-at-a-time
-    # bisection's brackets, so r is pinned bit for bit
-    expected = (2.0000070095062252, 1.3938549518585208, 2.8284301280975335, 2.30940536721227)
-    for prof, r in zip(named_profiles, expected):
-        assert support_edge(prof)[1] == r
+def test_edges_closed_forms(const_prof):
+    assert support_edge(const_prof)[1] == pytest.approx(2.0, abs=1e-10)
+    for alpha in (0.5, 2.0, 5.0):
+        prof = VarianceProfile([1 / (1 + alpha), alpha / (1 + alpha)], [[0.0, 1.0], [1.0, 0.0]])
+        assert support_edge(prof)[1] == pytest.approx(oracles.wishart_edge(alpha), abs=1e-10)
+    # block diagonal: r = max_k 2 sqrt(sigma_kk w_k)
+    for w, d in (([0.5, 0.5], [1.0, 4.0]), ([1 / 3, 2 / 3], [1.0, 2.0]), ([0.2, 0.3, 0.5], [3.0, 0.5, 1.1])):
+        r = max(2 * np.sqrt(dk * wk) for wk, dk in zip(w, d))
+        assert support_edge(VarianceProfile(w, np.diag(d)))[1] == pytest.approx(r, abs=1e-10)
+
+
+def test_edges_reducible_profiles():
+    # the block with the larger variance has the smaller edge
+    prof = VarianceProfile([0.9, 0.1], np.diag([1.0, 1.2]))
+    assert support_edge(prof)[1] == pytest.approx(2 * np.sqrt(0.9), abs=1e-10)
+    # near the Newton seed the Perron root of diag(m^2) sigma diag(w) belongs to
+    # the single block (edge 2 sqrt(0.19)), but the bipartite part has the
+    # larger edge sqrt(0.8) + sqrt(0.01); each part is solved on its own
+    w, s = [0.19, 0.8, 0.01], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    assert support_edge(VarianceProfile(w, s))[1] == pytest.approx(np.sqrt(0.8) + 0.1, abs=1e-10)
+    # a block with sigma = 0 only adds an atom at 0
+    prof = VarianceProfile([0.25, 0.75], [[4.0, 0.0], [0.0, 0.0]])
+    assert support_edge(prof)[1] == pytest.approx(2.0, abs=1e-10)
+
+
+def test_edge_between_duality_bounds():
+    # weak duality for r = min_{m>0} max_k (1/m_k + (sigma (w m))_k): every
+    # m > 0 bounds r above, every lam on the simplex bounds it below
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        prof = random_profile(rng, pmax=5)
+        w, s = prof.weights, prof.sigma
+        _, r = support_edge(prof)
+        for _ in range(10):
+            m = rng.uniform(0.05, 3.0, prof.p)
+            lam = rng.dirichlet(np.ones(prof.p))
+            assert 2 * np.sum(np.sqrt(lam * w * (s @ lam))) <= r <= np.max(1 / m + s @ (w * m))
+
+
+def test_edge_is_the_fold_point():
+    # just above r the real-axis solve exists and is nearly unstable; just below it fails
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        prof = random_profile(rng, pmax=5)
+        _, r = support_edge(prof)
+        m = _solve_real(prof, r + 1e-8)
+        rho = np.max(np.abs(np.linalg.eigvals((m**2)[:, None] * prof.sigma * prof.weights)))
+        assert 1 - 1e-2 < rho < 1
+        with pytest.raises(ConvergenceError):
+            _solve_real(prof, r - 1e-8)
+
+
+def test_edge_and_real_solve_need_no_complex_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex solve called")
+
+    monkeypatch.setattr(dyson, "_solve_complex_many", refuse)
+    prof = VarianceProfile([0.35, 0.65], [[1.3, 0.4], [0.4, 0.9]])
+    _, r = support_edge.__wrapped__(prof)
+    m = _solve_real.__wrapped__(prof, r + 0.25)
+    assert np.all(m > 0) and _residual(prof, r + 0.25, m) < 1e-11
+
+
+def test_splitting_a_block_changes_nothing():
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        prof = random_profile(rng, pmax=4)
+        split = split_block(prof, int(rng.integers(prof.p)))
+        _, r = support_edge(prof)
+        assert support_edge(split)[1] == pytest.approx(r, abs=1e-10)
+        for x in (r + 0.05, r + 1.0):
+            assert stieltjes_total(split, x) == pytest.approx(stieltjes_total(prof, x), abs=1e-12)
+        a = spectral_measure(prof, -r - 0.2, r + 0.2, 81)
+        b = spectral_measure(split, -r - 0.2, r + 0.2, 81)
+        assert np.max(np.abs(a.density - b.density)) < 1e-10
 
 
 def test_block_edge_scaling(block_12):

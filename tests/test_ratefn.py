@@ -30,7 +30,7 @@ from wigner_ldp.ratefn import (
     sup_theta,
 )
 
-from conftest import random_profile
+from conftest import random_profile, split_block
 
 
 def test_simplex_vector_validation():
@@ -264,6 +264,12 @@ def test_rate_below_and_at_edge(const_prof):
     assert rate_function(const_prof, r).I == 0.0
 
 
+def test_rate_just_above_edge(const_prof):
+    # 5e-6 above the edge, where I = (2/3) (5e-6)^(3/2) to leading order
+    x = 2.0 + 5e-6
+    assert rate_function(const_prof, x).I == pytest.approx(oracles.goe_rate(x), rel=1e-3)
+
+
 def test_rate_block_identity(block_14, block_12):
     cases = [(block_14, 0.5, 1.0, 4.0, (2.9, 3.4, 4.1)), (block_12, 1 / 3, 1.0, 2.0, (2.4, 2.8, 3.2))]
     for prof, al, s1, s2, xs in cases:
@@ -473,6 +479,29 @@ def test_discretization_rate_converges():
     d2 = abs(vals[4] - vals[8])
     # refinement roughly quarters the error for this smooth profile
     assert d2 <= 0.6 * d1
+
+
+def test_rate_unchanged_by_splitting_a_block():
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        prof = random_profile(rng, pmax=4)
+        split = split_block(prof, int(rng.integers(prof.p)))
+        _, r = support_edge(prof)
+        for x in (r + 0.1, r + 0.7):
+            assert rate_function(split, x).I == pytest.approx(rate_function(prof, x).I, abs=1e-9)
+
+
+def test_discretization_edge_and_rate_converge():
+    # sigma(s, t) = 1 + 2 exp(-4 (s - t)^2) + s t: each doubling of p cuts the
+    # step of the edge r_p and of I_p(x) at a fixed x by about 4
+    spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 256)
+    profs = {p: discretize(spec, p)[0] for p in (4, 8, 16, 32, 64, 128)}
+    r = [support_edge(profs[p])[1] for p in (8, 16, 32, 64, 128)]
+    steps = np.abs(np.diff(r))
+    assert np.all(steps[1:] < 0.5 * steps[:-1])
+    x = r[-1] + 0.5
+    steps = np.abs(np.diff([rate_function(profs[p], x).I for p in (4, 8, 16, 32)]))
+    assert np.all(steps[1:] < 0.5 * steps[:-1])
 
 
 # -- call-history independence ------------------------------------------------------
