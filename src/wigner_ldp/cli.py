@@ -51,14 +51,17 @@ def _json_payload(manifest: dict, body: dict) -> str:
     return json.dumps({"manifest": manifest, **body}, sort_keys=True, indent=1) + "\n"
 
 
-def _finite_float(text: str) -> float:
+def _finite_float(text: str, positive: bool = False) -> float:
     try:
         v = float(text)
     except ValueError:
         v = np.nan
-    if not np.isfinite(v):
-        raise argparse.ArgumentTypeError(f"not a finite float: {text!r}")
+    if not np.isfinite(v) or (positive and not v > 0):
+        raise argparse.ArgumentTypeError(f"not a {'positive' if positive else 'finite'} float: {text!r}")
     return v
+
+
+_positive_float = partial(_finite_float, positive=True)
 
 
 def _floats(text: str) -> list[float]:
@@ -428,8 +431,6 @@ def cmd_mc_spherical(args) -> int:
 def cmd_mc_annealed(args) -> int:
     prof = _load(args.profile)
     phi = _mass_option(prof, args.phi, "phi")
-    if not args.delta > 0:
-        raise ProfileConfigError("delta must be positive")
     try:
         est = mc.annealed_integral_mc(prof, args.theta, phi, args.delta, args.N, args.samples, args.seed)
     except InconclusiveError as e:
@@ -537,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", parents=[prof], help="rate function at one or more x")
     p.add_argument("--x", type=_floats, required=True)
     p.add_argument("--starts", type=partial(_int_at_least, 0), default=8)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(fn=cmd_rate)
 
     p = sub.add_parser("validate", parents=[prof], help="run a named validation suite")
@@ -565,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--delta", type=_finite_float, default=0.1)
+    p.add_argument("--delta", type=_positive_float, default=0.1)
     p.add_argument("--phi", type=_floats, default=None)
     p.set_defaults(fn=cmd_mc_annealed)
 

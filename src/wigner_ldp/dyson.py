@@ -6,26 +6,25 @@ Im m_k < 0 on the upper half-plane, solve
     1/m_k(z) = z - sum_l sigma_{kl} w_l m_l(z).
 
 The mass-w_k transforms are G_k = w_k m_k and G_total = sum_k G_k is the
-Stieltjes transform of the limiting spectral measure.  The plain fixed-point
-map contracts in the hyperbolic metric for Im z > 0, but slowly close to the
-real axis.  Every complex value comes from one batched solve,
-`_solve_complex_many`, over an array of spectral parameters: per row, damped
-Newton steps on the multiplicative residual with the contraction map as the
-fallback.  Near the real axis a row is started by descending a geometric
-ladder of Im z from 0.5 (`_descend`); the density grid solves all its points
-in one batch.
+Stieltjes transform of the limiting spectral measure.  There is one solver
+loop per axis.
 
-On the real axis above the edge every value of m(x) comes from one damped
-Newton, `_newton_real`, started from m = 1/x, the first iterate of
-m <- 1/(x - sigma (w m)) from m = 0.  That start lies below the physical
-branch, the smallest positive fixed point, and on this convex system the
-Newton iterates rise monotonically to it.  No solve depends on an earlier
-one, so a result depends only on its inputs.
+Complex axis: `_solve_complex_many` solves a batch of spectral parameters,
+per row damped Newton steps on the multiplicative residual with the
+contraction map m -> 1/(z - sigma (w m)) as the fallback.  Near the real
+axis a row is started by descending a geometric ladder of Im z from 0.5
+(`_descend`); the density grid solves all its points in one batch, and the
+size-N system of `solve_dyson_finite` is the same solve on N blocks.
 
-The support edge needs no complex solve either: `support_edge` finds r as
-the fold point of the real system, where sigma diag(w) - diag(1/m^2) becomes
-singular (Ajanki-Erdos-Kruger, arXiv 1506.05095; Alt-Erdos-Kruger, arXiv
-1804.07752), and certifies it by weak duality.
+Real axis: `_damped_newton` solves a residual/Jacobian pair with an Armijo
+line search that keeps m positive.  It serves three systems: m(x) above
+the edge (`_solve_real`, from m = 1/x, the first iterate of the map from
+m = 0; on this convex system the iterates rise monotonically to the
+physical branch), the fold point where sigma diag(w) - diag(1/m^2) becomes
+singular, which is the edge r (`support_edge`, certified by weak duality;
+Ajanki-Erdos-Kruger, arXiv 1506.05095; Alt-Erdos-Kruger, arXiv 1804.07752),
+and G^-1 as a bordered system in (m, v) (`stieltjes_inverse`).  No solve
+depends on an earlier one, so a result depends only on its inputs.
 
 The log potential L(x) = integral log(x - y) d mu(y) needs no quadrature.
 It is the Dyson free energy at its stationary point (the variational form of
@@ -254,48 +253,65 @@ def _descend(profile, xs, eta):
 
 
 # ---------------------------------------------------------------------------
-# real-axis solver (x above the support edge)
+# real-axis solver: one damped Newton for m(x), the fold point and G^-1
 # ---------------------------------------------------------------------------
 
+_NEWTON_ITERS = 100   # steps of the real-axis damped Newton
 
-def _newton_real(profile, x, m, tol_factor=1e-14, max_iter=80):
-    """Damped Newton on the real system at x from m > 0.
 
-    The line search halves the step until it keeps m > 0 and lowers the
-    residual.  The result is NaN when the search fails, when the residual
-    stays above tol_factor (1 + |x|), or when m lands on the repelling branch
-    (spectral radius of the map Jacobian diag(m^2) sigma diag(w) above 1).
+def _damped_newton(F, z, p, tol):
+    """(z, converged): damped Newton on F(z) = 0 from z, where F returns
+    (residual, Jacobian), the first p unknowns must stay positive and tol(z)
+    is the bound on max |F(z)| at which it stops.
+
+    Each step is halved, at most 50 times, until the candidate keeps those
+    unknowns positive and lowers max |F| by the factor 1 - 1e-4 t, or below
+    its tol.  The loop also stops when no step length passes, or after
+    _NEWTON_ITERS steps.
     """
-    W = profile.sigma * profile.weights
-    tol = tol_factor * (1.0 + abs(x))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        res = np.max(np.abs(1.0 / m - x + W @ m))
-        for _ in range(max_iter):
-            if res < tol:
-                break
-            step = _solve_rows((W - np.diag(1.0 / m**2))[None], (x - 1.0 / m - W @ m)[None])[0]
+        Fz, J = F(z)
+        res = np.max(np.abs(Fz))
+        for _ in range(_NEWTON_ITERS):
+            if res < tol(z):
+                return z, True
+            step = _solve_rows(J[None], -Fz[None])[0]
             for t in 0.5 ** np.arange(50):
-                cand = m + t * step
-                cres = np.max(np.abs(1.0 / cand - x + W @ cand))
-                if np.all(cand > 0) and (cres < res * (1 - 1e-4 * t) or cres < tol):
-                    break
+                cand = z + t * step
+                if np.all(cand[:p] > 0):
+                    Fc, Jc = F(cand)
+                    cres = np.max(np.abs(Fc))
+                    if cres < res * (1.0 - 1e-4 * t) or cres < tol(cand):
+                        break
             else:
                 break
-            m, res = cand, cres
-    if not res < tol:
-        return np.full_like(m, np.nan)
-    rho = np.max(np.abs(np.linalg.eigvals((m**2)[:, None] * W)))
-    return m if rho <= 1.0 + 1e-6 else np.full_like(m, np.nan)
+            z, Fz, J, res = cand, Fc, Jc, cres
+    return z, bool(res < tol(z))
+
+
+def _on_branch(profile, m) -> bool:
+    """m > 0 is on the physical branch: the map Jacobian diag(m^2) sigma
+    diag(w) has spectral radius at most 1 + 1e-6."""
+    rho = np.max(np.abs(np.linalg.eigvals((m**2)[:, None] * (profile.sigma * profile.weights))))
+    return bool(rho <= 1.0 + 1e-6)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _solve_real(profile, x):
-    """Per-block values m_k(x) for real x above the support edge (memoized),
-    by Newton from m = 1/x, which rises monotonically to the physical branch."""
-    m = _newton_real(profile, float(x), np.full(profile.p, 1.0 / x)) if x > 0 else None
-    if m is None or np.isnan(m[0]):
-        raise ConvergenceError(f"real-axis solve failed at x={x}; is x above the support edge?")
-    return m
+    """Per-block values m_k(x) for real x above the support edge (memoized):
+    Newton on 1/m - x + sigma (w m) = 0 from m = 1/x; ConvergenceError unless
+    the residual falls below 1e-14 (1 + |x|) and m passes `_on_branch`."""
+    x = float(x)
+    W = profile.sigma * profile.weights
+
+    def F(m):
+        return 1.0 / m - x + W @ m, W - np.diag(1.0 / m**2)
+
+    if x > 0:
+        m, ok = _damped_newton(F, np.full(profile.p, 1.0 / x), profile.p, lambda _: 1e-14 * (1.0 + x))
+        if ok and _on_branch(profile, m):
+            return m
+    raise ConvergenceError(f"real-axis solve failed at x={x}; is x above the support edge?")
 
 
 # ---------------------------------------------------------------------------
@@ -361,77 +377,72 @@ def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
     )
 
 
-def solve_dyson_finite(SigmaN: np.ndarray, z, step_tol=STEP_TOL, max_iter=20000) -> np.ndarray:
-    """Fixed point of the size-N system 1/m_i = z - (1/N) sum_j Sigma_ij m_j."""
+def solve_dyson_finite(SigmaN: np.ndarray, z) -> np.ndarray:
+    """m at Im z > 0 of the size-N system 1/m_i = z - (1/N) sum_j Sigma_ij m_j:
+    `_solve_complex_many` from m = 1/z on the N-block profile with weights
+    1/N and sigma = SigmaN, which must be a valid profile (ValueError)."""
     S = np.asarray(SigmaN, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("SigmaN must be square")
-    if not np.allclose(S, S.T, atol=1e-12):
-        raise ValueError("SigmaN must be symmetric")
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("solve_dyson_finite needs Im z > 0")
     n = S.shape[0]
-    m = np.full(n, 1.0 / z, dtype=complex)
-    for it in range(max_iter):
-        nxt = 1.0 / (z - (S @ m) / n)
-        step = hyperbolic_distance(m, nxt)
-        m = nxt
-        if step < step_tol:
-            return m
-    raise ConvergenceError(f"finite-N Dyson iteration stalled at z={z}")
+    m, _ = _solve_complex_many(VarianceProfile(np.full(n, 1.0 / n), S), np.array([z]))
+    if np.isnan(m[0]).any():
+        raise ConvergenceError(f"finite-N Dyson solve did not converge at z={z}")
+    return m[0]
 
 
 def stieltjes_total(profile: VarianceProfile, x: float) -> float:
     """G(x) = sum_k w_k m_k(x) for real x above the support edge."""
     _, r = support_edge(profile)
-    if not x > r + 1e-9:
-        raise ValueError(f"stieltjes_total needs x > r_edge + 1e-9 = {r + 1e-9:.9g}")
+    if not x > r:
+        raise ValueError(f"stieltjes_total needs x > r_edge = {r:.9g}")
     return float(profile.weights @ _solve_real(profile, x))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
-    """The v > r_edge with G(v) = two_theta, by safeguarded Newton.
+    """The v > r_edge with G(v) = two_theta, by damped Newton on the bordered
+    system in (m, v)
 
-    Seeded from the tail series G(v) ~ 1/v + a/v^3; bisection steps take over
-    whenever Newton leaves the admissible range.
+        1 - m_k (v - (sigma (w m))_k) = 0,   w . m / two_theta - 1 = 0,
+
+    from the tail-series root v0 = 1/two_theta + a two_theta of
+    G(v) ~ 1/v + a/v^3 and m(v0).  Every row is relative, so one stopping
+    test serves every two_theta, and the Jacobian stays regular at the edge.
+    ConvergenceError unless v > r_edge and m passes `_on_branch`; ValueError
+    unless 0 < two_theta < G(r_edge + 1e-9 (1 + A)).
     """
     if two_theta <= 0:
         raise ValueError("two_theta must be positive")
     _, r = support_edge(profile)
-    eps = 1e-9 * (1.0 + profile.max_sigma)
-    lo = r + eps
+    lo = r + 1e-9 * (1.0 + profile.max_sigma)
     g_lo = float(profile.weights @ _solve_real(profile, lo))
     if two_theta >= g_lo:
         raise ValueError(
             f"two_theta={two_theta:.6g} out of range: G just above the edge is {g_lo:.6g}"
         )
-    a = profile.mean_sigma
-    v = max(1.0 / two_theta + a * two_theta, lo + eps)
-    hi = None
-    for _ in range(200):
-        m = _solve_real(profile, v)
-        g = float(profile.weights @ m)
-        if abs(g - two_theta) <= 1e-13 * two_theta:
-            break
-        if g > two_theta:
-            lo = max(lo, v)
-        else:
-            hi = v if hi is None else min(hi, v)
-        J = profile.sigma * profile.weights[None, :] - np.diag(1.0 / m**2)  # G'(v) = w . m'(v)
-        cand = v - (g - two_theta) / float(profile.weights @ np.linalg.solve(J, np.ones(profile.p)))
-        if not (cand > lo) or (hi is not None and not (cand < hi)):
-            if hi is None:
-                cand = max(2.0 * v, 2.0 * lo)
-            else:
-                cand = 0.5 * (lo + hi)
-        if cand > 1e300:
-            raise ValueError("two_theta too small to invert")
-        v = cand
-    if abs(float(profile.weights @ _solve_real(profile, v)) - two_theta) > 1e-10:
-        raise ConvergenceError(f"stieltjes_inverse polish failed at two_theta={two_theta}")
-    return float(v)
+    v0 = max(1.0 / two_theta + profile.mean_sigma * two_theta, lo)
+    if not np.isfinite(v0):
+        raise ValueError("two_theta too small to invert")
+    w, W, p = profile.weights, profile.sigma * profile.weights, profile.p
+
+    def F(z):
+        m, v = z[:p], z[p]
+        d = v - W @ m
+        J = np.zeros((p + 1, p + 1))
+        J[:p, :p] = m[:, None] * W - np.diag(d)
+        J[:p, p] = -m
+        J[p, :p] = w / two_theta
+        return np.append(1.0 - m * d, w @ m / two_theta - 1.0), J
+
+    z, ok = _damped_newton(F, np.append(_solve_real(profile, v0), v0), p, lambda _: 1e-14)
+    m, v = z[:p], float(z[p])
+    if not (ok and v > r and _on_branch(profile, m)):
+        raise ConvergenceError(f"stieltjes_inverse failed at two_theta={two_theta}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -479,33 +490,18 @@ def _fold_point(profile):
     W, p = profile.sigma * profile.weights, profile.p
     x = 2.0 * np.sqrt(W.sum(axis=1).max()) * 1.01
     m = _solve_real(profile, x)
-    z = np.concatenate([m, _perron(profile, m)[0], [x]])
 
-    def residual(z):
+    def F(z):
         m, v, x = z[:p], z[p:-1], z[-1]
         K = W - np.diag(1.0 / m**2)
-        return np.concatenate([1.0 / m - x + W @ m, K @ v, [v.sum() - 1.0]]), K
+        J = np.zeros((2 * p + 1, 2 * p + 1))
+        J[:p, :p] = J[p:-1, p:-1] = K
+        J[p:-1, :p] = np.diag(2.0 * v / m**3)
+        J[:p, -1], J[-1, p:-1] = -1.0, 1.0
+        return np.concatenate([1.0 / m - x + W @ m, K @ v, [v.sum() - 1.0]]), J
 
-    F, K = residual(z)
-    J = np.zeros((2 * p + 1, 2 * p + 1))
-    J[:p, -1], J[-1, p:-1] = -1.0, 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(100):
-            res = np.max(np.abs(F))
-            if not res > 1e-14 * (1.0 + z[-1]):
-                break
-            J[:p, :p] = J[p:-1, p:-1] = K
-            J[p:-1, :p] = np.diag(2.0 * z[p:-1] / z[:p] ** 3)
-            step = _solve_rows(J[None], -F[None])[0]
-            for t in 0.5 ** np.arange(50):  # halve until m stays positive and |F| falls
-                cand = z + t * step
-                if np.all(cand[:p] > 0):
-                    Fc, Kc = residual(cand)
-                    if np.max(np.abs(Fc)) < res * (1.0 - 1e-4 * t):
-                        break
-            else:
-                break
-            z, F, K = cand, Fc, Kc
+    z0 = np.concatenate([m, _perron(profile, m)[0], [x]])
+    z, _ = _damped_newton(F, z0, p, lambda z: 1e-14 * (1.0 + z[-1]))
     return float(z[-1]), z[:p]
 
 

@@ -98,7 +98,7 @@ def sample_matrix(profile: VarianceProfile, N: int, dist: str = "gaussian", seed
 
 
 def _tril_draw(profile: VarianceProfile, N: int, dist: str, seed, chunk_index: int, count: int):
-    """Lower triangles of `count` draws of H from default_rng([seed, chunk_index]).
+    """Lower triangles of `count` draws of H from default_rng([seed, N, chunk_index]).
 
     Returns (vals, i, j) with i >= j listed column by column: vals[r, k] is
     H[i[k], j[k]] of draw r, with variance sigma_ij/N off the diagonal and
@@ -107,7 +107,7 @@ def _tril_draw(profile: VarianceProfile, N: int, dist: str, seed, chunk_index: i
     j, i = np.triu_indices(N)
     b = profile.row_blocks(N)
     sd = np.sqrt(np.where(i == j, 2.0, 1.0) * profile.sigma[b[i], b[j]] / N)
-    vals = _draw(np.random.default_rng([seed, chunk_index]), (count, sd.size), dist)
+    vals = _draw(np.random.default_rng([seed, N, chunk_index]), (count, sd.size), dist)
     vals *= sd
     return vals, i, j
 

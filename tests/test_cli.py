@@ -297,6 +297,8 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
          "--psi", "0,0"],
         ["rate", "--profile", "constant", "--x", "nan"],
         ["rate", "--profile", "constant", "--x", "3.0", "--starts", "-3"],
+        ["rate", "--profile", "constant", "--x", "3.0", "--tol", "0"],
+        ["rate", "--profile", "constant", "--x", "3.0", "--tol=-1e-9"],
         ["mc", "spherical", "--profile", "constant", "--x", "1.0", "--theta", "0.3", "--N", "40",
          "--samples", "2000"],
         ["mc", "tilt", "--profile", "constant", "--x", "1.0", "--N", "40", "--samples", "2"],
@@ -307,8 +309,8 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
-         "rate-x-nan", "rate-starts-negative", "spherical-x-below-edge", "tilt-x-below-edge",
-         "threads-zero", "threads-negative"],
+         "rate-x-nan", "rate-starts-negative", "rate-tol-zero", "rate-tol-negative",
+         "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero", "threads-negative"],
 )
 def test_bad_numeric_options_exit_2(prof_paths, argv):
     argv = [prof_paths.get(a, a) for a in argv]

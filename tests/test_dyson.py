@@ -192,6 +192,16 @@ def test_finite_n_wishart_shrinks(wishart2):
     assert sups[1] < sups[0]
 
 
+def test_finite_n_converges_near_the_real_axis(wishart2):
+    # the plain fixed-point map stalls here; the Newton core needs a few sweeps
+    b = wishart2.row_blocks(400)
+    S = wishart2.sigma[np.ix_(b, b)]
+    m = solve_dyson_finite(S, 1 + 0.01j)
+    assert np.all(np.imag(m) < 0)
+    assert _residual(VarianceProfile(np.full(400, 1 / 400), S), 1 + 0.01j, m) < 1e-10
+    assert np.max(np.abs(m - solve_dyson(wishart2, 1 + 0.01j).m[b])) < 1e-2
+
+
 def test_finite_n_validates_input():
     with pytest.raises(ValueError):
         solve_dyson_finite(np.array([[1.0, 0.5], [0.4, 1.0]]), 2j)
@@ -379,6 +389,8 @@ def test_stieltjes_strictly_decreasing_and_finite_at_edge(named_profiles):
         _, r = support_edge(prof)
         g_edge = stieltjes_total(prof, r + 1e-5)
         assert np.isfinite(g_edge) and g_edge > 0
+        # the certified edge lets the real solve converge a hair above r
+        assert stieltjes_total(prof, r + 1e-12) > g_edge
         xs = np.linspace(r + 1e-3, r + 4, 100)
         gs = [stieltjes_total(prof, float(x)) for x in xs]
         assert np.all(np.diff(gs) < 0)
@@ -389,14 +401,30 @@ def test_stieltjes_below_edge_raises(const_prof):
         stieltjes_total(const_prof, 1.9)
 
 
+def test_inverse_calls_the_real_solve_at_most_twice(monkeypatch):
+    # one solve just above the edge for the range check, one at the tail-series start
+    prof = VarianceProfile([0.3, 0.7], [[1.1, 0.35], [0.35, 0.6]])
+    _, r = support_edge(prof)
+    target = 0.5 * stieltjes_total(prof, r + 1e-3)
+    calls = []
+    solve = _solve_real.__wrapped__
+    monkeypatch.setattr(dyson, "_solve_real", lambda p, x: calls.append(x) or solve(p, x))
+    v = stieltjes_inverse.__wrapped__(prof, target)
+    assert v > r and len(calls) <= 2
+
+
 def test_inverse_round_trip(const_prof):
-    g3 = stieltjes_total(const_prof, 3.0)
-    assert stieltjes_inverse(const_prof, g3) == pytest.approx(3.0, abs=1e-8)
+    rng = np.random.default_rng(43)
+    for prof in [const_prof] + [random_profile(rng, pmax=6) for _ in range(8)]:
+        _, r = support_edge(prof)
+        for x in [3.0] + [r + d for d in (1e-6, 1e-3, 0.5, 10.0, 1e6)]:
+            assert abs(stieltjes_inverse(prof, stieltjes_total(prof, x)) - x) <= 1e-12 * (1 + x)
 
 
-def test_inverse_semicircle_half(const_prof):
+def test_inverse_semicircle_closed_form(const_prof):
     # G^-1(g) = g + 1/g for the semicircle
-    assert stieltjes_inverse(const_prof, 0.5) == pytest.approx(2.5, abs=1e-10)
+    for g in (1e-4, 0.1, 0.5, 0.9, 0.999, 0.9999):
+        assert stieltjes_inverse(const_prof, g) == pytest.approx(g + 1 / g, rel=1e-13)
 
 
 def test_inverse_small_theta_tail(const_prof):

@@ -379,6 +379,13 @@ def test_tail_thread_count_invariance(const_prof, block_14):
     assert a == b and 0 < a[0].hits < 3000
 
 
+def test_tail_streams_differ_across_N(const_prof):
+    # each N draws from its own stream, so the per-N estimates are independent
+    a = mc._tril_draw(const_prof, 20, "gaussian", 3, 0, 4)[0]
+    b = mc._tril_draw(const_prof, 40, "gaussian", 3, 0, 4)[0]
+    assert not np.allclose(a[0, :20] * np.sqrt(20), b[0, :20] * np.sqrt(40))
+
+
 def test_tail_points_independent_of_N_order(block_14):
     both = tail_estimate(block_14, 3.0, [20, 40], 2000, "gaussian", seed=4)
     assert tail_estimate(block_14, 3.0, [40, 20], 2000, "gaussian", seed=4) == both[::-1]

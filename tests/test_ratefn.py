@@ -379,8 +379,8 @@ def test_rate_metamorphic_relations():
         perm = rng.permutation(prof.p)
         permuted = VarianceProfile(prof.weights[perm], prof.sigma[np.ix_(perm, perm)])
         _, r = support_edge(prof)
-        # the edge is known to its bisection bracket plus the predicate bias (< 1e-4)
-        assert support_edge(scaled)[1] == pytest.approx(np.sqrt(c) * r, abs=1e-4 + 1e-6 * (1 + c * prof.max_sigma))
+        # the certified edge is exact to its duality gap, 1e-10 (1 + r)
+        assert support_edge(scaled)[1] == pytest.approx(np.sqrt(c) * r, abs=1e-10 * (1 + np.sqrt(c) * r))
         for d in (0.1, 0.7):
             x = r + d
             I = rate_function(prof, x).I
