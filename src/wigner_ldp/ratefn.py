@@ -380,6 +380,8 @@ def rate_function(
     starts descending together as rows; the spread across converged starts
     is reported rather than hidden.
     """
+    if starts < 0:
+        raise ValueError("starts must be >= 0")
     _, r = support_edge(profile)
     edge_tol = 1e-9 * (1.0 + profile.max_sigma)
     if x <= r + edge_tol:

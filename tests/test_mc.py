@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import hyp1f1
@@ -59,6 +62,22 @@ def test_sampler_rejects_tiny(const_prof):
         sample_matrix(const_prof, 1)
 
 
+def test_streams_pinned(block_14, const_prof):
+    # the full-matrix streams that seeded results such as criterion 11 rest on
+    pins = {
+        "gaussian": "66ba7c8510ec1b6a5ed5a4d73e7b91ca87ab493b4c969a4227db8021b8de444b",
+        "rademacher": "b5bb231777bba8be604380ea5a9174e73a294741010e97e92ab14f6f0078ff6c",
+    }
+    for dist, digest in pins.items():
+        H = sample_matrix(block_14, 12, dist, seed=3)
+        assert hashlib.sha256(H.tobytes()).hexdigest() == digest
+    lam1 = mc.collect_batch(block_14, 30, 4, seed=2).lambda1
+    assert lam1.tolist() == [2.779785949057474, 2.278526451633926, 2.6823591873355666, 2.7035022872207395]
+    rep = tilted_outlier_check(const_prof, 3.0, [1.0], N=100, samples=4, seed=0)
+    tilt = [2.8900066241447733, 3.011117912540287, 3.0761935050349423, 3.054278994898494]
+    assert np.allclose(rep["lambda1"], tilt, rtol=0, atol=1e-12)
+
+
 def test_variance_calibration(block_14):
     # the variances the tail estimator draws: sigma_ij/N off the diagonal,
     # 2 sigma_ii/N on it, in both blocks
@@ -89,6 +108,18 @@ def test_sharp_subgaussian_certificate(dist):
     else:
         interior = np.abs(t) > 0.5
         assert np.all(lm[interior] < t[interior] ** 2 / 2)
+
+
+def test_uniform_log_mgf_far_tail():
+    t = np.linspace(-5, 5, 401)
+    a = np.sqrt(3.0) * np.abs(t[t != 0])
+    ref = np.log(np.sinh(a) / a)
+    assert np.allclose(entry_log_mgf("uniform", t[t != 0]), ref, rtol=1e-14, atol=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = entry_log_mgf("uniform", np.array([-500.0, 500.0]))
+    assert np.all(np.isfinite(far)) and np.all(far <= 500.0**2 / 2)
+    assert far == pytest.approx(858.5683423611224, rel=1e-12)
 
 
 def test_entry_unit_variance():
@@ -324,6 +355,20 @@ def test_tilted_outlier_constant(const_prof):
     rep = tilted_outlier_check(const_prof, 3.0, [1.0], N=200, samples=20, seed=0)
     assert rep["theta_star"] == pytest.approx((3 + np.sqrt(5)) / 4, abs=1e-8)
     assert abs(rep["mean_lambda1"] - 3.0) < 0.15
+
+
+@pytest.mark.parametrize("N, samples", [(0, 3), (-1, 3), (5, 0), (5, -2)])
+def test_batch_and_tilt_reject_empty_sizes(const_prof, N, samples):
+    with pytest.raises(ValueError, match="N and samples"):
+        mc.collect_batch(const_prof, N, samples)
+    with pytest.raises(ValueError, match="N and samples"):
+        tilted_outlier_check(const_prof, 3.0, [1.0], N=N, samples=samples)
+
+
+def test_batch_and_tilt_accept_one_row(const_prof):
+    assert mc.collect_batch(const_prof, 1, 2).lambda1.shape == (2,)
+    rep = tilted_outlier_check(const_prof, 3.0, [1.0], N=1, samples=2)
+    assert np.all(np.isfinite(rep["lambda1"]))
 
 
 def test_zero_tilt_sticks_to_edge(const_prof):

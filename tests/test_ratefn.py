@@ -309,6 +309,12 @@ def test_rate_wishart_positive_and_bounded(wishart2):
     assert rep.spread < 1e-8  # all feasible starts agree on this concave profile
 
 
+def test_rate_rejects_negative_starts(block_14):
+    with pytest.raises(ValueError, match="starts"):
+        rate_function(block_14, 3.5, starts=-3)
+    assert rate_function(block_14, 3.5, starts=0).starts_used == 3
+
+
 # -- Newton theta_hat and the stacked descent ------------------------------------
 
 
