@@ -13,9 +13,9 @@ it is because the seeded results of sample_matrix, collect_batch and
 tilted_outlier_check rest on it (criterion 11 passes on only 5 of seeds 0-7).
 The tail tests lambda_1 < x by a Cholesky factorization of x I - H, which
 reads only the lower triangle, so `_tril_draw` draws just that triangle,
-N(N+1)/2 variates per matrix, column by column, and the tail scales them
-straight into the Fortran-order buffer it factorizes in place: half the
-draws, and no symmetric assembly.
+N(N+1)/2 variates per matrix, column by column.  That is LAPACK's packed
+lower storage, so each draw row unpacks with one dtpttr call into the array
+dpotrf factors: half the draws, and no symmetric assembly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtpttr
 from scipy.optimize import brentq
 
 from .profiles import VarianceProfile
@@ -558,12 +558,22 @@ def tail_estimate(
     """Plain MC frequency of {lambda_1 >= x} per matrix size.
 
     A draw hits when the Cholesky factorization of x I - H fails, which it
-    does iff lambda_1 >= x; only the lower triangle is drawn (module docstring).
+    does iff lambda_1 >= x.  Only the lower triangle is drawn, in packed
+    storage (module docstring); each matrix is unpacked by dtpttr into its own
+    Fortran-order array and factored by one dpotrf call, so a chunk holds its
+    draw and one N x N array at a time.  x must be finite, samples and every
+    N at least 1.
 
     rate = -(1/N) log p_hat with a Wilson interval mapped through the same
     transform; zero hits produce a one-sided point (rate = inf, finite
     rate_lo from the interval's upper endpoint).
     """
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if any(N < 1 for N in N_list):
+        raise ValueError("every N must be >= 1")
     out = []
     n_chunks = math.ceil(samples / MC_CHUNK)
     workers = min(threads, n_chunks)
@@ -574,13 +584,11 @@ def tail_estimate(
             vals, i, j = _tril_draw(profile, N, dist, seed, ci, cnt)
             np.negative(vals, out=vals)
             vals[:, i == j] += x
-            # row r holds matrix r in Fortran order: entry (i, j) at i + N j,
-            # so row.reshape(N, N).T is an F-contiguous view LAPACK writes in place
-            buf = np.zeros((cnt, N * N))
-            buf[:, i + N * j] = vals
+            # row r is matrix r in packed lower storage (module docstring)
             hits = 0
-            for row in buf:
-                _, info = dpotrf(row.reshape(N, N).T, lower=1, overwrite_a=1)
+            for row in vals:
+                a, _ = dtpttr(N, row, uplo="L")
+                _, info = dpotrf(a, lower=1, overwrite_a=1)
                 hits += info != 0
             return hits
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wigner_ldp
 from wigner_ldp import oracles
 from wigner_ldp.cli import main
 
@@ -277,6 +282,25 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
         ])
         assert code == 0
     assert a.read_text() == b.read_text()
+
+
+def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
+    # wishart has zero diagonal blocks, so the diagonal variance target is 0;
+    # run as a process to see the exit code and stderr a user would see
+    out = tmp_path / "val.json"
+    src = str(Path(wigner_ldp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wigner_ldp.cli", "--out", str(out), "validate",
+         "--profile", prof_paths["wishart"], "--suite", "mc-light"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode in (0, 2, 3, 4)
+    assert "Traceback" not in proc.stderr
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["variance_diag"]["pass"] is True
+    assert checks["variance_diag"]["bound"] == 0.0
 
 
 @pytest.mark.parametrize(

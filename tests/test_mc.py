@@ -452,14 +452,15 @@ def _eigvalsh_hits(prof, x, N, samples, dist, seed):
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher"])
-@pytest.mark.parametrize("N", [7, 20])
+@pytest.mark.parametrize("N", [7, 20, 80])
 def test_tail_hits_match_eigvalsh(block_14, N, dist):
     # pins the lower-triangle index map: a transposed view would factor the
-    # wrong entries and miss this count
-    x, samples, seed = 3.0, 2000, 11
-    pt = tail_estimate(block_14, x, [N], samples, dist, seed=seed)[0]
-    assert 0 < pt.hits < samples
-    assert pt.hits == _eigvalsh_hits(block_14, x, N, samples, dist, seed)
+    # wrong entries and miss this count; both sample counts end in a partial chunk
+    x, seed = 3.0, 11
+    for samples in (2000, 2 * mc.MC_CHUNK + 3):
+        pt = tail_estimate(block_14, x, [N], samples, dist, seed=seed)[0]
+        assert 0 < pt.hits < samples
+        assert pt.hits == _eigvalsh_hits(block_14, x, N, samples, dist, seed)
 
 
 def test_tail_one_factorization_per_matrix(block_14, monkeypatch):
@@ -473,6 +474,38 @@ def test_tail_one_factorization_per_matrix(block_14, monkeypatch):
     monkeypatch.setattr(mc, "dpotrf", counted)
     tail_estimate(block_14, 3.0, [7, 20], 300, "gaussian", seed=1)
     assert shapes == [((7, 7), True)] * 300 + [((20, 20), True)] * 300
+
+
+@pytest.mark.parametrize("N", [1, 7, 20])
+def test_tail_draw_is_lapack_packed_lower(const_prof, N):
+    # the tail unpacks each draw row with dtpttr, which reads packed lower
+    # storage: entry (i, j), i >= j, column by column, exactly _tril_draw's order
+    vals, i, j = mc._tril_draw(const_prof, N, "gaussian", 3, 0, 5)
+    for row in vals:
+        a, info = mc.dtpttr(N, row, uplo="L")
+        assert info == 0 and a.flags.f_contiguous
+        assert np.array_equal(a[i, j], row)
+
+
+def test_tail_hits_pinned(const_prof):
+    # hit counts on the streams criterion 14 reads (its seeds, x lowered so
+    # that every N hits; 4 chunks, the last one partial): a change to the draw,
+    # the unpack or the factorization that moves a single hit shows here
+    samples = 4 * mc.MC_CHUNK + 5
+    gauss = tail_estimate(const_prof, 2.05, [20, 40, 80], samples, "gaussian", seed=20240801)
+    rad = tail_estimate(const_prof, 2.05, [40], samples, "rademacher", seed=20240802)
+    assert [pt.hits for pt in gauss] == [103, 78, 59]
+    assert [pt.hits for pt in rad] == [23]
+
+
+@pytest.mark.parametrize(
+    "x, N_list, samples, name",
+    [(float("nan"), [20], 300, "x"), (float("inf"), [20], 300, "x"), (2.2, [20], 0, "samples"),
+     (2.2, [0], 300, "N"), (2.2, [20, -1], 300, "N")],
+)
+def test_tail_rejects_bad_input(const_prof, x, N_list, samples, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        tail_estimate(const_prof, x, N_list, samples)
 
 
 def test_tail_pool_never_exceeds_chunks(const_prof, monkeypatch):
