@@ -7,6 +7,7 @@ from .profiles import (
     ContinuousProfileSpec,
     DiscretizationReport,
     ProfileConfigError,
+    UsageError,
     VarianceProfile,
     block_profile,
     constant_profile,

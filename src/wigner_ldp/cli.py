@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or config error, 3 numeric failure (including
+Exit codes: 0 success, 2 usage or config error (any argument the library
+rejects raises UsageError where it enters), 3 numeric failure (including
 failed validation checks), 4 statistically inconclusive Monte Carlo.
 
 Every file payload embeds a manifest (command, profile label, options, seed,
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__, mc, ratefn
 from .dyson import EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge
 from .mc import InconclusiveError
-from .profiles import ProfileConfigError, VarianceProfile, load_profile_file
+from .profiles import ProfileConfigError, UsageError, VarianceProfile, load_profile_file
 from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_concave
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_INCONCLUSIVE = 0, 2, 3, 4
@@ -68,17 +69,14 @@ def _floats(text: str) -> list[float]:
     return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _int_at_least(lo: int, text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < lo:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {lo}: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
     return n
-
-
-_positive_int = partial(_int_at_least, 1)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -95,16 +93,11 @@ def _load(path) -> VarianceProfile:
     return prof
 
 
-def _above_edge(prof: VarianceProfile, x: float) -> None:
-    if not x > (r := support_edge(prof)[1]):
-        raise ProfileConfigError(f"--x {x!r} must exceed the support edge r = {r!r}")
-
-
 def _mass_option(prof: VarianceProfile, values, name: str) -> np.ndarray:
     """--phi/--psi: p nonnegative masses with a positive sum; the weights when absent."""
     v = prof.weights if values is None else np.asarray(values, dtype=float)
     if v.shape != (prof.p,) or np.any(v < 0) or not v.sum() > 0:
-        raise ProfileConfigError(f"--{name} needs {prof.p} nonnegative values with a positive sum")
+        raise UsageError(f"--{name} needs {prof.p} nonnegative values with a positive sum")
     return v
 
 
@@ -128,13 +121,6 @@ def cmd_edge(args) -> int:
 
 def cmd_density(args) -> int:
     prof = _load(args.profile)
-    if args.points < 2:
-        raise ProfileConfigError("points must be >= 2")
-    if not args.xmin < args.xmax:
-        raise ProfileConfigError("xmin must be below xmax")
-    eta = np.asarray(args.eta, dtype=float)
-    if eta.size == 0 or np.any(eta <= 0) or np.any(np.diff(eta) >= 0):
-        raise ProfileConfigError("eta must be positive and strictly decreasing")
     sm = spectral_measure(prof, args.xmin, args.xmax, args.points, tuple(args.eta))
     man = _manifest(
         "density", prof.label,
@@ -221,7 +207,9 @@ def _suite_dyson(prof, seed, threads):
         b = prof.row_blocks(N)
         mN = solve_dyson_finite(prof.sigma[np.ix_(b, b)], 2j)
         sups.append(float(np.max(np.abs(mN - mref[b]))))
-    shrink = bool(sups[1] <= sups[0] and sups[2] <= sups[1])
+    # errors at the rounding level count as converged: they need not shrink
+    floor = 1e-12 * (1.0 + float(np.max(np.abs(mref))))
+    shrink = bool(np.all(np.diff(np.maximum(sups, floor)) <= 0))
     checks.append(_check("finite_N_consistency", sups[-1], sups[0], shrink, note=str(sups)))
     return checks
 
@@ -273,7 +261,7 @@ def _block_split(prof: VarianceProfile):
 def _suite_blocks(prof, seed, threads):
     split = _block_split(prof)
     if split is None:
-        raise ProfileConfigError("blocks suite needs a block-diagonal profile")
+        raise UsageError("blocks suite needs a block-diagonal profile")
     alpha, p1, p2 = split
     _, r = support_edge(prof)
     _, r1 = support_edge(p1)
@@ -384,7 +372,7 @@ _SUITES = {
 def cmd_validate(args) -> int:
     prof = _load(args.profile)
     if args.suite not in _SUITES:
-        raise ProfileConfigError(f"unknown suite {args.suite!r}; pick one of {sorted(_SUITES)}")
+        raise UsageError(f"unknown suite {args.suite!r}; pick one of {sorted(_SUITES)}")
     checks = _SUITES[args.suite](prof, args.seed, args.threads)
     man = _manifest("validate", prof.label, {"suite": args.suite}, args.seed)
     passed = all(c["pass"] for c in checks)
@@ -414,12 +402,9 @@ def cmd_mc_tail(args) -> int:
 
 def cmd_mc_spherical(args) -> int:
     prof = _load(args.profile)
-    _above_edge(prof, args.x)
-    if args.samples < mc.MIN_SPHERE_SAMPLES:
-        raise ProfileConfigError(f"samples must be >= {mc.MIN_SPHERE_SAMPLES}")
+    ref = eval_J(prof, args.x, args.theta)  # rejects a bad x or theta before any sampling
     M = mc.quantile_spectrum_matrix(prof, args.N, args.x)
     est = mc.spherical_integral_mc(M, args.theta, args.samples, args.seed)
-    ref = eval_J(prof, args.x, args.theta)
     man = _manifest(
         "mc spherical", prof.label,
         {"x": args.x, "theta": args.theta, "N": args.N, "samples": args.samples}, args.seed,
@@ -432,13 +417,13 @@ def cmd_mc_spherical(args) -> int:
 def cmd_mc_annealed(args) -> int:
     prof = _load(args.profile)
     phi = _mass_option(prof, args.phi, "phi")
+    ref = ratefn.eval_K(prof, args.theta, phi / phi.sum())  # rejects a bad theta before sampling
     try:
         est = mc.annealed_integral_mc(prof, args.theta, phi, args.delta, args.N, args.samples, args.seed)
     except InconclusiveError as e:
         man = _manifest("mc annealed", prof.label, {"theta": args.theta, "delta": args.delta}, args.seed)
         _emit(_json_payload(man, {"error": str(e)}), args.out)
         return EXIT_INCONCLUSIVE
-    ref = ratefn.eval_K(prof, args.theta, phi / phi.sum())
     man = _manifest(
         "mc annealed", prof.label,
         {"theta": args.theta, "phi": phi.tolist(), "delta": args.delta, "N": args.N,
@@ -451,7 +436,6 @@ def cmd_mc_annealed(args) -> int:
 
 def cmd_mc_tilt(args) -> int:
     prof = _load(args.profile)
-    _above_edge(prof, args.x)
     psi = _mass_option(prof, args.psi, "psi")
     rep = mc.tilted_outlier_check(prof, args.x, psi / psi.sum(), args.N, args.samples, args.seed)
     man = _manifest(
@@ -538,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", parents=[prof], help="rate function at one or more x")
     p.add_argument("--x", type=_floats, required=True)
-    p.add_argument("--starts", type=partial(_int_at_least, 0), default=8)
+    p.add_argument("--starts", type=int, default=8)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(fn=cmd_rate)
 
@@ -598,8 +582,8 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         code = args.fn(args)
-    except ProfileConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveError as e:
         print(f"inconclusive: {e}", file=sys.stderr)

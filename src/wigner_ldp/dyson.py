@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .profiles import VarianceProfile
+from .profiles import UsageError, VarianceProfile
 
 DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 STEP_TOL = 1e-13          # hyperbolic distance between successive iterates
@@ -341,25 +341,20 @@ class DysonSolution:
         )
 
 
-def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
+def solve_dyson(profile: VarianceProfile, z) -> DysonSolution:
     """Solve the block Dyson system at a spectral parameter z.
 
-    Im z > 0 is a batch of one for the complex solve: started from init
-    when given, otherwise descended down the Im z ladder (`_descend`), which
-    for Im z >= 0.25 is one solve from 1/z; iterations is its sweep count,
-    summed over the rungs.  Real z is accepted when it lies above the support
-    edge and is solved by the real-axis Newton from m = 1/z; at or below the
-    edge this raises ConvergenceError.
+    Im z > 0 is a batch of one for the complex solve, descended down the Im z
+    ladder (`_descend`), which for Im z >= 0.25 is one solve from 1/z;
+    iterations is its sweep count, summed over the rungs.  Real z is accepted
+    when it lies above the support edge and is solved by the real-axis Newton
+    from m = 1/z; at or below the edge this raises ConvergenceError.
     """
     z = complex(z)
     if z.imag < 0:
-        raise ValueError("solve_dyson needs Im z >= 0")
+        raise UsageError("solve_dyson needs Im z >= 0")
     if z.imag > 0:
-        if init is None:
-            m, its = _descend(profile, np.array([z.real]), z.imag)
-        else:
-            m0 = np.asarray(init, dtype=complex)[None, :]
-            m, its = _solve_complex_many(profile, np.array([z]), m0)
+        m, its = _descend(profile, np.array([z.real]), z.imag)
         mc, it = m[0], int(its[0])
         if np.isnan(mc).any():
             raise ConvergenceError(f"Dyson iteration did not converge at z={z}")
@@ -380,13 +375,13 @@ def solve_dyson(profile: VarianceProfile, z, init=None) -> DysonSolution:
 def solve_dyson_finite(SigmaN: np.ndarray, z) -> np.ndarray:
     """m at Im z > 0 of the size-N system 1/m_i = z - (1/N) sum_j Sigma_ij m_j:
     `_solve_complex_many` from m = 1/z on the N-block profile with weights
-    1/N and sigma = SigmaN, which must be a valid profile (ValueError)."""
+    1/N and sigma = SigmaN, which must be a valid profile (UsageError)."""
     S = np.asarray(SigmaN, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("SigmaN must be square")
+        raise UsageError("SigmaN must be square")
     z = complex(z)
     if z.imag <= 0:
-        raise ValueError("solve_dyson_finite needs Im z > 0")
+        raise UsageError("solve_dyson_finite needs Im z > 0")
     n = S.shape[0]
     m, _ = _solve_complex_many(VarianceProfile(np.full(n, 1.0 / n), S), np.array([z]))
     if np.isnan(m[0]).any():
@@ -394,11 +389,17 @@ def solve_dyson_finite(SigmaN: np.ndarray, z) -> np.ndarray:
     return m[0]
 
 
-def stieltjes_total(profile: VarianceProfile, x: float) -> float:
-    """G(x) = sum_k w_k m_k(x) for real x above the support edge."""
+def require_above_edge(profile: VarianceProfile, x: float) -> None:
+    """UsageError unless x lies above the support edge r, where the real-axis
+    quantities (G, the log potential and the rate's ingredients) are defined."""
     _, r = support_edge(profile)
     if not x > r:
-        raise ValueError(f"stieltjes_total needs x > r_edge = {r:.9g}")
+        raise UsageError(f"x={x!r} must exceed the support edge r={r!r}")
+
+
+def stieltjes_total(profile: VarianceProfile, x: float) -> float:
+    """G(x) = sum_k w_k m_k(x) for real x above the support edge."""
+    require_above_edge(profile, x)
     return float(profile.weights @ _solve_real(profile, x))
 
 
@@ -412,11 +413,11 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     from the tail-series root v0 = 1/two_theta + a two_theta of
     G(v) ~ 1/v + a/v^3 and m(v0).  Every row is relative, so one stopping
     test serves every two_theta, and the Jacobian stays regular at the edge.
-    ConvergenceError unless v > r_edge and m passes `_on_branch`; ValueError
-    unless 0 < two_theta < G(r_edge + 1e-9 (1 + A)).
+    ConvergenceError unless v > r_edge and m passes `_on_branch`; UsageError
+    unless two_theta > 0, ValueError unless two_theta < G(r_edge + 1e-9 (1 + A)).
     """
     if two_theta <= 0:
-        raise ValueError("two_theta must be positive")
+        raise UsageError("two_theta must be positive")
     _, r = support_edge(profile)
     lo = r + 1e-9 * (1.0 + profile.max_sigma)
     g_lo = float(profile.weights @ _solve_real(profile, lo))
@@ -596,14 +597,15 @@ def spectral_measure(
     the extrapolation oscillates (atoms, edges) are flagged.
     """
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
-        raise ValueError("x_min and x_max must be finite")
+        raise UsageError("x_min and x_max must be finite")
     if not x_min < x_max:
-        raise ValueError("x_min must be below x_max")
+        raise UsageError("x_min must be below x_max")
     if points < 2:
-        raise ValueError("points must be >= 2")
+        raise UsageError("points must be >= 2")
     etas = np.asarray(eta_schedule, dtype=float)
-    if np.any(etas <= 0) or np.any(np.diff(etas) >= 0):
-        raise ValueError("eta_schedule must be positive and decreasing")
+    if not (etas.ndim == 1 and etas.size and np.all(np.isfinite(etas) & (etas > 0))
+            and np.all(np.diff(etas) < 0)):
+        raise UsageError("eta_schedule must be nonempty, finite, positive and strictly decreasing")
     grid = np.linspace(x_min, x_max, points)
     vals = np.empty((etas.size, points, profile.p), dtype=complex)
     vals[0], _ = _descend(profile, grid, etas[0])
@@ -651,9 +653,7 @@ def log_potential(profile: VarianceProfile, x: float) -> float:
     (w m), so by the envelope theorem dL/dx = sum_k w_k m_k = G(x), and
     L(x) = log x + O(x^-2) at infinity, as for the log potential; an error
     in m moves L only at second order."""
-    _, r = support_edge(profile)
-    if not x > r:
-        raise ValueError(f"log_potential needs x > r_edge = {r:.9g}")
+    require_above_edge(profile, x)
     m = _solve_real(profile, x)
     g = profile.weights * m
     return float((x * g.sum() - 1.0) - profile.weights @ np.log(m) - 0.5 * (g @ profile.sigma @ g))

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtpttr
 from scipy.optimize import brentq
 
-from .profiles import VarianceProfile
+from .profiles import UsageError, VarianceProfile
 from .ratefn import eval_phi, find_tilt_theta
 
 ENTRY_KINDS = ("gaussian", "rademacher", "uniform")
@@ -52,7 +52,7 @@ def _draw(rng, shape, dist: str):
         return rng.integers(0, 2, size=shape) * 2.0 - 1.0
     if dist == "uniform":
         return rng.uniform(-_SQRT3, _SQRT3, size=shape)
-    raise ValueError(f"unknown entry distribution {dist!r}; pick one of {ENTRY_KINDS}")
+    raise UsageError(f"unknown entry distribution {dist!r}; pick one of {ENTRY_KINDS}")
 
 
 def entry_log_mgf(dist: str, t):
@@ -68,7 +68,7 @@ def entry_log_mgf(dist: str, t):
         mid, big = np.clip(a, 1e-8, 20.0), np.maximum(a, 20.0)
         far = big - np.log(2.0 * big) + np.log1p(-np.exp(-2.0 * big))
         return np.where(a <= 1e-8, a * a / 6.0, np.where(a > 20.0, far, np.log(np.sinh(mid) / mid)))
-    raise ValueError(f"unknown entry distribution {dist!r}")
+    raise UsageError(f"unknown entry distribution {dist!r}")
 
 
 def _entry_sd(profile: VarianceProfile, N: int) -> np.ndarray:
@@ -95,7 +95,7 @@ def sample_matrix(profile: VarianceProfile, N: int, dist: str = "gaussian", seed
     seed is anything numpy's default_rng accepts (an int or a derivation list).
     """
     if N < 2:
-        raise ValueError("N must be >= 2")
+        raise UsageError("N must be >= 2")
     _, H = next(_matrices(profile, N, dist, [seed]))
     return H
 
@@ -115,11 +115,11 @@ def _tril_draw(profile: VarianceProfile, N: int, dist: str, seed, chunk_index: i
 
 def _check_symmetric(H: np.ndarray) -> None:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("matrix must be square")
+        raise UsageError("matrix must be square")
     if not np.all(np.isfinite(H)):
-        raise ValueError("matrix must be finite")
+        raise UsageError("matrix must be finite")
     if not np.allclose(H, H.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
+        raise UsageError("matrix must be symmetric")
 
 
 def eig_top(matrix: np.ndarray):
@@ -206,7 +206,7 @@ def wasserstein1(m1, m2) -> float:
     Accepts DiscreteMeasure or DensityMeasure on either side.
     """
     if abs(m1.total_mass - m2.total_mass) > 1e-6:
-        raise ValueError(
+        raise UsageError(
             f"measure masses differ: {m1.total_mass:.8g} vs {m2.total_mass:.8g}"
         )
     breaks = []
@@ -244,8 +244,9 @@ class MCEstimate:
     extra: dict = field(default_factory=dict)
 
 
-def _jackknife_logmean(vals: np.ndarray, n_total: int, groups: int = 10):
-    """(1/N-free) log-mean with jackknife stderr over index groups."""
+def _jackknife_logmean(vals: np.ndarray, n_total: int):
+    """(1/N-free) log-mean with jackknife stderr over 10 index groups."""
+    groups = 10
     m = vals.max()
     full = m + np.log(np.sum(np.exp(vals - m))) - np.log(n_total)
     parts = []
@@ -328,11 +329,11 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
     ESS_FLOOR raises a RuntimeWarning, as the stderr is then unreliable.
     """
     if samples < MIN_SPHERE_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SPHERE_SAMPLES}")
+        raise UsageError(f"samples must be >= {MIN_SPHERE_SAMPLES}")
     M = np.asarray(matrix, dtype=float)
     _check_symmetric(M)
     if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+        raise UsageError("theta must be finite")
     N = M.shape[0]
     sign = -1.0 if theta < 0 else 1.0
     lam = sign * np.linalg.eigvalsh(M)
@@ -387,6 +388,8 @@ def annealed_integral_mc(
     The window keeps rho(u) within sup-distance delta of phi_target; an empty
     window raises InconclusiveError.
     """
+    if N < 1 or samples < 1:
+        raise UsageError("N and samples must be >= 1")
     phi = np.asarray(getattr(phi_target, "values", phi_target), dtype=float)
     sig = profile.sigma
     vals = np.empty(samples)
@@ -409,6 +412,8 @@ def annealed_integral_mc(
 def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed: int = 0) -> dict:
     """Moments of rho(u) over the uniform sphere against the Dirichlet law
     with parameters (#I_k / 2); returns the largest absolute deviations."""
+    if N < 1 or samples < 1:
+        raise UsageError("N and samples must be >= 1")
     b = profile.row_blocks(N)
     counts = np.bincount(b, minlength=profile.p).astype(float)
     a = counts / 2.0
@@ -441,26 +446,21 @@ def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed
 
 
 def tilted_outlier_check(
-    profile: VarianceProfile,
-    x: float,
-    psi,
-    N: int,
-    samples: int,
-    seed: int = 0,
-    dist: str = "gaussian",
+    profile: VarianceProfile, x: float, psi, N: int, samples: int, seed: int = 0
 ) -> dict:
-    """Sample H + 2 theta* E with E = Sigma o v v^T and v profiled by
-    phi(theta*) from the Gaussian g drawn after H; reports how the top
+    """Sample H + 2 theta* E with Gaussian H, E = Sigma o v v^T and v profiled
+    by phi(theta*) from the Gaussian g drawn after H; reports how the top
     eigenvalue tracks the target x."""
     if N < 1 or samples < 1:
-        raise ValueError("N and samples must be >= 1")
+        raise UsageError("N and samples must be >= 1")
     theta = find_tilt_theta(profile, x, psi)
     phi = eval_phi(profile, theta, x, psi).values
     b = profile.row_blocks(N)
     S_full = profile.sigma[np.ix_(b, b)]
     lam1 = np.empty(samples)
     prof_gap = np.empty(samples)
-    for i, (rng, H) in enumerate(_matrices(profile, N, dist, ([seed, i] for i in range(samples)))):
+    seeds = ([seed, i] for i in range(samples))
+    for i, (rng, H) in enumerate(_matrices(profile, N, "gaussian", seeds)):
         g = rng.standard_normal(N)
         v = np.sqrt(phi)[b] * g / np.sqrt(_block_sums(g * g, profile))[b]
         H += 2.0 * theta * S_full * np.outer(v, v)
@@ -504,7 +504,7 @@ def collect_batch(
 ) -> SampleBatch:
     """Sample matrices one per derived seed [seed, i] and collect top-eigenvalue data."""
     if N < 1 or samples < 1:
-        raise ValueError("N and samples must be >= 1")
+        raise UsageError("N and samples must be >= 1")
     lam1 = np.empty(samples)
     rho = np.empty((samples, profile.p))
     agg_atoms, agg_weights = [], []
@@ -523,11 +523,11 @@ def collect_batch(
     )
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
-        raise ValueError("n must be positive")
-    ph = hits / n
+        raise UsageError("n must be positive")
+    ph, z = hits / n, 1.96
     den = 1.0 + z * z / n
     center = (ph + z * z / (2 * n)) / den
     half = z * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / den
@@ -569,11 +569,11 @@ def tail_estimate(
     rate_lo from the interval's upper endpoint).
     """
     if not math.isfinite(x):
-        raise ValueError("x must be finite")
+        raise UsageError("x must be finite")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise UsageError("samples must be >= 1")
     if any(N < 1 for N in N_list):
-        raise ValueError("every N must be >= 1")
+        raise UsageError("every N must be >= 1")
     out = []
     n_chunks = math.ceil(samples / MC_CHUNK)
     workers = min(threads, n_chunks)

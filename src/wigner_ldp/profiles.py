@@ -10,7 +10,7 @@ block form by cell averaging.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,11 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-9
 
 
-class ProfileConfigError(ValueError):
+class UsageError(ValueError):
+    """An argument the library rejects: raised where the argument enters."""
+
+
+class ProfileConfigError(UsageError):
     """Raised when a profile config violates the schema."""
 
 
@@ -119,7 +123,6 @@ class ContinuousProfileSpec:
     """
 
     grid: np.ndarray
-    params: dict = field(default_factory=dict)
     label: str = ""
 
     def __post_init__(self):
@@ -158,10 +161,10 @@ def discretize(spec: ContinuousProfileSpec, p: int):
     largest gap between a sample and its cell average.
     """
     if p < 1:
-        raise ValueError("p must be >= 1")
+        raise UsageError("p must be >= 1")
     n = spec.resolution
     if p > n:
-        raise ValueError(f"p={p} exceeds grid resolution {n}")
+        raise UsageError(f"p={p} exceeds grid resolution {n}")
     t = (np.arange(n) + 0.5) / n
     blocks = np.minimum((t * p).astype(int), p - 1)
     sigma = np.zeros((p, p))
@@ -181,7 +184,7 @@ def sigma_quadratic_form(profile: VarianceProfile, phi, psi) -> float:
     a = _as_vector(phi)
     b = _as_vector(psi)
     if a.shape != (profile.p,) or b.shape != (profile.p,):
-        raise ValueError("mass vectors must match the profile partition")
+        raise UsageError("mass vectors must match the profile partition")
     return float(a @ profile.sigma @ b)
 
 

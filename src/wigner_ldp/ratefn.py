@@ -30,10 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyson import _rows_matvec, _solve_real, log_potential, stieltjes_inverse, support_edge
-from .profiles import VarianceProfile
+from .dyson import (
+    _rows_matvec, _solve_real, log_potential, require_above_edge, stieltjes_inverse, support_edge,
+)
+from .profiles import UsageError, VarianceProfile
 
 _SEAM_TOL = 1e-12  # evaluate J from the 2 theta >= G(x) side inside this
+_EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
 
 # ---------------------------------------------------------------------------
 # simplex plumbing
@@ -49,11 +52,11 @@ class SimplexVector:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
         if v.ndim != 1 or v.size == 0:
-            raise ValueError("simplex vector must be 1-d and nonempty")
+            raise UsageError("simplex vector must be 1-d and nonempty")
         if np.any(v < 0):
-            raise ValueError("simplex vector entries must be nonnegative")
+            raise UsageError("simplex vector entries must be nonnegative")
         if abs(v.sum() - 1.0) > 1e-12:
-            raise ValueError(f"simplex vector sums to {v.sum():.15g}, expected 1")
+            raise UsageError(f"simplex vector sums to {v.sum():.15g}, expected 1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -71,9 +74,9 @@ class SimplexVector:
 def _mass_vector(psi, p: int) -> np.ndarray:
     v = np.asarray(getattr(psi, "values", psi), dtype=float)
     if v.shape != (p,):
-        raise ValueError(f"expected a mass vector of length {p}")
+        raise UsageError(f"expected a mass vector of length {p}")
     if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
-        raise ValueError("mass vector must be nonnegative and sum to 1")
+        raise UsageError("mass vector must be nonnegative and sum to 1")
     return np.clip(v, 0.0, None)
 
 
@@ -106,12 +109,6 @@ def _ctx(profile: VarianceProfile, x: float):
     return m, float(profile.weights @ m)
 
 
-def _require_above_edge(profile, x):
-    _, r = support_edge(profile)
-    if not x > r:
-        raise ValueError(f"x={x:.9g} must exceed the support edge r={r:.9g}")
-
-
 # ---------------------------------------------------------------------------
 # building blocks J, phi, K, F, Fhat
 # ---------------------------------------------------------------------------
@@ -124,9 +121,9 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     Otherwise x is replaced by v = G^{-1}(2 theta) > x.  theta = 0 returns
     the limit value 0.
     """
-    _require_above_edge(profile, x)
+    require_above_edge(profile, x)
     if theta < 0:
-        raise ValueError("theta must be nonnegative")
+        raise UsageError("theta must be nonnegative")
     if theta == 0.0:
         return 0.0
     _, G = _ctx(profile, x)
@@ -144,9 +141,9 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
 
 def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVector:
     """Mass vector phi(theta, x, psi) of the tilted eigenvector profile."""
-    _require_above_edge(profile, x)
+    require_above_edge(profile, x)
     if theta <= 0:
-        raise ValueError("theta must be positive")
+        raise UsageError("theta must be positive")
     psi = _mass_vector(psi, profile.p)
     m_x, G = _ctx(profile, x)
     if 2.0 * theta >= G - _SEAM_TOL:
@@ -163,10 +160,10 @@ def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVe
 def eval_K(profile: VarianceProfile, theta: float, phi) -> float:
     """Annealed-integral limit K(theta, phi); -inf when the entropy diverges."""
     if theta < 0:
-        raise ValueError("theta must be nonnegative")
+        raise UsageError("theta must be nonnegative")
     v = np.asarray(getattr(phi, "values", phi), dtype=float)
     if v.shape != (profile.p,):
-        raise ValueError("phi has the wrong length")
+        raise UsageError("phi has the wrong length")
     w = profile.weights
     if np.any(v[w > 0] <= 0.0):
         return -np.inf
@@ -180,16 +177,16 @@ def eval_F(profile: VarianceProfile, theta: float, x: float, psi) -> float:
     Vanishes identically for theta <= G(x)/2.
     """
     if theta == 0.0:
-        _require_above_edge(profile, x)
+        require_above_edge(profile, x)
         return 0.0
     return eval_J(profile, x, theta) - eval_K(profile, theta, eval_phi(profile, theta, x, psi))
 
 
 def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> float:
     """Shifted objective; equals eval_F(theta_hat + G(x)/2, x, psi)."""
-    _require_above_edge(profile, x)
+    require_above_edge(profile, x)
     if theta_hat < 0:
-        raise ValueError("theta_hat must be nonnegative")
+        raise UsageError("theta_hat must be nonnegative")
     u, lin, a = _fhat_parts(profile, _solve_real(profile, x), _mass_vector(psi, profile.p)[None])
     return float(_fhat(profile.weights, u, lin, a, np.array([float(theta_hat)]))[0])
 
@@ -255,7 +252,7 @@ def sup_theta(profile: VarianceProfile, x: float, psi):
     A zero quadratic form makes the supremum infinite (the linear term always
     has positive coefficient for a mass vector), reported as (inf, inf).
     """
-    _require_above_edge(profile, x)
+    require_above_edge(profile, x)
     m, G = _ctx(profile, x)
     val, th = _sup_fhat(profile, m, _mass_vector(psi, profile.p)[None], 0.0)
     if np.isinf(val[0]):
@@ -352,7 +349,7 @@ def _descend_simplex(f, grad, psi, max_iter, min_gain):
     return psi, val, aux, its
 
 
-def _minimize_from(profile, x, starts, eps_floor, tol, max_iter=400):
+def _minimize_from(profile, x, starts, eps_floor, tol):
     """Projected-gradient descent of psi -> sup_theta Fhat from every row of
     starts at once; returns (psi, value, theta_hat, iterations) per row, with
     value inf on rows whose start is degenerate (a <= eps_floor)."""
@@ -360,7 +357,7 @@ def _minimize_from(profile, x, starts, eps_floor, tol, max_iter=400):
     return _descend_simplex(
         lambda psi, _: _sup_fhat(profile, m, psi, eps_floor),
         lambda psi, th, _: _fhat_grad(profile, m, th, psi),
-        project_simplex(starts), max_iter, tol * 1e-3,
+        project_simplex(starts), 400, tol * 1e-3,
     )
 
 
@@ -368,7 +365,6 @@ def rate_function(
     profile: VarianceProfile,
     x: float,
     starts: int = 8,
-    eps_floor: float = 1e-8,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> RateEvalReport:
@@ -376,12 +372,12 @@ def rate_function(
 
     Infinite below the support edge, zero at it.  Above it the value is the
     best of a multi-start projected-gradient minimization of the tilt
-    envelope over mass vectors kept off the degenerate set by eps_floor, all
+    envelope over mass vectors kept off the degenerate set by _EPS_FLOOR, all
     starts descending together as rows; the spread across converged starts
     is reported rather than hidden.
     """
     if starts < 0:
-        raise ValueError("starts must be >= 0")
+        raise UsageError("starts must be >= 0")
     _, r = support_edge(profile)
     edge_tol = 1e-9 * (1.0 + profile.max_sigma)
     if x <= r + edge_tol:
@@ -392,10 +388,10 @@ def rate_function(
             diagnostics={"note": "below support edge" if below else "at support edge"},
         )
     start_rows = _default_starts(profile, starts, seed)
-    psi, vals, th, its = _minimize_from(profile, x, start_rows, eps_floor, tol)
+    psi, vals, th, its = _minimize_from(profile, x, start_rows, _EPS_FLOOR, tol)
     conv = np.flatnonzero(np.isfinite(vals))
     if conv.size == 0:
-        raise ValueError("no feasible start: quadratic form below eps_floor everywhere")
+        raise ValueError(f"no feasible start: <psi, S psi> <= {_EPS_FLOOR} at every start")
     best = conv[np.argmin(vals[conv])]  # the first start among equal values
     _, G = _ctx(profile, x)
     return RateEvalReport(
@@ -418,15 +414,15 @@ def rate_function(
 # ---------------------------------------------------------------------------
 
 
-def _tangent_concave(profile: VarianceProfile, tol=1e-10) -> bool:
+def _tangent_concave(profile: VarianceProfile) -> bool:
     p = profile.p
     P = np.eye(p) - np.full((p, p), 1.0 / p)
     M = P @ profile.sigma @ P
     ev = np.linalg.eigvalsh((M + M.T) / 2.0)
-    return bool(ev.max() <= tol * max(1.0, profile.max_sigma))
+    return bool(ev.max() <= 1e-10 * max(1.0, profile.max_sigma))
 
 
-def _sup_K_over_psi(profile, thetas, x, iters=300):
+def _sup_K_over_psi(profile, thetas, x):
     """sup over psi of K(theta, phi(theta, x, psi)) per theta of thetas, as the
     rows of one projected-gradient ascent; K is concave in psi on concave profiles."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -449,7 +445,7 @@ def _sup_K_over_psi(profile, thetas, x, iters=300):
         phi = c[i] + beta[i, None] * psi
         return -(beta[i, None] * (2.0 * th[i, None] ** 2 * _rows_matvec(sig, phi) + 0.5 * w / phi))
 
-    out[~flat] = -_descend_simplex(minus_K, minus_grad, np.tile(w, (th.size, 1)), iters, 0.0)[1]
+    out[~flat] = -_descend_simplex(minus_K, minus_grad, np.tile(w, (th.size, 1)), 300, 0.0)[1]
     return out
 
 
@@ -489,8 +485,8 @@ def rate_function_concave(profile: VarianceProfile, x: float) -> float:
     tangent space); must agree with rate_function on such profiles.
     """
     if not _tangent_concave(profile):
-        raise ValueError("profile is not concave on the simplex tangent space")
-    _require_above_edge(profile, x)
+        raise UsageError("profile is not concave on the simplex tangent space")
+    require_above_edge(profile, x)
     _, G = _ctx(profile, x)
 
     def value(th_hat):  # J - sup K at each shifted tilt strength of th_hat
@@ -522,7 +518,7 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
     eigenvalue: 2 theta lambda_max(sqrt(D) S sqrt(D)) = 1 with
     D = diag(m_k(z) phi(theta)_k).  Returns r_edge when no solution exists."""
     if theta <= 0:
-        raise ValueError("theta must be positive")
+        raise UsageError("theta must be positive")
     _, r = support_edge(profile)
     phi = eval_phi(profile, theta, x, psi).values
     z_lo = r + 1e-9 * (1.0 + profile.max_sigma)
@@ -546,10 +542,10 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
 
 def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:
     """The tilt strength whose outlier sits exactly at x (nu(theta) = 1)."""
-    _require_above_edge(profile, x)
+    require_above_edge(profile, x)
     psi_arr = _mass_vector(psi, profile.p)
     if float(psi_arr @ profile.sigma @ psi_arr) <= 0.0:
-        raise ValueError("find_tilt_theta needs <psi, S psi> > 0")
+        raise UsageError("find_tilt_theta needs <psi, S psi> > 0")
     m_x, _ = _ctx(profile, x)
 
     def nu(theta):

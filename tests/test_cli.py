@@ -8,18 +8,34 @@ import numpy as np
 import pytest
 
 import wigner_ldp
-from wigner_ldp import oracles
+from wigner_ldp import mc, oracles
 from wigner_ldp.cli import main
+from wigner_ldp.dyson import log_potential, spectral_measure, stieltjes_total, support_edge
+from wigner_ldp.profiles import (
+    ContinuousProfileSpec, ProfileConfigError, UsageError, block_profile, constant_profile,
+    discretize, load_profile_file, sigma_quadratic_form, wishart_profile,
+)
+from wigner_ldp.ratefn import (
+    SimplexVector, eval_J, eval_K, eval_phi, find_tilt_theta, rate_function,
+    rate_function_concave,
+)
 
 
 @pytest.fixture(scope="module")
 def prof_paths(tmp_path_factory):
     d = tmp_path_factory.mktemp("profiles")
+    t = (np.arange(32) + 0.5) / 32
+    s, u = np.meshgrid(t, t, indexing="ij")
+    np.savetxt(d / "sigma.txt", 1 + 2 * np.exp(-4 * (s - u) ** 2) + s * u)
     paths = {}
     for name, cfg in {
         "constant": {"kind": "constant"},
         "wishart": {"kind": "wishart", "alpha": 2.0},
         "block": {"kind": "block", "alpha": 0.5, "sigma1": 1.0, "sigma2": 4.0},
+        "grid8": {"kind": "grid", "file": "sigma.txt", "p": 8},
+        # the small block gets no row at N <= 8
+        "light": {"kind": "piecewise_constant", "weights": [0.05, 0.95],
+                  "sigma": [[1.0, 0.5], [0.5, 2.0]]},
     }.items():
         p = d / f"{name}.json"
         p.write_text(json.dumps(cfg))
@@ -330,14 +346,29 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
          "--samples", "300"],
         ["--threads", "-1", "mc", "tail", "--profile", "constant", "--x", "2.2", "--N", "20",
          "--samples", "300"],
+        ["mc", "tilt", "--profile", "wishart", "--x", "3.0", "--N", "40", "--samples", "2",
+         "--psi", "1,0"],
+        ["mc", "annealed", "--profile", "constant", "--theta", "-0.5", "--N", "40",
+         "--samples", "2000"],
+        ["mc", "spherical", "--profile", "constant", "--x", "3.0", "--theta", "-0.3", "--N", "40",
+         "--samples", "2000"],
+        ["validate", "--profile", "block", "--suite", "wishart"],
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
          "rate-x-nan", "rate-starts-negative", "rate-tol-zero", "rate-tol-negative",
-         "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero", "threads-negative"],
+         "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero", "threads-negative",
+         "tilt-psi-zero-form", "annealed-theta-negative", "spherical-theta-negative",
+         "wishart-suite-not-concave"],
 )
-def test_bad_numeric_options_exit_2(prof_paths, argv):
-    argv = [prof_paths.get(a, a) for a in argv]
+def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
+    # an argument error is rejected before any matrix or sphere is drawn
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the argument was rejected")
+
+    for name in ("_matrices", "_tril_draw", "_sphere_draws"):
+        monkeypatch.setattr(mc, name, no_sampling)
+    argv = [prof_paths[a] if prev == "--profile" else a for prev, a in zip([None, *argv], argv)]
     assert _exit_code(argv) == 2
 
 
@@ -349,3 +380,81 @@ def test_rate_zero_starts_runs_the_deterministic_starts(prof_paths, tmp_path):
     d = json.loads(out.read_text())
     assert d["manifest"]["options"]["starts"] == 0
     assert d["reports"][0]["starts_used"] == 3  # the weights and one vertex per block
+
+
+@pytest.mark.parametrize("name", ["constant", "wishart", "block", "light"])
+def test_validate_dyson_accepts_rounding_level_errors(prof_paths, tmp_path, name):
+    # on constant, block and light the finite-N errors are 0 or ~1e-16 and need
+    # not shrink; wishart's 6.8e-4 -> 3.4e-4 -> 1.7e-4 must
+    out = tmp_path / "val.json"
+    code = main(["--out", str(out), "validate", "--profile", prof_paths[name], "--suite", "dyson"])
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["finite_N_consistency"]["pass"] is True
+    assert code == 0
+
+
+def _grid_commands(x):
+    suites = [["validate", "--suite", s]
+              for s in ("dyson", "identities", "blocks", "wishart", "mc-light")]
+    return [
+        ["edge"],
+        ["density", "--xmin", "-4", "--xmax", "4", "--points", "41"],
+        ["rate", "--x", x, "--starts", "2"],
+        *suites,
+        ["mc", "tail", "--x", x, "--N", "8,12", "--samples", "300"],
+        ["mc", "spherical", "--x", x, "--theta", "0.3", "--N", "20", "--samples", "1000"],
+        ["mc", "annealed", "--theta", "0.4", "--N", "20", "--samples", "500", "--delta", "0.3"],
+        ["mc", "tilt", "--x", x, "--N", "12", "--samples", "3"],
+        ["mc", "dirichlet", "--N", "8", "--samples", "500"],
+        ["mc", "batch", "--N", "8", "--samples", "4"],
+    ]
+
+
+@pytest.mark.parametrize("name", ["constant", "wishart", "block", "grid8", "light"])
+def test_exit_code_grid(prof_paths, tmp_path, name):
+    # every subcommand and every suite but mc-heavy (its sizes are fixed inside)
+    path = prof_paths[name]
+    x = repr(support_edge(load_profile_file(path))[1] + 0.5)
+    for i, cmd in enumerate(_grid_commands(x)):
+        head = cmd[:2] if cmd[0] == "mc" else cmd[:1]
+        argv = ["--seed", "3", "--out", str(tmp_path / f"{i}.out"), *head, "--profile", path,
+                *cmd[len(head):]]
+        assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+def test_usage_error_is_the_one_argument_error():
+    assert issubclass(UsageError, ValueError) and issubclass(ProfileConfigError, UsageError)
+    assert wigner_ldp.UsageError is UsageError
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spectral_measure(constant_profile(), 1.0, -1.0, 5),
+        lambda: spectral_measure(constant_profile(), -1.0, 1.0, 1),
+        lambda: spectral_measure(constant_profile(), -1.0, 1.0, 5, ()),
+        lambda: stieltjes_total(constant_profile(), 1.9),
+        lambda: log_potential(constant_profile(), 2.0),
+        lambda: eval_J(constant_profile(), 3.0, -0.1),
+        lambda: eval_J(constant_profile(), 1.0, 0.3),
+        lambda: eval_phi(constant_profile(), 0.0, 3.0, [1.0]),
+        lambda: eval_K(constant_profile(), -0.1, [1.0]),
+        lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]),
+        lambda: rate_function(constant_profile(), 3.0, starts=-1),
+        lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
+        lambda: find_tilt_theta(wishart_profile(2.0), 3.0, [1.0, 0.0]),
+        lambda: SimplexVector([0.5, 0.6]),
+        lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 0),
+        lambda: mc.collect_batch(constant_profile(), 0, 3),
+        lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 0),
+        lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 0),
+        lambda: mc.profile_dirichlet_check(constant_profile(), 0, 10),
+        lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 999),
+        lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000),
+        lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 5),
+        lambda: sigma_quadratic_form(constant_profile(), [1.0, 0.0], [1.0]),
+    ],
+)
+def test_library_argument_checks_raise_usage_error(call):
+    with pytest.raises(UsageError):
+        call()

@@ -20,7 +20,7 @@ from wigner_ldp.dyson import (
     stieltjes_total,
     support_edge,
 )
-from wigner_ldp.profiles import VarianceProfile
+from wigner_ldp.profiles import UsageError, VarianceProfile
 
 from conftest import random_profile, split_block
 
@@ -254,6 +254,12 @@ def test_spectral_measure_validates_args(const_prof):
     for x_min, x_max in ((-2.0, np.inf), (np.nan, 2.0), (-np.inf, 2.0)):
         with pytest.raises(ValueError):
             spectral_measure(const_prof, x_min, x_max, 100)
+
+
+@pytest.mark.parametrize("etas", [(), (np.nan,), (np.inf, 1e-2), (1e-2, np.nan)])
+def test_spectral_measure_rejects_empty_or_non_finite_eta(const_prof, etas):
+    with pytest.raises(UsageError, match="eta_schedule"):
+        spectral_measure(const_prof, -1.0, 1.0, 5, etas)
 
 
 def test_spectral_measure_csv(const_prof):
