@@ -4,10 +4,11 @@ Exit codes: 0 success, 2 usage or config error (any argument the library
 rejects raises UsageError where it enters), 3 numeric failure (including
 failed validation checks), 4 statistically inconclusive Monte Carlo.
 
-Every file payload embeds a manifest (command, profile label, options, seed,
-version).  Wall time goes to stderr only, and the thread count is excluded
-from the manifest, so equal-seed reruns produce byte-identical payloads
-regardless of thread count.
+Each command computes and returns (exit code, JSON body, CSV table or None);
+`_run` loads the profile, builds the manifest (command, profile label, the
+command's parsed options, seed, version) and writes the payload.  Wall time
+goes to stderr only, and the thread count is excluded from the manifest, so
+equal-seed reruns produce byte-identical payloads regardless of thread count.
 """
 
 from __future__ import annotations
@@ -28,28 +29,10 @@ from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_con
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_INCONCLUSIVE = 0, 2, 3, 4
 
-
-def _manifest(command: str, profile_label: str, options: dict, seed) -> dict:
-    opts = {k: v for k, v in sorted(options.items()) if k not in ("threads", "out", "format")}
-    return {
-        "command": command,
-        "profile": profile_label,
-        "options": opts,
-        "seed": seed,
-        "version": __version__,
-    }
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json_payload(manifest: dict, body: dict) -> str:
-    return json.dumps({"manifest": manifest, **body}, sort_keys=True, indent=1) + "\n"
+# parsed arguments that are not options of the command: they stay out of the manifest
+_NOT_OPTIONS = frozenset(
+    ("command", "mc_command", "fn", "profile", "seed", "threads", "out", "format")
+)
 
 
 def _finite_float(text: str, positive: bool = False) -> float:
@@ -69,14 +52,17 @@ def _floats(text: str) -> list[float]:
     return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}: {text!r}")
     return n
+
+
+_positive_int = partial(_int_at_least, low=1)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -93,85 +79,64 @@ def _load(path) -> VarianceProfile:
     return prof
 
 
-def _mass_option(prof: VarianceProfile, values, name: str) -> np.ndarray:
-    """--phi/--psi: p nonnegative masses with a positive sum; the weights when absent."""
+def _mass_option(prof: VarianceProfile, args, name: str) -> np.ndarray:
+    """--phi/--psi: p nonnegative masses with a positive sum, or the weights when
+    absent.  Returns them normalised and stores them so on args, so the
+    estimator, the reference and the manifest all see the same vector."""
+    values = getattr(args, name)
     v = prof.weights if values is None else np.asarray(values, dtype=float)
     if v.shape != (prof.p,) or np.any(v < 0) or not v.sum() > 0:
         raise UsageError(f"--{name} needs {prof.p} nonnegative values with a positive sum")
+    v = v / v.sum()
+    setattr(args, name, v.tolist())
     return v
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (profile, args) and returns (exit code, body, table)
 # ---------------------------------------------------------------------------
 
 
-def cmd_edge(args) -> int:
-    prof = _load(args.profile)
+def cmd_edge(prof, args):
     l, r = support_edge(prof)
-    man = _manifest("edge", prof.label, {"profile_path": str(args.profile)}, args.seed)
     body = {
         "l_edge": l,
         "r_edge": r,
         "tolerances": {"duality_gap": EDGE_GAP_TOL * (1.0 + r)},
     }
-    _emit(_json_payload(man, body), args.out)
-    return EXIT_OK
+    return EXIT_OK, body, None
 
 
-def cmd_density(args) -> int:
-    prof = _load(args.profile)
+def cmd_density(prof, args):
     sm = spectral_measure(prof, args.xmin, args.xmax, args.points, tuple(args.eta))
-    man = _manifest(
-        "density", prof.label,
-        {"xmin": args.xmin, "xmax": args.xmax, "points": args.points, "eta": list(args.eta)},
-        args.seed,
-    )
-    if args.format == "json":
-        body = {
-            "x": sm.x_grid.tolist(),
-            "density": sm.density.tolist(),
-            "block_densities": sm.block_densities.tolist(),
-            "l_edge": sm.l_edge,
-            "r_edge": sm.r_edge,
-            "total_mass_error": sm.total_mass_error,
-            "flagged": sm.flags.astype(int).tolist(),
-        }
-        _emit(_json_payload(man, body), args.out)
-    else:
-        text = "# " + json.dumps(man, sort_keys=True) + "\n"
-        text += sm.to_csv()
-        text += f"# total_mass,{1.0 - sm.total_mass_error!r}\n"
-        _emit(text, args.out)
-    return EXIT_OK
+    body = {
+        "x": sm.x_grid.tolist(),
+        "density": sm.density.tolist(),
+        "block_densities": sm.block_densities.tolist(),
+        "l_edge": sm.l_edge,
+        "r_edge": sm.r_edge,
+        "total_mass_error": sm.total_mass_error,
+        "flagged": sm.flags.astype(int).tolist(),
+    }
+    table = sm.to_csv() + f"# total_mass,{1.0 - sm.total_mass_error!r}\n"
+    return EXIT_OK, body, table
 
 
-def cmd_rate(args) -> int:
-    prof = _load(args.profile)
-    man = _manifest(
-        "rate", prof.label,
-        {"x": list(args.x), "starts": args.starts, "tol": args.tol}, args.seed,
-    )
+def cmd_rate(prof, args):
     rows = [rate_function(prof, x, starts=args.starts, tol=args.tol, seed=args.seed) for x in args.x]
-    if args.format == "json":
-        body = {
-            "reports": [json.loads(r.to_json()) for r in rows],
-            "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
-                      for r in rows],
-        }
-        _emit(_json_payload(man, body), args.out)
-    else:
-        p = prof.p
-        head = "x,I,theta_star," + ",".join(f"psi_star_{k+1}" for k in range(p)) + ",spread"
-        lines = ["# " + json.dumps(man, sort_keys=True), head]
-        for r in rows:
-            cells = [repr(float(r.x)), "inf" if not np.isfinite(r.I) else repr(float(r.I)),
-                     repr(float(r.theta_star))]
-            cells += [repr(float(v)) for v in r.psi_star.values]
-            cells.append(repr(float(r.spread)))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    body = {
+        "reports": [json.loads(r.to_json()) for r in rows],
+        "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
+                  for r in rows],
+    }
+    lines = ["x,I,theta_star," + ",".join(f"psi_star_{k+1}" for k in range(prof.p)) + ",spread"]
+    for r in rows:
+        cells = [repr(float(r.x)), "inf" if not np.isfinite(r.I) else repr(float(r.I)),
+                 repr(float(r.theta_star))]
+        cells += [repr(float(v)) for v in r.psi_star.values]
+        cells.append(repr(float(r.spread)))
+        lines.append(",".join(cells))
+    return EXIT_OK, body, "\n".join(lines) + "\n"
 
 
 # -- validation suites -------------------------------------------------------
@@ -369,129 +334,108 @@ _SUITES = {
 }
 
 
-def cmd_validate(args) -> int:
-    prof = _load(args.profile)
+def cmd_validate(prof, args):
     if args.suite not in _SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; pick one of {sorted(_SUITES)}")
     checks = _SUITES[args.suite](prof, args.seed, args.threads)
-    man = _manifest("validate", prof.label, {"suite": args.suite}, args.seed)
     passed = all(c["pass"] for c in checks)
-    _emit(_json_payload(man, {"suite": args.suite, "checks": checks, "passed": passed}), args.out)
-    return EXIT_OK if passed else EXIT_NUMERIC
+    body = {"suite": args.suite, "checks": checks, "passed": passed}
+    return EXIT_OK if passed else EXIT_NUMERIC, body, None
 
 
 # -- mc subcommands ----------------------------------------------------------
 
 
-def cmd_mc_tail(args) -> int:
-    prof = _load(args.profile)
+def cmd_mc_tail(prof, args):
     pts = mc.tail_estimate(prof, args.x, args.N, args.samples, args.dist, args.seed, args.threads)
     _, r = support_edge(prof)
     ref = rate_function(prof, args.x, seed=args.seed).I if args.x > r else 0.0
-    man = _manifest(
-        "mc tail", prof.label,
-        {"x": args.x, "N": args.N, "samples": args.samples, "dist": args.dist}, args.seed,
-    )
-    body = {
-        "reference_rate": ref,
-        "points": [vars(p) for p in pts],
-    }
-    _emit(_json_payload(man, body), args.out)
-    return EXIT_INCONCLUSIVE if any(p.one_sided for p in pts) else EXIT_OK
+    body = {"reference_rate": ref, "points": [vars(p) for p in pts]}
+    return EXIT_INCONCLUSIVE if any(p.one_sided for p in pts) else EXIT_OK, body, None
 
 
-def cmd_mc_spherical(args) -> int:
-    prof = _load(args.profile)
+def cmd_mc_spherical(prof, args):
     ref = eval_J(prof, args.x, args.theta)  # rejects a bad x or theta before any sampling
     M = mc.quantile_spectrum_matrix(prof, args.N, args.x)
     est = mc.spherical_integral_mc(M, args.theta, args.samples, args.seed)
-    man = _manifest(
-        "mc spherical", prof.label,
-        {"x": args.x, "theta": args.theta, "N": args.N, "samples": args.samples}, args.seed,
-    )
-    _emit(_json_payload(man, {"estimate": est.value, "stderr": est.stderr,
-                              "ess": est.extra["ess"], "reference_J": ref}), args.out)
-    return EXIT_OK
+    body = {"estimate": est.value, "stderr": est.stderr, "ess": est.extra["ess"],
+            "reference_J": ref}
+    return EXIT_OK, body, None
 
 
-def cmd_mc_annealed(args) -> int:
-    prof = _load(args.profile)
-    phi = _mass_option(prof, args.phi, "phi")
-    ref = ratefn.eval_K(prof, args.theta, phi / phi.sum())  # rejects a bad theta before sampling
+def cmd_mc_annealed(prof, args):
+    phi = _mass_option(prof, args, "phi")
+    ref = ratefn.eval_K(prof, args.theta, phi)  # rejects a bad theta before sampling
     try:
         est = mc.annealed_integral_mc(prof, args.theta, phi, args.delta, args.N, args.samples, args.seed)
     except InconclusiveError as e:
-        man = _manifest("mc annealed", prof.label, {"theta": args.theta, "delta": args.delta}, args.seed)
-        _emit(_json_payload(man, {"error": str(e)}), args.out)
-        return EXIT_INCONCLUSIVE
-    man = _manifest(
-        "mc annealed", prof.label,
-        {"theta": args.theta, "phi": phi.tolist(), "delta": args.delta, "N": args.N,
-         "samples": args.samples}, args.seed,
-    )
-    _emit(_json_payload(man, {"estimate": est.value, "stderr": est.stderr,
-                              "window_hits": est.hits, "reference_K": ref}), args.out)
-    return EXIT_OK
+        return EXIT_INCONCLUSIVE, {"error": str(e)}, None
+    body = {"estimate": est.value, "stderr": est.stderr, "window_hits": est.hits,
+            "reference_K": ref}
+    return EXIT_OK, body, None
 
 
-def cmd_mc_tilt(args) -> int:
-    prof = _load(args.profile)
-    psi = _mass_option(prof, args.psi, "psi")
-    rep = mc.tilted_outlier_check(prof, args.x, psi / psi.sum(), args.N, args.samples, args.seed)
-    man = _manifest(
-        "mc tilt", prof.label,
-        {"x": args.x, "psi": psi.tolist(), "N": args.N, "samples": args.samples}, args.seed,
-    )
-    if args.format == "csv":
-        text = "# " + json.dumps(man, sort_keys=True) + "\n"
-        text += "seed_index,lambda1\n"
-        for i, lam in enumerate(rep["lambda1"]):
-            text += f"{i},{float(lam)!r}\n"
-        _emit(text, args.out)
-        return EXIT_OK
-    body = {
-        "theta_star": rep["theta_star"],
-        "target_x": rep["target_x"],
-        "mean_lambda1": rep["mean_lambda1"],
-        "std_lambda1": rep["std_lambda1"],
-        "mean_profile_gap": rep["mean_profile_gap"],
-    }
-    _emit(_json_payload(man, body), args.out)
-    return EXIT_OK
+def cmd_mc_tilt(prof, args):
+    psi = _mass_option(prof, args, "psi")
+    rep = mc.tilted_outlier_check(prof, args.x, psi, args.N, args.samples, args.seed)
+    body = {k: rep[k] for k in
+            ("theta_star", "target_x", "mean_lambda1", "std_lambda1", "mean_profile_gap")}
+    table = None
+    if args.format == "csv":  # the only command whose table is not its default payload
+        table = "seed_index,lambda1\n" + "".join(
+            f"{i},{float(lam)!r}\n" for i, lam in enumerate(rep["lambda1"]))
+    return EXIT_OK, body, table
 
 
-def cmd_mc_batch(args) -> int:
-    prof = _load(args.profile)
+def cmd_mc_batch(prof, args):
     batch = mc.collect_batch(prof, args.N, args.samples, args.dist, args.seed)
-    man = _manifest(
-        "mc batch", prof.label,
-        {"N": args.N, "samples": args.samples, "dist": args.dist}, args.seed,
-    )
-    if args.format == "json":
-        body = {
-            "lambda1_mean": float(batch.lambda1.mean()),
-            "lambda1_std": float(batch.lambda1.std(ddof=1)) if args.samples > 1 else 0.0,
-            "rho_mean": batch.rho_v1.mean(axis=0).tolist(),
-        }
-        _emit(_json_payload(man, body), args.out)
-    else:
-        text = "# " + json.dumps(man, sort_keys=True) + "\n" + batch.to_csv()
-        _emit(text, args.out)
-    return EXIT_OK
+    body = {
+        "lambda1_mean": float(batch.lambda1.mean()),
+        "lambda1_std": float(batch.lambda1.std(ddof=1)) if args.samples > 1 else 0.0,
+        "rho_mean": batch.rho_v1.mean(axis=0).tolist(),
+    }
+    return EXIT_OK, body, batch.to_csv()
 
 
-def cmd_mc_dirichlet(args) -> int:
-    prof = _load(args.profile)
+def cmd_mc_dirichlet(prof, args):
     rep = mc.profile_dirichlet_check(prof, args.N, args.samples, args.seed)
-    man = _manifest("mc dirichlet", prof.label, {"N": args.N, "samples": args.samples}, args.seed)
     body = {
         "mean_emp": rep["mean_emp"].tolist(),
         "mean_exact": rep["mean_exact"].tolist(),
         "max_mean_dev": rep["max_mean_dev"],
         "max_cov_dev": rep["max_cov_dev"],
     }
-    _emit(_json_payload(man, body), args.out)
-    return EXIT_OK
+    return EXIT_OK, body, None
+
+
+# ---------------------------------------------------------------------------
+# the one payload path
+# ---------------------------------------------------------------------------
+
+
+def _run(args) -> int:
+    """Load the profile, run the command, and write its payload with the manifest:
+    the CSV table when the command has one and JSON was not asked for, else JSON."""
+    prof = _load(args.profile)
+    code, body, table = args.fn(prof, args)
+    command = args.command + (f" {args.mc_command}" if args.command == "mc" else "")
+    manifest = {
+        "command": command,
+        "profile": prof.label,
+        "options": {k: v for k, v in sorted(vars(args).items()) if k not in _NOT_OPTIONS},
+        "seed": args.seed,
+        "version": __version__,
+    }
+    if table is not None and args.format != "json":
+        text = "# " + json.dumps(manifest, sort_keys=True) + "\n" + table
+    else:
+        text = json.dumps({"manifest": manifest, **body}, sort_keys=True, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +445,7 @@ def cmd_mc_dirichlet(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wigner-ldp", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=partial(_int_at_least, low=0), default=0)
     ap.add_argument("--threads", type=_positive_int, default=1)
     ap.add_argument("--out", type=str, default=None)
     ap.add_argument("--format", choices=("csv", "json"), default=None,
@@ -581,7 +525,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
-        code = args.fn(args)
+        code = _run(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -195,9 +195,13 @@ def _cdf_at(measure, xs):
         cw = np.cumsum(measure.weights[order])
         idx = np.searchsorted(atoms, xs, side="right")
         return np.where(idx > 0, cw[np.minimum(idx - 1, cw.size - 1)], 0.0)
-    g, f = measure.grid, measure.density
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(g))])
-    return np.interp(xs, g, cum, left=0.0, right=cum[-1])
+    cum = _cumulative_mass(measure.grid, measure.density)
+    return np.interp(xs, measure.grid, cum, left=0.0, right=cum[-1])
+
+
+def _cumulative_mass(grid, density):
+    """Mass of the density on [grid[0], grid[i]] for each i, by the trapezoid rule."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
 
 
 def wasserstein1(m1, m2) -> float:
@@ -618,8 +622,7 @@ def quantile_spectrum_matrix(profile: VarianceProfile, N: int, top: float) -> np
 
     l, r = support_edge(profile)
     sm = spectral_measure(profile, l - 0.05, r + 0.05, 1501)
-    f = np.where(sm.flags, 0.0, sm.density)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(sm.x_grid))])
+    cum = _cumulative_mass(sm.x_grid, np.where(sm.flags, 0.0, sm.density))
     cum /= cum[-1]
     qs = (np.arange(1, N) - 0.5) / (N - 1)
     lam = np.interp(qs, cum, sm.x_grid)

@@ -513,6 +513,18 @@ def _nu(profile, theta, z_m, phi):
     return 2.0 * theta * float(np.linalg.eigvalsh(M)[-1])
 
 
+def _bisect(below, lo: float, hi: float, width) -> float:
+    """Bisection: `below(mid)` says the root lies above mid; returns the midpoint
+    once hi - lo <= width(hi)."""
+    while hi - lo > width(hi):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
 def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) -> float:
     """Largest z above the edge where the tilted ensemble detaches an
     eigenvalue: 2 theta lambda_max(sqrt(D) S sqrt(D)) = 1 with
@@ -530,14 +542,8 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
         z_hi = 2.0 * z_hi
         if z_hi > 1e12:
             raise ValueError("outlier location diverged")
-    lo, hi = z_lo, z_hi
-    while hi - lo > 1e-12 * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if _nu(profile, theta, _solve_real(profile, mid), phi) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return _bisect(lambda z: _nu(profile, theta, _solve_real(profile, z), phi) > 1.0,
+                   z_lo, z_hi, lambda hi: 1e-12 * (1.0 + hi))
 
 
 def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:
@@ -559,11 +565,4 @@ def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:
         hi *= 2.0
     else:
         raise ValueError("no tilt strength reaches the target")
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if nu(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return _bisect(lambda t: nu(t) < 1.0, 0.0, hi, lambda hi: 1e-10)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import wigner_ldp
 from wigner_ldp import mc, oracles
-from wigner_ldp.cli import main
+from wigner_ldp.cli import _build_parser, main
 from wigner_ldp.dyson import log_potential, spectral_measure, stieltjes_total, support_edge
 from wigner_ldp.profiles import (
     ContinuousProfileSpec, ProfileConfigError, UsageError, block_profile, constant_profile,
@@ -278,6 +279,21 @@ def test_mc_annealed_exit4_on_empty_window(prof_paths, tmp_path):
     assert code == 4
 
 
+def test_mc_annealed_phi_is_normalised(prof_paths, tmp_path):
+    # masses summing to 2 name the same window as masses summing to 1
+    payloads = []
+    for phi in ("1,1", "0.5,0.5"):
+        out = tmp_path / f"ann-{phi}.json"
+        code = main([
+            "--out", str(out), "mc", "annealed", "--profile", prof_paths["wishart"],
+            "--theta", "0.5", "--N", "40", "--samples", "2000", "--phi", phi,
+        ])
+        assert code == 0
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
+    assert json.loads(payloads[0])["manifest"]["options"]["phi"] == [0.5, 0.5]
+
+
 def test_mc_spherical(prof_paths, tmp_path):
     out = tmp_path / "sph.json"
     code = main([
@@ -353,13 +369,15 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
         ["mc", "spherical", "--profile", "constant", "--x", "3.0", "--theta", "-0.3", "--N", "40",
          "--samples", "2000"],
         ["validate", "--profile", "block", "--suite", "wishart"],
+        ["--seed", "-1", "mc", "tail", "--profile", "constant", "--x", "2.2", "--N", "20",
+         "--samples", "300"],
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
          "rate-x-nan", "rate-starts-negative", "rate-tol-zero", "rate-tol-negative",
          "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero", "threads-negative",
          "tilt-psi-zero-form", "annealed-theta-negative", "spherical-theta-negative",
-         "wishart-suite-not-concave"],
+         "wishart-suite-not-concave", "seed-negative"],
 )
 def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
     # an argument error is rejected before any matrix or sphere is drawn
@@ -420,6 +438,35 @@ def test_exit_code_grid(prof_paths, tmp_path, name):
         argv = ["--seed", "3", "--out", str(tmp_path / f"{i}.out"), *head, "--profile", path,
                 *cmd[len(head):]]
         assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+
+def _subcommand_parsers():
+    """(argv head, subparser) for every leaf subcommand of the CLI parser."""
+    def leaves(parser, head):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [(head, parser)]
+        return [leaf for name, p in subs[0].choices.items() for leaf in leaves(p, [*head, name])]
+
+    return leaves(_build_parser(), [])
+
+
+def test_manifest_options_are_the_parsed_options(prof_paths, tmp_path):
+    # every subcommand, and mc annealed on its exit-4 path, records exactly its own options
+    parsers = {tuple(head): p for head, p in _subcommand_parsers()}
+    x = repr(support_edge(load_profile_file(prof_paths["constant"]))[1] + 0.5)
+    runs = [("constant", cmd) for cmd in _grid_commands(x)[:4] + _grid_commands(x)[-6:]]
+    runs.append(("wishart", ["mc", "annealed", "--theta", "0.5", "--N", "150", "--samples",
+                             "1500", "--delta", "0.005", "--phi", "0.95,0.05"]))
+    for i, (name, cmd) in enumerate(runs):
+        head = cmd[:2] if cmd[0] == "mc" else cmd[:1]
+        out = tmp_path / f"{i}.out"
+        argv = ["--format", "json", "--out", str(out), *head, "--profile", prof_paths[name],
+                *cmd[len(head):]]
+        assert _exit_code(argv) in (0, 4), argv
+        dests = {a.dest for a in parsers[tuple(head)]._actions} - {"help", "profile"}
+        assert set(json.loads(out.read_text())["manifest"]["options"]) == dests, argv
+    assert {tuple(cmd[:2] if cmd[0] == "mc" else cmd[:1]) for _, cmd in runs} == set(parsers)
 
 
 def test_usage_error_is_the_one_argument_error():
