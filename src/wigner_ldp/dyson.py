@@ -90,13 +90,17 @@ def hyperbolic_distance(u: np.ndarray, v: np.ndarray):
 
 
 def _rows_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(A v)_k along the last axis of v, summed over l in a fixed order so
-    that a row's value does not depend on the rows stacked beside it (a BLAS
-    product may change its summation order with the stack height)."""
-    out = v[..., :1] * A[:, 0]
-    for l in range(1, A.shape[1]):
-        out = out + v[..., l : l + 1] * A[:, l]
-    return out
+    """(A v) along the last axis of v (a dot if A is 1-d): one BLAS call per row of a contiguous
+    copy, never one product across rows, so a row is independent of its neighbours and strides."""
+    return np.matmul(A, np.ascontiguousarray(v)[..., None])[..., 0]
+
+
+_ones = lru_cache(maxsize=_MEMO_SIZE)(np.ones)  # shared, never written
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of a, per row: `_rows_matvec` with a ones vector."""
+    return _rows_matvec(_ones(a.shape[-1]), a)
 
 
 def _sigma_w(profile: VarianceProfile, m: np.ndarray) -> np.ndarray:
@@ -290,10 +294,10 @@ def _damped_newton(F, z, p, tol):
 
 
 def _on_branch(profile, m) -> bool:
-    """m > 0 is on the physical branch: the map Jacobian diag(m^2) sigma
-    diag(w) has spectral radius at most 1 + 1e-6."""
-    rho = np.max(np.abs(np.linalg.eigvals((m**2)[:, None] * (profile.sigma * profile.weights))))
-    return bool(rho <= 1.0 + 1e-6)
+    """m > 0 is on the physical branch: the map Jacobian diag(m^2) sigma diag(w),
+    similar to D sigma D with D = diag(m sqrt(w)), has spectral radius <= 1 + 1e-6."""
+    d = m * np.sqrt(profile.weights)
+    return bool(np.max(np.abs(np.linalg.eigvalsh(d[:, None] * profile.sigma * d))) <= 1.0 + 1e-6)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -389,6 +393,11 @@ def solve_dyson_finite(SigmaN: np.ndarray, z) -> np.ndarray:
     return m[0]
 
 
+def _edge_margin(profile: VarianceProfile) -> float:
+    """1e-9 (1 + max sigma): how far from the edge r a point counts as at it."""
+    return 1e-9 * (1.0 + profile.max_sigma)
+
+
 def require_above_edge(profile: VarianceProfile, x: float) -> None:
     """UsageError unless x lies above the support edge r, where the real-axis
     quantities (G, the log potential and the rate's ingredients) are defined."""
@@ -414,12 +423,12 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     G(v) ~ 1/v + a/v^3 and m(v0).  Every row is relative, so one stopping
     test serves every two_theta, and the Jacobian stays regular at the edge.
     ConvergenceError unless v > r_edge and m passes `_on_branch`; UsageError
-    unless two_theta > 0, ValueError unless two_theta < G(r_edge + 1e-9 (1 + A)).
+    unless two_theta > 0, ValueError unless two_theta < G(r_edge + `_edge_margin`).
     """
     if two_theta <= 0:
         raise UsageError("two_theta must be positive")
     _, r = support_edge(profile)
-    lo = r + 1e-9 * (1.0 + profile.max_sigma)
+    lo = r + _edge_margin(profile)
     g_lo = float(profile.weights @ _solve_real(profile, lo))
     if two_theta >= g_lo:
         raise ValueError(

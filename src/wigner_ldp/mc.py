@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpotrf, dtpttr
 from scipy.optimize import brentq
 
 from .profiles import UsageError, VarianceProfile
-from .ratefn import eval_phi, find_tilt_theta
+from .ratefn import _mass_vector, eval_phi, find_tilt_theta
 
 ENTRY_KINDS = ("gaussian", "rademacher", "uniform")
 _SQRT3 = math.sqrt(3.0)
@@ -392,16 +392,15 @@ def annealed_integral_mc(
     The window keeps rho(u) within sup-distance delta of phi_target; an empty
     window raises InconclusiveError.
     """
-    if N < 1 or samples < 1:
-        raise UsageError("N and samples must be >= 1")
-    phi = np.asarray(getattr(phi_target, "values", phi_target), dtype=float)
-    sig = profile.sigma
+    if N < 1 or samples < 1 or not (delta > 0 and np.isfinite(theta)):
+        raise UsageError("N and samples must be >= 1, delta positive and theta finite")
+    phi = _mass_vector(phi_target, profile.p)
     vals = np.empty(samples)
     inside = np.zeros(samples, dtype=bool)
     for done, g in _sphere_draws(seed, samples, N):
         rho = _block_masses(g, profile)
         rows = slice(done, done + g.shape[0])
-        vals[rows] = N * theta**2 * np.einsum("ik,kl,il->i", rho, sig, rho)
+        vals[rows] = N * theta**2 * np.einsum("ik,kl,il->i", rho, profile.sigma, rho)
         inside[rows] = np.max(np.abs(rho - phi[None, :]), axis=1) <= delta
     hits = int(inside.sum())
     if hits == 0:

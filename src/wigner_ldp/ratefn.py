@@ -18,8 +18,9 @@ otherwise at the root of h, which Newton from below reaches monotonically,
 with no bracket or fallback (`_sup_fhat`).  The inf over psi is a
 projected-gradient descent from all p + 1 + `starts` starts of one x as the
 rows of one array; each row keeps its own Armijo length and stopping test,
-and every per-row sum runs in a fixed order, never a BLAS product across
-rows, so a row's trajectory is the same alone, stacked or permuted.
+and every per-row sum and product of the objective and its gradient goes
+through `dyson._rows_matvec`, one BLAS call per row, so a row's trajectory
+is the same alone, stacked, permuted or strided.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyson import (
-    _rows_matvec, _solve_real, log_potential, require_above_edge, stieltjes_inverse, support_edge,
+    _edge_margin, _rows_matvec, _rowsum, _solve_real, log_potential, require_above_edge,
+    stieltjes_inverse, support_edge,
 )
 from .profiles import UsageError, VarianceProfile
 
@@ -88,14 +90,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     css = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, u.shape[1] + 1)
     k = u.shape[1] - 1 - np.argmax((u > css)[:, ::-1], axis=1)  # last k with u_k > css_k
     return np.maximum(rows - css[np.arange(len(css)), k][:, None], 0.0).reshape(np.shape(v))
-
-
-def _rowsum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in a fixed order (see `dyson._rows_matvec`)."""
-    out = a[..., 0]
-    for k in range(1, a.shape[-1]):
-        out = out + a[..., k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +155,7 @@ def eval_K(profile: VarianceProfile, theta: float, phi) -> float:
     """Annealed-integral limit K(theta, phi); -inf when the entropy diverges."""
     if theta < 0:
         raise UsageError("theta must be nonnegative")
-    v = np.asarray(getattr(phi, "values", phi), dtype=float)
-    if v.shape != (profile.p,):
-        raise UsageError("phi has the wrong length")
+    v = _mass_vector(phi, profile.p)
     w = profile.weights
     if np.any(v[w > 0] <= 0.0):
         return -np.inf
@@ -379,7 +371,7 @@ def rate_function(
     if starts < 0:
         raise UsageError("starts must be >= 0")
     _, r = support_edge(profile)
-    edge_tol = 1e-9 * (1.0 + profile.max_sigma)
+    edge_tol = _edge_margin(profile)
     if x <= r + edge_tol:
         below = x < r - edge_tol
         return RateEvalReport(
@@ -533,7 +525,7 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
         raise UsageError("theta must be positive")
     _, r = support_edge(profile)
     phi = eval_phi(profile, theta, x, psi).values
-    z_lo = r + 1e-9 * (1.0 + profile.max_sigma)
+    z_lo = r + _edge_margin(profile)
     nu_lo = _nu(profile, theta, _solve_real(profile, z_lo), phi)
     if nu_lo <= 1.0:
         return float(r)

@@ -486,6 +486,7 @@ def test_usage_error_is_the_one_argument_error():
         lambda: eval_J(constant_profile(), 1.0, 0.3),
         lambda: eval_phi(constant_profile(), 0.0, 3.0, [1.0]),
         lambda: eval_K(constant_profile(), -0.1, [1.0]),
+        lambda: eval_K(wishart_profile(2.0), 0.5, [1.0, 1.0]),
         lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]),
         lambda: rate_function(constant_profile(), 3.0, starts=-1),
         lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
@@ -495,6 +496,10 @@ def test_usage_error_is_the_one_argument_error():
         lambda: mc.collect_batch(constant_profile(), 0, 3),
         lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 0),
         lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 0),
+        lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5], 0.1, 20, 10),
+        lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, 0.5, 0.1, 20, 10),
+        lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5, 0.5], -1.0, 20, 10),
+        lambda: mc.annealed_integral_mc(wishart_profile(2.0), np.nan, [0.5, 0.5], 0.1, 20, 10),
         lambda: mc.profile_dirichlet_check(constant_profile(), 0, 10),
         lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 999),
         lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000),

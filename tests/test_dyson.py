@@ -7,6 +7,7 @@ from wigner_ldp.dyson import (
     _MEMO_SIZE,
     ConvergenceError,
     _residual,
+    _sigma_w,
     _solve_complex_many,
     _solve_real,
     fixed_point_map,
@@ -90,6 +91,13 @@ def test_solve_complex_many_row_independent_of_batch(seed):
             assert np.all(mi[0] == m[i]) and iti[0] == its[i]
         mp, _ = _solve_complex_many(prof, zs[perm], rows(perm))
         assert np.all(mp == m[perm])
+    # strided (non-contiguous) views of the same inputs, and of the solution
+    # under the sigma (w m) reduction
+    ms, its_s = _solve_complex_many(prof, np.repeat(zs, 2)[::2], np.repeat(m0, 2, axis=0)[::2])
+    assert np.all(ms == m) and np.all(its_s == its)
+    Sm = _sigma_w(prof, m)
+    assert np.all(_sigma_w(prof, np.repeat(m, 2, axis=1)[:, ::2]) == Sm)
+    assert all(np.all(_sigma_w(prof, m[i]) == Sm[i]) for i in range(zs.size))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import wigner_ldp
 from wigner_ldp import oracles
-from wigner_ldp.dyson import solve_dyson, stieltjes_total, support_edge
+from wigner_ldp.dyson import _solve_real, solve_dyson, stieltjes_total, support_edge
 from wigner_ldp.profiles import ContinuousProfileSpec, VarianceProfile, discretize
 from wigner_ldp.ratefn import (
     SimplexVector,
@@ -372,6 +372,11 @@ def test_stacked_descent_rows_independent(seed):
         alone = _minimize_from(prof, x, starts[i : i + 1], 1e-8, 1e-9)
         for full, one in zip(stacked, alone):
             assert np.array_equal(full[i : i + 1], one)
+    # a strided (non-contiguous) view of the rows reaches the row kernels as it is
+    m, rows = _solve_real(prof, x), project_simplex(starts)
+    strided = np.repeat(rows, 2, axis=1)[:, ::2]
+    for full, other in zip(_sup_fhat(prof, m, rows, 1e-8), _sup_fhat(prof, m, strided, 1e-8)):
+        assert np.array_equal(full, other)
 
 
 def test_rate_metamorphic_relations():
@@ -506,8 +511,12 @@ def test_discretization_edge_and_rate_converge():
     steps = np.abs(np.diff(r))
     assert np.all(steps[1:] < 0.5 * steps[:-1])
     x = r[-1] + 0.5
-    steps = np.abs(np.diff([rate_function(profs[p], x).I for p in (4, 8, 16, 32)]))
+    I = {p: rate_function(profs[p], x).I for p in profs}
+    steps = np.abs(np.diff(list(I.values())))
     assert np.all(steps[1:] < 0.5 * steps[:-1])
+    # second order: the Richardson values I_2p + (I_2p - I_p)/3 agree within the last step
+    rich = [I[2 * p] + (I[2 * p] - I[p]) / 3 for p in (32, 64)]
+    assert abs(rich[1] - rich[0]) < steps[-1]
 
 
 # -- call-history independence ------------------------------------------------------
