@@ -10,11 +10,13 @@ Stieltjes transform of the limiting spectral measure.  There is one solver
 loop per axis.
 
 Complex axis: `_solve_complex_many` solves a batch of spectral parameters,
-per row damped Newton steps on the multiplicative residual with the
-contraction map m -> 1/(z - sigma (w m)) as the fallback.  Near the real
-axis a row is started by descending a geometric ladder of Im z from 0.5
-(`_descend`); the density grid solves all its points in one batch, and the
-size-N system of `solve_dyson_finite` is the same solve on N blocks.
+per row a full Newton step on the multiplicative residual where it is
+accepted and otherwise the map m -> 1/(z - sigma (w m)), a strict
+contraction in the hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN
+2007), so no step length is searched.  Near the real axis a row is started
+by descending a geometric ladder of Im z from 0.5 (`_descend`); the density
+grid solves all its points in one batch, and the size-N system of
+`solve_dyson_finite` is the same solve on N blocks.
 
 Real axis: `_damped_newton` solves a residual/Jacobian pair with an Armijo
 line search that keeps m positive.  It serves three systems: m(x) above
@@ -137,39 +139,25 @@ def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(profile, z, m, out) -> np.ndarray:
-    """Damped Newton on the multiplicative residual for each row of m.
+    """One full Newton step on the multiplicative residual for each row of m.
 
-    A row takes the longest of the step lengths 1, 1/2, ..., 2^-39 whose
-    candidate stays in the lower half-plane and lowers max |q|.  Accepted
-    candidates go to the rows of out; returns the mask of rows that got one.
+    A row's candidate is accepted when it stays in the lower half-plane and
+    lowers max |q|; accepted candidates go to the rows of out.  Returns the
+    mask of rows that got one; the others take the contraction step.
     """
     # multiplicative form 1 - m (z - S m): well scaled when components of m
     # differ by orders of magnitude (atoms)
     zc = z[:, None]
     Sm = _sigma_w(profile, m)
     q = 1.0 - m * (zc - Sm)
-    qres = np.max(np.abs(q), axis=1)
     J = m[:, :, None] * (profile.sigma * profile.weights)
     diag = np.arange(profile.p)
     J[:, diag, diag] -= zc - Sm
-    delta = _solve_rows(J, -q)
-
-    def accept(cand, zc, qres):
-        q = 1.0 - cand * (zc - _sigma_w(profile, cand))
-        return np.all(np.imag(cand) < 0, axis=-1) & (np.max(np.abs(q), axis=-1) < qres)
-
-    cand = m + delta
-    ok = accept(cand, zc, qres)
+    cand = m + _solve_rows(J, -q)
+    q_cand = 1.0 - cand * (zc - _sigma_w(profile, cand))
+    ok = np.all(np.imag(cand) < 0, axis=1)
+    ok &= np.max(np.abs(q_cand), axis=1) < np.max(np.abs(q), axis=1)
     out[ok] = cand[ok]
-    rows = np.flatnonzero(~ok)
-    if rows.size:
-        # the shorter steps of every rejected row, all at once
-        cand = m[rows, None] + (0.5 ** np.arange(1, 40))[:, None] * delta[rows, None]
-        ok_t = accept(cand, zc[rows, None], qres[rows, None])
-        first = np.argmax(ok_t, axis=1)
-        got = ok_t[np.arange(rows.size), first]
-        out[rows[got]] = cand[got, first[got]]
-        ok[rows[got]] = True
     return ok
 
 
@@ -216,9 +204,9 @@ def _solve_complex_many(profile, zs, m0=None):
 
     Returns (m, iterations), one row per z.  Each row starts from its row of
     m0, or from 1/z when that row is missing or not in the lower half-plane.
-    The first sweep is a fixed-point step; each later sweep tries a damped
-    Newton step on the multiplicative residual and falls back to the
-    contraction map when no step length is accepted.  A row stops on a
+    The first sweep is a fixed-point step; each later sweep tries one full
+    Newton step on the multiplicative residual (`_newton_step`) and falls
+    back to the contraction map when that step is rejected.  A row stops on a
     hyperbolic step below STEP_TOL, or on a relative step below 1e-13 with
     residual below 1e-10 (1 + |z|).  A row still running after _MAX_SWEEPS
     sweeps, or whose z or m0 row is not finite, comes back as NaN; callers

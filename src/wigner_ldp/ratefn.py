@@ -37,7 +37,7 @@ from .dyson import (
 )
 from .profiles import UsageError, VarianceProfile
 
-_SEAM_TOL = 1e-12  # evaluate J from the 2 theta >= G(x) side inside this
+_SEAM_TOL = 1e-12  # evaluate J and phi from the 2 theta >= G(x) side inside this
 _EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,15 @@ def _ctx(profile: VarianceProfile, x: float):
 # ---------------------------------------------------------------------------
 
 
+def _tilt_point(profile: VarianceProfile, x: float, theta: float, G: float) -> float:
+    """Where J and phi are evaluated at tilt strength theta > 0: x itself when
+    2 theta >= G(x), taken from that side inside _SEAM_TOL, otherwise
+    v = G^{-1}(2 theta) > x."""
+    if 2.0 * theta >= G - _SEAM_TOL:
+        return x
+    return stieltjes_inverse(profile, 2.0 * theta)
+
+
 def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     """Spherical-integral limit J(x, theta).
 
@@ -121,10 +130,7 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     if theta == 0.0:
         return 0.0
     _, G = _ctx(profile, x)
-    if 2.0 * theta >= G - _SEAM_TOL:
-        v = x
-    else:
-        v = stieltjes_inverse(profile, 2.0 * theta)
+    v = _tilt_point(profile, x, theta, G)
     return (
         theta * v
         - 0.5
@@ -139,15 +145,10 @@ def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVe
     if theta <= 0:
         raise UsageError("theta must be positive")
     psi = _mass_vector(psi, profile.p)
-    m_x, G = _ctx(profile, x)
-    if 2.0 * theta >= G - _SEAM_TOL:
-        m_v = m_x
-        excess = max(1.0 - G / (2.0 * theta), 0.0)
-    else:
-        v = stieltjes_inverse(profile, 2.0 * theta)
-        m_v = _solve_real(profile, v)
-        excess = 0.0
-    vals = profile.weights * m_v / (2.0 * theta) + excess * psi
+    _, G = _ctx(profile, x)
+    m_v = _solve_real(profile, _tilt_point(profile, x, theta, G))
+    # the excess 1 - G/(2 theta) is 0 where v = G^{-1}(2 theta) > x
+    vals = profile.weights * m_v / (2.0 * theta) + max(1.0 - G / (2.0 * theta), 0.0) * psi
     return SimplexVector(vals / vals.sum())
 
 
@@ -505,18 +506,6 @@ def _nu(profile, theta, z_m, phi):
     return 2.0 * theta * float(np.linalg.eigvalsh(M)[-1])
 
 
-def _bisect(below, lo: float, hi: float, width) -> float:
-    """Bisection: `below(mid)` says the root lies above mid; returns the midpoint
-    once hi - lo <= width(hi)."""
-    while hi - lo > width(hi):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
-
-
 def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) -> float:
     """Largest z above the edge where the tilted ensemble detaches an
     eigenvalue: 2 theta lambda_max(sqrt(D) S sqrt(D)) = 1 with
@@ -525,36 +514,46 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
         raise UsageError("theta must be positive")
     _, r = support_edge(profile)
     phi = eval_phi(profile, theta, x, psi).values
+
+    def nu(z):
+        return _nu(profile, theta, _solve_real(profile, z), phi)
+
     z_lo = r + _edge_margin(profile)
-    nu_lo = _nu(profile, theta, _solve_real(profile, z_lo), phi)
-    if nu_lo <= 1.0:
+    if nu(z_lo) <= 1.0:
         return float(r)
     z_hi = max(x, z_lo) + 1.0
-    while _nu(profile, theta, _solve_real(profile, z_hi), phi) > 1.0:
+    while nu(z_hi) > 1.0:
         z_hi = 2.0 * z_hi
         if z_hi > 1e12:
             raise ValueError("outlier location diverged")
-    return _bisect(lambda z: _nu(profile, theta, _solve_real(profile, z), phi) > 1.0,
-                   z_lo, z_hi, lambda hi: 1e-12 * (1.0 + hi))
+    # bisection on nu(z) = 1, decreasing in z: m(z) has no closed form
+    while z_hi - z_lo > 1e-12 * (1.0 + z_hi):
+        mid = 0.5 * (z_lo + z_hi)
+        if nu(mid) > 1.0:
+            z_lo = mid
+        else:
+            z_hi = mid
+    return float(0.5 * (z_lo + z_hi))
 
 
 def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:
-    """The tilt strength whose outlier sits exactly at x (nu(theta) = 1)."""
+    """The tilt strength theta* whose outlier sits exactly at x (nu(theta) = 1),
+    in closed form (the tilt of Guionnet-Maida 2005).
+
+    Below the seam, 2 theta < G(x), nu < 1.  Above it, with t = 2 theta - G,
+    phi = (w m + t psi) / (2 theta) at m = m(x), so nu(theta) is the top
+    eigenvalue of sigma diag(w m^2 + t m psi), increasing in t.  With
+    B = diag(m psi) and K = (I - sigma diag(w m^2))^{-1} sigma, symmetric,
+    entrywise >= 0 and finite above the edge, nu = 1 first at t = 1/mu,
+    where mu > 0 is the top eigenvalue of B^{1/2} K B^{1/2}; so
+    theta* = (G + 1/mu) / 2.
+    """
     require_above_edge(profile, x)
-    psi_arr = _mass_vector(psi, profile.p)
-    if float(psi_arr @ profile.sigma @ psi_arr) <= 0.0:
+    psi = _mass_vector(psi, profile.p)
+    if float(psi @ profile.sigma @ psi) <= 0.0:
         raise UsageError("find_tilt_theta needs <psi, S psi> > 0")
-    m_x, _ = _ctx(profile, x)
-
-    def nu(theta):
-        phi = eval_phi(profile, theta, x, psi_arr).values
-        return _nu(profile, theta, m_x, phi)
-
-    hi = 1.0
-    for _ in range(200):
-        if nu(hi) > 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("no tilt strength reaches the target")
-    return _bisect(lambda t: nu(t) < 1.0, 0.0, hi, lambda hi: 1e-10)
+    m, G = _ctx(profile, x)
+    K = np.linalg.solve(np.eye(profile.p) - profile.sigma * (profile.weights * m * m), profile.sigma)
+    b = np.sqrt(m * psi)
+    mu = np.linalg.eigvalsh(b[:, None] * (0.5 * (K + K.T)) * b)[-1]
+    return float((G + 1.0 / mu) / 2.0)

@@ -21,7 +21,7 @@ from wigner_ldp.dyson import (
     stieltjes_total,
     support_edge,
 )
-from wigner_ldp.profiles import UsageError, VarianceProfile
+from wigner_ldp.profiles import UsageError, VarianceProfile, wishart_profile
 
 from conftest import random_profile, split_block
 
@@ -114,6 +114,28 @@ def test_solve_complex_many_nan_row(block_14):
     assert np.all(np.isnan(m[1:3])) and np.all(its[1:3] == 0)
     ok, _ = _solve_complex_many(block_14, zs[[0, 3]])
     assert np.all(m[[0, 3]] == ok)
+
+
+def _eight_blocks():
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.2, 2.0, (8, 8))
+    return VarianceProfile(rng.dirichlet(np.full(8, 5.0)), (s + s.T) / 2)
+
+
+@pytest.mark.parametrize("prof", [
+    wishart_profile(5.0),
+    _eight_blocks(),
+    VarianceProfile([0.2, 0.5, 0.3], [[0, 1, 2], [1, 0, 0], [2, 0, 0]]),  # atom at 0
+], ids=["wishart5", "8-block", "3-block-atom"])
+def test_descend_converges_near_the_real_axis(prof):
+    # full Newton steps and contraction steps alone, with no step-length
+    # search, resolve every row of a fine grid at eta = 1e-5
+    _, r = support_edge(prof)
+    xs = np.linspace(-r - 0.2, r + 0.2, 801)
+    zs = xs + 1e-5j
+    m, _ = dyson._descend(prof, xs, 1e-5)
+    assert not np.isnan(m).any()
+    assert np.all(_residual(prof, zs[:, None], m) < 1e-10 * (1 + np.abs(zs)))
 
 
 def test_contraction_certificate(wishart2):

@@ -15,6 +15,7 @@ from wigner_ldp.ratefn import (
     SimplexVector,
     _default_starts,
     _minimize_from,
+    _nu,
     _sup_fhat,
     eval_F,
     eval_F_hat,
@@ -468,7 +469,21 @@ def test_tilt_monotone_in_x(const_prof):
     ths = [find_tilt_theta(const_prof, x, [1.0]) for x in (2.5, 3.0, 3.5, 4.0)]
     assert np.all(np.diff(ths) > 0)
     # scalar oracle: theta* solves 2 theta + 1/(2 theta) = x
-    assert ths[1] == pytest.approx((3 + np.sqrt(5)) / 4, abs=1e-8)
+    assert ths[1] == pytest.approx((3 + np.sqrt(5)) / 4, abs=1e-12)
+
+
+def test_tilt_theta_solves_the_outlier_equation(named_profiles):
+    # theta* is closed form; nu(theta*) = 1 is the equation it must solve,
+    # from just above the edge to far from it
+    rng = np.random.default_rng(21)
+    for prof in named_profiles:
+        _, r = support_edge(prof)
+        for x in (r + 1e-6, r + 0.5, r + 3.0):
+            for _ in range(3):
+                psi = rng.dirichlet(np.ones(prof.p))
+                th = find_tilt_theta(prof, x, psi)
+                phi = eval_phi(prof, th, x, psi).values
+                assert _nu(prof, th, _solve_real(prof, x), phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tilt_needs_positive_form(wishart2):
