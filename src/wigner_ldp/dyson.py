@@ -387,11 +387,12 @@ def _edge_margin(profile: VarianceProfile) -> float:
 
 
 def require_above_edge(profile: VarianceProfile, x: float) -> None:
-    """UsageError unless x lies above the support edge r, where the real-axis
-    quantities (G, the log potential and the rate's ingredients) are defined."""
+    """UsageError unless x is finite and lies above the support edge r, where
+    the real-axis quantities (G, the log potential and the rate's
+    ingredients) are defined."""
     _, r = support_edge(profile)
-    if not x > r:
-        raise UsageError(f"x={x!r} must exceed the support edge r={r!r}")
+    if not r < x < np.inf:
+        raise UsageError(f"x={x!r} must be finite and exceed the support edge r={r!r}")
 
 
 def stieltjes_total(profile: VarianceProfile, x: float) -> float:

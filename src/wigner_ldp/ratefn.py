@@ -30,10 +30,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from .dyson import (
-    _edge_margin, _rows_matvec, _rowsum, _solve_real, log_potential, require_above_edge,
-    stieltjes_inverse, support_edge,
+    ConvergenceError, _edge_margin, _rows_matvec, _rowsum, _solve_real, log_potential,
+    require_above_edge, stieltjes_inverse, support_edge,
 )
 from .profiles import UsageError, VarianceProfile
 
@@ -108,6 +109,12 @@ def _ctx(profile: VarianceProfile, x: float):
 # ---------------------------------------------------------------------------
 
 
+def _require_theta(theta: float, name: str = "theta", positive: bool = False) -> None:
+    """UsageError unless theta is finite and nonnegative (positive if asked)."""
+    if not (math.isfinite(theta) and (theta > 0 if positive else theta >= 0)):
+        raise UsageError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+
+
 def _tilt_point(profile: VarianceProfile, x: float, theta: float, G: float) -> float:
     """Where J and phi are evaluated at tilt strength theta > 0: x itself when
     2 theta >= G(x), taken from that side inside _SEAM_TOL, otherwise
@@ -125,8 +132,7 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     the limit value 0.
     """
     require_above_edge(profile, x)
-    if theta < 0:
-        raise UsageError("theta must be nonnegative")
+    _require_theta(theta)
     if theta == 0.0:
         return 0.0
     _, G = _ctx(profile, x)
@@ -142,8 +148,7 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
 def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVector:
     """Mass vector phi(theta, x, psi) of the tilted eigenvector profile."""
     require_above_edge(profile, x)
-    if theta <= 0:
-        raise UsageError("theta must be positive")
+    _require_theta(theta, positive=True)
     psi = _mass_vector(psi, profile.p)
     _, G = _ctx(profile, x)
     m_v = _solve_real(profile, _tilt_point(profile, x, theta, G))
@@ -154,8 +159,7 @@ def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVe
 
 def eval_K(profile: VarianceProfile, theta: float, phi) -> float:
     """Annealed-integral limit K(theta, phi); -inf when the entropy diverges."""
-    if theta < 0:
-        raise UsageError("theta must be nonnegative")
+    _require_theta(theta)
     v = _mass_vector(phi, profile.p)
     w = profile.weights
     if np.any(v[w > 0] <= 0.0):
@@ -178,14 +182,15 @@ def eval_F(profile: VarianceProfile, theta: float, x: float, psi) -> float:
 def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> float:
     """Shifted objective; equals eval_F(theta_hat + G(x)/2, x, psi)."""
     require_above_edge(profile, x)
-    if theta_hat < 0:
-        raise UsageError("theta_hat must be nonnegative")
+    _require_theta(theta_hat, "theta_hat")
     u, lin, a = _fhat_parts(profile, _solve_real(profile, x), _mass_vector(psi, profile.p)[None])
     return float(_fhat(profile.weights, u, lin, a, np.array([float(theta_hat)]))[0])
 
 
 def f_hat_gradient(profile: VarianceProfile, theta_hat: float, x: float, psi) -> np.ndarray:
     """Analytic simplex gradient of Fhat in psi at fixed theta_hat."""
+    require_above_edge(profile, x)
+    _require_theta(theta_hat, "theta_hat")
     psi = _mass_vector(psi, profile.p)[None]
     return _fhat_grad(profile, _solve_real(profile, x), np.array([float(theta_hat)]), psi)[0]
 
@@ -371,6 +376,10 @@ def rate_function(
     """
     if starts < 0:
         raise UsageError("starts must be >= 0")
+    if not 0 < tol < math.inf:
+        raise UsageError("tol must be positive and finite")
+    if not x < math.inf:  # nan or +inf; -inf is below the edge
+        raise UsageError(f"x={x!r} must be finite")
     _, r = support_edge(profile)
     edge_tol = _edge_margin(profile)
     if x <= r + edge_tol:
@@ -442,35 +451,6 @@ def _sup_K_over_psi(profile, thetas, x):
     return out
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximum of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        mid = 0.5 * (a + b)
-        return mid, f(mid)
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(_INVPHI))))
-    for _ in range(n):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    ends = [(lo, f(lo)), (hi, f(hi))] if h > tol else []
-    return max([(c, fc), (d, fd)] + ends, key=lambda t: t[1])
-
-
 def rate_function_concave(profile: VarianceProfile, x: float) -> float:
     """Rate via the exchanged order: sup over theta of J minus sup-K.
 
@@ -489,8 +469,11 @@ def rate_function_concave(profile: VarianceProfile, x: float) -> float:
     grid = np.linspace(0.0, x / profile.mean_sigma, 161)
     i = int(np.argmax(value(grid)))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    _, best = _golden_max(lambda t: float(value(t)[0]), lo, hi, 1e-9)
-    return float(max(best, 0.0))
+    res = minimize_scalar(lambda t: -float(value(t)[0]), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-9})
+    if not res.success:
+        raise ConvergenceError(f"exchanged-order sup over theta failed: {res.message}")
+    return float(max(-res.fun, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -508,32 +491,23 @@ def _nu(profile, theta, z_m, phi):
 
 def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) -> float:
     """Largest z above the edge where the tilted ensemble detaches an
-    eigenvalue: 2 theta lambda_max(sqrt(D) S sqrt(D)) = 1 with
-    D = diag(m_k(z) phi(theta)_k).  Returns r_edge when no solution exists."""
-    if theta <= 0:
-        raise UsageError("theta must be positive")
-    _, r = support_edge(profile)
-    phi = eval_phi(profile, theta, x, psi).values
+    eigenvalue: nu(z) = 2 theta lambda_max(sqrt(D) S sqrt(D)) = 1 with
+    D = diag(m_k(z) phi(theta)_k).  Returns r_edge when no solution exists.
 
-    def nu(z):
-        return _nu(profile, theta, _solve_real(profile, z), phi)
+    nu decreases in z above the edge, so the root is unique.  As
+    m_k(z) <= 1/(z - r) there and the Perron root is monotone in D,
+    nu(z) <= nu|_{m=1} / (z - r), and [r + margin, r + nu|_{m=1}] brackets
+    it for Brent's method."""
+    phi = eval_phi(profile, theta, x, psi).values
+    _, r = support_edge(profile)
+
+    def excess(z):
+        return _nu(profile, theta, _solve_real(profile, z), phi) - 1.0
 
     z_lo = r + _edge_margin(profile)
-    if nu(z_lo) <= 1.0:
+    if excess(z_lo) <= 0.0:
         return float(r)
-    z_hi = max(x, z_lo) + 1.0
-    while nu(z_hi) > 1.0:
-        z_hi = 2.0 * z_hi
-        if z_hi > 1e12:
-            raise ValueError("outlier location diverged")
-    # bisection on nu(z) = 1, decreasing in z: m(z) has no closed form
-    while z_hi - z_lo > 1e-12 * (1.0 + z_hi):
-        mid = 0.5 * (z_lo + z_hi)
-        if nu(mid) > 1.0:
-            z_lo = mid
-        else:
-            z_hi = mid
-    return float(0.5 * (z_lo + z_hi))
+    return float(brentq(excess, z_lo, r + _nu(profile, theta, np.ones(profile.p), phi), xtol=1e-15))
 
 
 def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:

@@ -17,8 +17,8 @@ from wigner_ldp.profiles import (
     discretize, load_profile_file, sigma_quadratic_form, wishart_profile,
 )
 from wigner_ldp.ratefn import (
-    SimplexVector, eval_J, eval_K, eval_phi, find_tilt_theta, rate_function,
-    rate_function_concave,
+    SimplexVector, eval_F, eval_F_hat, eval_J, eval_K, eval_phi, f_hat_gradient, find_tilt_theta,
+    outlier_equation_z, rate_function, rate_function_concave, sup_theta,
 )
 
 
@@ -489,6 +489,31 @@ def test_usage_error_is_the_one_argument_error():
         lambda: eval_K(wishart_profile(2.0), 0.5, [1.0, 1.0]),
         lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]),
         lambda: rate_function(constant_profile(), 3.0, starts=-1),
+        lambda: rate_function(constant_profile(), 3.0, tol=np.nan),
+        lambda: rate_function(constant_profile(), 3.0, tol=-1.0),
+        lambda: rate_function(constant_profile(), 3.0, tol=np.inf),
+        lambda: rate_function(constant_profile(), np.nan),
+        lambda: rate_function(constant_profile(), np.inf),
+        lambda: stieltjes_total(constant_profile(), np.inf),
+        lambda: log_potential(constant_profile(), np.inf),
+        lambda: sup_theta(constant_profile(), np.inf, [1.0]),
+        lambda: find_tilt_theta(constant_profile(), np.inf, [1.0]),
+        lambda: eval_J(constant_profile(), 3.0, np.nan),
+        lambda: eval_J(constant_profile(), 3.0, np.inf),
+        lambda: eval_phi(constant_profile(), np.nan, 3.0, [1.0]),
+        lambda: eval_phi(constant_profile(), np.inf, 3.0, [1.0]),
+        lambda: eval_K(constant_profile(), np.nan, [1.0]),
+        lambda: eval_K(constant_profile(), np.inf, [1.0]),
+        lambda: eval_F(constant_profile(), np.nan, 3.0, [1.0]),
+        lambda: eval_F(constant_profile(), np.inf, 3.0, [1.0]),
+        lambda: eval_F_hat(constant_profile(), np.nan, 3.0, [1.0]),
+        lambda: eval_F_hat(constant_profile(), np.inf, 3.0, [1.0]),
+        lambda: f_hat_gradient(constant_profile(), np.nan, 3.0, [1.0]),
+        lambda: f_hat_gradient(constant_profile(), np.inf, 3.0, [1.0]),
+        lambda: f_hat_gradient(constant_profile(), -0.1, 3.0, [1.0]),
+        lambda: f_hat_gradient(constant_profile(), 0.5, 1.0, [1.0]),
+        lambda: outlier_equation_z(constant_profile(), np.nan, 3.0, [1.0]),
+        lambda: outlier_equation_z(constant_profile(), 0.0, 3.0, [1.0]),
         lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
         lambda: find_tilt_theta(wishart_profile(2.0), 3.0, [1.0, 0.0]),
         lambda: SimplexVector([0.5, 0.6]),

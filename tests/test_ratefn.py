@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import wigner_ldp
-from wigner_ldp import oracles
+from wigner_ldp import oracles, ratefn
 from wigner_ldp.dyson import _solve_real, solve_dyson, stieltjes_total, support_edge
 from wigner_ldp.profiles import ContinuousProfileSpec, VarianceProfile, discretize
 from wigner_ldp.ratefn import (
@@ -443,9 +443,9 @@ def test_wishart_sup_K_image_identity(wishart2):
 
 
 def test_outlier_bbp_reduction(const_prof):
-    for th in (0.7, 1.0, 1.6):
+    for th in (0.5 + 1e-4, 0.7, 1.0, 1.6):
         z = outlier_equation_z(const_prof, th, 3.0, [1.0])
-        assert z == pytest.approx(oracles.bbp_outlier(th), abs=1e-7)
+        assert z == pytest.approx(oracles.bbp_outlier(th), abs=1e-12)
 
 
 def test_outlier_subcritical_returns_edge(const_prof):
@@ -462,7 +462,41 @@ def test_tilt_round_trip(named_profiles):
         if float(psi @ prof.sigma @ psi) <= 0:
             continue
         th = find_tilt_theta(prof, x, psi)
-        assert outlier_equation_z(prof, th, x, psi) == pytest.approx(x, abs=1e-8)
+        assert outlier_equation_z(prof, th, x, psi) == pytest.approx(x, abs=1e-12 * (1 + x))
+
+
+def _tilt_cases(named_profiles):
+    # (profile, x, psi, theta*) on the named profiles and random ones, from
+    # just above the edge to far from it
+    rng = np.random.default_rng(17)
+    for prof in list(named_profiles) + [random_profile(rng, pmax=6) for _ in range(6)]:
+        _, r = support_edge(prof)
+        for x in (r + 1e-3, r + 0.5, r + 3.0):
+            psi = rng.dirichlet(np.ones(prof.p))
+            if float(psi @ prof.sigma @ psi) > 0:
+                yield prof, x, psi, find_tilt_theta(prof, x, psi)
+
+
+def test_outlier_solves_nu_equal_one(named_profiles):
+    # at and above theta* the outlier sits where nu(z) = 1, to rounding
+    for prof, x, psi, th_star in _tilt_cases(named_profiles):
+        for th in (th_star, 1.3 * th_star, 3.0 * th_star):
+            z = outlier_equation_z(prof, th, x, psi)
+            phi = eval_phi(prof, th, x, psi).values
+            assert z >= x - 1e-12 * (1 + x)
+            assert _nu(prof, th, _solve_real(prof, z), phi) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_outlier_calls_the_real_solve_at_most_20_times(named_profiles, monkeypatch):
+    # eval_phi's solves plus the edge check plus Brent's root on its bracket
+    calls = []
+    solve = _solve_real.__wrapped__
+    monkeypatch.setattr(ratefn, "_solve_real", lambda p, x: calls.append(x) or solve(p, x))
+    for prof, x, psi, th_star in _tilt_cases(named_profiles):
+        for th in (th_star, 3.0 * th_star):
+            calls.clear()
+            outlier_equation_z(prof, th, x, psi)
+            assert len(calls) <= 20
 
 
 def test_tilt_monotone_in_x(const_prof):
