@@ -25,8 +25,9 @@ m = 0; on this convex system the iterates rise monotonically to the
 physical branch), the fold point where sigma diag(w) - diag(1/m^2) becomes
 singular, which is the edge r (`support_edge`, certified by weak duality;
 Ajanki-Erdos-Kruger, arXiv 1506.05095; Alt-Erdos-Kruger, arXiv 1804.07752),
-and G^-1 as a bordered system in (m, v) (`stieltjes_inverse`).  No solve
-depends on an earlier one, so a result depends only on its inputs.
+and G^-1 as a bordered system in (m, v) (`_inverse_solve`, which returns
+m(v) with v, so that a tilt point costs one solve).  No solve depends on an
+earlier one, so a result depends only on its inputs.
 
 The log potential L(x) = integral log(x - y) d mu(y) needs no quadrature.
 It is the Dyson free energy at its stationary point (the variational form of
@@ -34,16 +35,19 @@ the quadratic vector equation, Ajanki-Erdos-Kruger, arXiv 1506.05095),
 
     L(x) = sum_k w_k (x m_k - log m_k) - (1/2) (w m)^T sigma (w m) - 1,
 
-evaluated at the one real solve m = m(x): the functional is stationary in m
-exactly at the Dyson equation, so its x-derivative is G(x) and an error in
-m moves it only at second order; it tends to log x at infinity.
+evaluated at the one real solve m = m(x) (`_free_energy`): the functional
+is stationary in m exactly at the Dyson equation, so its x-derivative is
+G(x) and an error in m moves it only at second order; it tends to log x at
+infinity.
 
-Memo policy: `support_edge`, `log_potential`, `stieltjes_inverse` and the
-real-axis solve `_solve_real` are pure functions of (profile, argument), and
-each is its own memo, a `functools.lru_cache` of at most _MEMO_SIZE entries
-over all profiles (`cache_info()` gives its hits and misses).  Profiles
-compare and hash by their weights and sigma, not their label, so equal
-profiles loaded separately share entries.  Eviction only costs a recompute.
+Memo policy: `support_edge`, `log_potential`, the bordered solve
+`_inverse_solve` behind `stieltjes_inverse` and the real-axis solve
+`_solve_real` are pure functions of (profile, argument), and each is its own
+memo, a `functools.lru_cache` of at most _MEMO_SIZE entries over all
+profiles (`cache_info()` gives its hits and misses); the m that
+`_inverse_solve` returns is read-only.  Profiles compare and hash by their
+weights and sigma, not their label, so equal profiles loaded separately
+share entries.  Eviction only costs a recompute.
 """
 
 from __future__ import annotations
@@ -249,6 +253,7 @@ def _descend(profile, xs, eta):
 # ---------------------------------------------------------------------------
 
 _NEWTON_ITERS = 100   # steps of the real-axis damped Newton
+_HALVINGS = 0.5 ** np.arange(50)  # step lengths the damped Newton tries, in order
 
 
 def _damped_newton(F, z, p, tol):
@@ -268,7 +273,7 @@ def _damped_newton(F, z, p, tol):
             if res < tol(z):
                 return z, True
             step = _solve_rows(J[None], -Fz[None])[0]
-            for t in 0.5 ** np.arange(50):
+            for t in _HALVINGS:
                 cand = z + t * step
                 if np.all(cand[:p] > 0):
                     Fc, Jc = F(cand)
@@ -401,10 +406,15 @@ def stieltjes_total(profile: VarianceProfile, x: float) -> float:
     return float(profile.weights @ _solve_real(profile, x))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
-    """The v > r_edge with G(v) = two_theta, by damped Newton on the bordered
-    system in (m, v)
+    """The v > r_edge with G(v) = two_theta (see `_inverse_solve`)."""
+    return _inverse_solve(profile, two_theta)[0]
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _inverse_solve(profile: VarianceProfile, two_theta: float):
+    """(v, m(v)), m read-only, for the v > r_edge with G(v) = two_theta, by
+    damped Newton on the bordered system in (m, v)
 
         1 - m_k (v - (sigma (w m))_k) = 0,   w . m / two_theta - 1 = 0,
 
@@ -441,7 +451,8 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     m, v = z[:p], float(z[p])
     if not (ok and v > r and _on_branch(profile, m)):
         raise ConvergenceError(f"stieltjes_inverse failed at two_theta={two_theta}")
-    return v
+    m.setflags(write=False)
+    return v, m
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +654,19 @@ def spectral_measure(
 @lru_cache(maxsize=_MEMO_SIZE)
 def log_potential(profile: VarianceProfile, x: float) -> float:
     """integral log(x - y) d mu(y) for x above the support edge, in closed
-    form from the one real-axis solve m = m(x):
-
-        L(x) = sum_k w_k (x m_k - log m_k) - (1/2) (w m)^T sigma (w m) - 1.
-
-    This Dyson free energy is stationary in m exactly where 1/m = x - sigma
-    (w m), so by the envelope theorem dL/dx = sum_k w_k m_k = G(x), and
-    L(x) = log x + O(x^-2) at infinity, as for the log potential; an error
-    in m moves L only at second order."""
+    form from the one real-axis solve m = m(x) (`_free_energy`)."""
     require_above_edge(profile, x)
-    m = _solve_real(profile, x)
+    return _free_energy(profile, x, _solve_real(profile, x))
+
+
+def _free_energy(profile: VarianceProfile, x: float, m: np.ndarray) -> float:
+    """The Dyson free energy at x and m,
+
+        L(x) = sum_k w_k (x m_k - log m_k) - (1/2) (w m)^T sigma (w m) - 1,
+
+    the log potential when m = m(x).  It is stationary in m exactly where
+    1/m = x - sigma (w m), so by the envelope theorem dL/dx = sum_k w_k m_k
+    = G(x), and L(x) = log x + O(x^-2) at infinity, as for the log
+    potential; an error in m moves L only at second order."""
     g = profile.weights * m
     return float((x * g.sum() - 1.0) - profile.weights @ np.log(m) - 0.5 * (g @ profile.sigma @ g))

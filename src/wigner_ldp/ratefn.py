@@ -17,10 +17,17 @@ strictly decreasing and convex: the sup over th is at 0 when h(0) <= 0 and
 otherwise at the root of h, which Newton from below reaches monotonically,
 with no bracket or fallback (`_sup_fhat`).  The inf over psi is a
 projected-gradient descent from all p + 1 + `starts` starts of one x as the
-rows of one array; each row keeps its own Armijo length and stopping test,
-and every per-row sum and product of the objective and its gradient goes
-through `dyson._rows_matvec`, one BLAS call per row, so a row's trajectory
-is the same alone, stacked, permuted or strided.
+rows of one array (`_descend_simplex`).  Each row tries its own
+Barzilai-Borwein length first (Barzilai-Borwein, IMA J. Numer. Anal. 1988;
+the spectral projected gradient of Birgin-Martinez-Raydan, SIAM J. Optim.
+2000), backtracks to its own Armijo test, and stops on its own
+projected-gradient norm or gain; a row still running at the iteration cap
+is reported as capped.  Every per-row sum and product of the objective and
+its gradient goes through `dyson._rows_matvec`, one BLAS call per row, so a
+row's trajectory is the same alone, stacked, permuted or strided.
+
+Below the seam 2 theta < G(x), J and phi are taken at v = G^{-1}(2 theta),
+whose bordered solve returns m(v) with v: one solve per tilt point.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .dyson import (
-    ConvergenceError, _edge_margin, _rows_matvec, _rowsum, _solve_real, log_potential,
-    require_above_edge, stieltjes_inverse, support_edge,
+    ConvergenceError, _edge_margin, _free_energy, _inverse_solve, _rows_matvec, _rowsum,
+    _solve_real, require_above_edge, support_edge,
 )
 from .profiles import UsageError, VarianceProfile
 
@@ -115,34 +122,31 @@ def _require_theta(theta: float, name: str = "theta", positive: bool = False) ->
         raise UsageError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
 
 
-def _tilt_point(profile: VarianceProfile, x: float, theta: float, G: float) -> float:
-    """Where J and phi are evaluated at tilt strength theta > 0: x itself when
-    2 theta >= G(x), taken from that side inside _SEAM_TOL, otherwise
-    v = G^{-1}(2 theta) > x."""
+def _tilt_point(profile: VarianceProfile, x: float, theta: float, G: float):
+    """(v, m(v)): where J and phi are evaluated at tilt strength theta > 0,
+    and the real solve there.  v is x itself when 2 theta >= G(x), taken
+    from that side inside _SEAM_TOL, otherwise v = G^{-1}(2 theta) > x, whose
+    bordered solve gives m(v) with it."""
     if 2.0 * theta >= G - _SEAM_TOL:
-        return x
-    return stieltjes_inverse(profile, 2.0 * theta)
+        return x, _solve_real(profile, x)
+    return _inverse_solve(profile, 2.0 * theta)
 
 
 def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     """Spherical-integral limit J(x, theta).
 
     For 2 theta >= G(x): theta x - 1/2 - log(2 theta)/2 - logpot(x)/2.
-    Otherwise x is replaced by v = G^{-1}(2 theta) > x.  theta = 0 returns
-    the limit value 0.
+    Otherwise x is replaced by v = G^{-1}(2 theta) > x.  The log potential
+    is the free energy at the tilt point's m(v), as in `log_potential`.
+    theta = 0 returns the limit value 0.
     """
     require_above_edge(profile, x)
     _require_theta(theta)
     if theta == 0.0:
         return 0.0
     _, G = _ctx(profile, x)
-    v = _tilt_point(profile, x, theta, G)
-    return (
-        theta * v
-        - 0.5
-        - 0.5 * math.log(2.0 * theta)
-        - 0.5 * log_potential(profile, v)
-    )
+    v, m_v = _tilt_point(profile, x, theta, G)
+    return theta * v - 0.5 - 0.5 * math.log(2.0 * theta) - 0.5 * _free_energy(profile, v, m_v)
 
 
 def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVector:
@@ -151,7 +155,7 @@ def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVe
     _require_theta(theta, positive=True)
     psi = _mass_vector(psi, profile.p)
     _, G = _ctx(profile, x)
-    m_v = _solve_real(profile, _tilt_point(profile, x, theta, G))
+    _, m_v = _tilt_point(profile, x, theta, G)
     # the excess 1 - G/(2 theta) is 0 where v = G^{-1}(2 theta) > x
     vals = profile.weights * m_v / (2.0 * theta) + max(1.0 - G / (2.0 * theta), 0.0) * psi
     return SimplexVector(vals / vals.sum())
@@ -307,26 +311,46 @@ def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> np.nd
     return np.array(starts)
 
 
-def _descend_simplex(f, grad, psi, max_iter, min_gain):
+def _descend_simplex(f, grad, psi, max_iter, tol):
     """Projected-gradient descent over the simplex from every row of psi at
     once, with f(rows, idx) -> (values, aux) and grad(rows, aux, idx) acting
-    row by row (idx: the rows' indices in psi, for per-row parameters).  Each
-    row backtracks from twice its last accepted length to the Armijo test and
-    drops out when no length passes or its gain falls below min_gain.
-    Returns (psi, values, aux, iterations) per row; a row where f is not
+    row by row (idx: the rows' indices in psi, for per-row parameters).
+
+    A row stops before a step once its projected-gradient step
+    |P(psi - g) - psi| is at most tol/10 (a p = 1 row at its start), and
+    after one when no length passes the Armijo test or its gain falls below
+    tol/1000.  Its first trial length is the short Barzilai-Borwein length
+    s'y/y'y of its last accepted step s and the gradient change y over it,
+    or twice its last accepted length on its first step or when s'y <= 0;
+    it is halved until the Armijo test passes.
+    Returns (psi, values, aux, iterations, capped) per row, where capped
+    marks the rows still running after max_iter steps; a row where f is not
     finite at its start comes back as it is, with 0 iterations."""
     psi = np.array(psi, dtype=float)
     val, aux = f(psi, np.arange(len(psi)))
     step = np.ones(len(psi))
+    s, g_last = np.zeros_like(psi), np.zeros_like(psi)  # last accepted step, gradient before it
     its = np.zeros(len(psi), dtype=int)
     act = np.isfinite(val)
-    for _ in range(max_iter):
+    for k in range(max_iter + 1):
         idx = np.flatnonzero(act)
         if idx.size == 0:
             break
-        its[idx] += 1
-        x0, v0, t = psi[idx], val[idx], 2.0 * step[idx]
+        x0 = psi[idx]
         g = grad(x0, aux[idx], idx)
+        pg = project_simplex(x0 - g) - x0
+        run = np.sqrt(_rowsum(pg * pg)) > 0.1 * tol
+        act[idx[~run]] = False
+        if k == max_iter:
+            break
+        idx, x0, g = idx[run], x0[run], g[run]
+        v0, t = val[idx], 2.0 * step[idx]
+        y = g - g_last[idx]
+        sy = _rowsum(s[idx] * y)
+        bb = (its[idx] > 0) & (sy > 0.0)  # a running row accepted its last step
+        t[bb] = sy[bb] / _rowsum(y[bb] ** 2)
+        its[idx] += 1
+        g_last[idx] = g
         gain = np.full(idx.size, -np.inf)
         j = np.arange(idx.size)  # rows of the stack still backtracking
         for _ in range(40):
@@ -338,24 +362,26 @@ def _descend_simplex(f, grad, psi, max_iter, min_gain):
             acc = j[ok]
             gain[acc] = v0[acc] - cval[ok]
             rows = idx[acc]
+            s[rows] = cand[ok] - x0[acc]
             psi[rows], val[rows], aux[rows], step[rows] = cand[ok], cval[ok], caux[ok], t[acc]
             j = j[moved & ~ok]
             if j.size == 0:
                 break
             t[j] /= 2.0
-        act[idx[~(gain >= min_gain)]] = False
-    return psi, val, aux, its
+        act[idx[~(gain >= 1e-3 * tol)]] = False
+    return psi, val, aux, its, act
 
 
 def _minimize_from(profile, x, starts, eps_floor, tol):
     """Projected-gradient descent of psi -> sup_theta Fhat from every row of
-    starts at once; returns (psi, value, theta_hat, iterations) per row, with
-    value inf on rows whose start is degenerate (a <= eps_floor)."""
+    starts at once, at most 400 steps a row; returns (psi, value, theta_hat,
+    iterations, capped) per row, with value inf on rows whose start is
+    degenerate (a <= eps_floor)."""
     m, _ = _ctx(profile, x)
     return _descend_simplex(
         lambda psi, _: _sup_fhat(profile, m, psi, eps_floor),
         lambda psi, th, _: _fhat_grad(profile, m, th, psi),
-        project_simplex(starts), 400, tol * 1e-3,
+        project_simplex(starts), 400, tol,
     )
 
 
@@ -371,8 +397,11 @@ def rate_function(
     Infinite below the support edge, zero at it.  Above it the value is the
     best of a multi-start projected-gradient minimization of the tilt
     envelope over mass vectors kept off the degenerate set by _EPS_FLOOR, all
-    starts descending together as rows; the spread across converged starts
-    is reported rather than hidden.
+    starts descending together as rows (`_descend_simplex`, with tol setting
+    its stationarity and gain stops); the spread across feasible starts is
+    reported rather than hidden.  diagnostics counts the feasible starts'
+    iterations, the starts that met a stopping test (`converged_starts`)
+    and those still running at the 400-step cap (`capped_starts`).
     """
     if starts < 0:
         raise UsageError("starts must be >= 0")
@@ -390,11 +419,11 @@ def rate_function(
             diagnostics={"note": "below support edge" if below else "at support edge"},
         )
     start_rows = _default_starts(profile, starts, seed)
-    psi, vals, th, its = _minimize_from(profile, x, start_rows, _EPS_FLOOR, tol)
-    conv = np.flatnonzero(np.isfinite(vals))
-    if conv.size == 0:
+    psi, vals, th, its, capped = _minimize_from(profile, x, start_rows, _EPS_FLOOR, tol)
+    fin = np.flatnonzero(np.isfinite(vals))
+    if fin.size == 0:
         raise ValueError(f"no feasible start: <psi, S psi> <= {_EPS_FLOOR} at every start")
-    best = conv[np.argmin(vals[conv])]  # the first start among equal values
+    best = fin[np.argmin(vals[fin])]  # the first start among equal values
     _, G = _ctx(profile, x)
     return RateEvalReport(
         x=x,
@@ -402,10 +431,11 @@ def rate_function(
         psi_star=SimplexVector(psi[best] / psi[best].sum()),
         theta_star=float(th[best] + G / 2.0),
         starts_used=len(start_rows),
-        spread=float(vals[conv].max() - vals[best]),
+        spread=float(vals[fin].max() - vals[best]),
         diagnostics={
-            "iterations": int(its[conv].sum()),
-            "converged_starts": int(conv.size),
+            "iterations": int(its[fin].sum()),
+            "converged_starts": int(fin.size - capped.sum()),
+            "capped_starts": int(capped.sum()),
             "upper_bound_4a": x * x / (4.0 * profile.mean_sigma),
         },
     )

@@ -6,6 +6,7 @@ from wigner_ldp import dyson, oracles
 from wigner_ldp.dyson import (
     _MEMO_SIZE,
     ConvergenceError,
+    _inverse_solve,
     _residual,
     _sigma_w,
     _solve_complex_many,
@@ -445,7 +446,7 @@ def test_inverse_calls_the_real_solve_at_most_twice(monkeypatch):
     calls = []
     solve = _solve_real.__wrapped__
     monkeypatch.setattr(dyson, "_solve_real", lambda p, x: calls.append(x) or solve(p, x))
-    v = stieltjes_inverse.__wrapped__(prof, target)
+    v, _ = _inverse_solve.__wrapped__(prof, target)
     assert v > r and len(calls) <= 2
 
 
@@ -546,7 +547,7 @@ def test_solution_json_round_trip(const_prof):
 
 
 def test_memos_bounded():
-    for fn in (support_edge, log_potential, stieltjes_inverse, _solve_real):
+    for fn in (support_edge, log_potential, _inverse_solve, _solve_real):
         assert fn.cache_info().maxsize == _MEMO_SIZE
 
 

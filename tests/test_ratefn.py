@@ -8,12 +8,17 @@ import pytest
 from scipy.integrate import quad
 
 import wigner_ldp
-from wigner_ldp import oracles, ratefn
-from wigner_ldp.dyson import _solve_real, solve_dyson, stieltjes_total, support_edge
+from wigner_ldp import dyson, oracles, ratefn
+from wigner_ldp.dyson import (
+    _solve_real, log_potential, solve_dyson, stieltjes_inverse, stieltjes_total, support_edge,
+)
 from wigner_ldp.profiles import ContinuousProfileSpec, VarianceProfile, discretize
 from wigner_ldp.ratefn import (
+    _EPS_FLOOR,
     SimplexVector,
     _default_starts,
+    _descend_simplex,
+    _fhat_grad,
     _minimize_from,
     _nu,
     _sup_fhat,
@@ -75,6 +80,46 @@ def test_J_explicit_semicircle(const_prof):
 def test_J_vanishing_tilt(const_prof):
     assert eval_J(const_prof, 3.0, 0.0) == 0.0
     assert abs(eval_J(const_prof, 3.0, 1e-5)) < 1e-4
+
+
+def _below_seam_cases(named_profiles):
+    """(profile, x, theta) with 2 theta < G(x), so that J and phi move to
+    v = G^{-1}(2 theta) > x."""
+    for prof in named_profiles:
+        _, r = support_edge(prof)
+        for x in (r + 0.05, r + 0.5, r + 3.0):
+            G = stieltjes_total(prof, x)
+            for frac in (0.05, 0.37, 0.93):
+                yield prof, x, frac * G / 2
+
+
+def test_J_and_phi_below_the_seam_match_the_solve_at_v(named_profiles):
+    # below the seam J and phi take m(v) from the bordered solve of G^{-1};
+    # the forms through log_potential(v) and the real solve at v agree to rounding
+    rng = np.random.default_rng(5)
+    for prof, x, th in _below_seam_cases(named_profiles):
+        v = stieltjes_inverse(prof, 2 * th)
+        J = eval_J(prof, x, th)
+        ref = th * v - 0.5 - 0.5 * np.log(2 * th) - 0.5 * log_potential(prof, v)
+        assert abs(J - ref) <= 1e-13 * (1 + abs(J))
+        vals = prof.weights * _solve_real(prof, v) / (2 * th)
+        phi = eval_phi(prof, th, x, rng.dirichlet(np.ones(prof.p))).values
+        assert np.max(np.abs(phi - vals / vals.sum())) <= 1e-13
+
+
+def test_J_below_the_seam_makes_no_real_solve_at_v(named_profiles, monkeypatch):
+    # one bordered solve gives v and m(v): at a fresh theta the real solves are
+    # the one at x and the bordered solve's two (just above the edge, at its start)
+    calls = []
+    solve = _solve_real.__wrapped__
+    for module in (dyson, ratefn):
+        monkeypatch.setattr(module, "_solve_real", lambda p, x: calls.append(x) or solve(p, x))
+    for prof, x, th in _below_seam_cases(named_profiles):
+        th *= 1 - 1e-7  # a tilt strength no other test asks for
+        calls.clear()
+        eval_J(prof, x, th)
+        assert len(calls) <= 3
+        assert not dyson._inverse_solve(prof, 2 * th)[1].flags.writeable
 
 
 def test_J_domain(const_prof):
@@ -378,6 +423,51 @@ def test_stacked_descent_rows_independent(seed):
     strided = np.repeat(rows, 2, axis=1)[:, ::2]
     for full, other in zip(_sup_fhat(prof, m, rows, 1e-8), _sup_fhat(prof, m, strided, 1e-8)):
         assert np.array_equal(full, other)
+
+
+def _descent_profiles(named_profiles):
+    """The named profiles and the first six draws of seed 11 with p > 1 (a
+    p = 1 row is stationary at its start)."""
+    rng = np.random.default_rng(11)
+    draws = []
+    while len(draws) < 6:
+        prof = random_profile(rng, pmax=6)
+        if prof.p > 1:
+            draws.append(prof)
+    return list(named_profiles) + draws
+
+
+def _long_run_I(prof, x):
+    """min over rate_function's starts of the descent run 20,000 steps a row
+    with tol 0, so that a row stops only where no step lowers its value."""
+    m = _solve_real(prof, x)
+    vals = _descend_simplex(
+        lambda psi, _: _sup_fhat(prof, m, psi, _EPS_FLOOR),
+        lambda psi, th, _: _fhat_grad(prof, m, th, psi),
+        project_simplex(_default_starts(prof, 8, 0)), 20000, 0.0,
+    )[1]
+    return vals[np.isfinite(vals)].min()
+
+
+def test_rate_reaches_the_long_run_reference(named_profiles):
+    spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 256)
+    grid = [discretize(spec, p)[0] for p in (16, 32)]
+    for prof in _descent_profiles(named_profiles) + grid:
+        _, r = support_edge(prof)
+        for x in (r + 0.5, r + 3.0):
+            assert rate_function(prof, x).I <= _long_run_I(prof, x) + 1e-10
+
+
+def test_no_start_stops_at_the_cap(named_profiles):
+    # every feasible start meets a stopping test; a p = 1 start takes no step
+    for prof in _descent_profiles(named_profiles):
+        _, r = support_edge(prof)
+        for x in (r + 0.5, r + 3.0, r + 6.0):
+            rep = rate_function(prof, x)
+            assert rep.diagnostics["capped_starts"] == 0
+            assert 0 < rep.diagnostics["converged_starts"] <= rep.starts_used
+    for x in (2.5, 8.0):
+        assert rate_function(named_profiles[0], x).diagnostics["iterations"] == 0
 
 
 def test_rate_metamorphic_relations():
