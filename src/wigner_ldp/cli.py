@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -92,6 +92,13 @@ def _mass_option(prof: VarianceProfile, args, name: str) -> np.ndarray:
     return v
 
 
+def _table(header, rows) -> str:
+    """The one CSV writer: a str cell is written as it is, a number as
+    repr(float(v)), so a payload keeps every bit of its values."""
+    return "".join(",".join(c if isinstance(c, str) else repr(float(c)) for c in line) + "\n"
+                   for line in (header, *rows))
+
+
 # ---------------------------------------------------------------------------
 # commands: each takes (profile, args) and returns (exit code, body, table)
 # ---------------------------------------------------------------------------
@@ -118,25 +125,22 @@ def cmd_density(prof, args):
         "total_mass_error": sm.total_mass_error,
         "flagged": sm.flags.astype(int).tolist(),
     }
-    table = sm.to_csv() + f"# total_mass,{1.0 - sm.total_mass_error!r}\n"
-    return EXIT_OK, body, table
+    header = ["x", "density", *(f"density_block_{k+1}" for k in range(prof.p))]
+    rows = [*zip(sm.x_grid, sm.density, *sm.block_densities),
+            ["# total_mass", 1.0 - sm.total_mass_error]]
+    return EXIT_OK, body, _table(header, rows)
 
 
 def cmd_rate(prof, args):
     rows = [rate_function(prof, x, starts=args.starts, tol=args.tol, seed=args.seed) for x in args.x]
     body = {
-        "reports": [json.loads(r.to_json()) for r in rows],
+        "reports": [{**vars(r), "psi_star": r.psi_star.values.tolist()} for r in rows],
         "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
                   for r in rows],
     }
-    lines = ["x,I,theta_star," + ",".join(f"psi_star_{k+1}" for k in range(prof.p)) + ",spread"]
-    for r in rows:
-        cells = [repr(float(r.x)), "inf" if not np.isfinite(r.I) else repr(float(r.I)),
-                 repr(float(r.theta_star))]
-        cells += [repr(float(v)) for v in r.psi_star.values]
-        cells.append(repr(float(r.spread)))
-        lines.append(",".join(cells))
-    return EXIT_OK, body, "\n".join(lines) + "\n"
+    header = ["x", "I", "theta_star", *(f"psi_star_{k+1}" for k in range(prof.p)), "spread"]
+    table = _table(header, [[r.x, r.I, r.theta_star, *r.psi_star.values, r.spread] for r in rows])
+    return EXIT_OK, body, table
 
 
 # -- validation suites -------------------------------------------------------
@@ -382,8 +386,8 @@ def cmd_mc_tilt(prof, args):
             ("theta_star", "target_x", "mean_lambda1", "std_lambda1", "mean_profile_gap")}
     table = None
     if args.format == "csv":  # the only command whose table is not its default payload
-        table = "seed_index,lambda1\n" + "".join(
-            f"{i},{float(lam)!r}\n" for i, lam in enumerate(rep["lambda1"]))
+        table = _table(["seed_index", "lambda1"],
+                       [[str(i), lam] for i, lam in enumerate(rep["lambda1"])])
     return EXIT_OK, body, table
 
 
@@ -394,7 +398,9 @@ def cmd_mc_batch(prof, args):
         "lambda1_std": float(batch.lambda1.std(ddof=1)) if args.samples > 1 else 0.0,
         "rho_mean": batch.rho_v1.mean(axis=0).tolist(),
     }
-    return EXIT_OK, body, batch.to_csv()
+    header = ["seed_index", "lambda1", *(f"rho_{k+1}" for k in range(prof.p))]
+    rows = [[str(i), lam, *rho] for i, (lam, rho) in enumerate(zip(batch.lambda1, batch.rho_v1))]
+    return EXIT_OK, body, _table(header, rows)
 
 
 def cmd_mc_dirichlet(prof, args):
@@ -443,6 +449,7 @@ def _run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # built once per process: parsing never changes a default
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wigner-ldp", description=__doc__)
     ap.add_argument("--seed", type=partial(_int_at_least, low=0), default=0)

@@ -40,19 +40,19 @@ is stationary in m exactly at the Dyson equation, so its x-derivative is
 G(x) and an error in m moves it only at second order; it tends to log x at
 infinity.
 
-Memo policy: `support_edge`, `log_potential`, the bordered solve
-`_inverse_solve` behind `stieltjes_inverse` and the real-axis solve
-`_solve_real` are pure functions of (profile, argument), and each is its own
-memo, a `functools.lru_cache` of at most _MEMO_SIZE entries over all
-profiles (`cache_info()` gives its hits and misses); the m that
-`_inverse_solve` returns is read-only.  Profiles compare and hash by their
+Memo policy: `support_edge`, the bordered solve `_inverse_solve` behind
+`stieltjes_inverse` and the real-axis solve `_solve_real` are pure functions
+of (profile, argument), and each is its own memo, a `functools.lru_cache` of
+at most _MEMO_SIZE entries over all profiles (`cache_info()` gives its hits
+and misses); the m that `_inverse_solve` returns is read-only.
+`log_potential` keeps no memo of its own: the real solve under it is the
+expensive step and is memoized.  Profiles compare and hash by their
 weights and sigma, not their label, so equal profiles loaded separately
 share entries.  Eviction only costs a recompute.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -325,18 +325,6 @@ class DysonSolution:
     iterations: int
     residual: float       # fixed-point residual max_k |1/m_k - (z - (S m)_k)|
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "z": [self.z.real, self.z.imag],
-                "m": [[v.real, v.imag] for v in self.m],
-                "G_blocks": [[v.real, v.imag] for v in self.G_blocks],
-                "G_total": [self.G_total.real, self.G_total.imag],
-                "iterations": self.iterations,
-                "residual": self.residual,
-            }
-        )
-
 
 def solve_dyson(profile: VarianceProfile, z) -> DysonSolution:
     """Solve the block Dyson system at a spectral parameter z.
@@ -568,16 +556,6 @@ class SpectralMeasure:
     total_mass_error: float
     flags: np.ndarray = field(default=None)
 
-    def to_csv(self) -> str:
-        p = self.block_densities.shape[0]
-        header = "x,density," + ",".join(f"density_block_{k+1}" for k in range(p))
-        lines = [header]
-        for i, x in enumerate(self.x_grid):
-            cols = [repr(float(x)), repr(float(self.density[i]))]
-            cols += [repr(float(self.block_densities[k, i])) for k in range(p)]
-            lines.append(",".join(cols))
-        return "\n".join(lines) + "\n"
-
 
 def _richardson_weights(etas: np.ndarray) -> np.ndarray:
     """c with c @ f(etas) the polynomial extrapolation of f to eta = 0."""
@@ -651,7 +629,6 @@ def spectral_measure(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def log_potential(profile: VarianceProfile, x: float) -> float:
     """integral log(x - y) d mu(y) for x above the support edge, in closed
     form from the one real-axis solve m = m(x) (`_free_energy`)."""

@@ -322,10 +322,10 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
 
     and z is the finite-N saddle point: the root above lambda_max of
     (1/N) sum_i 1/(z - lambda_i) = 2 theta.  Negative theta uses the identity
-    (M, theta) -> (-M, -theta), so z then lies below lambda_min.  When the
-    proposal is uniform -- theta = 0 (no root, z = inf) or M a multiple of
-    the identity (all weights equal) -- the weights reduce to the plain
-    average of exp(theta N q) over normalized Gaussian vectors.
+    (M, theta) -> (-M, -theta), so z then lies below lambda_min.  When
+    theta = 0 or M is a multiple of the identity, exp(theta N q) is the same
+    number on the whole sphere: the value theta lambda is returned exactly,
+    with stderr 0, ess = samples and z = +-inf (no root), and nothing is drawn.
 
     Draws come in chunks seeded by (seed, chunk index); the mean is taken in
     log space with a 10-group jackknife stderr.  extra holds the effective
@@ -344,23 +344,18 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
     t = abs(theta)
     lam_max = float(lam.max())
     gaps = lam_max - lam
-    uniform = t == 0.0 or not np.any(gaps > 0.0)
-    if uniform:
-        shift, z, scale = 0.0, sign * math.inf, np.ones(N)
-    else:
-        d = _saddle_gap(gaps, t)
-        shift = t * N * lam_max - 0.5 * float(np.sum(np.log(d + gaps)))
-        z = sign * (lam_max + d)
-        scale = 1.0 / np.sqrt(d + gaps)
+    if t == 0.0 or not np.any(gaps > 0.0):
+        # exp(theta N q) is the same number on the whole sphere; + 0.0 maps -0.0 to 0.0
+        return MCEstimate(value=t * lam_max + 0.0, stderr=0.0, samples=samples,
+                          extra={"ess": float(samples), "z": sign * math.inf})
+    d = _saddle_gap(gaps, t)
+    shift = t * N * lam_max - 0.5 * float(np.sum(np.log(d + gaps)))
+    scale = 1.0 / np.sqrt(d + gaps)
     vals = np.empty(samples)
     for done, g in _sphere_draws(seed, samples, N):
         g2 = (g * scale) ** 2
         s = (g2 @ gaps) / np.sum(g2, axis=1)  # lambda_max - q
-        rows = slice(done, done + g.shape[0])
-        if uniform:
-            vals[rows] = t * N * (lam_max - s)
-        else:
-            vals[rows] = 0.5 * N * np.log(d + s) - t * N * s
+        vals[done:done + g.shape[0]] = 0.5 * N * np.log(d + s) - t * N * s
     full, se = _jackknife_logmean(vals, samples)
     ess = _effective_sample_size(vals)
     if ess < ESS_FLOOR:
@@ -372,7 +367,7 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
         )
     return MCEstimate(
         value=float((full + shift) / N), stderr=float(se / N), samples=samples,
-        extra={"ess": ess, "z": z},
+        extra={"ess": ess, "z": sign * (lam_max + d)},
     )
 
 
@@ -491,15 +486,6 @@ class SampleBatch:
     lambda1: np.ndarray          # (samples,)
     rho_v1: np.ndarray           # (samples, p) top-eigenvector block masses
     projected: list              # per-block DiscreteMeasure aggregated over the batch
-
-    def to_csv(self) -> str:
-        p = self.rho_v1.shape[1]
-        lines = ["seed_index,lambda1," + ",".join(f"rho_{k+1}" for k in range(p))]
-        for i in range(self.lambda1.size):
-            cells = [str(i), repr(float(self.lambda1[i]))]
-            cells += [repr(float(v)) for v in self.rho_v1[i]]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def collect_batch(

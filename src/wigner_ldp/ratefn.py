@@ -32,7 +32,6 @@ whose bordered solve returns m(v) with v: one solve per tilt point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -277,19 +276,6 @@ class RateEvalReport:
     spread: float
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "x": self.x,
-                "I": self.I,
-                "psi_star": self.psi_star.values.tolist(),
-                "theta_star": self.theta_star,
-                "starts_used": self.starts_used,
-                "spread": self.spread,
-                "diagnostics": self.diagnostics,
-            }
-        )
-
 
 def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> np.ndarray:
     """Rows: the weights, a vertex (or pair midpoint) per block, Dirichlet draws."""
@@ -456,14 +442,12 @@ def _tangent_concave(profile: VarianceProfile) -> bool:
 
 def _sup_K_over_psi(profile, thetas, x):
     """sup over psi of K(theta, phi(theta, x, psi)) per theta of thetas, as the
-    rows of one projected-gradient ascent; K is concave in psi on concave profiles."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    rows of one projected-gradient ascent; K is concave in psi on concave profiles.
+    Needs theta >= G(x)/2, where phi = c + beta psi with beta >= 0 (at 2 theta =
+    G, beta = 0 and phi does not depend on psi)."""
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
     m_x, G = _ctx(profile, x)
     w, sig = profile.weights, profile.sigma
-    out = np.empty(thetas.size)
-    flat = 2.0 * thetas <= G  # phi does not depend on psi there
-    out[flat] = [eval_K(profile, t, eval_phi(profile, t, x, w)) for t in thetas[flat]]
-    th = thetas[~flat]
     c = w * m_x / (2.0 * th[:, None])
     beta = 1.0 - G / (2.0 * th)
 
@@ -477,8 +461,7 @@ def _sup_K_over_psi(profile, thetas, x):
         phi = c[i] + beta[i, None] * psi
         return -(beta[i, None] * (2.0 * th[i, None] ** 2 * _rows_matvec(sig, phi) + 0.5 * w / phi))
 
-    out[~flat] = -_descend_simplex(minus_K, minus_grad, np.tile(w, (th.size, 1)), 300, 0.0)[1]
-    return out
+    return -_descend_simplex(minus_K, minus_grad, np.tile(w, (th.size, 1)), 300, 0.0)[1]
 
 
 def rate_function_concave(profile: VarianceProfile, x: float) -> float:

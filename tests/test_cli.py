@@ -176,6 +176,76 @@ def test_rate_csv_rows(prof_paths, tmp_path):
     assert row0[1] == "inf"
 
 
+def _csv_and_json(tmp_path, argv):
+    """One command's CSV rows, split into cells after the manifest line, and its JSON text."""
+    csv_out, json_out = tmp_path / "payload.csv", tmp_path / "payload.json"
+    assert main(["--format", "csv", "--out", str(csv_out), *argv]) == 0
+    assert main(["--format", "json", "--out", str(json_out), *argv]) == 0
+    lines = csv_out.read_text().splitlines()
+    assert lines[0].startswith("# {")
+    return [line.split(",") for line in lines[1:]], json_out.read_text()
+
+
+def test_density_csv_rows_match_json(prof_paths, tmp_path):
+    rows, text = _csv_and_json(tmp_path, ["density", "--profile", prof_paths["block"],
+                                          "--xmin", "-3", "--xmax", "3", "--points", "41"])
+    d = json.loads(text)
+    assert rows[0] == ["x", "density", "density_block_1", "density_block_2"]
+    assert rows[-1] == ["# total_mass", repr(1.0 - d["total_mass_error"])]
+    table = np.array(rows[1:-1], dtype=float)
+    assert table.shape == (41, 4)
+    assert table[:, 0].tolist() == d["x"] and table[:, 1].tolist() == d["density"]
+    assert table[:, 2:].T.tolist() == d["block_densities"]
+
+
+def test_rate_csv_rows_match_json_reports(prof_paths, tmp_path):
+    # the below-edge x reads inf in the CSV and Infinity in the JSON
+    rows, text = _csv_and_json(tmp_path, ["rate", "--profile", prof_paths["block"],
+                                          "--x", "3.2,0.5,4.0"])
+    reports = json.loads(text)["reports"]
+    assert rows[0] == ["x", "I", "theta_star", "psi_star_1", "psi_star_2", "spread"]
+    assert len(rows) == 1 + len(reports) == 4
+    for row, rep in zip(rows[1:], reports):
+        assert [float(c) for c in row] == [rep["x"], rep["I"], rep["theta_star"],
+                                           *rep["psi_star"], rep["spread"]]
+    assert rows[2][1] == "inf" and reports[1]["I"] == np.inf and '"I": Infinity' in text
+
+
+def test_mc_batch_csv_matches_json(prof_paths, tmp_path):
+    rows, text = _csv_and_json(tmp_path, ["mc", "batch", "--profile", prof_paths["block"],
+                                          "--N", "12", "--samples", "6"])
+    d = json.loads(text)
+    assert rows[0] == ["seed_index", "lambda1", "rho_1", "rho_2"]
+    assert [row[0] for row in rows[1:]] == [str(i) for i in range(6)]
+    table = np.array(rows[1:], dtype=float)
+    assert float(table[:, 1].mean()) == d["lambda1_mean"]
+    assert table[:, 2:].mean(axis=0).tolist() == d["rho_mean"]
+
+
+def test_mc_tilt_csv_rows_match_json(prof_paths, tmp_path):
+    rows, text = _csv_and_json(tmp_path, ["mc", "tilt", "--profile", prof_paths["constant"],
+                                          "--x", "3.0", "--N", "20", "--samples", "5"])
+    assert rows[0] == ["seed_index", "lambda1"]
+    assert [row[0] for row in rows[1:]] == [str(i) for i in range(5)]
+    lam1 = np.array([row[1] for row in rows[1:]], dtype=float)
+    assert float(lam1.mean()) == json.loads(text)["mean_lambda1"]
+
+
+def test_parser_is_built_once_and_reused(prof_paths, tmp_path):
+    # a second run through the same parser sees nothing of the runs before it
+    assert _build_parser() is _build_parser()
+    rate = ["--format", "json", "rate", "--profile", prof_paths["block"], "--x", "3.2,0.5"]
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(["--out", str(first), *rate]) == 0
+    assert main(["--out", str(tmp_path / "density.csv"), "density", "--profile",
+                 prof_paths["block"], "--xmin", "-3", "--xmax", "3", "--points", "11",
+                 "--eta", "0.02,0.01"]) == 0
+    assert main(["--out", str(again), *rate]) == 0
+    assert first.read_bytes() == again.read_bytes()
+    options = [json.dumps(json.loads(p.read_text())["manifest"]["options"]) for p in (first, again)]
+    assert options[0] == options[1]
+
+
 def test_validate_identities(prof_paths, tmp_path):
     out = tmp_path / "val.json"
     code = main([

@@ -293,14 +293,6 @@ def test_spectral_measure_rejects_empty_or_non_finite_eta(const_prof, etas):
         spectral_measure(const_prof, -1.0, 1.0, 5, etas)
 
 
-def test_spectral_measure_csv(const_prof):
-    sm = spectral_measure(const_prof, -2.2, 2.2, 41)
-    text = sm.to_csv()
-    head = text.splitlines()[0]
-    assert head == "x,density,density_block_1"
-    assert len(text.splitlines()) == 42
-
-
 # -- edges --------------------------------------------------------------------
 
 
@@ -537,17 +529,8 @@ def test_log_potential_scaling(named_profiles):
             assert lhs == pytest.approx(log_potential(prof, x / np.sqrt(c)) + 0.5 * np.log(c), abs=1e-11)
 
 
-def test_solution_json_round_trip(const_prof):
-    import json
-
-    sol = solve_dyson(const_prof, 2j)
-    d = json.loads(sol.to_json())
-    assert d["z"] == [0.0, 2.0]
-    assert d["residual"] == sol.residual
-
-
 def test_memos_bounded():
-    for fn in (support_edge, log_potential, _inverse_solve, _solve_real):
+    for fn in (support_edge, _inverse_solve, _solve_real):
         assert fn.cache_info().maxsize == _MEMO_SIZE
 
 

@@ -339,14 +339,6 @@ def test_rate_monotone_and_scaling(const_prof):
             assert vals[i] <= (xs[i] ** 2 / xs[j] ** 2) * vals[j] + 1e-9
 
 
-def test_rate_report_serializes(const_prof):
-    import json
-
-    rep = rate_function(const_prof, 2.5)
-    d = json.loads(rep.to_json())
-    assert d["x"] == 2.5 and d["I"] == rep.I
-
-
 def test_rate_wishart_positive_and_bounded(wishart2):
     _, r = support_edge(wishart2)
     x = r + 0.4
