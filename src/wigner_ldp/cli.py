@@ -22,7 +22,9 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__, mc, ratefn
-from .dyson import EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge
+from .dyson import (
+    DEFAULT_ETA_SCHEDULE, EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge,
+)
 from .mc import InconclusiveError
 from .profiles import ProfileConfigError, UsageError, VarianceProfile, load_profile_file
 from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_concave
@@ -468,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=_finite_float, required=True)
     p.add_argument("--xmax", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--eta", type=_floats, default=[1e-2, 5e-3, 2.5e-3])
+    p.add_argument("--eta", type=_floats, default=list(DEFAULT_ETA_SCHEDULE))
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("rate", parents=[prof], help="rate function at one or more x")

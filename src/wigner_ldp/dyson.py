@@ -13,10 +13,12 @@ Complex axis: `_solve_complex_many` solves a batch of spectral parameters,
 per row a full Newton step on the multiplicative residual where it is
 accepted and otherwise the map m -> 1/(z - sigma (w m)), a strict
 contraction in the hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN
-2007), so no step length is searched.  Near the real axis a row is started
-by descending a geometric ladder of Im z from 0.5 (`_descend`); the density
-grid solves all its points in one batch, and the size-N system of
-`solve_dyson_finite` is the same solve on N blocks.
+2007), so no step length is searched or measured: every row stops on one
+test, a relative step below 1e-13 with a residual below 1e-10 (1 + |z|).
+Near the real axis a row is started by descending a geometric ladder of
+Im z from 0.5 (`_descend`); the density grid solves all its points in one
+batch, and the size-N system of `solve_dyson_finite` is the same solve on
+N blocks.
 
 Real axis: `_damped_newton` solves a residual/Jacobian pair with an Armijo
 line search that keeps m positive.  It serves three systems: m(x) above
@@ -44,7 +46,8 @@ Memo policy: `support_edge`, the bordered solve `_inverse_solve` behind
 `stieltjes_inverse` and the real-axis solve `_solve_real` are pure functions
 of (profile, argument), and each is its own memo, a `functools.lru_cache` of
 at most _MEMO_SIZE entries over all profiles (`cache_info()` gives its hits
-and misses); the m that `_inverse_solve` returns is read-only.
+and misses); the m that `_inverse_solve` and `_solve_real` return is
+read-only, so no caller can change a later result.
 `log_potential` keeps no memo of its own: the real solve under it is the
 expensive step and is memoized.  Profiles compare and hash by their
 weights and sigma, not their label, so equal profiles loaded separately
@@ -61,7 +64,6 @@ import numpy as np
 from .profiles import UsageError, VarianceProfile
 
 DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
-STEP_TOL = 1e-13          # hyperbolic distance between successive iterates
 _MEMO_SIZE = 1 << 16      # entries per memoized function, over all profiles
 
 
@@ -76,23 +78,13 @@ class ConvergenceError(RuntimeError):
 
 def hyperbolic_D(u: np.ndarray, v: np.ndarray):
     """max_k |u_k - v_k|^2 / (Im u_k Im v_k) over the last axis, for lower
-    half-plane vectors (one value per row of a stack)."""
+    half-plane vectors (one value per row of a stack): the hyperbolic metric
+    in which the fixed-point map contracts."""
     num = np.abs(u - v) ** 2
     den = np.imag(u) * np.imag(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         D = np.max(num / den, axis=-1)
     return np.where(np.any(den <= 0, axis=-1), np.inf, D)[()]
-
-
-def hyperbolic_distance(u: np.ndarray, v: np.ndarray):
-    """d(u, v) = arcosh(1 + D(u, v)/2), maximized over components.
-
-    arcosh(1 + t) loses all precision for t below machine epsilon; the
-    series value sqrt(D) (relative error D/24) takes over there so that
-    step tolerances near 1e-13 remain meaningful.
-    """
-    D = hyperbolic_D(u, v)
-    return np.where(D < 1e-8, np.sqrt(D), np.arccosh(1.0 + D / 2.0))[()]
 
 
 def _rows_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -186,16 +178,8 @@ def _solve_block(profile, z, m0):
         fp = ~newton
         if fp.any():
             nxt[fp] = fixed_point_map(profile, za[fp, None], ma[fp])
-        step = hyperbolic_distance(ma, nxt)
-        small = np.max(np.abs(nxt - ma) / np.abs(nxt), axis=1) < 1e-13
-        converged = _residual(profile, za[:, None], nxt) < res_tol[idx]
-        # the hyperbolic step is not resolvable below ~1e-9 when Im m ~ eta
-        # is tiny; relative stagnation covers that case
-        done = np.where(
-            newton,
-            ((step < STEP_TOL) | small) & converged,
-            (step < STEP_TOL) | (small & converged),
-        )
+        done = np.max(np.abs(nxt - ma) / np.abs(nxt), axis=1) < 1e-13
+        done &= _residual(profile, za[:, None], nxt) < res_tol[idx]
         m[idx] = nxt
         its[idx] += 1
         act[idx[done]] = False
@@ -210,11 +194,11 @@ def _solve_complex_many(profile, zs, m0=None):
     m0, or from 1/z when that row is missing or not in the lower half-plane.
     The first sweep is a fixed-point step; each later sweep tries one full
     Newton step on the multiplicative residual (`_newton_step`) and falls
-    back to the contraction map when that step is rejected.  A row stops on a
-    hyperbolic step below STEP_TOL, or on a relative step below 1e-13 with
-    residual below 1e-10 (1 + |z|).  A row still running after _MAX_SWEEPS
-    sweeps, or whose z or m0 row is not finite, comes back as NaN; callers
-    decide what that means.  Rows are solved in blocks of _BLOCK_ROWS, and a
+    back to the contraction map when that step is rejected.  Every row stops
+    on one test: a relative step below 1e-13 and a residual below
+    1e-10 (1 + |z|).  A row still running after _MAX_SWEEPS sweeps, or whose
+    z or m0 row is not finite, comes back as NaN; callers decide what that
+    means.  Rows are solved in blocks of _BLOCK_ROWS, and a
     row's value does not depend on the rows solved with it.
     """
     zs = np.asarray(zs, dtype=complex)
@@ -307,6 +291,7 @@ def _solve_real(profile, x):
     if x > 0:
         m, ok = _damped_newton(F, np.full(profile.p, 1.0 / x), profile.p, lambda _: 1e-14 * (1.0 + x))
         if ok and _on_branch(profile, m):
+            m.setflags(write=False)
             return m
     raise ConvergenceError(f"real-axis solve failed at x={x}; is x above the support edge?")
 

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtpttr
 from scipy.optimize import brentq
 
+from .dyson import spectral_measure, support_edge
 from .profiles import UsageError, VarianceProfile
 from .ratefn import _mass_vector, eval_phi, find_tilt_theta
 
@@ -603,8 +604,6 @@ def tail_estimate(
 def quantile_spectrum_matrix(profile: VarianceProfile, N: int, top: float) -> np.ndarray:
     """Deterministic diagonal matrix: N-1 quantiles of the limiting measure
     plus a detached top eigenvalue."""
-    from .dyson import spectral_measure, support_edge
-
     l, r = support_edge(profile)
     sm = spectral_measure(profile, l - 0.05, r + 0.05, 1501)
     cum = _cumulative_mass(sm.x_grid, np.where(sm.flags, 0.0, sm.density))

@@ -6,24 +6,7 @@ test suite uses these as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class OracleValue:
-    """A named reference value with the inputs that produced it."""
-
-    name: str
-    inputs: dict = field(default_factory=dict)
-    value: float = 0.0
-    formula_ref: str = ""
-
-
-def record(name: str, fn, formula_ref: str = "", **inputs) -> OracleValue:
-    """Evaluate a pure oracle and freeze the result with its inputs."""
-    return OracleValue(name=name, inputs=dict(inputs), value=fn(**inputs), formula_ref=formula_ref)
 
 
 def sc_density(x):

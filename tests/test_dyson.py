@@ -13,7 +13,6 @@ from wigner_ldp.dyson import (
     _solve_real,
     fixed_point_map,
     hyperbolic_D,
-    hyperbolic_distance,
     log_potential,
     solve_dyson,
     solve_dyson_finite,
@@ -155,14 +154,6 @@ def test_contraction_certificate(wishart2):
             if d_prev > 1e-300:
                 assert d_next / d_prev <= factor + 1e-9
             m, prev, d_prev = prev, nxt, d_next
-
-
-def test_hyperbolic_distance_basics():
-    u = np.array([0.3 - 0.4j, -1.0 - 2.0j])
-    v = np.array([0.1 - 0.9j, -1.1 - 1.5j])
-    assert hyperbolic_distance(u, u) == 0.0
-    assert hyperbolic_distance(u, v) == pytest.approx(hyperbolic_distance(v, u))
-    assert hyperbolic_distance(u, v) > 0
 
 
 @pytest.mark.parametrize("z", [-1.0984 + 0.0053j, 1.3199 + 0.0002j, -1.4869 + 0.0002j])
@@ -532,6 +523,14 @@ def test_log_potential_scaling(named_profiles):
 def test_memos_bounded():
     for fn in (support_edge, _inverse_solve, _solve_real):
         assert fn.cache_info().maxsize == _MEMO_SIZE
+
+
+def test_solve_real_memo_is_read_only(const_prof):
+    # a write into the memoized m would change every later result at (profile, x)
+    m = _solve_real(const_prof, 3.0)
+    with pytest.raises(ValueError):
+        m[0] = 1.0
+    assert _solve_real(const_prof, 3.0)[0] == pytest.approx(SC_M3, abs=1e-12)
 
 
 def test_edge_memo_shared_by_equal_profiles():

@@ -133,12 +133,6 @@ def test_block_rate_degenerate_alpha():
     assert abs(vals[-1] - oracles.goe_rate(4.3)) < abs(vals[0] - oracles.goe_rate(4.3))
 
 
-def test_oracle_value_record_reproducible():
-    a = oracles.record("goe_rate", oracles.goe_rate, x=3.0)
-    b = oracles.record("goe_rate", oracles.goe_rate, x=3.0)
-    assert a.value == b.value and a.inputs == {"x": 3.0}
-
-
 def test_semicircle_helpers():
     grid = np.linspace(-2, 2, 4001)
     # trapezoid converges like h^(3/2) at the sqrt edges

@@ -12,7 +12,7 @@ from wigner_ldp import dyson, oracles, ratefn
 from wigner_ldp.dyson import (
     _solve_real, log_potential, solve_dyson, stieltjes_inverse, stieltjes_total, support_edge,
 )
-from wigner_ldp.profiles import ContinuousProfileSpec, VarianceProfile, discretize
+from wigner_ldp.profiles import ContinuousProfileSpec, UsageError, VarianceProfile, discretize
 from wigner_ldp.ratefn import (
     _EPS_FLOOR,
     SimplexVector,
@@ -194,6 +194,11 @@ def test_plateau_zero(named_profiles):
             psi = rng.dirichlet(np.ones(prof.p))
             th = rng.uniform(0, 0.5) * stieltjes_total(prof, x)
             assert abs(eval_F(prof, th, x, psi)) < 1e-8
+        # theta = 0 is exactly 0 above the edge and is refused at or below it
+        assert eval_F(prof, 0.0, r + 0.3, psi) == 0.0
+        for x in (r, r - 0.5):
+            with pytest.raises(UsageError):
+                eval_F(prof, 0.0, x, psi)
 
 
 def test_form_equality(named_profiles):
