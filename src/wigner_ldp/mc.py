@@ -153,8 +153,11 @@ def _block_sums(a: np.ndarray, profile: VarianceProfile, axis: int = -1) -> np.n
 
 
 def vector_profile(profile: VarianceProfile, v: np.ndarray) -> np.ndarray:
-    """rho(v): squared mass of v on each partition block."""
-    return _block_sums(np.asarray(v) ** 2, profile)
+    """rho(v/|v|) for each row of v along the last axis: the squared mass of
+    the unit vector on each partition block."""
+    u2 = np.asarray(v, dtype=float) ** 2
+    u2 /= u2.sum(axis=-1, keepdims=True)  # in place: a chunk of rows is large
+    return _block_sums(u2, profile)
 
 
 def _eig_masses(H: np.ndarray, profile: VarianceProfile):
@@ -179,51 +182,22 @@ class DiscreteMeasure:
         return float(np.sum(self.weights))
 
 
-@dataclass(frozen=True)
-class DensityMeasure:
-    grid: np.ndarray
-    density: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
-
-
-def _cdf_at(measure, xs):
-    if isinstance(measure, DiscreteMeasure):
-        order = np.argsort(measure.atoms)
-        atoms = measure.atoms[order]
-        cw = np.cumsum(measure.weights[order])
-        idx = np.searchsorted(atoms, xs, side="right")
-        return np.where(idx > 0, cw[np.minimum(idx - 1, cw.size - 1)], 0.0)
-    cum = _cumulative_mass(measure.grid, measure.density)
-    return np.interp(xs, measure.grid, cum, left=0.0, right=cum[-1])
-
-
 def _cumulative_mass(grid, density):
     """Mass of the density on [grid[0], grid[i]] for each i, by the trapezoid rule."""
     return np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid))])
 
 
-def wasserstein1(m1, m2) -> float:
-    """W1 between two measures of equal mass: integral of the CDF gap.
-
-    Accepts DiscreteMeasure or DensityMeasure on either side.
-    """
+def wasserstein1(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """W1 between two discrete measures of equal mass, exactly: the integral of
+    |F1 - F2| (Vallender 1973), a sum as the gap is constant between atoms."""
     if abs(m1.total_mass - m2.total_mass) > 1e-6:
         raise UsageError(
             f"measure masses differ: {m1.total_mass:.8g} vs {m2.total_mass:.8g}"
         )
-    breaks = []
-    for m in (m1, m2):
-        breaks.append(m.atoms if isinstance(m, DiscreteMeasure) else m.grid)
-    b = np.unique(np.concatenate(breaks))
-    # midpoint rule per cell: exact for step CDFs, second order for smooth
-    fine = np.linspace(0.0, 1.0, 9)[1:-1]
-    xs = np.concatenate([b[:-1, None] + np.diff(b)[:, None] * fine[None, :]]).ravel()
-    widths = np.repeat(np.diff(b) / fine.size, fine.size)
-    gap = np.abs(_cdf_at(m1, xs) - _cdf_at(m2, xs))
-    return float(np.sum(gap * widths))
+    atoms = np.concatenate([m1.atoms, m2.atoms])
+    order = np.argsort(atoms, kind="stable")
+    gap = np.cumsum(np.concatenate([m1.weights, -m2.weights])[order])
+    return float(np.sum(np.abs(gap[:-1]) * np.diff(atoms[order])))
 
 
 def projected_empirical(matrix: np.ndarray, profile: VarianceProfile):
@@ -249,24 +223,23 @@ class MCEstimate:
     extra: dict = field(default_factory=dict)
 
 
-def _jackknife_logmean(vals: np.ndarray, n_total: int):
-    """(1/N-free) log-mean with jackknife stderr over 10 index groups."""
-    groups = 10
+def _log_mean(vals: np.ndarray, n: int):
+    """log of sum(exp(vals)) / n, shifted by the largest value against overflow."""
     m = vals.max()
-    full = m + np.log(np.sum(np.exp(vals - m))) - np.log(n_total)
-    parts = []
-    for g in range(groups):
-        mask = (np.arange(vals.size) // max(int(math.ceil(vals.size / groups)), 1)) != g
-        sub = vals[mask]
-        if sub.size == 0:
-            continue
-        n_sub = n_total - (vals.size - sub.size)
-        ms = sub.max()
-        parts.append(ms + np.log(np.sum(np.exp(sub - ms))) - np.log(n_sub))
-    parts = np.asarray(parts)
-    g = parts.size
+    return m + np.log(np.sum(np.exp(vals - m))) - np.log(n)
+
+
+def _jackknife_logmean(vals: np.ndarray, n_total: int):
+    """(1/N-free) log-mean with a jackknife stderr: group i holds indices
+    [i c, (i + 1) c) with c = ceil(n/10), and each of the ceil(n/c) nonempty
+    groups is left out in turn.  One group (one value) gives stderr NaN."""
+    full = _log_mean(vals, n_total)
+    group = np.arange(vals.size) // math.ceil(vals.size / 10)
+    g = int(group[-1]) + 1
     if g < 2:
         return full, np.nan
+    parts = np.array([_log_mean(vals[group != k], n_total - np.count_nonzero(group == k))
+                      for k in range(g)])
     se = math.sqrt((g - 1) / g * np.sum((parts - parts.mean()) ** 2))
     return full, se
 
@@ -281,13 +254,6 @@ def _sphere_draws(seed, samples: int, N: int):
     for chunk_index, done in enumerate(range(0, samples, size)):
         rng = np.random.default_rng([seed, chunk_index])
         yield done, rng.standard_normal((min(size, samples - done), N))
-
-
-def _block_masses(g: np.ndarray, profile: VarianceProfile) -> np.ndarray:
-    """rho(g/|g|) for each row of g: squared mass per partition block."""
-    u2 = g * g
-    u2 /= u2.sum(axis=1, keepdims=True)
-    return _block_sums(u2, profile)
 
 
 def _saddle_gap(gaps: np.ndarray, theta: float) -> float:
@@ -394,7 +360,7 @@ def annealed_integral_mc(
     vals = np.empty(samples)
     inside = np.zeros(samples, dtype=bool)
     for done, g in _sphere_draws(seed, samples, N):
-        rho = _block_masses(g, profile)
+        rho = vector_profile(profile, g)
         rows = slice(done, done + g.shape[0])
         vals[rows] = N * theta**2 * np.einsum("ik,kl,il->i", rho, profile.sigma, rho)
         inside[rows] = np.max(np.abs(rho - phi[None, :]), axis=1) <= delta
@@ -422,7 +388,7 @@ def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed
     rho_sum = np.zeros(profile.p)
     rho_sq = np.zeros((profile.p, profile.p))
     for _, g in _sphere_draws(seed, samples, N):
-        rho = _block_masses(g, profile)
+        rho = vector_profile(profile, g)
         rho_sum += rho.sum(axis=0)
         rho_sq += rho.T @ rho
     mean_emp = rho_sum / samples
@@ -486,7 +452,6 @@ class SampleBatch:
     seed: int
     lambda1: np.ndarray          # (samples,)
     rho_v1: np.ndarray           # (samples, p) top-eigenvector block masses
-    projected: list              # per-block DiscreteMeasure aggregated over the batch
 
 
 def collect_batch(
@@ -497,20 +462,10 @@ def collect_batch(
         raise UsageError("N and samples must be >= 1")
     lam1 = np.empty(samples)
     rho = np.empty((samples, profile.p))
-    agg_atoms, agg_weights = [], []
     for i, (_, H) in enumerate(_matrices(profile, N, dist, ([seed, i] for i in range(samples)))):
         ev, masses = _eig_masses(H, profile)
-        lam1[i] = ev[-1]
-        rho[i] = masses[:, -1]
-        agg_atoms.append(ev)
-        agg_weights.append(masses / N)
-    atoms = np.concatenate(agg_atoms)
-    weights = np.concatenate(agg_weights, axis=1) / samples
-    projected = [DiscreteMeasure(atoms, weights[k]) for k in range(profile.p)]
-    return SampleBatch(
-        N=N, profile_label=profile.label, seed=seed, lambda1=lam1, rho_v1=rho,
-        projected=projected,
-    )
+        lam1[i], rho[i] = ev[-1], masses[:, -1]
+    return SampleBatch(N=N, profile_label=profile.label, seed=seed, lambda1=lam1, rho_v1=rho)
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:

@@ -34,6 +34,7 @@ def prof_paths(tmp_path_factory):
         "wishart": {"kind": "wishart", "alpha": 2.0},
         "block": {"kind": "block", "alpha": 0.5, "sigma1": 1.0, "sigma2": 4.0},
         "grid8": {"kind": "grid", "file": "sigma.txt", "p": 8},
+        "grid": {"kind": "grid", "file": "sigma.txt"},  # no block count p
         # the small block gets no row at N <= 8
         "light": {"kind": "piecewise_constant", "weights": [0.05, 0.95],
                   "sigma": [[1.0, 0.5], [0.5, 2.0]]},
@@ -386,6 +387,17 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_cli_import_loads_no_scipy_stats():
+    # every CLI run pays its imports: scipy.stats adds about 0.5 s and 20 MB (2-core Xeon)
+    src = str(Path(wigner_ldp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    probe = "import sys, wigner_ldp.cli; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
     # wishart has zero diagonal blocks, so the diagonal variance target is 0;
     # run as a process to see the exit code and stderr a user would see
@@ -441,13 +453,18 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
         ["validate", "--profile", "block", "--suite", "wishart"],
         ["--seed", "-1", "mc", "tail", "--profile", "constant", "--x", "2.2", "--N", "20",
          "--samples", "300"],
+        ["rate", "--profile", "constant", "--x", "abc"],
+        ["mc", "tail", "--profile", "constant", "--x", "2.2", "--N", "x", "--samples", "300"],
+        ["mc", "tail", "--profile", "constant", "--x", "2.2", "--N", ",", "--samples", "300"],
+        ["edge", "--profile", "grid"],
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
          "rate-x-nan", "rate-starts-negative", "rate-tol-zero", "rate-tol-negative",
          "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero", "threads-negative",
          "tilt-psi-zero-form", "annealed-theta-negative", "spherical-theta-negative",
-         "wishart-suite-not-concave", "seed-negative"],
+         "wishart-suite-not-concave", "seed-negative", "rate-x-not-a-number",
+         "tail-N-not-an-integer", "tail-N-empty-list", "edge-grid-without-p"],
 )
 def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
     # an argument error is rejected before any matrix or sphere is drawn

@@ -116,6 +116,19 @@ def test_solve_complex_many_nan_row(block_14):
     assert np.all(m[[0, 3]] == ok)
 
 
+def test_solve_rows_singular_row_is_nan():
+    # one exactly singular system fails np.linalg.solve on the whole stack;
+    # the fallback solves row by row and marks only that row NaN
+    rng = np.random.default_rng(3)
+    J = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    J[1] = [[1, 2], [2, 4]]
+    b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    x = dyson._solve_rows(J, b)
+    assert np.all(np.isnan(x[1]))
+    for i in (0, 2):
+        assert np.array_equal(x[i], np.linalg.solve(J[i : i + 1], b[i : i + 1, :, None])[0, :, 0])
+
+
 def _eight_blocks():
     rng = np.random.default_rng(11)
     s = rng.uniform(0.2, 2.0, (8, 8))

@@ -8,7 +8,6 @@ from scipy.special import hyp1f1
 from wigner_ldp import mc, oracles
 from wigner_ldp.dyson import support_edge
 from wigner_ldp.mc import (
-    DensityMeasure,
     DiscreteMeasure,
     InconclusiveError,
     annealed_integral_mc,
@@ -211,14 +210,32 @@ def test_w1_identical_zero():
 def test_w1_point_masses():
     d0 = DiscreteMeasure(np.array([0.0]), np.array([1.0]))
     d1 = DiscreteMeasure(np.array([1.0]), np.array([1.0]))
-    assert wasserstein1(d0, d1) == pytest.approx(1.0, abs=1e-12)
+    assert wasserstein1(d0, d1) == 1.0
+
+
+def test_w1_matches_the_cdf_gap_integral():
+    # W1 = integral of |F1 - F2|; F is a step function, so evaluating it at the
+    # midpoint of each cell between pooled atoms gives the integral exactly
+    rng = np.random.default_rng(4)
+    for n1, n2 in [(1, 5), (7, 7), (30, 12)]:
+        a1, a2 = rng.normal(size=n1), rng.normal(0.3, 2.0, size=n2)
+        w1, w2 = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
+        a1[0] = a2[0]  # a shared atom
+        b = np.unique(np.concatenate([a1, a2]))
+        mid = (b[1:] + b[:-1]) / 2
+        F1 = np.array([w1[a1 <= t].sum() for t in mid])
+        F2 = np.array([w2[a2 <= t].sum() for t in mid])
+        ref = np.sum(np.abs(F1 - F2) * np.diff(b))
+        got = wasserstein1(DiscreteMeasure(a1, w1), DiscreteMeasure(a2, w2))
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert wasserstein1(DiscreteMeasure(a2, w2), DiscreteMeasure(a1, w1)) == pytest.approx(got, rel=1e-12)
 
 
 def test_w1_uniform_samples():
     rng = np.random.default_rng(1)
     u = rng.uniform(0, 1, 10**4)
     emp = DiscreteMeasure(u, np.full(u.size, 1.0 / u.size))
-    ref = DensityMeasure(np.linspace(0, 1, 201), np.ones(201))
+    ref = DiscreteMeasure((np.arange(200) + 0.5) / 200, np.full(200, 1.0 / 200))
     assert wasserstein1(emp, ref) < 0.02
 
 
@@ -338,6 +355,25 @@ def test_annealed_wishart_matches_K(wishart2):
     phi = eval_phi(wishart2, theta, x, psi_star).values
     est = annealed_integral_mc(wishart2, theta, phi, 0.1, 200, 2 * 10**5, seed=0)
     assert abs(est.value - eval_K(wishart2, theta, phi)) < 7e-2
+
+
+def test_annealed_one_hit_has_no_stderr(wishart2):
+    # one value in the window leaves no group to leave out
+    est = annealed_integral_mc(wishart2, 0.5, [0.5, 0.5], 2e-4, 20, 2000, seed=0)
+    assert est.hits == 1
+    assert np.isfinite(est.value) and np.isnan(est.stderr)
+
+
+def test_jackknife_leaves_out_only_nonempty_groups():
+    # 11 values fall in ceil(11/2) = 6 groups of 2, 2, 2, 2, 2, 1
+    vals = np.random.default_rng(5).normal(size=11)
+    n_total = 40
+    full, se = mc._jackknife_logmean(vals, n_total)
+    assert full == pytest.approx(np.log(np.exp(vals).sum() / n_total), rel=1e-14)
+    groups = [np.arange(k, min(k + 2, 11)) for k in range(0, 11, 2)]
+    parts = np.array([np.log(np.exp(np.delete(vals, g)).sum() / (n_total - g.size)) for g in groups])
+    direct = np.sqrt(5 / 6 * np.sum((parts - parts.mean()) ** 2))
+    assert se == pytest.approx(direct, rel=1e-12)
 
 
 def test_annealed_empty_window(wishart2):
@@ -553,12 +589,21 @@ def test_vector_profile_sums_to_one(block_14):
     v /= np.linalg.norm(v)
     rho = vector_profile(block_14, v)
     assert rho.sum() == pytest.approx(1.0, abs=1e-10)
+    # rows of any length: each is normalised first
+    rows = np.stack([v, 3.0 * v, rng.standard_normal(60)])
+    rho_rows = vector_profile(block_14, rows)
+    assert np.allclose(rho_rows.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(rho_rows[:2], rho, rtol=1e-13, atol=0)
 
 
 def test_collect_batch_invariants(block_14):
     batch = mc.collect_batch(block_14, 60, 8, "gaussian", seed=2)
     assert np.allclose(batch.rho_v1.sum(axis=1), 1.0, atol=1e-10)
-    assert sum(m.total_mass for m in batch.projected) == pytest.approx(1.0, abs=1e-10)
+    for i in (0, 7):  # matrix i is drawn from the derived seed [2, i]
+        measures = projected_empirical(sample_matrix(block_14, 60, seed=[2, i]), block_14)
+        assert batch.lambda1[i] == measures[0].atoms[-1]
+        top = np.array([m.weights[-1] for m in measures]) * 60
+        assert np.allclose(batch.rho_v1[i], top, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("weights", [[0.05, 0.95], [0.95, 0.05], [0.45, 0.05, 0.5]])

@@ -467,6 +467,27 @@ def test_no_start_stops_at_the_cap(named_profiles):
         assert rate_function(named_profiles[0], x).diagnostics["iterations"] == 0
 
 
+def test_descent_stops_rows_at_the_iteration_cap():
+    # 8 blocks of the continuum test's sigma at r + 0.5, from rate_function's
+    # 17 start rows: 3 steps leave every row running, 400 leave none
+    spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 64)
+    prof = discretize(spec, 8)[0]
+    m = _solve_real(prof, support_edge(prof)[1] + 0.5)
+    starts = project_simplex(_default_starts(prof, 8, 0))
+
+    def descend(max_iter):
+        return _descend_simplex(
+            lambda psi, _: _sup_fhat(prof, m, psi, _EPS_FLOOR),
+            lambda psi, th, _: _fhat_grad(prof, m, th, psi),
+            starts, max_iter, 1e-9,
+        )
+
+    _, vals, _, its, capped = descend(3)
+    assert len(starts) == 17 and capped.all() and np.all(its == 3)
+    assert np.all(vals <= _sup_fhat(prof, m, starts, _EPS_FLOOR)[0])
+    assert not descend(400)[4].any()
+
+
 def test_rate_metamorphic_relations():
     # sigma -> c sigma: r -> sqrt(c) r and I_{c sigma}(sqrt(c) x) = I(x); a block
     # permutation changes nothing; I(x) <= x^2 / (4a)
