@@ -21,7 +21,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import __version__, mc, ratefn
+from . import __version__, dyson, mc, ratefn
 from .dyson import (
     DEFAULT_ETA_SCHEDULE, EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge,
 )
@@ -169,11 +169,12 @@ def _suite_dyson(prof, seed, threads):
     g_edge = stieltjes_total(prof, r + 1e-3)
     checks.append(_check("G_above_edge_finite", g_edge, np.inf, np.isfinite(g_edge) and g_edge > 0))
     xs = np.linspace(r + 1e-3, r + 3.0, 100)
+    dyson._solve_real.many(prof, xs)  # one batch solve fills the memo that stieltjes_total reads
     gs = [stieltjes_total(prof, float(x)) for x in xs]
     mono = bool(np.all(np.diff(gs) < 0))
     checks.append(_check("G_strictly_decreasing", float(mono), 1.0, mono))
     sups = []
-    mref = solve_dyson(prof, 2j).m
+    mref = s.m
     for N in (50, 100, 200):
         b = prof.row_blocks(N)
         mN = solve_dyson_finite(prof.sigma[np.ix_(b, b)], 2j)
@@ -189,15 +190,16 @@ def _suite_identities(prof, seed, threads):
     checks = []
     _, r = support_edge(prof)
     rng = np.random.default_rng(seed)
-    worst_plateau = 0.0
-    worst_eq = 0.0
-    for _ in range(200):
-        x = r + rng.uniform(0.05, 1.0)
-        psi = rng.dirichlet(np.ones(prof.p))
-        G = stieltjes_total(prof, x)
-        th = rng.uniform(0.0, 0.5) * G / 2
+    # no draw depends on a solve: draw first, in the loop's order, and batch-fill the memos it reads
+    draws = [(r + rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(prof.p)), rng.uniform(0.0, 0.5),
+              rng.uniform(0.0, 2.0)) for _ in range(200)]
+    dyson._solve_real.many(prof, [x for x, *_ in draws])
+    Gs = [stieltjes_total(prof, x) for x, *_ in draws]
+    dyson._inverse_solve.many(prof, [2.0 * (u * G / 2) for (_, _, u, _), G in zip(draws, Gs)])
+    worst_plateau = worst_eq = 0.0
+    for (x, psi, u, th_hat), G in zip(draws, Gs):
+        th = u * G / 2
         worst_plateau = max(worst_plateau, abs(eval_F(prof, th, x, psi)))
-        th_hat = rng.uniform(0.0, 2.0)
         gap = abs(eval_F_hat(prof, th_hat, x, psi) - eval_F(prof, th_hat + G / 2, x, psi))
         worst_eq = max(worst_eq, gap)
     checks.append(_check("plateau_F_zero", worst_plateau, 1e-8, worst_plateau < 1e-8))

@@ -20,16 +20,16 @@ Im z from 0.5 (`_descend`); the density grid solves all its points in one
 batch, and the size-N system of `solve_dyson_finite` is the same solve on
 N blocks.
 
-Real axis: `_damped_newton` solves a residual/Jacobian pair with an Armijo
-line search that keeps m positive.  It serves three systems: m(x) above
-the edge (`_solve_real`, from m = 1/x, the first iterate of the map from
-m = 0; on this convex system the iterates rise monotonically to the
-physical branch), the fold point where sigma diag(w) - diag(1/m^2) becomes
-singular, which is the edge r (`support_edge`, certified by weak duality;
-Ajanki-Erdos-Kruger, arXiv 1506.05095; Alt-Erdos-Kruger, arXiv 1804.07752),
-and G^-1 as a bordered system in (m, v) (`_inverse_solve`, which returns
-m(v) with v, so that a tilt point costs one solve).  No solve depends on an
-earlier one, so a result depends only on its inputs.
+Real axis: `_damped_newton` is one damped Newton over a stack of rows, each
+with its own positivity-keeping Armijo search and stop, for three systems:
+m(x) above the edge (`_solve_real`, from m = 1/x, the first iterate of the
+map from m = 0; on this convex system the iterates rise monotonically to
+the physical branch), the fold point where sigma diag(w) - diag(1/m^2)
+becomes singular, which is the edge r (`support_edge`, certified by weak
+duality; Ajanki-Erdos-Kruger, arXiv 1506.05095; Alt-Erdos-Kruger, arXiv
+1804.07752), and G^-1 as a bordered system in (m, v) (`_inverse_solve`,
+which returns m(v) with v, so that a tilt point costs one solve).  No solve
+depends on an earlier one, so a result depends only on its inputs.
 
 The log potential L(x) = integral log(x - y) d mu(y) needs no quadrature.
 It is the Dyson free energy at its stationary point (the variational form of
@@ -44,10 +44,10 @@ infinity.
 
 Memo policy: `support_edge`, the bordered solve `_inverse_solve` behind
 `stieltjes_inverse` and the real-axis solve `_solve_real` are pure functions
-of (profile, argument), and each is its own memo, a `functools.lru_cache` of
-at most _MEMO_SIZE entries over all profiles (`cache_info()` gives its hits
-and misses); the m that `_inverse_solve` and `_solve_real` return is
-read-only, so no caller can change a later result.
+of (profile, argument), each its own memo of at most _MEMO_SIZE entries
+over all profiles (`cache_info()` gives its hits and misses): a
+`functools.lru_cache` for the first, `_Memo`s that batch solves fill for the
+others, whose m is read-only, so no caller can change a later result.
 `log_potential` keeps no memo of its own: the real solve under it is the
 expensive step and is memoized.  Profiles compare and hash by their
 weights and sigma, not their label, so equal profiles loaded separately
@@ -56,6 +56,7 @@ share entries.  Eviction only costs a recompute.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -233,67 +234,115 @@ def _descend(profile, xs, eta):
 
 
 # ---------------------------------------------------------------------------
-# real-axis solver: one damped Newton for m(x), the fold point and G^-1
+# real-axis solver: one row-batched damped Newton for m(x), the fold point and G^-1
 # ---------------------------------------------------------------------------
 
-_NEWTON_ITERS = 100   # steps of the real-axis damped Newton
-_HALVINGS = 0.5 ** np.arange(50)  # step lengths the damped Newton tries, in order
+_NEWTON_ITERS = 100   # steps of the real-axis damped Newton, per row
+_HALVINGS = 0.5 ** np.arange(50)  # step lengths a row tries, in order
 
 
-def _damped_newton(F, z, p, tol):
-    """(z, converged): damped Newton on F(z) = 0 from z, where F returns
-    (residual, Jacobian), the first p unknowns must stay positive and tol(z)
-    is the bound on max |F(z)| at which it stops.
-
-    Each step is halved, at most 50 times, until the candidate keeps those
-    unknowns positive and lowers max |F| by the factor 1 - 1e-4 t, or below
-    its tol.  The loop also stops when no step length passes, or after
-    _NEWTON_ITERS steps.
-    """
+def _damped_newton(F, tol, z, p):
+    """(z, converged) per row of z: damped Newton on F = 0, with F(z, i) the residuals
+    and Jacobians at rows z of batch rows i and tol(z, i) their bounds on max |F|.
+    A row halves its step, at most 50 times, until its first p unknowns stay positive
+    and max |F| falls by 1 - 1e-4 t or below its tol, and stops at its tol, when no
+    length passes or after _NEWTON_ITERS steps; every product is per row."""
+    z, i = np.array(z, dtype=float), np.arange(len(z))  # i: the rows still running
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Fz, J = F(z)
-        res = np.max(np.abs(Fz))
+        Fz, J = F(z, i)
+        res = np.abs(Fz).max(axis=1)
         for _ in range(_NEWTON_ITERS):
-            if res < tol(z):
-                return z, True
-            step = _solve_rows(J[None], -Fz[None])[0]
-            for t in _HALVINGS:
-                cand = z + t * step
-                if np.all(cand[:p] > 0):
-                    Fc, Jc = F(cand)
-                    cres = np.max(np.abs(Fc))
-                    if cres < res * (1.0 - 1e-4 * t) or cres < tol(cand):
-                        break
-            else:
+            i = i[~(res[i] < tol(z[i], i))]
+            if not i.size:
                 break
-            z, Fz, J, res = cand, Fc, Jc, cres
-    return z, bool(res < tol(z))
+            step, k = _solve_rows(J[i], -Fz[i]), np.arange(i.size)  # k: rows still searching
+            for t in _HALVINGS:
+                ik = i[k]
+                cand = z[ik] + t * step[k]
+                Fc, Jc = F(cand, ik)
+                cres = np.abs(Fc).max(axis=1)
+                acc = (cres < res[ik] * (1.0 - 1e-4 * t)) | (cres < tol(cand, ik))
+                acc &= cand[:, :p].min(axis=1) > 0
+                a = ik[acc]
+                z[a], Fz[a], J[a], res[a] = cand[acc], Fc[acc], Jc[acc], cres[acc]
+                k = k[~acc]
+                if not k.size:
+                    break
+            else:  # rows that found no step length stop
+                i = np.delete(i, k)
+    return z, res < tol(z, np.arange(len(z)))
 
 
-def _on_branch(profile, m) -> bool:
-    """m > 0 is on the physical branch: the map Jacobian diag(m^2) sigma diag(w),
+def _real_F(W, m, x):
+    """Per row of m the real Dyson residual 1/m - x + W m and its Jacobian."""
+    K = np.repeat(W[None], len(m), axis=0)
+    K.reshape(len(m), W.size)[:, :: W.shape[0] + 1] -= 1.0 / m**2
+    return 1.0 / m - x + _rows_matvec(W, m), K
+
+
+def _on_branch(profile, m) -> np.ndarray:
+    """Rows of m > 0 on the physical branch: the map Jacobian diag(m^2) sigma diag(w),
     similar to D sigma D with D = diag(m sqrt(w)), has spectral radius <= 1 + 1e-6."""
     d = m * np.sqrt(profile.weights)
-    return bool(np.max(np.abs(np.linalg.eigvalsh(d[:, None] * profile.sigma * d))) <= 1.0 + 1e-6)
+    lam = np.linalg.eigvalsh(d[:, :, None] * profile.sigma * d[:, None, :])
+    return np.abs(lam).max(axis=1) <= 1.0 + 1e-6
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _solve_real(profile, x):
-    """Per-block values m_k(x) for real x above the support edge (memoized):
-    Newton on 1/m - x + sigma (w m) = 0 from m = 1/x; ConvergenceError unless
-    the residual falls below 1e-14 (1 + |x|) and m passes `_on_branch`."""
-    x = float(x)
-    W = profile.sigma * profile.weights
+class _Memo:
+    """LRU memo (at most _MEMO_SIZE entries, `cache_info()` and `cache_clear()` as
+    for lru_cache) of a batch solve rows(profile, args) by (profile, arg).  `many`
+    solves the args it lacks in one call of rows and keeps the rows that succeeded;
+    a failed row comes back as its error, unkept, and a call (one arg) raises it."""
 
-    def F(m):
-        return 1.0 / m - x + W @ m, W - np.diag(1.0 / m**2)
+    _info = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-    if x > 0:
-        m, ok = _damped_newton(F, np.full(profile.p, 1.0 / x), profile.p, lambda _: 1e-14 * (1.0 + x))
-        if ok and _on_branch(profile, m):
-            m.setflags(write=False)
-            return m
-    raise ConvergenceError(f"real-axis solve failed at x={x}; is x above the support edge?")
+    def __init__(self, rows):
+        self.rows = rows
+        self.cache_clear()
+
+    def __call__(self, profile, arg):
+        key = (profile, float(arg))
+        if key in self._data:  # a hit, moved to the recent end without the bookkeeping of `many`
+            self._hits += 1
+            return self._data.setdefault(key, self._data.pop(key))
+        [val] = self.many(profile, [arg])
+        if isinstance(val, Exception):
+            raise val
+        return val
+
+    def many(self, profile, args) -> list:
+        keys = [(profile, float(a)) for a in args]
+        got = {k: self._data.pop(k) for k in keys if k in self._data}
+        new = [k for k in dict.fromkeys(keys) if k not in got]
+        self._hits, self._misses = self._hits + len(keys) - len(new), self._misses + len(new)
+        got.update(zip(new, self.rows(profile, [a for _, a in new]) if new else []))
+        self._data.update((k, v) for k, v in got.items() if not isinstance(v, Exception))
+        while len(self._data) > _MEMO_SIZE:  # the least recently used go first
+            self._data.popitem(last=False)
+        return [got[k] for k in keys]
+
+    def cache_info(self):
+        return self._info(self._hits, self._misses, _MEMO_SIZE, len(self._data))
+
+    def cache_clear(self):
+        self._data, self._hits, self._misses = OrderedDict(), 0, 0
+
+
+@_Memo
+def _solve_real(profile, xs):
+    """m(x), read-only, per x of xs (memoized; a call takes one x): Newton on
+    1/m - x + sigma (w m) = 0 from m = 1/x for every x > 0 at once; a row fails
+    (ConvergenceError) unless its residual falls below 1e-14 (1 + x) on `_on_branch`."""
+    xs = np.asarray(xs, dtype=float)
+    rows = np.flatnonzero(xs > 0)
+    x, W, tol = xs[rows], profile.sigma * profile.weights, 1e-14 * (1.0 + xs[rows])
+    m, ok = _damped_newton(lambda m, i: _real_F(W, m, x[i, None]), lambda m, i: tol[i],
+                           np.repeat(1.0 / x[:, None], profile.p, axis=1), profile.p)
+    ok[ok] = _on_branch(profile, m[ok])
+    m.setflags(write=False)
+    good = {rows[k]: m[k] for k in np.flatnonzero(ok)}
+    return [good[k] if k in good else ConvergenceError(
+        f"real-axis solve failed at x={xk}; is x above the support edge?") for k, xk in enumerate(xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -384,48 +433,47 @@ def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     return _inverse_solve(profile, two_theta)[0]
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _inverse_solve(profile: VarianceProfile, two_theta: float):
-    """(v, m(v)), m read-only, for the v > r_edge with G(v) = two_theta, by
-    damped Newton on the bordered system in (m, v)
-
-        1 - m_k (v - (sigma (w m))_k) = 0,   w . m / two_theta - 1 = 0,
-
-    from the tail-series root v0 = 1/two_theta + a two_theta of
-    G(v) ~ 1/v + a/v^3 and m(v0).  Every row is relative, so one stopping
-    test serves every two_theta, and the Jacobian stays regular at the edge.
-    ConvergenceError unless v > r_edge and m passes `_on_branch`; UsageError
-    unless two_theta > 0, ValueError unless two_theta < G(r_edge + `_edge_margin`).
-    """
-    if two_theta <= 0:
-        raise UsageError("two_theta must be positive")
+@_Memo
+def _inverse_solve(profile: VarianceProfile, two_thetas):
+    """(v, m(v)), m read-only, for the v > r_edge with G(v) = two_theta, per two_theta
+    (memoized; a call takes one): damped Newton on the bordered system in (m, v)
+    1 - m_k (v - (sigma (w m))_k) = 0, w . m / two_theta - 1 = 0 from m(v0) at
+    v0 = max(1/two_theta + a two_theta, r_edge + `_edge_margin`), the tail-series root
+    of G(v) ~ 1/v + a/v^3.  Every equation is relative, so one stopping test serves
+    every row, and the Jacobian stays regular at the edge.  A failed row is its UsageError
+    unless two_theta > 0, ValueError if no v > r_edge on `_on_branch` is found for
+    two_theta >= G(r_edge + margin), else ConvergenceError."""
+    tt, w, p = np.asarray(two_thetas, dtype=float), profile.weights, profile.p
+    W = profile.sigma * w
     _, r = support_edge(profile)
     lo = r + _edge_margin(profile)
-    g_lo = float(profile.weights @ _solve_real(profile, lo))
-    if two_theta >= g_lo:
-        raise ValueError(
-            f"two_theta={two_theta:.6g} out of range: G just above the edge is {g_lo:.6g}"
-        )
-    v0 = max(1.0 / two_theta + profile.mean_sigma * two_theta, lo)
-    if not np.isfinite(v0):
-        raise ValueError("two_theta too small to invert")
-    w, W, p = profile.weights, profile.sigma * profile.weights, profile.p
+    g_lo = float(w @ _solve_real(profile, lo))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v0 = np.maximum(1.0 / tt + profile.mean_sigma * tt, lo)
+    rows = np.flatnonzero((tt > 0) & np.isfinite(v0))
+    t, m0 = tt[rows], [np.full(p, np.nan) if isinstance(m, Exception) else m  # a failed start fails
+                       for m in _solve_real.many(profile, v0[rows])]
 
-    def F(z):
-        m, v = z[:p], z[p]
-        d = v - W @ m
-        J = np.zeros((p + 1, p + 1))
-        J[:p, :p] = m[:, None] * W - np.diag(d)
-        J[:p, p] = -m
-        J[p, :p] = w / two_theta
-        return np.append(1.0 - m * d, w @ m / two_theta - 1.0), J
+    def F(z, i):
+        m, v = z[:, :p], z[:, p:]
+        d = v - _rows_matvec(W, m)
+        J = np.zeros((len(z), p + 1, p + 1))
+        J[:, :p, :p] = m[:, :, None] * W
+        J.reshape(len(z), (p + 1) ** 2)[:, : p * (p + 2) : p + 2] -= d
+        J[:, :p, p] = -m
+        J[:, p, :p] = w / t[i, None]
+        return np.concatenate([1.0 - m * d, _rows_matvec(w, m)[:, None] / t[i, None] - 1.0], axis=1), J
 
-    z, ok = _damped_newton(F, np.append(_solve_real(profile, v0), v0), p, lambda _: 1e-14)
-    m, v = z[:p], float(z[p])
-    if not (ok and v > r and _on_branch(profile, m)):
-        raise ConvergenceError(f"stieltjes_inverse failed at two_theta={two_theta}")
+    z0 = np.column_stack([np.reshape(m0, (len(rows), p)), v0[rows]])
+    z, ok = _damped_newton(F, lambda z, i: 1e-14, z0, p)
+    m, v = z[:, :p], z[:, p]
+    ok[ok] = (v[ok] > r) & _on_branch(profile, m[ok])
     m.setflags(write=False)
-    return v, m
+    good = {rows[j]: (float(v[j]), m[j]) for j in np.flatnonzero(ok)}
+    return [good[k] if k in good else UsageError("two_theta must be positive") if g <= 0 else
+            ValueError(f"two_theta={g:.6g} has no inverse above the edge r={r!r}")
+            if g >= g_lo or not np.isfinite(v0[k]) else
+            ConvergenceError(f"stieltjes_inverse failed at two_theta={g}") for k, g in enumerate(tt)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,25 +515,24 @@ def _irreducible_parts(profile):
     return parts
 
 
-def _fold_point(profile):
-    """(x, m): damped Newton on the fold system of an irreducible profile
-    (see `support_edge`) in the unknowns z = (m, v, x)."""
+def _fold_system(profile):
+    """`_damped_newton`'s (F, tol, z0, p) for the fold system of an irreducible
+    profile (see `support_edge`) in rows z = (m, v, x), from one start row."""
     W, p = profile.sigma * profile.weights, profile.p
     x = 2.0 * np.sqrt(W.sum(axis=1).max()) * 1.01
     m = _solve_real(profile, x)
 
-    def F(z):
-        m, v, x = z[:p], z[p:-1], z[-1]
-        K = W - np.diag(1.0 / m**2)
-        J = np.zeros((2 * p + 1, 2 * p + 1))
-        J[:p, :p] = J[p:-1, p:-1] = K
-        J[p:-1, :p] = np.diag(2.0 * v / m**3)
-        J[:p, -1], J[-1, p:-1] = -1.0, 1.0
-        return np.concatenate([1.0 / m - x + W @ m, K @ v, [v.sum() - 1.0]]), J
+    def F(z, _):
+        m, v, x = z[:, :p], z[:, p:-1], z[:, -1:]
+        R, K = _real_F(W, m, x)
+        J = np.zeros((len(z), 2 * p + 1, 2 * p + 1))
+        J[:, :p, :p] = J[:, p:-1, p:-1] = K
+        J[:, p + np.arange(p), np.arange(p)] = 2.0 * v / m**3
+        J[:, :p, -1], J[:, -1, p:-1] = -1.0, 1.0
+        return np.concatenate([R, _rows_matvec(K, v), v.sum(axis=1, keepdims=True) - 1.0], axis=1), J
 
-    z0 = np.concatenate([m, _perron(profile, m)[0], [x]])
-    z, _ = _damped_newton(F, z0, p, lambda z: 1e-14 * (1.0 + z[-1]))
-    return float(z[-1]), z[:p]
+    z0 = np.concatenate([m, _perron(profile, m)[0], [x]])[None]
+    return F, lambda z, _: 1e-14 * (1.0 + z[:, -1]), z0, p
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -515,7 +562,8 @@ def support_edge(profile: VarianceProfile) -> tuple[float, float]:
     """
     r, upper, lower = -np.inf, -np.inf, -np.inf
     for part in _irreducible_parts(profile):
-        x, m = _fold_point(part)
+        z, _ = _damped_newton(*_fold_system(part))
+        x, m = float(z[0, -1]), z[0, : part.p]
         w, sigma = part.weights, part.sigma
         lam = _perron(part, m)[1]
         r = max(r, x)

@@ -105,7 +105,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _ctx(profile: VarianceProfile, x: float):
-    """(m(x), G(x)) for real x above the edge; m(x) is memoized per profile."""
+    """(m(x), G(x)) for real x above the edge; m(x) is memoized per (profile, x)."""
     m = _solve_real(profile, x)
     return m, float(profile.weights @ m)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wigner_ldp
-from wigner_ldp import mc, oracles
+from wigner_ldp import dyson, mc, oracles
 from wigner_ldp.cli import _build_parser, main
 from wigner_ldp.dyson import log_potential, spectral_measure, stieltjes_total, support_edge
 from wigner_ldp.profiles import (
@@ -258,6 +258,38 @@ def test_validate_identities(prof_paths, tmp_path):
     assert d["passed"] is True
     names = {c["name"] for c in d["checks"]}
     assert {"plateau_F_zero", "form_equality", "upper_bound_quarter_a"} <= names
+
+
+@pytest.mark.parametrize("suite", ["identities", "dyson"])
+def test_validate_payload_independent_of_memo_history(prof_paths, tmp_path, monkeypatch, suite):
+    # a result depends only on its inputs: cold memos, warm memos and memos
+    # filled beforehand by the same batches in reversed order give the same bytes
+    memos = (dyson._solve_real, dyson._inverse_solve)
+    batches = []
+    for memo in memos:
+        monkeypatch.setattr(memo, "rows", lambda p, args, memo=memo, rows=memo.rows:
+                            batches.append((memo, p, list(args))) or rows(p, args))
+
+    def payload():
+        out = tmp_path / "val.json"
+        argv = ["--out", str(out), "--seed", "4", "validate", "--profile", prof_paths["grid8"],
+                "--suite", suite]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    def clear():
+        support_edge.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
+
+    clear()
+    cold = payload()
+    assert max(len(args) for _, _, args in batches) >= 50  # the suite solves in batches
+    warm = payload()
+    clear()
+    for memo, p, args in list(batches):
+        memo.many(p, args[::-1])
+    assert payload() == warm == cold
 
 
 def test_validate_unknown_suite(prof_paths):

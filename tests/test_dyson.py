@@ -6,7 +6,10 @@ from wigner_ldp import dyson, oracles
 from wigner_ldp.dyson import (
     _MEMO_SIZE,
     ConvergenceError,
+    _damped_newton,
+    _fold_system,
     _inverse_solve,
+    _Memo,
     _residual,
     _sigma_w,
     _solve_complex_many,
@@ -369,7 +372,7 @@ def test_edge_and_real_solve_need_no_complex_solve(monkeypatch):
     monkeypatch.setattr(dyson, "_solve_complex_many", refuse)
     prof = VarianceProfile([0.35, 0.65], [[1.3, 0.4], [0.4, 0.9]])
     _, r = support_edge.__wrapped__(prof)
-    m = _solve_real.__wrapped__(prof, r + 0.25)
+    m = _solve_real.rows(prof, [r + 0.25])[0]
     assert np.all(m > 0) and _residual(prof, r + 0.25, m) < 1e-11
 
 
@@ -435,14 +438,15 @@ def test_stieltjes_below_edge_raises(const_prof):
 
 
 def test_inverse_calls_the_real_solve_at_most_twice(monkeypatch):
-    # one solve just above the edge for the range check, one at the tail-series start
+    # one solve just above the edge, whose G sorts failures into ValueError and
+    # ConvergenceError, and one at the tail-series start
     prof = VarianceProfile([0.3, 0.7], [[1.1, 0.35], [0.35, 0.6]])
     _, r = support_edge(prof)
     target = 0.5 * stieltjes_total(prof, r + 1e-3)
     calls = []
-    solve = _solve_real.__wrapped__
-    monkeypatch.setattr(dyson, "_solve_real", lambda p, x: calls.append(x) or solve(p, x))
-    v, _ = _inverse_solve.__wrapped__(prof, target)
+    rows = _solve_real.rows
+    monkeypatch.setattr(dyson, "_solve_real", _Memo(lambda p, xs: calls.extend(xs) or rows(p, xs)))
+    [(v, _)] = _inverse_solve.rows(prof, [target])
     assert v > r and len(calls) <= 2
 
 
@@ -536,6 +540,72 @@ def test_log_potential_scaling(named_profiles):
 def test_memos_bounded():
     for fn in (support_edge, _inverse_solve, _solve_real):
         assert fn.cache_info().maxsize == _MEMO_SIZE
+
+
+def _bits(row):
+    """A result row as comparable bytes; a failed row as its error's type and text."""
+    return (type(row), str(row)) if isinstance(row, Exception) else np.hstack(row).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_real_axis_rows_independent_of_batch(seed):
+    # every row of the real-axis core is its one-row call bit for bit: alone,
+    # stacked, permuted, and beside rows that fail (x <= 0, x below the edge,
+    # 2 theta <= 0 or beyond G at the edge)
+    rng = np.random.default_rng(seed)
+    prof = random_profile(rng, pmax=6)
+    _, r = support_edge(prof)
+    xs = np.append(r + rng.uniform(1e-6, 3.0, 10), [r - 0.1, 0.0, -1.0])
+    g = np.array([prof.weights @ m for m in _solve_real.rows(prof, xs[:10])])
+    tts = np.append(g * rng.uniform(0.01, 1.0, 10), [-0.1, 2.0 * g.max() + 5.0])
+    for rows, args, fails in ((_solve_real.rows, xs, 3), (_inverse_solve.rows, tts, 2)):
+        alone = [_bits(rows(prof, [a])[0]) for a in args]
+        assert [_bits(v) for v in rows(prof, args)] == alone
+        perm = rng.permutation(args.size)
+        assert [_bits(v) for v in rows(prof, args[perm])] == [alone[k] for k in perm]
+        assert [isinstance(b, tuple) for b in alone[-fails - 1 :]] == [False] + [True] * fails
+    # the fold system from its start, perturbed starts and a start off the positive cone
+    F, tol, z0, _ = _fold_system(prof)
+    starts = np.vstack([z0, z0 * rng.uniform(0.97, 1.03, (3, z0.size)), -z0])
+    z, ok = _damped_newton(F, tol, starts, prof.p)
+    assert ok[0] and not ok[-1]
+    for perm in (range(len(starts)), rng.permutation(len(starts))):
+        zp, okp = _damped_newton(F, tol, starts[list(perm)], prof.p)
+        assert np.array_equal(okp, ok[list(perm)]) and zp.tobytes() == z[list(perm)].tobytes()
+    for k in range(len(starts)):
+        zk, okk = _damped_newton(F, tol, starts[k : k + 1], prof.p)
+        assert okk[0] == ok[k] and zk.tobytes() == z[k : k + 1].tobytes()
+
+
+def test_failed_rows_are_not_memoized(block_14):
+    _, r = support_edge(block_14)
+    x_ok, x_bad = r + 0.37, r - 0.37
+    rows = _solve_real.many(block_14, [x_bad, x_ok, 0.0])
+    assert isinstance(rows[0], ConvergenceError) and isinstance(rows[2], ConvergenceError)
+    info = _solve_real.cache_info()
+    assert _solve_real(block_14, x_ok) is rows[1]
+    with pytest.raises(ConvergenceError):
+        _solve_real(block_14, x_bad)
+    after = _solve_real.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses + 1)
+
+
+def test_memo_batches_fill_it_up_to_its_bound(monkeypatch):
+    # a batch keeps each row that succeeded, evicting the least recently used
+    # beyond the bound, and hands back a failed row's error without keeping it
+    monkeypatch.setattr(dyson, "_MEMO_SIZE", 3)
+    solved = []
+    memo = _Memo(lambda p, args: solved.extend(args)
+                 or [ValueError(a) if a < 0 else 2 * a for a in args])
+    out = memo.many("p", [1.0, -1.0, 2.0, 3.0, 4.0, 1.0])
+    assert [v for v in out if not isinstance(v, Exception)] == [2.0, 4.0, 6.0, 8.0, 2.0]
+    assert solved == [1.0, -1.0, 2.0, 3.0, 4.0]
+    assert memo.cache_info() == (1, 5, 3, 3)
+    assert memo("p", 4.0) == 8.0 and memo("p", 2.0) == 4.0  # held
+    assert memo("p", 1.0) == 2.0 and solved[-1] == 1.0  # evicted, solved again
+    with pytest.raises(ValueError):
+        memo("p", -1.0)
+    assert memo.cache_info().currsize == 3
 
 
 def test_solve_real_memo_is_read_only(const_prof):

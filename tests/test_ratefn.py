@@ -107,13 +107,41 @@ def test_J_and_phi_below_the_seam_match_the_solve_at_v(named_profiles):
         assert np.max(np.abs(phi - vals / vals.sum())) <= 1e-13
 
 
+def _count_real_solves(monkeypatch, calls, *modules):
+    """Rebind _solve_real in modules to a memo that keeps nothing and records
+    in calls every x it solves."""
+    monkeypatch.setattr(dyson, "_MEMO_SIZE", 0)
+    rows = dyson._solve_real.rows
+    solve = dyson._Memo(lambda p, xs: calls.extend(xs) or rows(p, xs))
+    for module in modules:
+        monkeypatch.setattr(module, "_solve_real", solve)
+
+
+def test_tilt_point_inside_the_edge_margin(named_profiles):
+    # x in (r, r + margin] and 2 theta in [G(r + margin), G(x)): the bordered
+    # solve finds v in (x, r + margin) with G(v) = 2 theta, and J, phi and F
+    # take it (they raised ValueError when 2 theta >= G(r + margin))
+    for prof in named_profiles:
+        _, r = support_edge(prof)
+        lo = r + dyson._edge_margin(prof)
+        x = r + 0.25 * (lo - r)  # r + 5e-10 on the constant profile
+        th = (stieltjes_total(prof, x) + stieltjes_total(prof, lo)) / 4
+        v, m = dyson._inverse_solve(prof, 2 * th)
+        assert x < v < lo
+        # G(v) = 2 theta through the m(v) that solves the Dyson equation at v
+        assert abs(prof.weights @ m - 2 * th) <= 1e-12 and dyson._residual(prof, v, m) <= 1e-12
+        if prof.p == 1:  # G^-1(g) = g + 1/g on the semicircle
+            assert v == pytest.approx(2 * th + 1 / (2 * th), rel=1e-15)
+        psi = np.full(prof.p, 1.0 / prof.p)
+        assert np.isfinite([eval_J(prof, x, th), eval_F(prof, th, x, psi)]).all()
+        assert eval_phi(prof, th, x, psi).values.sum() == pytest.approx(1.0)
+
+
 def test_J_below_the_seam_makes_no_real_solve_at_v(named_profiles, monkeypatch):
     # one bordered solve gives v and m(v): at a fresh theta the real solves are
     # the one at x and the bordered solve's two (just above the edge, at its start)
     calls = []
-    solve = _solve_real.__wrapped__
-    for module in (dyson, ratefn):
-        monkeypatch.setattr(module, "_solve_real", lambda p, x: calls.append(x) or solve(p, x))
+    _count_real_solves(monkeypatch, calls, dyson, ratefn)
     for prof, x, th in _below_seam_cases(named_profiles):
         th *= 1 - 1e-7  # a tilt strength no other test asks for
         calls.clear()
@@ -598,8 +626,7 @@ def test_outlier_solves_nu_equal_one(named_profiles):
 def test_outlier_calls_the_real_solve_at_most_20_times(named_profiles, monkeypatch):
     # eval_phi's solves plus the edge check plus Brent's root on its bracket
     calls = []
-    solve = _solve_real.__wrapped__
-    monkeypatch.setattr(ratefn, "_solve_real", lambda p, x: calls.append(x) or solve(p, x))
+    _count_real_solves(monkeypatch, calls, ratefn)
     for prof, x, psi, th_star in _tilt_cases(named_profiles):
         for th in (th_star, 3.0 * th_star):
             calls.clear()
