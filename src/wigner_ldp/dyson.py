@@ -15,10 +15,11 @@ accepted and otherwise the map m -> 1/(z - sigma (w m)), a strict
 contraction in the hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN
 2007), so no step length is searched or measured: every row stops on one
 test, a relative step below 1e-13 with a residual below 1e-10 (1 + |z|).
-Near the real axis a row is started by descending a geometric ladder of
-Im z from 0.5 (`_descend`); the density grid solves all its points in one
-batch, and the size-N system of `solve_dyson_finite` is the same solve on
-N blocks.
+Near the real axis rows walk one ladder of Im z (`_descend`): geometric
+from 0.5 down to the first eta of a schedule, then down the schedule, each
+rung started from the one above.  `solve_dyson` walks it for one point and
+one eta, the density grid for all its points and its whole schedule, and
+the size-N system of `solve_dyson_finite` is the same solve on N blocks.
 
 Real axis: `_damped_newton` is one damped Newton over a stack of rows, each
 with its own positivity-keeping Armijo search and stop, for three systems:
@@ -121,7 +122,7 @@ def _residual(profile: VarianceProfile, z, m: np.ndarray):
 # complex solver: one batched fixed-point / Newton iteration
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 512   # spectral parameters per block of the batched complex solve
+_BLOCK_ENTRIES = 1 << 22  # rows x p^2 per block of the batched complex solve: 64 MB of Jacobians
 _MAX_SWEEPS = 4000
 
 
@@ -199,8 +200,9 @@ def _solve_complex_many(profile, zs, m0=None):
     on one test: a relative step below 1e-13 and a residual below
     1e-10 (1 + |z|).  A row still running after _MAX_SWEEPS sweeps, or whose
     z or m0 row is not finite, comes back as NaN; callers decide what that
-    means.  Rows are solved in blocks of _BLOCK_ROWS, and a
-    row's value does not depend on the rows solved with it.
+    means.  Rows are solved in blocks of at most _BLOCK_ENTRIES / p^2 rows,
+    which bounds the stack of p x p Newton Jacobians, and a row's value does
+    not depend on the rows solved with it.
     """
     zs = np.asarray(zs, dtype=complex)
     if np.any(np.imag(zs) <= 0):
@@ -209,28 +211,30 @@ def _solve_complex_many(profile, zs, m0=None):
         m0 = np.asarray(m0, dtype=complex)
     m = np.empty((zs.size, profile.p), dtype=complex)
     its = np.empty(zs.size, dtype=int)
+    size = max(1, _BLOCK_ENTRIES // profile.p**2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b in range(0, zs.size, _BLOCK_ROWS):
-            rows = slice(b, b + _BLOCK_ROWS)
+        for b in range(0, zs.size, size):
+            rows = slice(b, b + size)
             m[rows], its[rows] = _solve_block(profile, zs[rows], None if m0 is None else m0[rows])
     return m, its
 
 
-def _descend(profile, xs, eta):
-    """(m, iterations): rows m(x + i eta), each solved down the geometric
-    ladder 0.5, ..., 8 eta, eta from m = 1/z, with its sweeps summed over the
-    rungs; a row that fails on any rung is NaN.  For eta >= 0.25 this is one
-    cold solve."""
-    etas = [eta]
-    e = eta
+def _descend(profile, xs, etas):
+    """(m, iterations): m[j] the rows m(x + i etas[j]) for a decreasing schedule
+    etas, each row solved down the ladder 0.5, ..., 8 etas[0], then etas, from
+    m = 1/z, every rung from the one above, with its sweeps summed over the
+    rungs; a row that fails on any rung is NaN from there on.  For
+    etas[0] >= 0.25 the ladder starts cold at etas[0]."""
+    ladder, e = [], etas[0]
     while e < 0.25:
         e *= 8.0
-        etas.append(min(e, 0.5))
-    m, its = None, 0
-    for e in reversed(etas):
+        ladder.append(min(e, 0.5))
+    m, its, out = None, 0, []
+    for e in [*reversed(ladder), *etas]:
         m, n = _solve_complex_many(profile, xs + 1j * e, m)
         its = its + n
-    return m, its
+        out.append(m)
+    return np.array(out[len(ladder):]), its
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +377,8 @@ def solve_dyson(profile: VarianceProfile, z) -> DysonSolution:
     if z.imag < 0:
         raise UsageError("solve_dyson needs Im z >= 0")
     if z.imag > 0:
-        m, its = _descend(profile, np.array([z.real]), z.imag)
-        mc, it = m[0], int(its[0])
+        m, its = _descend(profile, np.array([z.real]), [z.imag])
+        mc, it = m[0, 0], int(its[0])
         if np.isnan(mc).any():
             raise ConvergenceError(f"Dyson iteration did not converge at z={z}")
     else:
@@ -591,14 +595,9 @@ class SpectralMeasure:
 
 
 def _richardson_weights(etas: np.ndarray) -> np.ndarray:
-    """c with c @ f(etas) the polynomial extrapolation of f to eta = 0."""
-    k = etas.size
-    coef = np.ones(k)
-    for i in range(k):
-        for j in range(k):
-            if j != i:
-                coef[i] *= etas[j] / (etas[j] - etas[i])
-    return coef
+    """c with c @ f(etas) the polynomial extrapolation of f to eta = 0: c_i the
+    product over j != i of etas[j] / (etas[j] - etas[i]), a unit diagonal for j = i."""
+    return np.prod(etas / (etas - etas[:, None] + np.diag(etas)), axis=1)
 
 
 def spectral_measure(
@@ -612,8 +611,8 @@ def spectral_measure(
 
     density(x) is the Richardson limit of -Im G(x + i eta)/pi over the eta
     schedule; per-block densities use the mass-w_k transforms.  The whole
-    grid descends the eta ladder to the first eta in one batched solve, and
-    each later eta starts from the previous eta's rows.  Grid points where
+    grid walks the Im z ladder (`_descend`) in one batch: down to the first
+    eta, then each eta from the previous eta's rows.  Grid points where
     the extrapolation oscillates (atoms, edges) are flagged.
     """
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
@@ -627,10 +626,7 @@ def spectral_measure(
             and np.all(np.diff(etas) < 0)):
         raise UsageError("eta_schedule must be nonempty, finite, positive and strictly decreasing")
     grid = np.linspace(x_min, x_max, points)
-    vals = np.empty((etas.size, points, profile.p), dtype=complex)
-    vals[0], _ = _descend(profile, grid, etas[0])
-    for ie in range(1, etas.size):
-        vals[ie], _ = _solve_complex_many(profile, grid + 1j * etas[ie], vals[ie - 1])
+    vals, _ = _descend(profile, grid, etas)
     failed = np.isnan(vals).any(axis=(0, 2))
     if failed.any():
         raise ConvergenceError(f"Dyson iteration did not converge at x={grid[failed][0]}")

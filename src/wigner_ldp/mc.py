@@ -136,20 +136,10 @@ def eig_top(matrix: np.ndarray):
 
 
 def _block_sums(a: np.ndarray, profile: VarianceProfile, axis: int = -1) -> np.ndarray:
-    """Sums of a over the profile's partition blocks of the rows along axis.
-
-    A block with no rows at this size sums to 0; np.add.reduceat alone
-    returns the next block's first element there, or fails past the end.
-    """
-    n = a.shape[axis]
-    starts = np.searchsorted(profile.row_blocks(n), np.arange(profile.p))
-    full = np.diff(starts, append=n) > 0
-    sums = np.add.reduceat(a, starts[full], axis=axis)
-    shape = list(a.shape)
-    shape[axis] = starts.size
-    out = np.zeros(shape)
-    np.moveaxis(out, axis, -1)[..., full] = np.moveaxis(sums, axis, -1)
-    return out
+    """Sums of a over the profile's partition blocks of the rows along axis: the
+    product with the rows' 0/1 block indicator, so a block with no rows sums to 0."""
+    ind = profile.row_blocks(a.shape[axis])[:, None] == np.arange(profile.p)  # (rows, p)
+    return np.moveaxis(np.moveaxis(a, axis, -1) @ ind.astype(float), -1, axis)
 
 
 def vector_profile(profile: VarianceProfile, v: np.ndarray) -> np.ndarray:

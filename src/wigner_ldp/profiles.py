@@ -91,20 +91,10 @@ class VarianceProfile:
     def __hash__(self):
         return hash(self.key)
 
-    def boundaries(self) -> np.ndarray:
-        """Partition boundaries 0 = c_0 < c_1 < ... < c_p = 1."""
-        return np.concatenate([[0.0], np.cumsum(self.weights)])
-
-    def block_index(self, t: np.ndarray) -> np.ndarray:
-        """Block index of each position t in [0,1]."""
-        c = self.boundaries()
-        idx = np.searchsorted(c, np.asarray(t, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.p - 1)
-
     def row_blocks(self, n: int) -> np.ndarray:
         """Block index of each matrix row, midpoints t_i = (i - 1/2)/n."""
         t = (np.arange(n) + 0.5) / n
-        return self.block_index(t)
+        return np.minimum(np.searchsorted(np.cumsum(self.weights), t, side="right"), self.p - 1)
 
     def to_config(self) -> dict:
         return {

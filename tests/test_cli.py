@@ -292,6 +292,15 @@ def test_validate_payload_independent_of_memo_history(prof_paths, tmp_path, monk
     assert payload() == warm == cold
 
 
+def test_validate_mc_heavy(prof_paths, tmp_path):
+    out = tmp_path / "heavy.json"
+    code = main(["--out", str(out), "validate", "--profile", prof_paths["constant"], "--suite", "mc-heavy"])
+    assert code == 0
+    d = json.loads(out.read_text())
+    assert d["passed"] is True
+    assert [c["name"] for c in d["checks"]] == ["edge_concentration", "tilted_outlier", "tail_trend"]
+
+
 def test_validate_unknown_suite(prof_paths):
     assert main(["validate", "--profile", prof_paths["constant"], "--suite", "zzz"]) == 2
 
@@ -549,7 +558,8 @@ def _grid_commands(x):
 
 @pytest.mark.parametrize("name", ["constant", "wishart", "block", "grid8", "light"])
 def test_exit_code_grid(prof_paths, tmp_path, name):
-    # every subcommand and every suite but mc-heavy (its sizes are fixed inside)
+    # every subcommand and every suite but mc-heavy (its sizes are fixed inside; see
+    # test_validate_mc_heavy)
     path = prof_paths[name]
     x = repr(support_edge(load_profile_file(path))[1] + 0.5)
     for i, cmd in enumerate(_grid_commands(x)):

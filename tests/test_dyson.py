@@ -82,13 +82,17 @@ def _random_batch(seed, n=40):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_solve_complex_many_row_independent_of_batch(seed):
+def test_solve_complex_many_row_independent_of_batch(seed, monkeypatch):
     prof, zs = _random_batch(seed)
     m0, _ = _solve_complex_many(prof, zs + 0.05j)
     perm = np.random.default_rng(seed).permutation(zs.size)
     for start in (None, m0):
         rows = (lambda sel: None) if start is None else (lambda sel: start[sel])
         m, its = _solve_complex_many(prof, zs, start)
+        with monkeypatch.context() as mp:  # blocks of 3 rows; unpatched, the 40 rows are one block
+            mp.setattr(dyson, "_BLOCK_ENTRIES", 3 * prof.p**2)
+            mb, its_b = _solve_complex_many(prof, zs, start)
+        assert np.all(mb == m) and np.all(its_b == its)
         for i in range(zs.size):
             mi, iti = _solve_complex_many(prof, zs[i : i + 1], rows(slice(i, i + 1)))
             assert np.all(mi[0] == m[i]) and iti[0] == its[i]
@@ -149,7 +153,7 @@ def test_descend_converges_near_the_real_axis(prof):
     _, r = support_edge(prof)
     xs = np.linspace(-r - 0.2, r + 0.2, 801)
     zs = xs + 1e-5j
-    m, _ = dyson._descend(prof, xs, 1e-5)
+    m = dyson._descend(prof, xs, [1e-5])[0][0]
     assert not np.isnan(m).any()
     assert np.all(_residual(prof, zs[:, None], m) < 1e-10 * (1 + np.abs(zs)))
 

@@ -627,6 +627,28 @@ def test_block_masses_with_an_empty_block(weights):
     assert np.all(rep["mean_emp"][empty] == 0.0)
 
 
+@pytest.mark.parametrize("weights", [[0.05, 0.95], [0.45, 0.05, 0.5], [0.95, 0.05]],
+                         ids=["first", "middle", "last"])
+def test_block_sums_match_a_per_block_loop(weights):
+    # at N = 8 the weight-0.05 block gets no row: its sums are exact zeros
+    p = len(weights)
+    prof = VarianceProfile(weights=np.array(weights), sigma=np.eye(p) + 0.5)
+    N = 8
+    b = prof.row_blocks(N)
+    rng = np.random.default_rng(p)
+    a = rng.standard_normal((3, 5, N))
+    ref = np.stack([a[..., b == k].sum(-1) for k in range(p)], axis=-1)
+    got = mc._block_sums(a, prof)
+    assert got.shape == (3, 5, p) and np.allclose(got, ref, rtol=0, atol=1e-12)
+    a0 = rng.standard_normal((N, 4))
+    ref0 = np.stack([a0[b == k].sum(0) for k in range(p)])
+    got0 = mc._block_sums(a0, prof, axis=0)
+    assert got0.shape == (p, 4) and np.allclose(got0, ref0, rtol=0, atol=1e-12)
+    empty = np.bincount(b, minlength=p) == 0
+    assert list(np.flatnonzero(empty)) == [weights.index(0.05)]
+    assert np.all(got[..., empty] == 0.0) and np.all(got0[empty] == 0.0)
+
+
 def test_collect_batch_one_eigh_per_matrix(block_14, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
