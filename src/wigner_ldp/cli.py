@@ -50,10 +50,6 @@ def _finite_float(text: str, positive: bool = False) -> float:
 _positive_float = partial(_finite_float, positive=True)
 
 
-def _floats(text: str) -> list[float]:
-    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
 def _int_at_least(text: str, low: int) -> int:
     try:
         n = int(text)
@@ -67,10 +63,11 @@ def _int_at_least(text: str, low: int) -> int:
 _positive_int = partial(_int_at_least, low=1)
 
 
-def _positive_ints(text: str) -> list[int]:
-    vals = [_positive_int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _comma_list(text: str, item=_finite_float) -> list:
+    """The one parser of a comma-separated option: one or more items, blank items skipped."""
+    vals = [item(tok) for tok in text.split(",") if tok.strip() != ""]
     if not vals:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a nonempty comma-separated list: {text!r}")
     return vals
 
 
@@ -232,6 +229,8 @@ def _block_split(prof: VarianceProfile):
 
 
 def _suite_blocks(prof, seed, threads):
+    from .oracles import block_rate
+
     split = _block_split(prof)
     if split is None:
         raise UsageError("blocks suite needs a block-diagonal profile")
@@ -246,10 +245,8 @@ def _suite_blocks(prof, seed, threads):
     for dx in (0.15, 0.45, 0.9):
         x = r + dx
         direct = rate_function(prof, x, seed=seed).I
-        ref = min(
-            alpha * rate_function(p1, x / np.sqrt(alpha), seed=seed).I,
-            (1 - alpha) * rate_function(p2, x / np.sqrt(1 - alpha), seed=seed).I,
-        )
+        ref = block_rate(alpha, lambda y: rate_function(p1, y, seed=seed).I,
+                         lambda y: rate_function(p2, y, seed=seed).I, x)
         worst = max(worst, abs(direct - ref))
     checks.append(_check("block_rate_identity", worst, 2e-3, worst < 2e-3))
     return checks
@@ -441,8 +438,11 @@ def _run(args) -> int:
     else:
         text = json.dumps({"manifest": manifest, **body}, sort_keys=True, indent=1) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --out {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
     return code
@@ -472,11 +472,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=_finite_float, required=True)
     p.add_argument("--xmax", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--eta", type=_floats, default=list(DEFAULT_ETA_SCHEDULE))
+    p.add_argument("--eta", type=_comma_list, default=list(DEFAULT_ETA_SCHEDULE))
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("rate", parents=[prof], help="rate function at one or more x")
-    p.add_argument("--x", type=_floats, required=True)
+    p.add_argument("--x", type=_comma_list, required=True)
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(fn=cmd_rate)
@@ -490,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = mcsub.add_parser("tail", parents=[prof])
     p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--N", type=_positive_ints, required=True)
+    p.add_argument("--N", type=partial(_comma_list, item=_positive_int), required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")
     p.set_defaults(fn=cmd_mc_tail)
@@ -507,14 +507,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--delta", type=_positive_float, default=0.1)
-    p.add_argument("--phi", type=_floats, default=None)
+    p.add_argument("--phi", type=_comma_list, default=None)
     p.set_defaults(fn=cmd_mc_annealed)
 
     p = mcsub.add_parser("tilt", parents=[prof])
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--N", type=_positive_int, default=200)
     p.add_argument("--samples", type=_positive_int, default=50)
-    p.add_argument("--psi", type=_floats, default=None)
+    p.add_argument("--psi", type=_comma_list, default=None)
     p.set_defaults(fn=cmd_mc_tilt)
 
     p = mcsub.add_parser("dirichlet", parents=[prof])

@@ -37,8 +37,11 @@ class VarianceProfile:
     label: str = ""
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        s = np.asarray(self.sigma, dtype=float).copy()
+        try:
+            w = np.array(self.weights, dtype=float)
+            s = np.array(self.sigma, dtype=float)
+        except (TypeError, ValueError):
+            raise ProfileConfigError("weights and sigma must be arrays of numbers") from None
         if w.ndim != 1 or w.size == 0:
             raise ProfileConfigError("weights must be a nonempty 1-d sequence")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
@@ -116,11 +119,11 @@ class ContinuousProfileSpec:
     label: str = ""
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float).copy()
+        g = np.array(self.grid, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ProfileConfigError("grid must be a square matrix")
-        if np.any(g < 0):
-            raise ProfileConfigError("grid entries must be nonnegative")
+        if not np.all(np.isfinite(g) & (g >= 0)):
+            raise ProfileConfigError("grid entries must be finite and nonnegative")
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
             raise ProfileConfigError("grid must be symmetric")
         g.setflags(write=False)
@@ -178,74 +181,67 @@ def sigma_quadratic_form(profile: VarianceProfile, phi, psi) -> float:
     return float(a @ profile.sigma @ b)
 
 
-def _expand_wishart(alpha: float, label: str) -> VarianceProfile:
-    if not alpha > 1:
-        raise ProfileConfigError("wishart profile needs alpha > 1")
-    w = np.array([1.0 / (1 + alpha), alpha / (1 + alpha)])
-    s = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return VarianceProfile(weights=w, sigma=s, label=label or f"wishart(alpha={alpha:g})")
+def _read(cfg: dict, key: str, read=float):
+    """read(cfg[key]); a missing key or a value read rejects is a ProfileConfigError naming key."""
+    if key not in cfg:
+        raise ProfileConfigError(f"profile config needs {key!r}")
+    try:
+        return read(cfg[key])
+    except (TypeError, ValueError, OverflowError, OSError) as e:
+        raise ProfileConfigError(f"profile config {key!r}: {e}") from None
 
 
-def _expand_block(alpha: float, part1, part2, label: str) -> VarianceProfile:
-    if not 0 < alpha < 1:
-        raise ProfileConfigError("block profile needs alpha in (0,1)")
+def _exactly(type_):
+    """A reader that takes v only when type_(v) == v: "2" is no int, nor are 2.7 and true."""
+    def read(v):
+        if isinstance(v, bool) or type_(v) != v:
+            raise ValueError(f"{v!r} is not of type {type_.__name__}")
+        return type_(v)
+    return read
 
-    def as_profile(part) -> VarianceProfile:
-        if isinstance(part, VarianceProfile):
-            return part
-        if isinstance(part, dict):
-            return _from_config(part)
-        return VarianceProfile(weights=np.array([1.0]), sigma=np.array([[float(part)]]))
 
-    p1, p2 = as_profile(part1), as_profile(part2)
-    w = np.concatenate([alpha * p1.weights, (1 - alpha) * p2.weights])
-    s = np.zeros((w.size, w.size))
-    s[: p1.p, : p1.p] = p1.sigma
-    s[p1.p :, p1.p :] = p2.sigma
-    return VarianceProfile(weights=w, sigma=s, label=label or f"block(alpha={alpha:g})")
+def _block_part(part, base_dir: Path | None = None) -> VarianceProfile:
+    """One diagonal block of a block profile: a profile, a nested config or a variance."""
+    if isinstance(part, dict):
+        part = _from_config(part, base_dir)
+    elif not isinstance(part, VarianceProfile):
+        part = VarianceProfile(weights=np.array([1.0]), sigma=np.array([[float(part)]]))
+    if not isinstance(part, VarianceProfile):
+        raise ProfileConfigError("a block part must be in block form; give its grid a block count p")
+    return part
 
 
 def _from_config(cfg: dict, base_dir: Path | None = None):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
+    """The one reader of a profile config: every field goes through _read."""
+    if not isinstance(cfg, dict):
         raise ProfileConfigError("config must be a mapping with a 'kind' entry")
-    kind = cfg["kind"]
-    label = cfg.get("label", "")
+    kind = _read(cfg, "kind", _exactly(str))
+    label = _read(cfg, "label", _exactly(str)) if "label" in cfg else ""
     if kind == "constant":
-        return VarianceProfile(
-            weights=np.array([1.0]), sigma=np.array([[1.0]]), label=label or "constant"
-        )
+        return VarianceProfile(np.array([1.0]), np.array([[1.0]]), label=label or "constant")
     if kind == "piecewise_constant":
-        try:
-            return VarianceProfile(
-                weights=np.asarray(cfg["weights"], dtype=float),
-                sigma=np.asarray(cfg["sigma"], dtype=float),
-                label=label,
-            )
-        except KeyError as e:
-            raise ProfileConfigError(f"piecewise_constant config missing {e}") from None
+        w, s = (_read(cfg, k, lambda v: np.asarray(v, dtype=float)) for k in ("weights", "sigma"))
+        return VarianceProfile(w, s, label)
     if kind == "wishart":
-        if "alpha" not in cfg:
-            raise ProfileConfigError("wishart config requires alpha")
-        return _expand_wishart(float(cfg["alpha"]), label)
+        alpha = _read(cfg, "alpha")
+        if not alpha > 1:
+            raise ProfileConfigError("wishart profile needs alpha > 1")
+        w = np.array([1.0 / (1 + alpha), alpha / (1 + alpha)])
+        return VarianceProfile(w, np.array([[0.0, 1.0], [1.0, 0.0]]), label or f"wishart(alpha={alpha:g})")
     if kind == "block":
-        for k in ("alpha", "sigma1", "sigma2"):
-            if k not in cfg:
-                raise ProfileConfigError(f"block config requires {k}")
-        return _expand_block(float(cfg["alpha"]), cfg["sigma1"], cfg["sigma2"], label)
+        alpha = _read(cfg, "alpha")
+        if not 0 < alpha < 1:
+            raise ProfileConfigError("block profile needs alpha in (0,1)")
+        p1, p2 = (_read(cfg, k, lambda part: _block_part(part, base_dir)) for k in ("sigma1", "sigma2"))
+        w = np.concatenate([alpha * p1.weights, (1 - alpha) * p2.weights])
+        s = np.zeros((w.size, w.size))
+        s[: p1.p, : p1.p] = p1.sigma
+        s[p1.p :, p1.p :] = p2.sigma
+        return VarianceProfile(weights=w, sigma=s, label=label or f"block(alpha={alpha:g})")
     if kind == "grid":
-        if "file" not in cfg:
-            raise ProfileConfigError("grid config requires a file path")
-        path = Path(cfg["file"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        if not path.exists():
-            raise ProfileConfigError(f"grid file not found: {path}")
-        grid = np.loadtxt(path)
+        grid = _read(cfg, "file", lambda f: np.loadtxt(Path(base_dir or "") / f))  # an absolute f wins
         spec = ContinuousProfileSpec(grid=grid, label=label)
-        if "p" in cfg:
-            prof, _ = discretize(spec, int(cfg["p"]))
-            return prof
-        return spec
+        return _read(cfg, "p", lambda p: discretize(spec, _exactly(int)(p))[0]) if "p" in cfg else spec
     raise ProfileConfigError(f"unknown profile kind: {kind!r}")
 
 
@@ -264,18 +260,20 @@ def load_profile(config_text: str, base_dir: str | Path | None = None):
 
 def load_profile_file(path: str | Path):
     path = Path(path)
-    if not path.exists():
-        raise ProfileConfigError(f"profile file not found: {path}")
-    return load_profile(path.read_text(), base_dir=path.parent)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ProfileConfigError(f"cannot read profile file {path}: {e}") from None
+    return load_profile(text, base_dir=path.parent)
 
 
 def constant_profile() -> VarianceProfile:
-    return VarianceProfile(np.array([1.0]), np.array([[1.0]]), label="constant")
+    return _from_config({"kind": "constant"})
 
 
 def wishart_profile(alpha: float) -> VarianceProfile:
-    return _expand_wishart(alpha, "")
+    return _from_config({"kind": "wishart", "alpha": alpha})
 
 
 def block_profile(alpha: float, sigma1, sigma2) -> VarianceProfile:
-    return _expand_block(alpha, sigma1, sigma2, "")
+    return _from_config({"kind": "block", "alpha": alpha, "sigma1": sigma1, "sigma2": sigma2})

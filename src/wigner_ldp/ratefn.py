@@ -73,12 +73,6 @@ class SimplexVector:
     def uniform(cls, p: int) -> "SimplexVector":
         return cls(np.full(p, 1.0 / p))
 
-    @classmethod
-    def vertex(cls, p: int, k: int) -> "SimplexVector":
-        v = np.zeros(p)
-        v[k] = 1.0
-        return cls(v)
-
 
 def _mass_vector(psi, p: int) -> np.ndarray:
     v = np.asarray(getattr(psi, "values", psi), dtype=float)
@@ -278,23 +272,15 @@ class RateEvalReport:
 
 
 def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> np.ndarray:
-    """Rows: the weights, a vertex (or pair midpoint) per block, Dirichlet draws."""
-    p = profile.p
-    starts = [profile.weights.copy()]
-    for k in range(p):
-        if profile.sigma[k, k] > 0:
-            starts.append(SimplexVector.vertex(p, k).values.copy())
-        else:
-            for l in range(p):
-                if l != k and profile.sigma[k, l] > 0:
-                    v = np.zeros(p)
-                    v[k] = v[l] = 0.5
-                    starts.append(v)
-                    break
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        starts.append(rng.dirichlet(np.ones(p)))
-    return np.array(starts)
+    """Rows: the weights; per block k, its vertex when sigma_kk > 0, else the
+    midpoint of k and its first partner l (sigma_kl > 0), and none for an
+    isolated block; then n_random Dirichlet draws."""
+    eye = np.eye(profile.p)
+    partner = profile.sigma * (1.0 - eye) > 0
+    own = np.diag(profile.sigma) > 0
+    corners = np.where(own[:, None], eye, (eye + eye[np.argmax(partner, axis=1)]) / 2)
+    draws = np.random.default_rng(seed).dirichlet(np.ones(profile.p), size=n_random)
+    return np.vstack([profile.weights, corners[own | partner.any(axis=1)], draws])
 
 
 def _descend_simplex(f, grad, psi, max_iter, tol):
@@ -358,14 +344,14 @@ def _descend_simplex(f, grad, psi, max_iter, tol):
     return psi, val, aux, its, act
 
 
-def _minimize_from(profile, x, starts, eps_floor, tol):
+def _minimize_from(profile, x, starts, tol):
     """Projected-gradient descent of psi -> sup_theta Fhat from every row of
     starts at once, at most 400 steps a row; returns (psi, value, theta_hat,
     iterations, capped) per row, with value inf on rows whose start is
-    degenerate (a <= eps_floor)."""
+    degenerate (a <= _EPS_FLOOR)."""
     m, _ = _ctx(profile, x)
     return _descend_simplex(
-        lambda psi, _: _sup_fhat(profile, m, psi, eps_floor),
+        lambda psi, _: _sup_fhat(profile, m, psi, _EPS_FLOOR),
         lambda psi, th, _: _fhat_grad(profile, m, th, psi),
         project_simplex(starts), 400, tol,
     )
@@ -405,7 +391,7 @@ def rate_function(
             diagnostics={"note": "below support edge" if below else "at support edge"},
         )
     start_rows = _default_starts(profile, starts, seed)
-    psi, vals, th, its, capped = _minimize_from(profile, x, start_rows, _EPS_FLOOR, tol)
+    psi, vals, th, its, capped = _minimize_from(profile, x, start_rows, tol)
     fin = np.flatnonzero(np.isfinite(vals))
     if fin.size == 0:
         raise ValueError(f"no feasible start: <psi, S psi> <= {_EPS_FLOOR} at every start")

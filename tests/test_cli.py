@@ -38,6 +38,9 @@ def prof_paths(tmp_path_factory):
         # the small block gets no row at N <= 8
         "light": {"kind": "piecewise_constant", "weights": [0.05, 0.95],
                   "sigma": [[1.0, 0.5], [0.5, 2.0]]},
+        # a block part read from a grid file named relative to the profile
+        "nested": {"kind": "block", "alpha": 0.5, "sigma1": {"kind": "grid", "file": "sigma.txt", "p": 2},
+                   "sigma2": 4.0},
     }.items():
         p = d / f"{name}.json"
         p.write_text(json.dumps(cfg))
@@ -65,6 +68,113 @@ def test_edge_payload_carries_duality_gap(prof_paths, tmp_path):
 
 def test_edge_missing_file(tmp_path):
     assert main(["edge", "--profile", str(tmp_path / "nope.json")]) == 2
+
+
+_DROP = object()
+
+
+def _edit(cfg, path, value):
+    """A copy of a JSON config with the item at path set to value, or dropped for _DROP."""
+    cfg = json.loads(json.dumps(cfg))
+    *head, last = path
+    parent = cfg
+    for k in head:
+        parent = parent[k]
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return cfg
+
+
+def _items(node, path=()):
+    """(path, value) of every item below a JSON node, in document order."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in children:
+        yield (*path, k), v
+        yield from _items(v, (*path, k))
+
+
+def _malformed(cfg, rng):
+    """(case, config) for each item of cfg: a key dropped, the item set to null, a number
+    replaced by a non-numeric string (picked by rng) and a scalar by a one-item list; the
+    block count p also as 2.7 and as true."""
+    strings = ["abc", "", "one", "1,2", "two words"]
+    for path, v in _items(cfg):
+        edits = {"null": None}
+        if isinstance(path[-1], str):
+            edits["drop"] = _DROP
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            edits["string"] = strings[rng.integers(len(strings))]
+        if not isinstance(v, (dict, list)):
+            edits["list"] = [v]
+        if path[-1] == "p":
+            edits.update({"2.7": 2.7, "true": True})
+        for what, value in edits.items():
+            yield "/".join(map(str, path)) + f"-{what}", _edit(cfg, path, value)
+
+
+@pytest.mark.parametrize("name", ["constant", "wishart", "block", "grid8", "grid", "light", "nested"])
+def test_malformed_config_corpus_exits_2(prof_paths, tmp_path, capsys, name):
+    # every malformed variant of each profile exits 2 through main, with no traceback, and
+    # load_profile_file raises ProfileConfigError, except for a grid left without its block
+    # count p, a valid ContinuousProfileSpec that only the CLI's block-form check rejects
+    src = Path(prof_paths[name])
+    (tmp_path / "sigma.txt").write_bytes(src.with_name("sigma.txt").read_bytes())
+    cases = list(_malformed(json.loads(src.read_text()), np.random.default_rng(23)))
+    assert len(cases) >= 3  # kind alone: dropped, null, a list
+    for case, cfg in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["edge", "--profile", str(path)]) == 2, case
+        assert capsys.readouterr().err.startswith("usage error: "), case
+        try:
+            prof = load_profile_file(path)
+        except ProfileConfigError:
+            continue
+        assert case == "p-drop" and isinstance(prof, ContinuousProfileSpec), case
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        None,  # a directory given as the profile
+        {"kind": "grid", "file": 123, "p": 2},
+        {"kind": "grid", "file": "text.txt", "p": 2},
+        {"kind": "grid", "file": "sigma.txt", "p": 2.7},
+        {"kind": "block", "alpha": 0.5, "sigma1": {"kind": "grid", "file": "sigma.txt"}, "sigma2": 1},
+    ],
+    ids=["directory", "file-123", "grid-file-of-text", "p-fractional", "block-part-without-p"],
+)
+def test_malformed_profile_exits_2(tmp_path, capsys, cfg):
+    np.savetxt(tmp_path / "sigma.txt", np.ones((4, 4)))
+    (tmp_path / "text.txt").write_text("a b\nc d\n")
+    path = tmp_path / "bad.json"
+    if cfg is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(cfg))
+    assert main(["edge", "--profile", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_nested_grid_part_payload_independent_of_working_directory(prof_paths, tmp_path, monkeypatch):
+    # a nested part's relative grid file resolves against the profile's directory
+    texts = []
+    for cwd in (tmp_path, Path(prof_paths["nested"]).parent):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"{len(texts)}.json"
+        assert main(["--out", str(out), "density", "--profile", prof_paths["nested"],
+                     "--xmin", "-3", "--xmax", "3", "--points", "7"]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
+def test_out_into_a_missing_directory_exits_2(prof_paths, tmp_path, capsys):
+    out = tmp_path / "missing" / "edge.json"
+    assert main(["--out", str(out), "edge", "--profile", prof_paths["constant"]]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.parent.exists()
 
 
 def test_density_csv(prof_paths, tmp_path):
@@ -498,6 +608,7 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
         ["mc", "tail", "--profile", "constant", "--x", "2.2", "--N", "x", "--samples", "300"],
         ["mc", "tail", "--profile", "constant", "--x", "2.2", "--N", ",", "--samples", "300"],
         ["edge", "--profile", "grid"],
+        ["rate", "--profile", "constant", "--x", ""],
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
@@ -505,7 +616,8 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
          "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero", "threads-negative",
          "tilt-psi-zero-form", "annealed-theta-negative", "spherical-theta-negative",
          "wishart-suite-not-concave", "seed-negative", "rate-x-not-a-number",
-         "tail-N-not-an-integer", "tail-N-empty-list", "edge-grid-without-p"],
+         "tail-N-not-an-integer", "tail-N-empty-list", "edge-grid-without-p",
+         "rate-x-empty-list"],
 )
 def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
     # an argument error is rejected before any matrix or sphere is drawn

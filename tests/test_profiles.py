@@ -9,6 +9,7 @@ from wigner_ldp.profiles import (
     VarianceProfile,
     discretize,
     load_profile,
+    load_profile_file,
     sigma_quadratic_form,
 )
 
@@ -59,11 +60,59 @@ def test_load_nested_block():
         '{"kind": "block", "alpha": 1.5, "sigma1": 1, "sigma2": 2}',
         '{"kind": "grid"}',
         "not json at all",
+        "[1, 2]",
+        '{"kind": 5}',
+        '{"kind": "constant", "label": 5}',
+        '{"kind": "wishart", "alpha": "abc"}',
+        '{"kind": "wishart", "alpha": null}',
+        '{"kind": "wishart", "alpha": [2.0]}',
+        '{"kind": "block", "alpha": 0.5, "sigma1": null, "sigma2": 2}',
+        '{"kind": "piecewise_constant", "weights": [0.5, "x"], "sigma": [[1, 0], [0, 1]]}',
+        '{"kind": "piecewise_constant", "weights": [0.5, 0.5], "sigma": [[1, 0], [0]]}',
+        '{"kind": "grid", "file": 123, "p": 2}',
+        '{"kind": "grid", "file": "nope.txt", "p": 2}',
+        '{"kind": "grid", "file": ".", "p": 2}',
+        '{"kind": "grid", "file": "text.txt", "p": 2}',
+        '{"kind": "grid", "file": "g.txt", "p": null}',
+        '{"kind": "grid", "file": "g.txt", "p": 2.7}',
+        '{"kind": "grid", "file": "g.txt", "p": true}',
+        '{"kind": "grid", "file": "g.txt", "p": "2"}',
+        '{"kind": "grid", "file": "g.txt", "p": 1e999}',
+        '{"kind": "grid", "file": "g.txt", "p": 0}',
+        '{"kind": "block", "alpha": 0.5, "sigma1": {"kind": "grid", "file": "g.txt"}, "sigma2": 1}',
     ],
 )
-def test_bad_configs_raise(cfg):
+def test_bad_configs_raise(cfg, tmp_path):
+    # a relative grid file resolves against base_dir, which holds a good grid and a text file
+    np.savetxt(tmp_path / "g.txt", np.ones((4, 4)))
+    (tmp_path / "text.txt").write_text("a b\nc d\n")
     with pytest.raises(ProfileConfigError):
-        load_profile(cfg)
+        load_profile(cfg, base_dir=tmp_path)
+
+
+def test_unreadable_profile_file_raises(tmp_path):
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, tmp_path / "nope.json", tmp_path / "bytes.json"):
+        with pytest.raises(ProfileConfigError):
+            load_profile_file(path)
+
+
+def test_nested_grid_part_reads_against_base_dir(tmp_path):
+    np.savetxt(tmp_path / "g.txt", np.ones((4, 4)))
+    cfg = {"kind": "block", "alpha": 0.5, "sigma1": {"kind": "grid", "file": "g.txt", "p": 2},
+           "sigma2": 3.0}
+    prof = load_profile(json.dumps(cfg), base_dir=tmp_path)
+    assert prof.weights.tolist() == [0.25, 0.25, 0.5]
+    assert prof.sigma.tolist() == [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]]
+
+
+def test_integral_float_block_count_is_read(tmp_path):
+    # p = 4.0 is the block count 4; 2.7 and true are rejected (test_bad_configs_raise)
+    g = np.arange(64.0).reshape(8, 8)
+    np.savetxt(tmp_path / "g.txt", g + g.T)
+    four, four_float = (load_profile(json.dumps({"kind": "grid", "file": "g.txt", "p": p}), tmp_path)
+                        for p in (4, 4.0))
+    assert four.p == 4 and four == four_float
 
 
 @pytest.mark.parametrize(

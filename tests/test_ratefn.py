@@ -386,6 +386,20 @@ def test_rate_rejects_negative_starts(block_14):
     assert rate_function(block_14, 3.5, starts=0).starts_used == 3
 
 
+def test_default_starts_rows(wishart2):
+    # the weights; a vertex per block with a variance of its own, the midpoint with its
+    # first partner for a zero-variance block, nothing for an isolated block; then the
+    # Dirichlet draws, each row as one dirichlet call of a fresh seeded generator gives it
+    w = wishart2.weights.tolist()
+    assert _default_starts(wishart2, 0, 5).tolist() == [w, [0.5, 0.5], [0.5, 0.5]]
+    prof = VarianceProfile([0.25] * 4, [[1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 2, 0, 3]])
+    rows = _default_starts(prof, 0, 5)
+    assert rows.tolist() == [[0.25] * 4, [1, 0, 0, 0], [0, 0.5, 0, 0.5], [0, 0, 0, 1]]
+    rng = np.random.default_rng(7)
+    draws = [rng.dirichlet(np.ones(4)) for _ in range(8)]
+    assert np.array_equal(_default_starts(prof, 8, 7), np.vstack([rows, draws]))
+
+
 # -- Newton theta_hat and the stacked descent ------------------------------------
 
 
@@ -434,13 +448,13 @@ def test_stacked_descent_rows_independent(seed):
     _, r = support_edge(prof)
     x = r + rng.uniform(0.05, 1.0)
     starts = _default_starts(prof, 8, seed)
-    stacked = _minimize_from(prof, x, starts, 1e-8, 1e-9)
+    stacked = _minimize_from(prof, x, starts, 1e-9)
     perm = rng.permutation(len(starts))
-    permuted = _minimize_from(prof, x, starts[perm], 1e-8, 1e-9)
+    permuted = _minimize_from(prof, x, starts[perm], 1e-9)
     for full, other in zip(stacked, permuted):
         assert np.array_equal(full[perm], other)
     for i in range(len(starts)):
-        alone = _minimize_from(prof, x, starts[i : i + 1], 1e-8, 1e-9)
+        alone = _minimize_from(prof, x, starts[i : i + 1], 1e-9)
         for full, one in zip(stacked, alone):
             assert np.array_equal(full[i : i + 1], one)
     # a strided (non-contiguous) view of the rows reaches the row kernels as it is
