@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -133,12 +134,12 @@ def cmd_density(prof, args):
 def cmd_rate(prof, args):
     rows = [rate_function(prof, x, starts=args.starts, tol=args.tol, seed=args.seed) for x in args.x]
     body = {
-        "reports": [{**vars(r), "psi_star": r.psi_star.values.tolist()} for r in rows],
+        "reports": [{**vars(r), "psi_star": r.psi_star.tolist()} for r in rows],
         "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
                   for r in rows],
     }
     header = ["x", "I", "theta_star", *(f"psi_star_{k+1}" for k in range(prof.p)), "spread"]
-    table = _table(header, [[r.x, r.I, r.theta_star, *r.psi_star.values, r.spread] for r in rows])
+    table = _table(header, [[r.x, r.I, r.theta_star, *r.psi_star, r.spread] for r in rows])
     return EXIT_OK, body, table
 
 
@@ -422,7 +423,10 @@ def cmd_mc_dirichlet(prof, args):
 
 def _run(args) -> int:
     """Load the profile, run the command, and write its payload with the manifest:
-    the CSV table when the command has one and JSON was not asked for, else JSON."""
+    the CSV table when the command has one and JSON was not asked for, else JSON.
+    An --out whose directory does not exist is rejected before the command runs."""
+    if args.out and not Path(args.out).parent.is_dir():
+        raise UsageError(f"cannot write --out {args.out}: no directory {Path(args.out).parent}")
     prof = _load(args.profile)
     code, body, table = args.fn(prof, args)
     command = args.command + (f" {args.mc_command}" if args.command == "mc" else "")

@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 
 from .dyson import spectral_measure, support_edge
 from .profiles import UsageError, VarianceProfile
-from .ratefn import _mass_vector, eval_phi, find_tilt_theta
+from .ratefn import eval_phi, find_tilt_theta
 
 ENTRY_KINDS = ("gaussian", "rademacher", "uniform")
 _SQRT3 = math.sqrt(3.0)
@@ -346,7 +346,7 @@ def annealed_integral_mc(
     """
     if N < 1 or samples < 1 or not (delta > 0 and np.isfinite(theta)):
         raise UsageError("N and samples must be >= 1, delta positive and theta finite")
-    phi = _mass_vector(phi_target, profile.p)
+    phi = profile.mass_vector(phi_target)
     vals = np.empty(samples)
     inside = np.zeros(samples, dtype=bool)
     for done, g in _sphere_draws(seed, samples, N):
@@ -409,7 +409,7 @@ def tilted_outlier_check(
     if N < 1 or samples < 1:
         raise UsageError("N and samples must be >= 1")
     theta = find_tilt_theta(profile, x, psi)
-    phi = eval_phi(profile, theta, x, psi).values
+    phi = eval_phi(profile, theta, x, psi)
     b = profile.row_blocks(N)
     S_full = profile.sigma[np.ix_(b, b)]
     lam1 = np.empty(samples)

@@ -26,10 +26,6 @@ class ProfileConfigError(UsageError):
     """Raised when a profile config violates the schema."""
 
 
-def _as_vector(v) -> np.ndarray:
-    return np.asarray(getattr(v, "values", v), dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class VarianceProfile:
     weights: np.ndarray
@@ -93,6 +89,17 @@ class VarianceProfile:
 
     def __hash__(self):
         return hash(self.key)
+
+    def mass_vector(self, v) -> np.ndarray:
+        """The one reader of a block mass vector: v as p floats, each at least
+        -1e-12 (rounding negatives clip to 0), summing to 1 within 1e-9.  Both
+        tests fail on NaN, and inf breaks the sum, so neither gets through."""
+        a = np.asarray(v, dtype=float)
+        if a.shape != (self.p,):
+            raise UsageError(f"expected a mass vector of length {self.p}")
+        if not (np.all(a >= -1e-12) and abs(a.sum() - 1.0) <= 1e-9):
+            raise UsageError("mass vector must be finite, nonnegative and sum to 1")
+        return np.clip(a, 0.0, None)
 
     def row_blocks(self, n: int) -> np.ndarray:
         """Block index of each matrix row, midpoints t_i = (i - 1/2)/n."""
@@ -174,14 +181,14 @@ def discretize(spec: ContinuousProfileSpec, p: int):
 
 def sigma_quadratic_form(profile: VarianceProfile, phi, psi) -> float:
     """<phi, S psi> = sum_{kl} sigma_{kl} phi_k psi_l."""
-    a = _as_vector(phi)
-    b = _as_vector(psi)
+    a = np.asarray(phi, dtype=float)
+    b = np.asarray(psi, dtype=float)
     if a.shape != (profile.p,) or b.shape != (profile.p,):
         raise UsageError("mass vectors must match the profile partition")
     return float(a @ profile.sigma @ b)
 
 
-def _read(cfg: dict, key: str, read=float):
+def _read(cfg: dict, key: str, read):
     """read(cfg[key]); a missing key or a value read rejects is a ProfileConfigError naming key."""
     if key not in cfg:
         raise ProfileConfigError(f"profile config needs {key!r}")
@@ -192,12 +199,19 @@ def _read(cfg: dict, key: str, read=float):
 
 
 def _exactly(type_):
-    """A reader that takes v only when type_(v) == v: "2" is no int, nor are 2.7 and true."""
+    """A reader that takes v only when it is a type_ or type_(v) == v: "2" is no
+    int, nor are 2.7 and true, and a NaN is a float (for the finiteness check)."""
     def read(v):
-        if isinstance(v, bool) or type_(v) != v:
+        if isinstance(v, bool) or not (isinstance(v, type_) or type_(v) == v):
             raise ValueError(f"{v!r} is not of type {type_.__name__}")
         return type_(v)
     return read
+
+
+def _numbers(v):
+    """The one reader of numbers in a config: a number, or lists of them at any
+    depth, each read by _exactly(float), so "2" and true are no numbers."""
+    return [_numbers(e) for e in v] if isinstance(v, list) else _exactly(float)(v)
 
 
 def _block_part(part, base_dir: Path | None = None) -> VarianceProfile:
@@ -205,7 +219,7 @@ def _block_part(part, base_dir: Path | None = None) -> VarianceProfile:
     if isinstance(part, dict):
         part = _from_config(part, base_dir)
     elif not isinstance(part, VarianceProfile):
-        part = VarianceProfile(weights=np.array([1.0]), sigma=np.array([[float(part)]]))
+        part = VarianceProfile(weights=np.array([1.0]), sigma=np.array([[_exactly(float)(part)]]))
     if not isinstance(part, VarianceProfile):
         raise ProfileConfigError("a block part must be in block form; give its grid a block count p")
     return part
@@ -220,16 +234,16 @@ def _from_config(cfg: dict, base_dir: Path | None = None):
     if kind == "constant":
         return VarianceProfile(np.array([1.0]), np.array([[1.0]]), label=label or "constant")
     if kind == "piecewise_constant":
-        w, s = (_read(cfg, k, lambda v: np.asarray(v, dtype=float)) for k in ("weights", "sigma"))
+        w, s = (_read(cfg, k, _numbers) for k in ("weights", "sigma"))
         return VarianceProfile(w, s, label)
     if kind == "wishart":
-        alpha = _read(cfg, "alpha")
+        alpha = _read(cfg, "alpha", _exactly(float))
         if not alpha > 1:
             raise ProfileConfigError("wishart profile needs alpha > 1")
         w = np.array([1.0 / (1 + alpha), alpha / (1 + alpha)])
         return VarianceProfile(w, np.array([[0.0, 1.0], [1.0, 0.0]]), label or f"wishart(alpha={alpha:g})")
     if kind == "block":
-        alpha = _read(cfg, "alpha")
+        alpha = _read(cfg, "alpha", _exactly(float))
         if not 0 < alpha < 1:
             raise ProfileConfigError("block profile needs alpha in (0,1)")
         p1, p2 = (_read(cfg, k, lambda part: _block_part(part, base_dir)) for k in ("sigma1", "sigma2"))
@@ -252,10 +266,11 @@ def load_profile(config_text: str, base_dir: str | Path | None = None):
     ContinuousProfileSpec for kind="grid" without a block count.
     """
     try:
-        cfg = json.loads(config_text)
+        return _from_config(json.loads(config_text), base_dir=Path(base_dir) if base_dir else None)
     except json.JSONDecodeError as e:
         raise ProfileConfigError(f"config is not valid JSON: {e}") from None
-    return _from_config(cfg, base_dir=Path(base_dir) if base_dir else None)
+    except RecursionError:  # from json.loads or from _from_config's descent into parts
+        raise ProfileConfigError("config is nested too deeply") from None
 
 
 def load_profile_file(path: str | Path):

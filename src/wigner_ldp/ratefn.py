@@ -52,37 +52,6 @@ _EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplexVector:
-    """Probability masses per block; density on block k is values_k / w_k."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
-        if v.ndim != 1 or v.size == 0:
-            raise UsageError("simplex vector must be 1-d and nonempty")
-        if np.any(v < 0):
-            raise UsageError("simplex vector entries must be nonnegative")
-        if abs(v.sum() - 1.0) > 1e-12:
-            raise UsageError(f"simplex vector sums to {v.sum():.15g}, expected 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def uniform(cls, p: int) -> "SimplexVector":
-        return cls(np.full(p, 1.0 / p))
-
-
-def _mass_vector(psi, p: int) -> np.ndarray:
-    v = np.asarray(getattr(psi, "values", psi), dtype=float)
-    if v.shape != (p,):
-        raise UsageError(f"expected a mass vector of length {p}")
-    if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
-        raise UsageError("mass vector must be nonnegative and sum to 1")
-    return np.clip(v, 0.0, None)
-
-
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex, of each row of v
     along its last axis."""
@@ -142,24 +111,24 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     return theta * v - 0.5 - 0.5 * math.log(2.0 * theta) - 0.5 * _free_energy(profile, v, m_v)
 
 
-def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> SimplexVector:
+def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> np.ndarray:
     """Mass vector phi(theta, x, psi) of the tilted eigenvector profile."""
     require_above_edge(profile, x)
     _require_theta(theta, positive=True)
-    psi = _mass_vector(psi, profile.p)
+    psi = profile.mass_vector(psi)
     _, G = _ctx(profile, x)
     _, m_v = _tilt_point(profile, x, theta, G)
     # the excess 1 - G/(2 theta) is 0 where v = G^{-1}(2 theta) > x
     vals = profile.weights * m_v / (2.0 * theta) + max(1.0 - G / (2.0 * theta), 0.0) * psi
-    return SimplexVector(vals / vals.sum())
+    return vals / vals.sum()
 
 
 def eval_K(profile: VarianceProfile, theta: float, phi) -> float:
     """Annealed-integral limit K(theta, phi); -inf when the entropy diverges."""
     _require_theta(theta)
-    v = _mass_vector(phi, profile.p)
+    v = profile.mass_vector(phi)
     w = profile.weights
-    if np.any(v[w > 0] <= 0.0):
+    if np.any(v <= 0.0):
         return -np.inf
     quad = float(v @ profile.sigma @ v)
     return theta**2 * quad + 0.5 * float(w @ np.log(v / w))
@@ -180,7 +149,7 @@ def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> flo
     """Shifted objective; equals eval_F(theta_hat + G(x)/2, x, psi)."""
     require_above_edge(profile, x)
     _require_theta(theta_hat, "theta_hat")
-    u, lin, a = _fhat_parts(profile, _solve_real(profile, x), _mass_vector(psi, profile.p)[None])
+    u, lin, a = _fhat_parts(profile, _solve_real(profile, x), profile.mass_vector(psi)[None])
     return float(_fhat(profile.weights, u, lin, a, np.array([float(theta_hat)]))[0])
 
 
@@ -188,7 +157,7 @@ def f_hat_gradient(profile: VarianceProfile, theta_hat: float, x: float, psi) ->
     """Analytic simplex gradient of Fhat in psi at fixed theta_hat."""
     require_above_edge(profile, x)
     _require_theta(theta_hat, "theta_hat")
-    psi = _mass_vector(psi, profile.p)[None]
+    psi = profile.mass_vector(psi)[None]
     return _fhat_grad(profile, _solve_real(profile, x), np.array([float(theta_hat)]), psi)[0]
 
 
@@ -249,7 +218,7 @@ def sup_theta(profile: VarianceProfile, x: float, psi):
     """
     require_above_edge(profile, x)
     m, G = _ctx(profile, x)
-    val, th = _sup_fhat(profile, m, _mass_vector(psi, profile.p)[None], 0.0)
+    val, th = _sup_fhat(profile, m, profile.mass_vector(psi)[None], 0.0)
     if np.isinf(val[0]):
         return np.inf, np.inf
     return float(th[0] + G / 2.0), float(val[0])
@@ -264,7 +233,7 @@ def sup_theta(profile: VarianceProfile, x: float, psi):
 class RateEvalReport:
     x: float
     I: float
-    psi_star: SimplexVector
+    psi_star: np.ndarray
     theta_star: float
     starts_used: int
     spread: float
@@ -386,7 +355,7 @@ def rate_function(
     if x <= r + edge_tol:
         below = x < r - edge_tol
         return RateEvalReport(
-            x=x, I=np.inf if below else 0.0, psi_star=SimplexVector.uniform(profile.p),
+            x=x, I=np.inf if below else 0.0, psi_star=np.full(profile.p, 1.0 / profile.p),
             theta_star=0.0, starts_used=0, spread=0.0,
             diagnostics={"note": "below support edge" if below else "at support edge"},
         )
@@ -400,7 +369,7 @@ def rate_function(
     return RateEvalReport(
         x=x,
         I=float(vals[best]),
-        psi_star=SimplexVector(psi[best] / psi[best].sum()),
+        psi_star=psi[best] / psi[best].sum(),
         theta_star=float(th[best] + G / 2.0),
         starts_used=len(start_rows),
         spread=float(vals[fin].max() - vals[best]),
@@ -497,7 +466,7 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
     m_k(z) <= 1/(z - r) there and the Perron root is monotone in D,
     nu(z) <= nu|_{m=1} / (z - r), and [r + margin, r + nu|_{m=1}] brackets
     it for Brent's method."""
-    phi = eval_phi(profile, theta, x, psi).values
+    phi = eval_phi(profile, theta, x, psi)
     _, r = support_edge(profile)
 
     def excess(z):
@@ -522,7 +491,7 @@ def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:
     theta* = (G + 1/mu) / 2.
     """
     require_above_edge(profile, x)
-    psi = _mass_vector(psi, profile.p)
+    psi = profile.mass_vector(psi)
     if float(psi @ profile.sigma @ psi) <= 0.0:
         raise UsageError("find_tilt_theta needs <psi, S psi> > 0")
     m, G = _ctx(profile, x)

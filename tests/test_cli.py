@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from wigner_ldp.profiles import (
     discretize, load_profile_file, sigma_quadratic_form, wishart_profile,
 )
 from wigner_ldp.ratefn import (
-    SimplexVector, eval_F, eval_F_hat, eval_J, eval_K, eval_phi, f_hat_gradient, find_tilt_theta,
+    eval_F, eval_F_hat, eval_J, eval_K, eval_phi, f_hat_gradient, find_tilt_theta,
     outlier_equation_z, rate_function, rate_function_concave, sup_theta,
 )
 
@@ -170,11 +171,14 @@ def test_nested_grid_part_payload_independent_of_working_directory(prof_paths, t
     assert texts[0] == texts[1]
 
 
-def test_out_into_a_missing_directory_exits_2(prof_paths, tmp_path, capsys):
+def test_out_into_a_missing_directory_exits_2(prof_paths, tmp_path, capsys, monkeypatch):
+    # rejected before the command runs: edge never reaches its solve
+    calls = []
+    monkeypatch.setattr("wigner_ldp.cli.support_edge", lambda *a: calls.append(a))
     out = tmp_path / "missing" / "edge.json"
     assert main(["--out", str(out), "edge", "--profile", prof_paths["constant"]]) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
-    assert not out.parent.exists()
+    assert not out.parent.exists() and calls == []
 
 
 def test_density_csv(prof_paths, tmp_path):
@@ -265,6 +269,20 @@ def test_edge_non_finite_profile(tmp_path):
         '{"kind": "piecewise_constant", "weights": [NaN, 1.0], "sigma": [[1, 0], [0, 1]]}'
     )
     assert _exit_code(["edge", "--profile", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "wishart", "alpha": "2"}',
+    '{"kind": "block", "alpha": 0.5, "sigma1": true, "sigma2": "4"}',
+    pytest.param("[" * 100_000, id="100000-brackets"),
+    pytest.param('{"kind": "block", "alpha": 0.5, "sigma1": ' * 400 + "1" + ', "sigma2": 1}' * 400,
+                 id="block-nested-400-deep"),
+])
+def test_strict_numbers_and_deep_nesting_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert main(["edge", "--profile", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_rate_csv_rows(prof_paths, tmp_path):
@@ -715,6 +733,28 @@ def test_usage_error_is_the_one_argument_error():
     assert wigner_ldp.UsageError is UsageError
 
 
+def _bad_mass_vector_calls():
+    """Every entry point of a mass vector, each with a NaN, an inf, a wrong
+    length, a negative entry and a sum of 1.1 (the profiles have p = 2)."""
+    wish, block = wishart_profile(2.0), block_profile(0.5, 1.0, 4.0)
+    entries = {
+        "eval_phi": lambda v: eval_phi(wish, 0.5, 3.0, v),
+        "eval_K": lambda v: eval_K(wish, 0.3, v),
+        "eval_F": lambda v: eval_F(wish, 0.5, 3.0, v),
+        "eval_F_hat": lambda v: eval_F_hat(wish, 0.1, 3.0, v),
+        "f_hat_gradient": lambda v: f_hat_gradient(wish, 0.1, 3.0, v),
+        "sup_theta": lambda v: sup_theta(block, 3.5, v),
+        "find_tilt_theta": lambda v: find_tilt_theta(block, 3.5, v),
+        "outlier_equation_z": lambda v: outlier_equation_z(block, 1.0, 3.5, v),
+        "annealed_integral_mc": lambda v: mc.annealed_integral_mc(wish, 0.3, v, 0.1, 20, 10),
+        "tilted_outlier_check": lambda v: mc.tilted_outlier_check(block, 3.5, v, 5, 2),
+    }
+    bad = {"nan": [np.nan, np.nan], "inf": [np.inf, 0.0], "length": [0.5, 0.25, 0.25],
+           "negative": [-0.1, 1.1], "sum-1.1": [0.6, 0.5]}
+    return [pytest.param(partial(f, v), id=f"{name}-{kind}")
+            for name, f in entries.items() for kind, v in bad.items()]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -757,7 +797,7 @@ def test_usage_error_is_the_one_argument_error():
         lambda: outlier_equation_z(constant_profile(), 0.0, 3.0, [1.0]),
         lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
         lambda: find_tilt_theta(wishart_profile(2.0), 3.0, [1.0, 0.0]),
-        lambda: SimplexVector([0.5, 0.6]),
+        lambda: eval_K(wishart_profile(2.0), 0.5, [0.5, 0.6]),
         lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 0),
         lambda: mc.collect_batch(constant_profile(), 0, 3),
         lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 0),
@@ -771,6 +811,7 @@ def test_usage_error_is_the_one_argument_error():
         lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000),
         lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 5),
         lambda: sigma_quadratic_form(constant_profile(), [1.0, 0.0], [1.0]),
+        *_bad_mass_vector_calls(),
     ],
 )
 def test_library_argument_checks_raise_usage_error(call):

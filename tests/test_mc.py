@@ -352,7 +352,7 @@ def test_annealed_wishart_matches_K(wishart2):
     x = r + 0.3
     theta = 0.6
     psi_star = rate_function(wishart2, x).psi_star
-    phi = eval_phi(wishart2, theta, x, psi_star).values
+    phi = eval_phi(wishart2, theta, x, psi_star)
     est = annealed_integral_mc(wishart2, theta, phi, 0.1, 200, 2 * 10**5, seed=0)
     assert abs(est.value - eval_K(wishart2, theta, phi)) < 7e-2
 

@@ -6,6 +6,7 @@ import pytest
 from wigner_ldp.profiles import (
     ContinuousProfileSpec,
     ProfileConfigError,
+    UsageError,
     VarianceProfile,
     discretize,
     load_profile,
@@ -80,6 +81,16 @@ def test_load_nested_block():
         '{"kind": "grid", "file": "g.txt", "p": 1e999}',
         '{"kind": "grid", "file": "g.txt", "p": 0}',
         '{"kind": "block", "alpha": 0.5, "sigma1": {"kind": "grid", "file": "g.txt"}, "sigma2": 1}',
+        # a number is a JSON number: no numeric string, no boolean, at any depth
+        '{"kind": "wishart", "alpha": "2"}',
+        '{"kind": "block", "alpha": 0.5, "sigma1": true, "sigma2": 4}',
+        '{"kind": "block", "alpha": 0.5, "sigma1": 1, "sigma2": "4"}',
+        '{"kind": "piecewise_constant", "weights": ["0.5", "0.5"], "sigma": [[1, 0], [0, 1]]}',
+        '{"kind": "piecewise_constant", "weights": [0.5, 0.5], "sigma": [[true, 0], [0, 1]]}',
+        # nesting deep enough to exhaust the recursion of the JSON parser or of the reader
+        pytest.param("[" * 100_000, id="100000-brackets"),
+        pytest.param('{"kind": "block", "alpha": 0.5, "sigma1": ' * 400 + "1" + ', "sigma2": 1}' * 400,
+                     id="block-nested-400-deep"),
     ],
 )
 def test_bad_configs_raise(cfg, tmp_path):
@@ -88,6 +99,17 @@ def test_bad_configs_raise(cfg, tmp_path):
     (tmp_path / "text.txt").write_text("a b\nc d\n")
     with pytest.raises(ProfileConfigError):
         load_profile(cfg, base_dir=tmp_path)
+
+
+def test_mass_vector_reader(wishart2):
+    # rounding negatives clip to 0; the result is a fresh float array of length p
+    v = wishart2.mass_vector([1.0 + 1e-13, -1e-13])
+    assert v.tolist() == [1.0 + 1e-13, 0.0] and v.dtype == float
+    assert wishart2.mass_vector((0.25, 0.75)).tolist() == [0.25, 0.75]
+    for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf], [1.0],
+                [[0.5, 0.5]], 0.5, [-0.1, 1.1], [0.5, 0.6], [1.0 - 2e-9, 0.0]):
+        with pytest.raises(UsageError):
+            wishart2.mass_vector(bad)
 
 
 def test_unreadable_profile_file_raises(tmp_path):
