@@ -28,7 +28,7 @@ from .dyson import (
 )
 from .mc import InconclusiveError
 from .profiles import ProfileConfigError, UsageError, VarianceProfile, load_profile_file
-from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_concave
+from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_concave, rate_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_INCONCLUSIVE = 0, 2, 3, 4
 
@@ -132,7 +132,7 @@ def cmd_density(prof, args):
 
 
 def cmd_rate(prof, args):
-    rows = [rate_function(prof, x, starts=args.starts, tol=args.tol, seed=args.seed) for x in args.x]
+    rows = rate_sweep(prof, args.x, starts=args.starts, tol=args.tol, seed=args.seed)
     body = {
         "reports": [{**vars(r), "psi_star": r.psi_star.tolist()} for r in rows],
         "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
@@ -208,10 +208,10 @@ def _suite_identities(prof, seed, threads):
     checks.append(_check("J_seam_continuity", seam, 1e-9, seam < 1e-9))
     a = prof.mean_sigma
     ok4, ok2 = True, True
-    for dx in (0.2, 0.6, 1.0):
-        I = rate_function(prof, r + dx, seed=seed).I
-        ok4 &= I <= (r + dx) ** 2 / (4 * a) + 1e-6
-        ok2 &= I <= (r + dx) ** 2 / (2 * a) + 1e-6
+    xs = [r + dx for dx in (0.2, 0.6, 1.0)]
+    for x, rep in zip(xs, rate_sweep(prof, xs, seed=seed)):
+        ok4 &= rep.I <= x**2 / (4 * a) + 1e-6
+        ok2 &= rep.I <= x**2 / (2 * a) + 1e-6
     checks.append(_check("upper_bound_quarter_a", float(ok4), 1.0, ok4))
     checks.append(_check("upper_bound_half_a", float(ok2), 1.0, ok2, note="looser stated bound"))
     return checks
@@ -243,12 +243,11 @@ def _suite_blocks(prof, seed, threads):
     r_pred = max(np.sqrt(alpha) * r1, np.sqrt(1 - alpha) * r2)
     checks.append(_check("edge_scaling", abs(r - r_pred), 1e-3, abs(r - r_pred) < 1e-3))
     worst = 0.0
-    for dx in (0.15, 0.45, 0.9):
-        x = r + dx
-        direct = rate_function(prof, x, seed=seed).I
+    xs = [r + dx for dx in (0.15, 0.45, 0.9)]
+    for x, direct in zip(xs, rate_sweep(prof, xs, seed=seed)):
         ref = block_rate(alpha, lambda y: rate_function(p1, y, seed=seed).I,
                          lambda y: rate_function(p2, y, seed=seed).I, x)
-        worst = max(worst, abs(direct - ref))
+        worst = max(worst, abs(direct.I - ref))
     checks.append(_check("block_rate_identity", worst, 2e-3, worst < 2e-3))
     return checks
 
@@ -257,10 +256,9 @@ def _suite_wishart(prof, seed, threads):
     checks = []
     _, r = support_edge(prof)
     worst = 0.0
-    for dx in (0.15, 0.35, 0.6):
-        x = r + dx
-        gap = abs(rate_function(prof, x, seed=seed).I - rate_function_concave(prof, x))
-        worst = max(worst, gap)
+    xs = [r + dx for dx in (0.15, 0.35, 0.6)]
+    for x, rep in zip(xs, rate_sweep(prof, xs, seed=seed)):
+        worst = max(worst, abs(rep.I - rate_function_concave(prof, x)))
     checks.append(_check("minimax_exchange", worst, 2e-3, worst < 2e-3))
     return checks
 

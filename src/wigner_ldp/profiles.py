@@ -93,8 +93,12 @@ class VarianceProfile:
     def mass_vector(self, v) -> np.ndarray:
         """The one reader of a block mass vector: v as p floats, each at least
         -1e-12 (rounding negatives clip to 0), summing to 1 within 1e-9.  Both
-        tests fail on NaN, and inf breaks the sum, so neither gets through."""
-        a = np.asarray(v, dtype=float)
+        tests fail on NaN, and inf breaks the sum, so neither gets through;
+        what does not read as floats (strings, ragged lists) is refused too."""
+        try:
+            a = np.asarray(v, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"mass vector is not an array of floats: {exc}") from None
         if a.shape != (self.p,):
             raise UsageError(f"expected a mass vector of length {self.p}")
         if not (np.all(a >= -1e-12) and abs(a.sum() - 1.0) <= 1e-9):

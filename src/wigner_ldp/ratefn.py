@@ -16,8 +16,10 @@ h(th) = (1/2) sum_k w_k u_k^2 / (1 + th u_k) - 2 <psi, S psi>, which is
 strictly decreasing and convex: the sup over th is at 0 when h(0) <= 0 and
 otherwise at the root of h, which Newton from below reaches monotonically,
 with no bracket or fallback (`_sup_fhat`).  The inf over psi is a
-projected-gradient descent from all p + 1 + `starts` starts of one x as the
-rows of one array (`_descend_simplex`).  Each row tries its own
+projected-gradient descent from the same p + 1 + `starts` starts at every x
+of a sweep, all of them the rows of one stack (`_descend_simplex`), cut
+into whole-x chunks of at most _SWEEP_ENTRIES rows x p (`rate_sweep`);
+a report does not depend on the other xs of its sweep.  Each row tries its own
 Barzilai-Borwein length first (Barzilai-Borwein, IMA J. Numer. Anal. 1988;
 the spectral projected gradient of Birgin-Martinez-Raydan, SIAM J. Optim.
 2000), backtracks to its own Armijo test, and stops on its own
@@ -46,6 +48,7 @@ from .profiles import UsageError, VarianceProfile
 
 _SEAM_TOL = 1e-12  # evaluate J and phi from the 2 theta >= G(x) side inside this
 _EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
+_SWEEP_ENTRIES = 1 << 16  # rows x p per chunk of a sweep's descent: 512 kB per row array
 
 # ---------------------------------------------------------------------------
 # simplex plumbing
@@ -313,54 +316,32 @@ def _descend_simplex(f, grad, psi, max_iter, tol):
     return psi, val, aux, its, act
 
 
-def _minimize_from(profile, x, starts, tol):
+def _minimize_from(profile, xs, starts, tol):
     """Projected-gradient descent of psi -> sup_theta Fhat from every row of
-    starts at once, at most 400 steps a row; returns (psi, value, theta_hat,
-    iterations, capped) per row, with value inf on rows whose start is
-    degenerate (a <= _EPS_FLOOR)."""
-    m, _ = _ctx(profile, x)
+    starts at every x of xs at once, at most 400 steps a row; the rows are
+    xs x starts, x-major, each reading the m(x) of its own x.  Returns (psi,
+    value, theta_hat, iterations, capped) per row, with value inf on rows
+    whose start is degenerate (a <= _EPS_FLOOR)."""
+    M = np.array([_solve_real(profile, x) for x in xs])
+    at = np.repeat(np.arange(len(xs)), len(starts))  # each row's x
     return _descend_simplex(
-        lambda psi, _: _sup_fhat(profile, m, psi, _EPS_FLOOR),
-        lambda psi, th, _: _fhat_grad(profile, m, th, psi),
-        project_simplex(starts), 400, tol,
+        lambda psi, idx: _sup_fhat(profile, M[at[idx]], psi, _EPS_FLOOR),
+        lambda psi, th, idx: _fhat_grad(profile, M[at[idx]], th, psi),
+        np.tile(project_simplex(starts), (len(xs), 1)), 400, tol,
     )
 
 
-def rate_function(
-    profile: VarianceProfile,
-    x: float,
-    starts: int = 8,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> RateEvalReport:
-    """Rate of deviation of the top eigenvalue to x.
+def _edge_report(profile, x, below):
+    """The report at x below the edge (I = inf) or at it (I = 0)."""
+    return RateEvalReport(
+        x=x, I=np.inf if below else 0.0, psi_star=np.full(profile.p, 1.0 / profile.p),
+        theta_star=0.0, starts_used=0, spread=0.0,
+        diagnostics={"note": "below support edge" if below else "at support edge"},
+    )
 
-    Infinite below the support edge, zero at it.  Above it the value is the
-    best of a multi-start projected-gradient minimization of the tilt
-    envelope over mass vectors kept off the degenerate set by _EPS_FLOOR, all
-    starts descending together as rows (`_descend_simplex`, with tol setting
-    its stationarity and gain stops); the spread across feasible starts is
-    reported rather than hidden.  diagnostics counts the feasible starts'
-    iterations, the starts that met a stopping test (`converged_starts`)
-    and those still running at the 400-step cap (`capped_starts`).
-    """
-    if starts < 0:
-        raise UsageError("starts must be >= 0")
-    if not 0 < tol < math.inf:
-        raise UsageError("tol must be positive and finite")
-    if not x < math.inf:  # nan or +inf; -inf is below the edge
-        raise UsageError(f"x={x!r} must be finite")
-    _, r = support_edge(profile)
-    edge_tol = _edge_margin(profile)
-    if x <= r + edge_tol:
-        below = x < r - edge_tol
-        return RateEvalReport(
-            x=x, I=np.inf if below else 0.0, psi_star=np.full(profile.p, 1.0 / profile.p),
-            theta_star=0.0, starts_used=0, spread=0.0,
-            diagnostics={"note": "below support edge" if below else "at support edge"},
-        )
-    start_rows = _default_starts(profile, starts, seed)
-    psi, vals, th, its, capped = _minimize_from(profile, x, start_rows, tol)
+
+def _report(profile, x, psi, vals, th, its, capped):
+    """The report at x above the edge from its rows of `_minimize_from`."""
     fin = np.flatnonzero(np.isfinite(vals))
     if fin.size == 0:
         raise ValueError(f"no feasible start: <psi, S psi> <= {_EPS_FLOOR} at every start")
@@ -371,7 +352,7 @@ def rate_function(
         I=float(vals[best]),
         psi_star=psi[best] / psi[best].sum(),
         theta_star=float(th[best] + G / 2.0),
-        starts_used=len(start_rows),
+        starts_used=len(vals),
         spread=float(vals[fin].max() - vals[best]),
         diagnostics={
             "iterations": int(its[fin].sum()),
@@ -380,6 +361,51 @@ def rate_function(
             "upper_bound_4a": x * x / (4.0 * profile.mean_sigma),
         },
     )
+
+
+def rate_sweep(profile: VarianceProfile, xs, starts: int = 8, tol: float = 1e-9,
+               seed: int = 0) -> list[RateEvalReport]:
+    """Rate of deviation of the top eigenvalue to each x of xs, in order.
+
+    Infinite below the support edge, zero at it.  Above it the value is the
+    best of a multi-start projected-gradient minimization of the tilt
+    envelope over mass vectors kept off the degenerate set by _EPS_FLOOR.
+    The starts of every x above the edge descend together as the rows of one
+    stack (`_descend_simplex`, with tol setting its stationarity and gain
+    stops), in whole-x chunks of at most _SWEEP_ENTRIES rows x p; rows are
+    independent, so a report does not depend on the other xs of the sweep.
+    The spread across feasible starts is reported rather than hidden.
+    diagnostics counts the feasible starts' iterations, the starts that met
+    a stopping test (`converged_starts`) and those still running at the
+    400-step cap (`capped_starts`).
+    """
+    if starts < 0:
+        raise UsageError("starts must be >= 0")
+    if not 0 < tol < math.inf:
+        raise UsageError("tol must be positive and finite")
+    for x in xs:
+        if not x < math.inf:  # nan or +inf; -inf is below the edge
+            raise UsageError(f"x={x!r} must be finite")
+    _, r = support_edge(profile)
+    edge_tol = _edge_margin(profile)
+    reports = [None if x > r + edge_tol else _edge_report(profile, x, x < r - edge_tol) for x in xs]
+    above = [j for j, rep in enumerate(reports) if rep is None]
+    start_rows = _default_starts(profile, starts, seed)
+    n = len(start_rows)
+    size = max(1, _SWEEP_ENTRIES // (n * profile.p))
+    for b in range(0, len(above), size):
+        chunk = above[b : b + size]
+        rows = _minimize_from(profile, [xs[j] for j in chunk], start_rows, tol)
+        for k, j in enumerate(chunk):
+            reports[j] = _report(profile, xs[j], *(a[k * n : (k + 1) * n] for a in rows))
+    return reports
+
+
+def rate_function(profile: VarianceProfile, x: float, starts: int = 8, tol: float = 1e-9,
+                  seed: int = 0) -> RateEvalReport:
+    """Rate of deviation of the top eigenvalue to x: a sweep of one x
+    (`rate_sweep`)."""
+    return rate_sweep(profile, [x], starts, tol, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wigner_ldp
-from wigner_ldp import dyson, mc, oracles
+from wigner_ldp import dyson, mc, oracles, ratefn
 from wigner_ldp.cli import _build_parser, main
 from wigner_ldp.dyson import log_potential, spectral_measure, stieltjes_total, support_edge
 from wigner_ldp.profiles import (
@@ -19,7 +19,7 @@ from wigner_ldp.profiles import (
 )
 from wigner_ldp.ratefn import (
     eval_F, eval_F_hat, eval_J, eval_K, eval_phi, f_hat_gradient, find_tilt_theta,
-    outlier_equation_z, rate_function, rate_function_concave, sup_theta,
+    outlier_equation_z, rate_function, rate_function_concave, rate_sweep, sup_theta,
 )
 
 
@@ -420,6 +420,16 @@ def test_validate_payload_independent_of_memo_history(prof_paths, tmp_path, monk
     assert payload() == warm == cold
 
 
+def test_rate_and_identities_run_with_a_plain_real_solve(prof_paths, tmp_path, monkeypatch):
+    # a wrapper of the real solve that is a plain function (as a tracer
+    # installs) has none of the memo's methods: the rate paths call it per x
+    monkeypatch.setattr(ratefn, "_solve_real", lambda *a: dyson._solve_real(*a))
+    out = str(tmp_path / "out.json")
+    for argv in (["rate", "--profile", prof_paths["block"], "--x", "3.0,3.5"],
+                 ["validate", "--profile", prof_paths["constant"], "--suite", "identities"]):
+        assert main(["--out", out, *argv]) == 0, argv
+
+
 def test_validate_mc_heavy(prof_paths, tmp_path):
     out = tmp_path / "heavy.json"
     code = main(["--out", str(out), "validate", "--profile", prof_paths["constant"], "--suite", "mc-heavy"])
@@ -735,7 +745,8 @@ def test_usage_error_is_the_one_argument_error():
 
 def _bad_mass_vector_calls():
     """Every entry point of a mass vector, each with a NaN, an inf, a wrong
-    length, a negative entry and a sum of 1.1 (the profiles have p = 2)."""
+    length, a negative entry, a sum of 1.1, strings and a ragged list (the
+    profiles have p = 2)."""
     wish, block = wishart_profile(2.0), block_profile(0.5, 1.0, 4.0)
     entries = {
         "eval_phi": lambda v: eval_phi(wish, 0.5, 3.0, v),
@@ -750,7 +761,8 @@ def _bad_mass_vector_calls():
         "tilted_outlier_check": lambda v: mc.tilted_outlier_check(block, 3.5, v, 5, 2),
     }
     bad = {"nan": [np.nan, np.nan], "inf": [np.inf, 0.0], "length": [0.5, 0.25, 0.25],
-           "negative": [-0.1, 1.1], "sum-1.1": [0.6, 0.5]}
+           "negative": [-0.1, 1.1], "sum-1.1": [0.6, 0.5], "strings": ["a", "b"],
+           "ragged": [[0.5], [0.5, 0.1]]}
     return [pytest.param(partial(f, v), id=f"{name}-{kind}")
             for name, f in entries.items() for kind, v in bad.items()]
 
@@ -775,6 +787,7 @@ def _bad_mass_vector_calls():
         lambda: rate_function(constant_profile(), 3.0, tol=np.inf),
         lambda: rate_function(constant_profile(), np.nan),
         lambda: rate_function(constant_profile(), np.inf),
+        lambda: rate_sweep(constant_profile(), [3.0, np.nan]),
         lambda: stieltjes_total(constant_profile(), np.inf),
         lambda: log_potential(constant_profile(), np.inf),
         lambda: sup_theta(constant_profile(), np.inf, [1.0]),

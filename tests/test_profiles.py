@@ -107,7 +107,8 @@ def test_mass_vector_reader(wishart2):
     assert v.tolist() == [1.0 + 1e-13, 0.0] and v.dtype == float
     assert wishart2.mass_vector((0.25, 0.75)).tolist() == [0.25, 0.75]
     for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf], [1.0],
-                [[0.5, 0.5]], 0.5, [-0.1, 1.1], [0.5, 0.6], [1.0 - 2e-9, 0.0]):
+                [[0.5, 0.5]], 0.5, [-0.1, 1.1], [0.5, 0.6], [1.0 - 2e-9, 0.0],
+                ["a", "b"], [[0.5], [0.5, 0.1]]):
         with pytest.raises(UsageError):
             wishart2.mass_vector(bad)
 

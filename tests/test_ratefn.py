@@ -32,6 +32,7 @@ from wigner_ldp.ratefn import (
     project_simplex,
     rate_function,
     rate_function_concave,
+    rate_sweep,
     sup_theta,
 )
 
@@ -438,13 +439,13 @@ def test_stacked_descent_rows_independent(seed):
     _, r = support_edge(prof)
     x = r + rng.uniform(0.05, 1.0)
     starts = _default_starts(prof, 8, seed)
-    stacked = _minimize_from(prof, x, starts, 1e-9)
+    stacked = _minimize_from(prof, [x], starts, 1e-9)
     perm = rng.permutation(len(starts))
-    permuted = _minimize_from(prof, x, starts[perm], 1e-9)
+    permuted = _minimize_from(prof, [x], starts[perm], 1e-9)
     for full, other in zip(stacked, permuted):
         assert np.array_equal(full[perm], other)
     for i in range(len(starts)):
-        alone = _minimize_from(prof, x, starts[i : i + 1], 1e-9)
+        alone = _minimize_from(prof, [x], starts[i : i + 1], 1e-9)
         for full, one in zip(stacked, alone):
             assert np.array_equal(full[i : i + 1], one)
     # a strided (non-contiguous) view of the rows reaches the row kernels as it is
@@ -452,6 +453,46 @@ def test_stacked_descent_rows_independent(seed):
     strided = np.repeat(rows, 2, axis=1)[:, ::2]
     for full, other in zip(_sup_fhat(prof, m, rows, 1e-8), _sup_fhat(prof, m, strided, 1e-8)):
         assert np.array_equal(full, other)
+
+
+def _assert_same_report(a, b):
+    """Every field of two rate reports equal, arrays bit for bit."""
+    assert vars(a).keys() == vars(b).keys()
+    for key, val in vars(a).items():
+        if isinstance(val, np.ndarray):
+            assert np.array_equal(val, getattr(b, key)), key
+        else:
+            assert val == getattr(b, key), key
+
+
+def test_sweep_matches_one_x_at_a_time(named_profiles):
+    # a sweep's report at x is the report of x alone, whatever the other xs
+    # are, their order, repeats, and xs below and at the edge among them
+    rng = np.random.default_rng(8)
+    profs = list(named_profiles) + [random_profile(rng, pmax=5) for _ in range(3)]
+    for prof in profs:
+        _, r = support_edge(prof)
+        xs = [r + 0.05, r + 0.5, r + 1.7, r - 1.0, r, r + 0.5, -np.inf, r + 3.0]
+        alone = [rate_function(prof, x, seed=3) for x in xs]
+        for order in (np.arange(len(xs)), rng.permutation(len(xs)), [1, 1, 6, 1]):
+            sweep = rate_sweep(prof, [xs[i] for i in order], seed=3)
+            assert len(sweep) == len(order)
+            for i, rep in zip(order, sweep):
+                _assert_same_report(rep, alone[i])
+        assert [rep.I for rep in alone[3:5]] == [np.inf, 0.0]
+
+
+def test_sweep_matches_one_x_at_a_time_across_chunks():
+    # a 4-x sweep at p = 128 holds more rows x p than one chunk of the descent
+    spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 256)
+    prof = discretize(spec, 128)[0]
+    _, r = support_edge(prof)
+    xs = [r + 0.6, r + 0.3, r + 0.5, r + 0.4]
+    rows = len(_default_starts(prof, 8, 0)) * prof.p
+    assert ratefn._SWEEP_ENTRIES // rows < len(xs)  # more than one chunk
+    sweep = rate_sweep(prof, xs)
+    for x, rep in zip(xs, sweep):
+        _assert_same_report(rep, rate_function(prof, x))
 
 
 def _descent_profiles(named_profiles):
