@@ -16,6 +16,14 @@ reads only the lower triangle, so `_tril_draw` draws just that triangle,
 N(N+1)/2 variates per matrix, column by column.  That is LAPACK's packed
 lower storage, so each draw row unpacks with one dtpttr call into the array
 dpotrf factors: half the draws, and no symmetric assembly.
+
+The annealed integral sees a uniform unit vector u only through its block
+masses rho(u), and `_mass_draws` samples those directly.  With u = g/|g| for
+standard normal g, the sums of g_i^2 over the n_k rows of block k are
+independent chi^2(n_k), that is 2 Gamma(n_k/2), and rho_k is their share of
+the total; so rho(u) is exactly Dirichlet(n_1/2, ..., n_p/2) (Devroye 1986,
+ch. XI), drawn as p gamma variates per sample instead of N normals.
+`profile_dirichlet_check` still samples the sphere itself.
 """
 
 from __future__ import annotations
@@ -234,16 +242,34 @@ def _jackknife_logmean(vals: np.ndarray, n_total: int):
     return full, se
 
 
-def _sphere_draws(seed, samples: int, N: int):
-    """Standard normal rows for the sphere estimators, as (offset, g) chunks.
-
-    Chunk i holds at most MC_CHUNK * 16 rows of length N drawn from
-    default_rng([seed, i]), so the stream is fixed by (seed, samples, N).
-    """
+def _sample_chunks(seed, samples: int):
+    """(offset, rows, rng) per chunk of the sphere estimators: chunk i holds at
+    most MC_CHUNK * 16 of the samples and draws them from default_rng([seed, i])."""
     size = MC_CHUNK * 16
     for chunk_index, done in enumerate(range(0, samples, size)):
-        rng = np.random.default_rng([seed, chunk_index])
-        yield done, rng.standard_normal((min(size, samples - done), N))
+        yield done, min(size, samples - done), np.random.default_rng([seed, chunk_index])
+
+
+def _sphere_draws(seed, samples: int, N: int):
+    """Standard normal rows of length N for the sphere estimators, as (offset, g)
+    chunks; the stream is fixed by (seed, samples, N)."""
+    for done, rows, rng in _sample_chunks(seed, samples):
+        yield done, rng.standard_normal((rows, N))
+
+
+def _mass_draws(profile: VarianceProfile, N: int, seed, samples: int):
+    """rho(u) of uniform unit vectors u in R^N, as (offset, rho) chunks of
+    (rows, p) arrays; the stream is fixed by (seed, samples, N, profile).
+
+    rho(u) is Dirichlet(n_1/2, ..., n_p/2) for n_k rows in block k (module
+    docstring), drawn as p gamma variates per sample normalised by their sum.
+    A block with no rows has shape 0, and numpy's gamma of shape 0 is exactly 0.
+    """
+    shape = np.bincount(profile.row_blocks(N), minlength=profile.p) / 2.0
+    for done, rows, rng in _sample_chunks(seed, samples):
+        rho = rng.standard_gamma(shape, size=(rows, profile.p))
+        rho /= rho.sum(axis=1, keepdims=True)
+        yield done, rho
 
 
 def _saddle_gap(gaps: np.ndarray, theta: float) -> float:
@@ -310,8 +336,9 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
     scale = 1.0 / np.sqrt(d + gaps)
     vals = np.empty(samples)
     for done, g in _sphere_draws(seed, samples, N):
-        g2 = (g * scale) ** 2
-        s = (g2 @ gaps) / np.sum(g2, axis=1)  # lambda_max - q
+        g *= scale  # in place: a chunk of rows is large
+        np.square(g, out=g)
+        s = (g @ gaps) / np.sum(g, axis=1)  # lambda_max - q
         vals[done:done + g.shape[0]] = 0.5 * N * np.log(d + s) - t * N * s
     full, se = _jackknife_logmean(vals, samples)
     ess = _effective_sample_size(vals)
@@ -340,18 +367,19 @@ def annealed_integral_mc(
     """(1/N) log of the windowed sphere average of exp(N theta^2 <rho, S rho>).
 
     For centered Gaussian entries the matrix average of the tilted weight is
-    exp(N theta^2 <rho(u), S rho(u)>) exactly, so only the sphere is sampled.
-    The window keeps rho(u) within sup-distance delta of phi_target; an empty
-    window raises InconclusiveError.
+    exp(N theta^2 <rho(u), S rho(u)>) exactly, so only the sphere is sampled,
+    and only through rho(u): the samples are rho ~ Dirichlet(n_1/2, ..., n_p/2)
+    with n_k the rows of block k, the exact law of rho(u) for u uniform on
+    S^{N-1} (module docstring).  The window keeps rho within sup-distance delta
+    of phi_target; an empty window raises InconclusiveError.
     """
     if N < 1 or samples < 1 or not (delta > 0 and np.isfinite(theta)):
         raise UsageError("N and samples must be >= 1, delta positive and theta finite")
     phi = profile.mass_vector(phi_target)
     vals = np.empty(samples)
     inside = np.zeros(samples, dtype=bool)
-    for done, g in _sphere_draws(seed, samples, N):
-        rho = vector_profile(profile, g)
-        rows = slice(done, done + g.shape[0])
+    for done, rho in _mass_draws(profile, N, seed, samples):
+        rows = slice(done, done + rho.shape[0])
         vals[rows] = N * theta**2 * np.einsum("ik,kl,il->i", rho, profile.sigma, rho)
         inside[rows] = np.max(np.abs(rho - phi[None, :]), axis=1) <= delta
     hits = int(inside.sum())
@@ -366,7 +394,10 @@ def annealed_integral_mc(
 
 def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed: int = 0) -> dict:
     """Moments of rho(u) over the uniform sphere against the Dirichlet law
-    with parameters (#I_k / 2); returns the largest absolute deviations."""
+    with parameters (#I_k / 2); returns the largest absolute deviations.
+
+    u is drawn on the sphere itself, as normalised normal rows, so this is the
+    check that ties the Dirichlet draws of annealed_integral_mc to the sphere."""
     if N < 1 or samples < 1:
         raise UsageError("N and samples must be >= 1")
     b = profile.row_blocks(N)

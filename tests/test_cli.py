@@ -652,7 +652,7 @@ def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started before the argument was rejected")
 
-    for name in ("_matrices", "_tril_draw", "_sphere_draws"):
+    for name in ("_matrices", "_tril_draw", "_sphere_draws", "_mass_draws"):
         monkeypatch.setattr(mc, name, no_sampling)
     argv = [prof_paths[a] if prev == "--profile" else a for prev, a in zip([None, *argv], argv)]
     assert _exit_code(argv) == 2

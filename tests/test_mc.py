@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import hyp1f1
+from scipy.stats import ks_2samp
 
 from wigner_ldp import mc, oracles
 from wigner_ldp.dyson import support_edge
@@ -340,6 +341,7 @@ def test_annealed_constant_exact(const_prof):
     est = annealed_integral_mc(const_prof, 0.6, [1.0], 0.2, 200, 20000, seed=0)
     assert est.value == pytest.approx(0.36, abs=1e-9)
     assert est.hits == 20000
+    assert est.stderr == 0.0
 
 
 def test_annealed_zero_tilt_window(wishart2):
@@ -359,7 +361,7 @@ def test_annealed_wishart_matches_K(wishart2):
 
 def test_annealed_one_hit_has_no_stderr(wishart2):
     # one value in the window leaves no group to leave out
-    est = annealed_integral_mc(wishart2, 0.5, [0.5, 0.5], 2e-4, 20, 2000, seed=0)
+    est = annealed_integral_mc(wishart2, 0.5, [0.5, 0.5], 2e-4, 20, 2000, seed=4)
     assert est.hits == 1
     assert np.isfinite(est.value) and np.isnan(est.stderr)
 
@@ -382,6 +384,34 @@ def test_annealed_empty_window(wishart2):
 
 
 # -- Dirichlet profile of sphere vectors ------------------------------------------------
+
+
+@pytest.mark.parametrize("weights, N", [(None, 20), ([0.45, 0.05, 0.5], 8)])
+def test_mass_draws_follow_the_sphere(wishart2, weights, N):
+    # the Dirichlet sampler against the block masses of normalised normal rows
+    prof = wishart2 if weights is None else VarianceProfile(weights, np.diag([1.0, 2.0, 4.0]))
+    samples = 20000
+    rho = np.concatenate([r for _, r in mc._mass_draws(prof, N, 3, samples)])
+    sphere = np.concatenate([vector_profile(prof, g) for _, g in mc._sphere_draws(7, samples, N)])
+    empty = np.bincount(prof.row_blocks(N), minlength=prof.p) == 0
+    assert rho.shape == (samples, prof.p)
+    assert np.all(rho[:, empty] == 0.0)
+    assert np.allclose(rho.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for k in np.flatnonzero(~empty):
+        assert ks_2samp(rho[:, k], sphere[:, k]).pvalue > 0.01
+    if weights is not None:
+        assert empty.tolist() == [False, True, False]
+
+
+def test_mass_draws_chunks(block_14):
+    # each chunk of MC_CHUNK * 16 rows is drawn from default_rng([seed, chunk index])
+    size, N = 16 * mc.MC_CHUNK, 30
+    shape = np.bincount(block_14.row_blocks(N), minlength=2) / 2.0
+    chunks = list(mc._mass_draws(block_14, N, 9, 2 * size + 5))
+    assert [(done, rho.shape[0]) for done, rho in chunks] == [(0, size), (size, size), (2 * size, 5)]
+    for ci, (_, rho) in enumerate(chunks):
+        ref = np.random.default_rng([9, ci]).standard_gamma(shape, size=rho.shape)
+        assert np.array_equal(rho, ref / ref.sum(axis=1, keepdims=True))
 
 
 def test_dirichlet_single_block(const_prof):
