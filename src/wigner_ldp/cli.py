@@ -267,7 +267,8 @@ def _suite_mc_light(prof, seed, threads):
     checks = []
     # entry-law calibration on small matrices, through the tail's own draw
     N = 6
-    draws = [mc._tril_draw(prof, N, "gaussian", seed, ci, mc.MC_CHUNK) for ci in range(79)]
+    draws = [mc._tril_draw(prof, N, "gaussian", rng, rows)
+             for _, rows, rng in mc._chunks([seed, N], 79 * mc.MC_CHUNK, mc.MC_CHUNK)]
     var = np.concatenate([vals for vals, _, _ in draws]).var(axis=0) * N
     _, i, j = draws[0]
     b = prof.row_blocks(N)
@@ -304,11 +305,8 @@ def _suite_mc_heavy(prof, seed, threads):
     checks = []
     _, r = support_edge(prof)
     # edge concentration
-    lam = []
-    for i in range(40):
-        H = mc.sample_matrix(prof, 400, "gaussian", seed=[seed, 77, i])
-        lam.append(mc.eig_top(H)[0])
-    frac = float(np.mean(np.abs(np.asarray(lam) - r) > 0.15))
+    lam, _ = mc._top_pairs(prof, 400, "gaussian", [seed, 77], 40)
+    frac = float(np.mean(np.abs(lam - r) > 0.15))
     checks.append(_check("edge_concentration", frac, 0.05, frac < 0.05))
     # tilted outlier at a point above the edge
     x = r + max(0.2, 0.1 * r)

@@ -3,8 +3,13 @@
 Sampling convention, written once in `_entry_sd`: row i sits at
 t_i = (i - 1/2)/N, its block is the partition interval containing t_i, and
 H_ij = X_ij / sqrt(N) with Var X_ij = (1 + 1_{i=j}) sigma_{kl} for the blocks
-k, l of rows i, j.  Generators derive from (master seed, sample or chunk
-index), so results are bit-identical for any thread count.
+k, l of rows i, j.
+
+One seed rule, written once in `_chunks`: chunk i of an estimator's samples
+draws from default_rng([*key, i]), key being the master seed (and N for the
+tail), so results are bit-identical for any thread count.  `sample_matrix` is
+the one draw whose seed the caller gives.  Every sampled top eigenpair comes
+from one loop, `_top_pairs`.
 
 Two draw layouts, each fixed by what reads it.  `_matrices` builds the full
 symmetric H that eigh and the rank-one tilt need from the strict upper
@@ -86,12 +91,18 @@ def _entry_sd(profile: VarianceProfile, N: int) -> np.ndarray:
     return np.sqrt((1.0 + np.eye(N)) * profile.sigma[np.ix_(b, b)] / N)
 
 
-def _matrices(profile: VarianceProfile, N: int, dist: str, seeds):
-    """(rng, H) per seed: H drawn from rng = default_rng(seed) as the module
-    docstring says, rng left for the caller's further draws."""
+def _chunks(key, samples: int, size: int):
+    """(offset, rows, rng) per chunk: chunk i holds at most `size` of the
+    samples and draws them from default_rng([*key, i]), the module's one seed rule."""
+    for i, done in enumerate(range(0, samples, size)):
+        yield done, min(size, samples - done), np.random.default_rng([*key, i])
+
+
+def _matrices(profile: VarianceProfile, N: int, dist: str, rngs):
+    """(rng, H) per generator: H drawn from rng, which is left for the caller's
+    further draws."""
     sd = _entry_sd(profile, N)
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+    for rng in rngs:
         U = np.triu(_draw(rng, (N, N), dist), 1) * sd
         H = U + U.T
         np.fill_diagonal(H, _draw(rng, (N,), dist) * sd.diagonal())
@@ -99,32 +110,31 @@ def _matrices(profile: VarianceProfile, N: int, dist: str, seeds):
 
 
 def sample_matrix(profile: VarianceProfile, N: int, dist: str = "gaussian", seed=0):
-    """One symmetric N x N draw with the profile's entry variances.
-
-    seed is anything numpy's default_rng accepts (an int or a derivation list).
+    """One symmetric N x N draw with the profile's entry variances, from
+    default_rng(seed): seed is anything numpy accepts (an int or a derivation list).
     """
     if N < 2:
         raise UsageError("N must be >= 2")
-    _, H = next(_matrices(profile, N, dist, [seed]))
+    _, H = next(_matrices(profile, N, dist, [np.random.default_rng(seed)]))
     return H
 
 
-def _tril_draw(profile: VarianceProfile, N: int, dist: str, seed, chunk_index: int, count: int):
-    """Lower triangles of `count` draws of H from default_rng([seed, N, chunk_index]).
+def _tril_draw(profile: VarianceProfile, N: int, dist: str, rng, count: int):
+    """Lower triangles of `count` draws of H from rng.
 
     Returns (vals, i, j) with i >= j listed column by column: vals[r, k] is
     H[i[k], j[k]] of draw r.
     """
     j, i = np.triu_indices(N)
     sd = _entry_sd(profile, N)[i, j]
-    vals = _draw(np.random.default_rng([seed, N, chunk_index]), (count, sd.size), dist)
+    vals = _draw(rng, (count, sd.size), dist)
     vals *= sd
     return vals, i, j
 
 
 def _check_symmetric(H: np.ndarray) -> None:
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise UsageError("matrix must be square")
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0:
+        raise UsageError("matrix must be square and nonempty")
     if not np.all(np.isfinite(H)):
         raise UsageError("matrix must be finite")
     if not np.allclose(H, H.T, atol=1e-12):
@@ -163,6 +173,24 @@ def _eig_masses(H: np.ndarray, profile: VarianceProfile):
     masses[k, i] the squared mass of eigenvector i on block k."""
     ev, V = np.linalg.eigh(H)
     return ev, _block_sums(V**2, profile, axis=0)
+
+
+def _top_pairs(profile: VarianceProfile, N: int, dist: str, key, samples: int, theta=0.0, phi=None):
+    """(lambda_1, rho(v_1)) per draw, as (samples,) and (samples, p) arrays: draw i
+    is H from chunk i of _chunks(key, samples, 1), for theta > 0 plus
+    2 theta Sigma o v v^T with v profiled by phi from the Gaussian g drawn after H."""
+    lam1, rho = np.empty(samples), np.empty((samples, profile.p))
+    b = profile.row_blocks(N)
+    S_full = profile.sigma[np.ix_(b, b)] if theta > 0 else None  # N x N, only for a tilt
+    rngs = (rng for _, _, rng in _chunks(key, samples, 1))
+    for i, (rng, H) in enumerate(_matrices(profile, N, dist, rngs)):
+        if theta > 0:
+            g = rng.standard_normal(N)
+            v = np.sqrt(phi)[b] * g / np.sqrt(_block_sums(g * g, profile))[b]
+            H += 2.0 * theta * S_full * np.outer(v, v)
+        ev, masses = _eig_masses(H, profile)
+        lam1[i], rho[i] = ev[-1], masses[:, -1]
+    return lam1, rho
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +270,6 @@ def _jackknife_logmean(vals: np.ndarray, n_total: int):
     return full, se
 
 
-def _sample_chunks(seed, samples: int):
-    """(offset, rows, rng) per chunk of the sphere estimators: chunk i holds at
-    most MC_CHUNK * 16 of the samples and draws them from default_rng([seed, i])."""
-    size = MC_CHUNK * 16
-    for chunk_index, done in enumerate(range(0, samples, size)):
-        yield done, min(size, samples - done), np.random.default_rng([seed, chunk_index])
-
-
-def _sphere_draws(seed, samples: int, N: int):
-    """Standard normal rows of length N for the sphere estimators, as (offset, g)
-    chunks; the stream is fixed by (seed, samples, N)."""
-    for done, rows, rng in _sample_chunks(seed, samples):
-        yield done, rng.standard_normal((rows, N))
-
-
 def _mass_draws(profile: VarianceProfile, N: int, seed, samples: int):
     """rho(u) of uniform unit vectors u in R^N, as (offset, rho) chunks of
     (rows, p) arrays; the stream is fixed by (seed, samples, N, profile).
@@ -266,7 +279,7 @@ def _mass_draws(profile: VarianceProfile, N: int, seed, samples: int):
     A block with no rows has shape 0, and numpy's gamma of shape 0 is exactly 0.
     """
     shape = np.bincount(profile.row_blocks(N), minlength=profile.p) / 2.0
-    for done, rows, rng in _sample_chunks(seed, samples):
+    for done, rows, rng in _chunks([seed], samples, 16 * MC_CHUNK):
         rho = rng.standard_gamma(shape, size=(rows, profile.p))
         rho /= rho.sum(axis=1, keepdims=True)
         yield done, rho
@@ -335,11 +348,12 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
     shift = t * N * lam_max - 0.5 * float(np.sum(np.log(d + gaps)))
     scale = 1.0 / np.sqrt(d + gaps)
     vals = np.empty(samples)
-    for done, g in _sphere_draws(seed, samples, N):
+    for done, rows, rng in _chunks([seed], samples, 16 * MC_CHUNK):
+        g = rng.standard_normal((rows, N))
         g *= scale  # in place: a chunk of rows is large
         np.square(g, out=g)
         s = (g @ gaps) / np.sum(g, axis=1)  # lambda_max - q
-        vals[done:done + g.shape[0]] = 0.5 * N * np.log(d + s) - t * N * s
+        vals[done:done + rows] = 0.5 * N * np.log(d + s) - t * N * s
     full, se = _jackknife_logmean(vals, samples)
     ess = _effective_sample_size(vals)
     if ess < ESS_FLOOR:
@@ -408,8 +422,8 @@ def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed
     cov_exact = (np.diag(a * a0) - np.outer(a, a)) / (a0 * a0 * (a0 + 1.0))
     rho_sum = np.zeros(profile.p)
     rho_sq = np.zeros((profile.p, profile.p))
-    for _, g in _sphere_draws(seed, samples, N):
-        rho = vector_profile(profile, g)
+    for _, rows, rng in _chunks([seed], samples, 16 * MC_CHUNK):
+        rho = vector_profile(profile, rng.standard_normal((rows, N)))
         rho_sum += rho.sum(axis=0)
         rho_sq += rho.T @ rho
     mean_emp = rho_sum / samples
@@ -435,24 +449,14 @@ def tilted_outlier_check(
     profile: VarianceProfile, x: float, psi, N: int, samples: int, seed: int = 0
 ) -> dict:
     """Sample H + 2 theta* E with Gaussian H, E = Sigma o v v^T and v profiled
-    by phi(theta*) from the Gaussian g drawn after H; reports how the top
+    by phi(theta*), through `_top_pairs` with key [seed]; reports how the top
     eigenvalue tracks the target x."""
     if N < 1 or samples < 1:
         raise UsageError("N and samples must be >= 1")
     theta = find_tilt_theta(profile, x, psi)
     phi = eval_phi(profile, theta, x, psi)
-    b = profile.row_blocks(N)
-    S_full = profile.sigma[np.ix_(b, b)]
-    lam1 = np.empty(samples)
-    prof_gap = np.empty(samples)
-    seeds = ([seed, i] for i in range(samples))
-    for i, (rng, H) in enumerate(_matrices(profile, N, "gaussian", seeds)):
-        g = rng.standard_normal(N)
-        v = np.sqrt(phi)[b] * g / np.sqrt(_block_sums(g * g, profile))[b]
-        H += 2.0 * theta * S_full * np.outer(v, v)
-        ev, masses = _eig_masses(H, profile)
-        lam1[i] = ev[-1]
-        prof_gap[i] = np.max(np.abs(masses[:, -1] - phi))
+    lam1, rho = _top_pairs(profile, N, "gaussian", [seed], samples, theta, phi)
+    prof_gap = np.max(np.abs(rho - phi), axis=1)
     return {
         "theta_star": theta,
         "target_x": x,
@@ -478,14 +482,10 @@ class SampleBatch:
 def collect_batch(
     profile: VarianceProfile, N: int, samples: int, dist: str = "gaussian", seed: int = 0
 ) -> SampleBatch:
-    """Sample matrices one per derived seed [seed, i] and collect top-eigenvalue data."""
+    """Top-eigenvalue data of draw i < samples from default_rng([seed, i]), by `_top_pairs`."""
     if N < 1 or samples < 1:
         raise UsageError("N and samples must be >= 1")
-    lam1 = np.empty(samples)
-    rho = np.empty((samples, profile.p))
-    for i, (_, H) in enumerate(_matrices(profile, N, dist, ([seed, i] for i in range(samples)))):
-        ev, masses = _eig_masses(H, profile)
-        lam1[i], rho[i] = ev[-1], masses[:, -1]
+    lam1, rho = _top_pairs(profile, N, dist, [seed], samples)
     return SampleBatch(N=N, profile_label=profile.label, seed=seed, lambda1=lam1, rho_v1=rho)
 
 
@@ -541,13 +541,12 @@ def tail_estimate(
     if any(N < 1 for N in N_list):
         raise UsageError("every N must be >= 1")
     out = []
-    n_chunks = math.ceil(samples / MC_CHUNK)
-    workers = min(threads, n_chunks)
+    workers = min(threads, math.ceil(samples / MC_CHUNK))
     for N in N_list:
 
-        def chunk_hits(ci, N=N):
-            cnt = min(MC_CHUNK, samples - ci * MC_CHUNK)
-            vals, i, j = _tril_draw(profile, N, dist, seed, ci, cnt)
+        def chunk_hits(chunk, N=N):
+            _, rows, rng = chunk
+            vals, i, j = _tril_draw(profile, N, dist, rng, rows)
             np.negative(vals, out=vals)
             vals[:, i == j] += x
             # row r is matrix r in packed lower storage (module docstring)
@@ -558,28 +557,28 @@ def tail_estimate(
                 hits += info != 0
             return hits
 
+        chunks = _chunks([seed, N], samples, MC_CHUNK)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as ex:
-                hits = sum(ex.map(chunk_hits, range(n_chunks)))
+                hits = sum(ex.map(chunk_hits, chunks))
         else:
-            hits = sum(chunk_hits(ci) for ci in range(n_chunks))
+            hits = sum(map(chunk_hits, chunks))
         p_lo, p_hi = wilson_interval(hits, samples)
         ph = hits / samples
-        rate = -math.log(ph) / N if hits > 0 else math.inf
-        rate_lo = -math.log(p_hi) / N if p_hi > 0 else math.inf
+        # + 0.0 maps the -0.0 of an all-hit point to 0.0; p_hi > 0 for every n >= 1
+        rate = -math.log(ph) / N + 0.0 if hits > 0 else math.inf
+        rate_lo = -math.log(p_hi) / N + 0.0
         rate_hi = -math.log(p_lo) / N if p_lo > 0 else math.inf
-        out.append(
-            TailPoint(
-                N=N, samples=samples, hits=hits, p_hat=ph,
-                rate=rate, rate_lo=rate_lo, rate_hi=rate_hi, one_sided=hits == 0,
-            )
-        )
+        out.append(TailPoint(N=N, samples=samples, hits=hits, p_hat=ph, rate=rate,
+                             rate_lo=rate_lo, rate_hi=rate_hi, one_sided=hits == 0))
     return out
 
 
 def quantile_spectrum_matrix(profile: VarianceProfile, N: int, top: float) -> np.ndarray:
     """Deterministic diagonal matrix: N-1 quantiles of the limiting measure
     plus a detached top eigenvalue."""
+    if N < 1:
+        raise UsageError("N must be >= 1")
     l, r = support_edge(profile)
     sm = spectral_measure(profile, l - 0.05, r + 0.05, 1501)
     cum = _cumulative_mass(sm.x_grid, np.where(sm.flags, 0.0, sm.density))

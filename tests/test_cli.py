@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -459,6 +460,21 @@ def test_mc_tail_zero_hits_exit4(prof_paths, tmp_path):
     assert pt["one_sided"] is True and np.isfinite(pt["rate_lo"])
 
 
+def test_mc_tail_all_hits_rate_is_positive_zero(prof_paths, tmp_path):
+    # p_hat = 1 gives -log(1)/N = -0.0, which the payload must not carry
+    out = tmp_path / "tail.json"
+    code = main([
+        "--out", str(out), "mc", "tail", "--profile", prof_paths["constant"],
+        "--x", "0.0", "--N", "10", "--samples", "50",
+    ])
+    assert code == 0
+    text = out.read_text()
+    pt = json.loads(text)["points"][0]
+    assert pt["hits"] == 50
+    assert math.copysign(1.0, pt["rate"]) == 1.0 and math.copysign(1.0, pt["rate_lo"]) == 1.0
+    assert "-0.0" not in text
+
+
 def test_mc_tail_payload(prof_paths, tmp_path):
     out = tmp_path / "tail2.json"
     code = main([
@@ -652,7 +668,7 @@ def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started before the argument was rejected")
 
-    for name in ("_matrices", "_tril_draw", "_sphere_draws", "_mass_draws"):
+    for name in ("_chunks", "_matrices"):  # every draw passes through one of them
         monkeypatch.setattr(mc, name, no_sampling)
     argv = [prof_paths[a] if prev == "--profile" else a for prev, a in zip([None, *argv], argv)]
     assert _exit_code(argv) == 2
@@ -822,6 +838,9 @@ def _bad_mass_vector_calls():
         lambda: mc.profile_dirichlet_check(constant_profile(), 0, 10),
         lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 999),
         lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000),
+        lambda: mc.quantile_spectrum_matrix(constant_profile(), 0, 3.0),
+        lambda: mc.quantile_spectrum_matrix(constant_profile(), -3, 3.0),
+        lambda: mc.eig_top(np.zeros((0, 0))),
         lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 5),
         lambda: sigma_quadratic_form(constant_profile(), [1.0, 0.0], [1.0]),
         *_bad_mass_vector_calls(),

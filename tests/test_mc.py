@@ -77,13 +77,28 @@ def test_streams_pinned(block_14, const_prof):
     # at theta* = (3 + sqrt 5)/4 to rounding
     tilt = [2.890006624192158, 3.0111179125895946, 3.0761935050833125, 3.054278994948759]
     assert np.allclose(rep["lambda1"], tilt, rtol=0, atol=1e-12)
+    # validate --suite mc-heavy: lambda_1 of sample_matrix(seed=[2, 77, i]) before _top_pairs
+    heavy = [2.3400433617448595, 2.680401408480652, 2.3952973285143693, 2.1471597934032562]
+    assert [eig_top(sample_matrix(block_14, 30, seed=[2, 77, i]))[0] for i in range(4)] == heavy
+    assert mc._top_pairs(block_14, 30, "gaussian", [2, 77], 4)[0].tolist() == heavy
+    # validate --suite mc-light: first row of the variance draw, chunk 0 of key [5, 6]
+    light = [0.6282363391062198, 0.10439010450125093, -0.1417158389149778, 0.43902401691353354,
+             0.8933285594420118, -0.6512250422180655, 0.07140563865044486, -0.1065906356741175,
+             0.22493638232646698, -0.0928780922663611, 0.030810442940602756, -0.7778257644532812,
+             -0.8419351875700861, 0.578817750216903, 0.5912724152148904, -1.0970182390808616,
+             -0.4822403649317964, -0.06819346547213742, 0.29263681797194124, 0.3340888859327338,
+             -0.21158040673113876]
+    _, rows, rng = next(mc._chunks([5, 6], 79 * mc.MC_CHUNK, mc.MC_CHUNK))
+    assert rows == mc.MC_CHUNK
+    assert mc._tril_draw(const_prof, 6, "gaussian", rng, rows)[0][0].tolist() == light
 
 
 def test_variance_calibration(block_14):
     # the variances the tail estimator draws: sigma_ij/N off the diagonal,
     # 2 sigma_ii/N on it, in both blocks
     N = 6
-    draws = [mc._tril_draw(block_14, N, "gaussian", 5, ci, mc.MC_CHUNK) for ci in range(200)]
+    draws = [mc._tril_draw(block_14, N, "gaussian", rng, rows)
+             for _, rows, rng in mc._chunks([5, N], 200 * mc.MC_CHUNK, mc.MC_CHUNK)]
     var = np.concatenate([vals for vals, _, _ in draws]).var(axis=0) * N
     _, i, j = draws[0]
     assert np.all(i >= j) and i.size == N * (N + 1) // 2
@@ -305,7 +320,7 @@ def test_spherical_constant_weight_draws_nothing(c, theta, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("the sphere was sampled for a constant integrand")
 
-    monkeypatch.setattr(mc, "_sphere_draws", no_sampling)
+    monkeypatch.setattr(mc, "_chunks", no_sampling)
     est = spherical_integral_mc(c * np.eye(30), theta, 4000, seed=0)
     assert est.value == theta * c and est.stderr == 0.0
     assert est.extra["ess"] == 4000.0 and est.extra["z"] == np.copysign(np.inf, theta)
@@ -392,7 +407,8 @@ def test_mass_draws_follow_the_sphere(wishart2, weights, N):
     prof = wishart2 if weights is None else VarianceProfile(weights, np.diag([1.0, 2.0, 4.0]))
     samples = 20000
     rho = np.concatenate([r for _, r in mc._mass_draws(prof, N, 3, samples)])
-    sphere = np.concatenate([vector_profile(prof, g) for _, g in mc._sphere_draws(7, samples, N)])
+    sphere = np.concatenate([vector_profile(prof, rng.standard_normal((rows, N)))
+                             for _, rows, rng in mc._chunks([7], samples, 16 * mc.MC_CHUNK)])
     empty = np.bincount(prof.row_blocks(N), minlength=prof.p) == 0
     assert rho.shape == (samples, prof.p)
     assert np.all(rho[:, empty] == 0.0)
@@ -504,9 +520,9 @@ def test_tail_thread_count_invariance(const_prof, block_14):
 
 
 def test_tail_streams_differ_across_N(const_prof):
-    # each N draws from its own stream, so the per-N estimates are independent
-    a = mc._tril_draw(const_prof, 20, "gaussian", 3, 0, 4)[0]
-    b = mc._tril_draw(const_prof, 40, "gaussian", 3, 0, 4)[0]
+    # each N draws from its own stream [seed, N, chunk], so the per-N estimates are independent
+    a = mc._tril_draw(const_prof, 20, "gaussian", np.random.default_rng([3, 20, 0]), 4)[0]
+    b = mc._tril_draw(const_prof, 40, "gaussian", np.random.default_rng([3, 40, 0]), 4)[0]
     assert not np.allclose(a[0, :20] * np.sqrt(20), b[0, :20] * np.sqrt(40))
 
 
@@ -520,9 +536,8 @@ def test_tail_points_independent_of_N_order(block_14):
 def _eigvalsh_hits(prof, x, N, samples, dist, seed):
     """lambda_1 >= x counts on the tail's chunk streams, rebuilt as full matrices."""
     hits = 0
-    for ci in range(-(-samples // mc.MC_CHUNK)):
-        cnt = min(mc.MC_CHUNK, samples - ci * mc.MC_CHUNK)
-        vals, i, j = mc._tril_draw(prof, N, dist, seed, ci, cnt)
+    for _, cnt, rng in mc._chunks([seed, N], samples, mc.MC_CHUNK):
+        vals, i, j = mc._tril_draw(prof, N, dist, rng, cnt)
         H = np.zeros((cnt, N, N))
         H[:, i, j] = vals
         H[:, j, i] = vals
@@ -559,7 +574,7 @@ def test_tail_one_factorization_per_matrix(block_14, monkeypatch):
 def test_tail_draw_is_lapack_packed_lower(const_prof, N):
     # the tail unpacks each draw row with dtpttr, which reads packed lower
     # storage: entry (i, j), i >= j, column by column, exactly _tril_draw's order
-    vals, i, j = mc._tril_draw(const_prof, N, "gaussian", 3, 0, 5)
+    vals, i, j = mc._tril_draw(const_prof, N, "gaussian", np.random.default_rng([3, N, 0]), 5)
     for row in vals:
         a, info = mc.dtpttr(N, row, uplo="L")
         assert info == 0 and a.flags.f_contiguous
