@@ -540,10 +540,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except InconclusiveError as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (ConvergenceError, ValueError, FloatingPointError) as e:
+    except (ConvergenceError, ValueError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"# wall_time_s={time.time() - t0:.3f}", file=sys.stderr)

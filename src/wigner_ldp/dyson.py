@@ -9,17 +9,16 @@ The mass-w_k transforms are G_k = w_k m_k and G_total = sum_k G_k is the
 Stieltjes transform of the limiting spectral measure.  There is one solver
 loop per axis.
 
-Complex axis: `_solve_complex_many` solves a batch of spectral parameters,
-per row a full Newton step on the multiplicative residual where it is
-accepted and otherwise the map m -> 1/(z - sigma (w m)), a strict
-contraction in the hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN
-2007), so no step length is searched or measured: every row stops on one
-test, a relative step below 1e-13 with a residual below 1e-10 (1 + |z|).
-Near the real axis rows walk one ladder of Im z (`_descend`): geometric
+Complex axis: every solve walks one ladder of Im z (`_descend`), geometric
 from 0.5 down to the first eta of a schedule, then down the schedule, each
-rung started from the one above.  `solve_dyson` walks it for one point and
-one eta, the density grid for all its points and its whole schedule, and
-the size-N system of `solve_dyson_finite` is the same solve on N blocks.
+rung started from the one above; `solve_dyson` walks it for one point and
+one eta, the density grid for all its points and its whole schedule, and the
+size-N system of `solve_dyson_finite` is `solve_dyson` on N blocks.  On each
+rung `_solve_block` takes, per row, a full Newton step on the multiplicative
+residual where it is accepted and otherwise the map m -> 1/(z - sigma (w m)),
+a strict contraction in the hyperbolic metric (Helton-Rashidi Far-Speicher,
+IMRN 2007), so no step length is searched or measured: every row stops on
+one test, a relative step below 1e-13 with a residual below 1e-10 (1 + |z|).
 
 Real axis: `_damped_newton` is one damped Newton over a stack of rows, each
 with its own positivity-keeping Armijo search and stop, for three systems:
@@ -160,13 +159,18 @@ def _newton_step(profile, z, m, out) -> np.ndarray:
 
 
 def _solve_block(profile, z, m0):
-    """One block of rows of _solve_complex_many."""
-    m = np.repeat((1.0 / z)[:, None], profile.p, axis=1)
-    act = np.isfinite(z)
-    if m0 is not None:
-        keep = np.all(np.imag(m0) < 0, axis=1)
-        m[keep] = m0[keep]
-        act &= np.all(np.isfinite(m0), axis=1)
+    """(m, iterations), one row per z of a block of `_descend`: the fixed point of
+    the Dyson map at each z, from its row of m0 or, when m0 is None, from 1/z.
+    The first sweep is a fixed-point step; each later sweep tries one full Newton
+    step on the multiplicative residual (`_newton_step`) and falls back to the
+    contraction map when that step is rejected.  Every row stops on one test: a
+    relative step below 1e-13 and a residual below 1e-10 (1 + |z|).  A row still
+    running after _MAX_SWEEPS sweeps, or whose z or start is not finite, comes
+    back as NaN, and a row's value does not depend on the rows solved with it."""
+    if m0 is None:
+        m, act = np.repeat((1.0 / z)[:, None], profile.p, axis=1), np.isfinite(z)
+    else:
+        m, act = m0.copy(), np.isfinite(z) & np.all(np.isfinite(m0), axis=1)
     m[~act] = np.nan
     its = np.zeros(z.size, dtype=int)
     res_tol = 1e-10 * (1.0 + np.abs(z))
@@ -189,52 +193,31 @@ def _solve_block(profile, z, m0):
     return m, its
 
 
-def _solve_complex_many(profile, zs, m0=None):
-    """Fixed points of the Dyson map at each z of zs (Im z > 0).
-
-    Returns (m, iterations), one row per z.  Each row starts from its row of
-    m0, or from 1/z when that row is missing or not in the lower half-plane.
-    The first sweep is a fixed-point step; each later sweep tries one full
-    Newton step on the multiplicative residual (`_newton_step`) and falls
-    back to the contraction map when that step is rejected.  Every row stops
-    on one test: a relative step below 1e-13 and a residual below
-    1e-10 (1 + |z|).  A row still running after _MAX_SWEEPS sweeps, or whose
-    z or m0 row is not finite, comes back as NaN; callers decide what that
-    means.  Rows are solved in blocks of at most _BLOCK_ENTRIES / p^2 rows,
-    which bounds the stack of p x p Newton Jacobians, and a row's value does
-    not depend on the rows solved with it.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    if np.any(np.imag(zs) <= 0):
-        raise ValueError("_solve_complex_many needs Im z > 0")
-    if m0 is not None:
-        m0 = np.asarray(m0, dtype=complex)
-    m = np.empty((zs.size, profile.p), dtype=complex)
-    its = np.empty(zs.size, dtype=int)
-    size = max(1, _BLOCK_ENTRIES // profile.p**2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for b in range(0, zs.size, size):
-            rows = slice(b, b + size)
-            m[rows], its[rows] = _solve_block(profile, zs[rows], None if m0 is None else m0[rows])
-    return m, its
-
-
 def _descend(profile, xs, etas):
     """(m, iterations): m[j] the rows m(x + i etas[j]) for a decreasing schedule
     etas, each row solved down the ladder 0.5, ..., 8 etas[0], then etas, from
-    m = 1/z, every rung from the one above, with its sweeps summed over the
-    rungs; a row that fails on any rung is NaN from there on.  For
-    etas[0] >= 0.25 the ladder starts cold at etas[0]."""
+    m = 1/z, every rung from the one above (`_solve_block`), with its sweeps
+    summed over the rungs; a row that fails on any rung is NaN from there on.
+    For etas[0] >= 0.25 the ladder starts cold at etas[0].  Rows go down the
+    ladder in blocks of at most _BLOCK_ENTRIES / p^2, which bounds the stack of
+    p x p Newton Jacobians."""
     ladder, e = [], etas[0]
     while e < 0.25:
         e *= 8.0
         ladder.append(min(e, 0.5))
-    m, its, out = None, 0, []
-    for e in [*reversed(ladder), *etas]:
-        m, n = _solve_complex_many(profile, xs + 1j * e, m)
-        its = its + n
-        out.append(m)
-    return np.array(out[len(ladder):]), its
+    rungs = [*reversed(ladder), *etas]
+    out = np.empty((len(etas), xs.size, profile.p), dtype=complex)
+    its = np.zeros(xs.size, dtype=int)
+    size = max(1, _BLOCK_ENTRIES // profile.p**2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for b in range(0, xs.size, size):
+            rows, m = slice(b, b + size), None
+            for j, e in enumerate(rungs):
+                m, n = _solve_block(profile, xs[rows] + 1j * e, m)
+                its[rows] += n
+                if j >= len(ladder):
+                    out[j - len(ladder), rows] = m
+    return out, its
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +379,11 @@ def solve_dyson(profile: VarianceProfile, z) -> DysonSolution:
 
 
 def solve_dyson_finite(SigmaN: np.ndarray, z) -> np.ndarray:
-    """m at Im z > 0 of the size-N system 1/m_i = z - (1/N) sum_j Sigma_ij m_j:
-    `_solve_complex_many` from m = 1/z on the N-block profile with weights
-    1/N and sigma = SigmaN, which must be a valid profile (UsageError)."""
+    """m at Im z > 0 of the size-N system 1/m_i = z - (1/N) sum_j Sigma_ij m_j.
+
+    This is the block system on N blocks of weight 1/N with sigma = SigmaN,
+    which must be a valid profile (UsageError), so it is `solve_dyson` there:
+    it walks the same Im z ladder and raises the same ConvergenceError."""
     S = np.asarray(SigmaN, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise UsageError("SigmaN must be square")
@@ -406,10 +391,7 @@ def solve_dyson_finite(SigmaN: np.ndarray, z) -> np.ndarray:
     if z.imag <= 0:
         raise UsageError("solve_dyson_finite needs Im z > 0")
     n = S.shape[0]
-    m, _ = _solve_complex_many(VarianceProfile(np.full(n, 1.0 / n), S), np.array([z]))
-    if np.isnan(m[0]).any():
-        raise ConvergenceError(f"finite-N Dyson solve did not converge at z={z}")
-    return m[0]
+    return solve_dyson(VarianceProfile(np.full(n, 1.0 / n), S), z).m
 
 
 def _edge_margin(profile: VarianceProfile) -> float:

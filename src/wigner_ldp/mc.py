@@ -581,7 +581,7 @@ def quantile_spectrum_matrix(profile: VarianceProfile, N: int, top: float) -> np
         raise UsageError("N must be >= 1")
     l, r = support_edge(profile)
     sm = spectral_measure(profile, l - 0.05, r + 0.05, 1501)
-    cum = _cumulative_mass(sm.x_grid, np.where(sm.flags, 0.0, sm.density))
+    cum = _cumulative_mass(sm.x_grid, sm.density)
     cum /= cum[-1]
     qs = (np.arange(1, N) - 0.5) / (N - 1)
     lam = np.interp(qs, cum, sm.x_grid)

@@ -12,7 +12,7 @@ from wigner_ldp.dyson import (
     _Memo,
     _residual,
     _sigma_w,
-    _solve_complex_many,
+    _solve_block,
     _solve_real,
     fixed_point_map,
     hyperbolic_D,
@@ -72,6 +72,7 @@ def test_herglotz_many_random_profiles():
 
 
 # -- batched complex solve -----------------------------------------------------
+# `_solve_block` solves many complex rows at once, one rung of `_descend`.
 
 
 def _random_batch(seed, n=40):
@@ -82,25 +83,21 @@ def _random_batch(seed, n=40):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_solve_complex_many_row_independent_of_batch(seed, monkeypatch):
+def test_solve_complex_many_row_independent_of_batch(seed):
     prof, zs = _random_batch(seed)
-    m0, _ = _solve_complex_many(prof, zs + 0.05j)
+    m0, _ = _solve_block(prof, zs + 0.05j, None)
     perm = np.random.default_rng(seed).permutation(zs.size)
     for start in (None, m0):
         rows = (lambda sel: None) if start is None else (lambda sel: start[sel])
-        m, its = _solve_complex_many(prof, zs, start)
-        with monkeypatch.context() as mp:  # blocks of 3 rows; unpatched, the 40 rows are one block
-            mp.setattr(dyson, "_BLOCK_ENTRIES", 3 * prof.p**2)
-            mb, its_b = _solve_complex_many(prof, zs, start)
-        assert np.all(mb == m) and np.all(its_b == its)
+        m, its = _solve_block(prof, zs, start)
         for i in range(zs.size):
-            mi, iti = _solve_complex_many(prof, zs[i : i + 1], rows(slice(i, i + 1)))
+            mi, iti = _solve_block(prof, zs[i : i + 1], rows(slice(i, i + 1)))
             assert np.all(mi[0] == m[i]) and iti[0] == its[i]
-        mp, _ = _solve_complex_many(prof, zs[perm], rows(perm))
+        mp, _ = _solve_block(prof, zs[perm], rows(perm))
         assert np.all(mp == m[perm])
     # strided (non-contiguous) views of the same inputs, and of the solution
     # under the sigma (w m) reduction
-    ms, its_s = _solve_complex_many(prof, np.repeat(zs, 2)[::2], np.repeat(m0, 2, axis=0)[::2])
+    ms, its_s = _solve_block(prof, np.repeat(zs, 2)[::2], np.repeat(m0, 2, axis=0)[::2])
     assert np.all(ms == m) and np.all(its_s == its)
     Sm = _sigma_w(prof, m)
     assert np.all(_sigma_w(prof, np.repeat(m, 2, axis=1)[:, ::2]) == Sm)
@@ -108,19 +105,38 @@ def test_solve_complex_many_row_independent_of_batch(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
+def test_descend_blocks_of_rows_change_nothing(seed, monkeypatch):
+    prof, zs = _random_batch(seed)
+    etas = [0.02, 0.01]  # one schedule for every row
+    m, its = dyson._descend(prof, zs.real, etas)
+    # blocks of 3 rows; unpatched, the 40 rows are one block
+    monkeypatch.setattr(dyson, "_BLOCK_ENTRIES", 3 * prof.p**2)
+    mb, its_b = dyson._descend(prof, zs.real, etas)
+    assert not np.isnan(m).any()
+    assert np.all(mb == m) and np.all(its_b == its)
+
+
+@pytest.mark.parametrize("seed", range(6))
 def test_solve_complex_many_herglotz_and_residual(seed):
     prof, zs = _random_batch(seed, n=200)
-    m, _ = _solve_complex_many(prof, zs)
+    m, _ = _solve_block(prof, zs, None)
     assert np.all(np.imag(m) < 0)
     assert np.all(_residual(prof, zs[:, None], m) < 1e-10 * (1 + np.abs(zs)))
 
 
 def test_solve_complex_many_nan_row(block_14):
-    zs = np.array([1.0 + 1.0j, complex(np.nan, 1.0), complex(np.nan, np.nan), 0.5 + 0.2j])
-    m, its = _solve_complex_many(block_14, zs)
+    # a row whose z or start is not finite is NaN after no sweep; the others are untouched
+    zs = np.array([1.0 + 1.0j, complex(np.nan, 1.0), complex(np.nan, np.nan), 0.5 + 0.2j, 0.7 + 0.3j])
+    with np.errstate(invalid="ignore"):  # as _descend runs it: 1/z of a NaN row
+        m, its = _solve_block(block_14, zs, None)
+        start = np.repeat((1.0 / zs)[:, None], block_14.p, axis=1)
+        start[4, 0] = np.nan
+        ms, its_s = _solve_block(block_14, zs, start)
     assert np.all(np.isnan(m[1:3])) and np.all(its[1:3] == 0)
-    ok, _ = _solve_complex_many(block_14, zs[[0, 3]])
-    assert np.all(m[[0, 3]] == ok)
+    ok, _ = _solve_block(block_14, zs[[0, 3, 4]], None)
+    assert np.all(m[[0, 3, 4]] == ok)
+    assert np.all(np.isnan(ms[[1, 2, 4]])) and np.all(its_s[[1, 2, 4]] == 0)
+    assert np.all(ms[[0, 3]] == ok[:2])
 
 
 def test_solve_rows_singular_row_is_nan():
@@ -186,9 +202,9 @@ def test_solve_dyson_cold_start_near_axis(z):
 
 
 def test_solve_dyson_cold_start_one_rung_far_from_axis(block_14):
-    # Im z >= 0.25 is one solve from 1/z, as the batch solve gives it
+    # Im z >= 0.25 is one solve from 1/z, as the block solve gives it
     for z in (0.3 + 0.25j, -1.0 + 2.0j):
-        m, its = _solve_complex_many(block_14, np.array([z]))
+        m, its = _solve_block(block_14, np.array([z]), None)
         sol = solve_dyson(block_14, z)
         assert np.all(sol.m == m[0]) and sol.iterations == its[0]
 
@@ -242,6 +258,18 @@ def test_finite_n_converges_near_the_real_axis(wishart2):
     assert np.all(np.imag(m) < 0)
     assert _residual(VarianceProfile(np.full(400, 1 / 400), S), 1 + 0.01j, m) < 1e-10
     assert np.max(np.abs(m - solve_dyson(wishart2, 1 + 0.01j).m[b])) < 1e-2
+
+
+def test_finite_n_is_solve_dyson_on_n_blocks(wishart2, monkeypatch):
+    # the size-N system walks the same Im z ladder, so it fails as solve_dyson does
+    b = wishart2.row_blocks(30)
+    S = wishart2.sigma[np.ix_(b, b)]
+    z = 0.4 + 0.01j
+    ref = solve_dyson(VarianceProfile(np.full(30, 1 / 30), S), z).m
+    assert np.array_equal(solve_dyson_finite(S, z), ref)
+    monkeypatch.setattr(dyson, "_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError):
+        solve_dyson_finite(S, z)
 
 
 def test_finite_n_validates_input():
@@ -373,7 +401,7 @@ def test_edge_and_real_solve_need_no_complex_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex solve called")
 
-    monkeypatch.setattr(dyson, "_solve_complex_many", refuse)
+    monkeypatch.setattr(dyson, "_solve_block", refuse)
     prof = VarianceProfile([0.35, 0.65], [[1.3, 0.4], [0.4, 0.9]])
     _, r = support_edge.__wrapped__(prof)
     m = _solve_real.rows(prof, [r + 0.25])[0]

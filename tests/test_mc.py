@@ -25,7 +25,7 @@ from wigner_ldp.mc import (
     wasserstein1,
     wilson_interval,
 )
-from wigner_ldp.profiles import VarianceProfile
+from wigner_ldp.profiles import VarianceProfile, wishart_profile
 from wigner_ldp.ratefn import eval_J, eval_K, eval_phi, rate_function
 
 
@@ -278,6 +278,17 @@ def test_spherical_matches_J_moderate_tilt(const_prof):
     ref = eval_J(const_prof, 3.0, 0.15)
     assert abs(est.value - ref) < 0.03
     assert est.stderr < 0.05
+
+
+@pytest.mark.parametrize("prof, atom", [
+    (wishart_profile(2.0), 1 / 3),  # atom at 0 of mass (alpha - 1) / (alpha + 1)
+    (wishart_profile(5.0), 2 / 3),
+    (VarianceProfile([0.2, 0.5, 0.3], [[0, 1, 2], [1, 0, 0], [2, 0, 0]]), 0.6),  # 0.8 - 0.2
+], ids=["wishart2", "wishart5", "3-block-atom"])
+def test_quantile_spectrum_keeps_the_atom(prof, atom):
+    # the points spectral_measure flags around an atom carry its mass
+    lam = np.diag(quantile_spectrum_matrix(prof, 600, 10.0))[:-1]
+    assert abs(np.mean(np.abs(lam) < 0.05) - atom) < 0.01
 
 
 def test_spherical_needs_samples(const_prof):
