@@ -23,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dyson, mc, ratefn
-from .dyson import (
-    DEFAULT_ETA_SCHEDULE, EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge,
-)
+from .dyson import EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge
 from .mc import InconclusiveError
 from .profiles import ProfileConfigError, UsageError, VarianceProfile, load_profile_file
 from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_concave, rate_sweep
@@ -115,7 +113,7 @@ def cmd_edge(prof, args):
 
 
 def cmd_density(prof, args):
-    sm = spectral_measure(prof, args.xmin, args.xmax, args.points, tuple(args.eta))
+    sm = spectral_measure(prof, args.xmin, args.xmax, args.points)
     body = {
         "x": sm.x_grid.tolist(),
         "density": sm.density.tolist(),
@@ -132,7 +130,7 @@ def cmd_density(prof, args):
 
 
 def cmd_rate(prof, args):
-    rows = rate_sweep(prof, args.x, starts=args.starts, tol=args.tol, seed=args.seed)
+    rows = rate_sweep(prof, args.x, seed=args.seed)
     body = {
         "reports": [{**vars(r), "psi_star": r.psi_star.tolist()} for r in rows],
         "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
@@ -349,9 +347,10 @@ def cmd_validate(prof, args):
 
 
 def cmd_mc_tail(prof, args):
-    pts = mc.tail_estimate(prof, args.x, args.N, args.samples, args.dist, args.seed, args.threads)
     _, r = support_edge(prof)
+    # the reference first: one that fails then throws no sampling run away
     ref = rate_function(prof, args.x, seed=args.seed).I if args.x > r else 0.0
+    pts = mc.tail_estimate(prof, args.x, args.N, args.samples, args.dist, args.seed, args.threads)
     body = {"reference_rate": ref, "points": [vars(p) for p in pts]}
     return EXIT_INCONCLUSIVE if any(p.one_sided for p in pts) else EXIT_OK, body, None
 
@@ -472,13 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=_finite_float, required=True)
     p.add_argument("--xmax", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--eta", type=_comma_list, default=list(DEFAULT_ETA_SCHEDULE))
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("rate", parents=[prof], help="rate function at one or more x")
     p.add_argument("--x", type=_comma_list, required=True)
-    p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(fn=cmd_rate)
 
     p = sub.add_parser("validate", parents=[prof], help="run a named validation suite")

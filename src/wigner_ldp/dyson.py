@@ -12,13 +12,14 @@ loop per axis.
 Complex axis: every solve walks one ladder of Im z (`_descend`), geometric
 from 0.5 down to the first eta of a schedule, then down the schedule, each
 rung started from the one above; `solve_dyson` walks it for one point and
-one eta, the density grid for all its points and its whole schedule, and the
-size-N system of `solve_dyson_finite` is `solve_dyson` on N blocks.  On each
-rung `_solve_block` takes, per row, a full Newton step on the multiplicative
-residual where it is accepted and otherwise the map m -> 1/(z - sigma (w m)),
-a strict contraction in the hyperbolic metric (Helton-Rashidi Far-Speicher,
-IMRN 2007), so no step length is searched or measured: every row stops on
-one test, a relative step below 1e-13 with a residual below 1e-10 (1 + |z|).
+one eta, the density grid for all its points and the three etas of
+_ETA_SCHEDULE, and the size-N system of `solve_dyson_finite` is `solve_dyson`
+on N blocks.  On each rung `_solve_block` takes, per row, a full Newton step
+on the multiplicative residual 1 - m (z - sigma (w m)) where it is accepted
+and otherwise the map m -> 1/(z - sigma (w m)), a strict contraction in the
+hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN 2007), so no step length
+is searched or measured: every row stops on one test, a relative step below
+1e-13 with a multiplicative residual below 1e-10 (1 + |z|).
 
 Real axis: `_damped_newton` is one damped Newton over a stack of rows, each
 with its own positivity-keeping Armijo search and stop, for three systems:
@@ -57,14 +58,14 @@ share entries.  Eviction only costs a recompute.
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .profiles import UsageError, VarianceProfile
 
-DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
+_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)  # the decreasing Im z of the density's Richardson limit
 _MEMO_SIZE = 1 << 16      # entries per memoized function, over all profiles
 
 
@@ -117,6 +118,12 @@ def _residual(profile: VarianceProfile, z, m: np.ndarray):
     return np.max(np.abs(1.0 / m - (z - _sigma_w(profile, m))), axis=-1)[()]
 
 
+def _mult_residual(profile: VarianceProfile, z, m: np.ndarray) -> np.ndarray:
+    """1 - m_k (z - (sigma (w m))_k) along the last axis of m: the multiplicative
+    residual, well scaled when components of m differ by orders of magnitude (atoms)."""
+    return 1.0 - m * (z - _sigma_w(profile, m))
+
+
 # ---------------------------------------------------------------------------
 # complex solver: one batched fixed-point / Newton iteration
 # ---------------------------------------------------------------------------
@@ -142,8 +149,6 @@ def _newton_step(profile, z, m, out) -> np.ndarray:
     lowers max |q|; accepted candidates go to the rows of out.  Returns the
     mask of rows that got one; the others take the contraction step.
     """
-    # multiplicative form 1 - m (z - S m): well scaled when components of m
-    # differ by orders of magnitude (atoms)
     zc = z[:, None]
     Sm = _sigma_w(profile, m)
     q = 1.0 - m * (zc - Sm)
@@ -151,9 +156,8 @@ def _newton_step(profile, z, m, out) -> np.ndarray:
     diag = np.arange(profile.p)
     J[:, diag, diag] -= zc - Sm
     cand = m + _solve_rows(J, -q)
-    q_cand = 1.0 - cand * (zc - _sigma_w(profile, cand))
     ok = np.all(np.imag(cand) < 0, axis=1)
-    ok &= np.max(np.abs(q_cand), axis=1) < np.max(np.abs(q), axis=1)
+    ok &= np.max(np.abs(_mult_residual(profile, zc, cand)), axis=1) < np.max(np.abs(q), axis=1)
     out[ok] = cand[ok]
     return ok
 
@@ -164,9 +168,11 @@ def _solve_block(profile, z, m0):
     The first sweep is a fixed-point step; each later sweep tries one full Newton
     step on the multiplicative residual (`_newton_step`) and falls back to the
     contraction map when that step is rejected.  Every row stops on one test: a
-    relative step below 1e-13 and a residual below 1e-10 (1 + |z|).  A row still
-    running after _MAX_SWEEPS sweeps, or whose z or start is not finite, comes
-    back as NaN, and a row's value does not depend on the rows solved with it."""
+    relative step below 1e-13 and a multiplicative residual (`_mult_residual`)
+    below 1e-10 (1 + |z|), which, unlike `_residual`, has no rounding floor above
+    that bound where |m| is large near an atom.  A row still running after
+    _MAX_SWEEPS sweeps, or whose z or start is not finite, comes back as NaN, and
+    a row's value does not depend on the rows solved with it."""
     if m0 is None:
         m, act = np.repeat((1.0 / z)[:, None], profile.p, axis=1), np.isfinite(z)
     else:
@@ -185,7 +191,7 @@ def _solve_block(profile, z, m0):
         if fp.any():
             nxt[fp] = fixed_point_map(profile, za[fp, None], ma[fp])
         done = np.max(np.abs(nxt - ma) / np.abs(nxt), axis=1) < 1e-13
-        done &= _residual(profile, za[:, None], nxt) < res_tol[idx]
+        done &= np.max(np.abs(_mult_residual(profile, za[:, None], nxt)), axis=1) < res_tol[idx]
         m[idx] = nxt
         its[idx] += 1
         act[idx[done]] = False
@@ -573,7 +579,7 @@ class SpectralMeasure:
     l_edge: float
     r_edge: float
     total_mass_error: float
-    flags: np.ndarray = field(default=None)
+    flags: np.ndarray
 
 
 def _richardson_weights(etas: np.ndarray) -> np.ndarray:
@@ -582,20 +588,14 @@ def _richardson_weights(etas: np.ndarray) -> np.ndarray:
     return np.prod(etas / (etas - etas[:, None] + np.diag(etas)), axis=1)
 
 
-def spectral_measure(
-    profile: VarianceProfile,
-    x_min: float,
-    x_max: float,
-    points: int,
-    eta_schedule=DEFAULT_ETA_SCHEDULE,
-) -> SpectralMeasure:
+def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, points: int) -> SpectralMeasure:
     """Reconstruct the limiting density on a grid by vanishing-eta extrapolation.
 
-    density(x) is the Richardson limit of -Im G(x + i eta)/pi over the eta
-    schedule; per-block densities use the mass-w_k transforms.  The whole
-    grid walks the Im z ladder (`_descend`) in one batch: down to the first
-    eta, then each eta from the previous eta's rows.  Grid points where
-    the extrapolation oscillates (atoms, edges) are flagged.
+    density(x) is the Richardson limit of -Im G(x + i eta)/pi over the three
+    etas of _ETA_SCHEDULE; per-block densities use the mass-w_k transforms.
+    The whole grid walks the Im z ladder (`_descend`) in one batch, down to
+    the first eta and then each eta from the previous eta's rows.  Grid points
+    where the extrapolation oscillates (atoms, edges) are flagged.
     """
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise UsageError("x_min and x_max must be finite")
@@ -603,11 +603,7 @@ def spectral_measure(
         raise UsageError("x_min must be below x_max")
     if points < 2:
         raise UsageError("points must be >= 2")
-    etas = np.asarray(eta_schedule, dtype=float)
-    if not (etas.ndim == 1 and etas.size and np.all(np.isfinite(etas) & (etas > 0))
-            and np.all(np.diff(etas) < 0)):
-        raise UsageError("eta_schedule must be nonempty, finite, positive and strictly decreasing")
-    grid = np.linspace(x_min, x_max, points)
+    grid, etas = np.linspace(x_min, x_max, points), np.array(_ETA_SCHEDULE)
     vals, _ = _descend(profile, grid, etas)
     failed = np.isnan(vals).any(axis=(0, 2))
     if failed.any():
@@ -618,7 +614,7 @@ def spectral_measure(
     d0 = coef @ total_f
     # unstable when dropping the coarsest eta moves the answer: atoms and
     # edge points do, smooth density and the empty region do not
-    d0_short = _richardson_weights(etas[1:]) @ total_f[1:] if etas.size > 2 else d0
+    d0_short = _richardson_weights(etas[1:]) @ total_f[1:]
     flags = (np.abs(d0 - d0_short) > 0.05 * np.abs(d0) + 1e-6) | (d0 < -1e-6)
     density = np.maximum(d0, 0.0)
     blocks = np.maximum(np.tensordot(coef, block_f, 1).T, 0.0)

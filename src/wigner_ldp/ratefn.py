@@ -16,7 +16,7 @@ h(th) = (1/2) sum_k w_k u_k^2 / (1 + th u_k) - 2 <psi, S psi>, which is
 strictly decreasing and convex: the sup over th is at 0 when h(0) <= 0 and
 otherwise at the root of h, which Newton from below reaches monotonically,
 with no bracket or fallback (`_sup_fhat`).  The inf over psi is a
-projected-gradient descent from the same p + 1 + `starts` starts at every x
+projected-gradient descent from the same p + 1 + 8 starts at every x
 of a sweep, all of them the rows of one stack (`_descend_simplex`), cut
 into whole-x chunks of at most _SWEEP_ENTRIES rows x p (`rate_sweep`);
 a report does not depend on the other xs of its sweep.  Each row tries its own
@@ -49,6 +49,8 @@ from .profiles import UsageError, VarianceProfile
 _SEAM_TOL = 1e-12  # evaluate J and phi from the 2 theta >= G(x) side inside this
 _EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
 _SWEEP_ENTRIES = 1 << 16  # rows x p per chunk of a sweep's descent: 512 kB per row array
+_RANDOM_STARTS = 8  # Dirichlet starts after the deterministic ones
+_TOL = 1e-9  # the descent's stationarity (tol/10) and gain (tol/1000) stops
 
 # ---------------------------------------------------------------------------
 # simplex plumbing
@@ -363,26 +365,22 @@ def _report(profile, x, psi, vals, th, its, capped):
     )
 
 
-def rate_sweep(profile: VarianceProfile, xs, starts: int = 8, tol: float = 1e-9,
-               seed: int = 0) -> list[RateEvalReport]:
+def rate_sweep(profile: VarianceProfile, xs, seed: int = 0) -> list[RateEvalReport]:
     """Rate of deviation of the top eigenvalue to each x of xs, in order.
 
     Infinite below the support edge, zero at it.  Above it the value is the
     best of a multi-start projected-gradient minimization of the tilt
-    envelope over mass vectors kept off the degenerate set by _EPS_FLOOR.
-    The starts of every x above the edge descend together as the rows of one
-    stack (`_descend_simplex`, with tol setting its stationarity and gain
-    stops), in whole-x chunks of at most _SWEEP_ENTRIES rows x p; rows are
+    envelope over mass vectors kept off the degenerate set by _EPS_FLOOR,
+    from the deterministic starts and _RANDOM_STARTS Dirichlet draws of seed
+    (`_default_starts`).  The starts of every x above the edge descend
+    together as the rows of one stack (`_descend_simplex`, stopping at
+    _TOL), in whole-x chunks of at most _SWEEP_ENTRIES rows x p; rows are
     independent, so a report does not depend on the other xs of the sweep.
     The spread across feasible starts is reported rather than hidden.
     diagnostics counts the feasible starts' iterations, the starts that met
     a stopping test (`converged_starts`) and those still running at the
     400-step cap (`capped_starts`).
     """
-    if starts < 0:
-        raise UsageError("starts must be >= 0")
-    if not 0 < tol < math.inf:
-        raise UsageError("tol must be positive and finite")
     for x in xs:
         if not x < math.inf:  # nan or +inf; -inf is below the edge
             raise UsageError(f"x={x!r} must be finite")
@@ -390,22 +388,21 @@ def rate_sweep(profile: VarianceProfile, xs, starts: int = 8, tol: float = 1e-9,
     edge_tol = _edge_margin(profile)
     reports = [None if x > r + edge_tol else _edge_report(profile, x, x < r - edge_tol) for x in xs]
     above = [j for j, rep in enumerate(reports) if rep is None]
-    start_rows = _default_starts(profile, starts, seed)
+    start_rows = _default_starts(profile, _RANDOM_STARTS, seed)
     n = len(start_rows)
     size = max(1, _SWEEP_ENTRIES // (n * profile.p))
     for b in range(0, len(above), size):
         chunk = above[b : b + size]
-        rows = _minimize_from(profile, [xs[j] for j in chunk], start_rows, tol)
+        rows = _minimize_from(profile, [xs[j] for j in chunk], start_rows, _TOL)
         for k, j in enumerate(chunk):
             reports[j] = _report(profile, xs[j], *(a[k * n : (k + 1) * n] for a in rows))
     return reports
 
 
-def rate_function(profile: VarianceProfile, x: float, starts: int = 8, tol: float = 1e-9,
-                  seed: int = 0) -> RateEvalReport:
+def rate_function(profile: VarianceProfile, x: float, seed: int = 0) -> RateEvalReport:
     """Rate of deviation of the top eigenvalue to x: a sweep of one x
     (`rate_sweep`)."""
-    return rate_sweep(profile, [x], starts, tol, seed)[0]
+    return rate_sweep(profile, [x], seed)[0]
 
 
 # ---------------------------------------------------------------------------

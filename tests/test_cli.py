@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import wigner_ldp
-from wigner_ldp import dyson, mc, oracles, ratefn
+from wigner_ldp import cli, dyson, mc, oracles, ratefn
 from wigner_ldp.cli import _build_parser, main
-from wigner_ldp.dyson import log_potential, spectral_measure, stieltjes_total, support_edge
+from wigner_ldp.dyson import (
+    ConvergenceError, log_potential, spectral_measure, stieltjes_total, support_edge,
+)
 from wigner_ldp.profiles import (
     ContinuousProfileSpec, ProfileConfigError, UsageError, block_profile, constant_profile,
     discretize, load_profile_file, sigma_quadratic_form, wishart_profile,
@@ -216,20 +218,15 @@ def _exit_code(argv) -> int:
         return e.code
 
 
-def test_density_eta_not_decreasing(prof_paths):
-    code = _exit_code([
-        "density", "--profile", prof_paths["constant"],
-        "--xmin", "-2.0", "--xmax", "2.0", "--points", "11", "--eta", "0.001,0.01",
-    ])
-    assert code == 2
-
-
-def test_density_eta_not_positive(prof_paths):
-    code = _exit_code([
-        "density", "--profile", prof_paths["constant"],
-        "--xmin", "-2.0", "--xmax", "2.0", "--points", "11", "--eta", "0.01,0",
-    ])
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ["density", "--xmin", "-2", "--xmax", "2", "--points", "11", "--eta", "0.01"],
+    ["rate", "--x", "3.0", "--starts", "2"],
+    ["rate", "--x", "3.0", "--tol", "1e-9"],
+], ids=["density-eta", "rate-starts", "rate-tol"])
+def test_method_settings_are_not_options(prof_paths, argv, capsys):
+    # the eta schedule, the number of starts and the stop tolerance are the program's own
+    code = _exit_code([argv[0], "--profile", prof_paths["constant"], *argv[1:]])
+    assert code == 2 and f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("xmin,xmax", [("2", "-2"), ("1", "1"), ("nan", "2"), ("-2", "inf")])
@@ -368,8 +365,7 @@ def test_parser_is_built_once_and_reused(prof_paths, tmp_path):
     first, again = tmp_path / "first.json", tmp_path / "again.json"
     assert main(["--out", str(first), *rate]) == 0
     assert main(["--out", str(tmp_path / "density.csv"), "density", "--profile",
-                 prof_paths["block"], "--xmin", "-3", "--xmax", "3", "--points", "11",
-                 "--eta", "0.02,0.01"]) == 0
+                 prof_paths["block"], "--xmin", "-3", "--xmax", "3", "--points", "11"]) == 0
     assert main(["--out", str(again), *rate]) == 0
     assert first.read_bytes() == again.read_bytes()
     options = [json.dumps(json.loads(p.read_text())["manifest"]["options"]) for p in (first, again)]
@@ -485,6 +481,20 @@ def test_mc_tail_payload(prof_paths, tmp_path):
     d = json.loads(out.read_text())
     assert d["reference_rate"] == pytest.approx(oracles.goe_rate(2.2), abs=1e-3)
     assert [p["N"] for p in d["points"]] == [20, 30]
+
+
+def test_mc_tail_reference_fails_before_sampling(prof_paths, monkeypatch):
+    # a failed reference rate exits 3 without throwing a sampling run away
+    def fail(*args, **kwargs):
+        raise ConvergenceError("reference rate failed")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the reference rate")
+
+    monkeypatch.setattr(cli, "rate_function", fail)
+    monkeypatch.setattr(mc, "_chunks", no_sampling)
+    assert main(["mc", "tail", "--profile", prof_paths["constant"], "--x", "2.2", "--N", "20",
+                 "--samples", "300"]) == 3
 
 
 def test_mc_tilt(prof_paths, tmp_path):
@@ -629,9 +639,6 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
         ["mc", "tilt", "--profile", "wishart", "--x", "3.0", "--N", "40", "--samples", "2",
          "--psi", "0,0"],
         ["rate", "--profile", "constant", "--x", "nan"],
-        ["rate", "--profile", "constant", "--x", "3.0", "--starts", "-3"],
-        ["rate", "--profile", "constant", "--x", "3.0", "--tol", "0"],
-        ["rate", "--profile", "constant", "--x", "3.0", "--tol=-1e-9"],
         ["mc", "spherical", "--profile", "constant", "--x", "1.0", "--theta", "0.3", "--N", "40",
          "--samples", "2000"],
         ["mc", "tilt", "--profile", "constant", "--x", "1.0", "--N", "40", "--samples", "2"],
@@ -656,12 +663,11 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
     ],
     ids=["annealed-theta-nan", "annealed-phi-length", "annealed-phi-negative",
          "annealed-delta-zero", "tail-x-nan", "spherical-few-samples", "tilt-psi-zero-sum",
-         "rate-x-nan", "rate-starts-negative", "rate-tol-zero", "rate-tol-negative",
-         "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero", "threads-negative",
-         "tilt-psi-zero-form", "annealed-theta-negative", "spherical-theta-negative",
-         "wishart-suite-not-concave", "seed-negative", "rate-x-not-a-number",
-         "tail-N-not-an-integer", "tail-N-empty-list", "edge-grid-without-p",
-         "rate-x-empty-list"],
+         "rate-x-nan", "spherical-x-below-edge", "tilt-x-below-edge", "threads-zero",
+         "threads-negative", "tilt-psi-zero-form", "annealed-theta-negative",
+         "spherical-theta-negative", "wishart-suite-not-concave", "seed-negative",
+         "rate-x-not-a-number", "tail-N-not-an-integer", "tail-N-empty-list",
+         "edge-grid-without-p", "rate-x-empty-list"],
 )
 def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
     # an argument error is rejected before any matrix or sphere is drawn
@@ -672,16 +678,6 @@ def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
         monkeypatch.setattr(mc, name, no_sampling)
     argv = [prof_paths[a] if prev == "--profile" else a for prev, a in zip([None, *argv], argv)]
     assert _exit_code(argv) == 2
-
-
-def test_rate_zero_starts_runs_the_deterministic_starts(prof_paths, tmp_path):
-    out = tmp_path / "rate.json"
-    code = main(["--format", "json", "--out", str(out), "rate", "--profile", prof_paths["wishart"],
-                 "--x", "2.0", "--starts", "0"])
-    assert code == 0
-    d = json.loads(out.read_text())
-    assert d["manifest"]["options"]["starts"] == 0
-    assert d["reports"][0]["starts_used"] == 3  # the weights and one vertex per block
 
 
 @pytest.mark.parametrize("name", ["constant", "wishart", "block", "light"])
@@ -701,7 +697,7 @@ def _grid_commands(x):
     return [
         ["edge"],
         ["density", "--xmin", "-4", "--xmax", "4", "--points", "41"],
-        ["rate", "--x", x, "--starts", "2"],
+        ["rate", "--x", x],
         *suites,
         ["mc", "tail", "--x", x, "--N", "8,12", "--samples", "300"],
         ["mc", "spherical", "--x", x, "--theta", "0.3", "--N", "20", "--samples", "1000"],
@@ -788,7 +784,6 @@ def _bad_mass_vector_calls():
     [
         lambda: spectral_measure(constant_profile(), 1.0, -1.0, 5),
         lambda: spectral_measure(constant_profile(), -1.0, 1.0, 1),
-        lambda: spectral_measure(constant_profile(), -1.0, 1.0, 5, ()),
         lambda: stieltjes_total(constant_profile(), 1.9),
         lambda: log_potential(constant_profile(), 2.0),
         lambda: eval_J(constant_profile(), 3.0, -0.1),
@@ -797,10 +792,6 @@ def _bad_mass_vector_calls():
         lambda: eval_K(constant_profile(), -0.1, [1.0]),
         lambda: eval_K(wishart_profile(2.0), 0.5, [1.0, 1.0]),
         lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]),
-        lambda: rate_function(constant_profile(), 3.0, starts=-1),
-        lambda: rate_function(constant_profile(), 3.0, tol=np.nan),
-        lambda: rate_function(constant_profile(), 3.0, tol=-1.0),
-        lambda: rate_function(constant_profile(), 3.0, tol=np.inf),
         lambda: rate_function(constant_profile(), np.nan),
         lambda: rate_function(constant_profile(), np.inf),
         lambda: rate_sweep(constant_profile(), [3.0, np.nan]),

@@ -24,7 +24,7 @@ from wigner_ldp.dyson import (
     stieltjes_total,
     support_edge,
 )
-from wigner_ldp.profiles import UsageError, VarianceProfile, wishart_profile
+from wigner_ldp.profiles import VarianceProfile, wishart_profile
 
 from conftest import random_profile, split_block
 
@@ -174,6 +174,20 @@ def test_descend_converges_near_the_real_axis(prof):
     assert np.all(_residual(prof, zs[:, None], m) < 1e-10 * (1 + np.abs(zs)))
 
 
+@pytest.mark.parametrize("prof, atom", [
+    (wishart_profile(2.0), 1 / 3),
+    (wishart_profile(5.0), 2 / 3),
+    (VarianceProfile([0.2, 0.5, 0.3], [[0, 1, 2], [1, 0, 0], [2, 0, 0]]), 0.6),
+], ids=["wishart2", "wishart5", "3-block-atom"])
+@pytest.mark.parametrize("eta", [10.0**-k for k in range(6, 13)])
+def test_solve_dyson_converges_at_an_atom(prof, atom, eta):
+    # |m| ~ atom / eta at z = i eta: the stop test is relative, so no eta sits
+    # below a rounding floor of the residual, and i eta G(i eta) is the atom's
+    # mass up to O(eta^2)
+    sol = solve_dyson(prof, 1j * eta)
+    assert abs(1j * eta * sol.G_total - atom) < 4 * eta**2 + 1e-13
+
+
 def test_contraction_certificate(wishart2):
     # successive-iterate hyperbolic ratio bounded by (1 + (Im z)^2 / A)^-2
     z = 0.7 + 0.6j
@@ -319,17 +333,9 @@ def test_wishart_density_matches_mp_pushforward(wishart2):
 def test_spectral_measure_validates_args(const_prof):
     with pytest.raises(ValueError):
         spectral_measure(const_prof, 2.0, -2.0, 100)
-    with pytest.raises(ValueError):
-        spectral_measure(const_prof, -2.0, 2.0, 100, eta_schedule=(1e-3, 1e-2))
     for x_min, x_max in ((-2.0, np.inf), (np.nan, 2.0), (-np.inf, 2.0)):
         with pytest.raises(ValueError):
             spectral_measure(const_prof, x_min, x_max, 100)
-
-
-@pytest.mark.parametrize("etas", [(), (np.nan,), (np.inf, 1e-2), (1e-2, np.nan)])
-def test_spectral_measure_rejects_empty_or_non_finite_eta(const_prof, etas):
-    with pytest.raises(UsageError, match="eta_schedule"):
-        spectral_measure(const_prof, -1.0, 1.0, 5, etas)
 
 
 # -- edges --------------------------------------------------------------------

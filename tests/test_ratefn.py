@@ -371,12 +371,6 @@ def test_rate_wishart_positive_and_bounded(wishart2):
     assert rep.spread < 1e-8  # all feasible starts agree on this concave profile
 
 
-def test_rate_rejects_negative_starts(block_14):
-    with pytest.raises(ValueError, match="starts"):
-        rate_function(block_14, 3.5, starts=-3)
-    assert rate_function(block_14, 3.5, starts=0).starts_used == 3
-
-
 def test_default_starts_rows(wishart2):
     # the weights; a vertex per block with a variance of its own, the midpoint with its
     # first partner for a zero-variance block, nothing for an isolated block; then the
