@@ -9,10 +9,12 @@ One seed rule, written once in `_chunks`: chunk i of an estimator's samples
 draws from default_rng([*key, i]), key being the master seed (and N for the
 tail), so results are bit-identical for any thread count.  `sample_matrix` is
 the one draw whose seed the caller gives.  Every sampled top eigenpair comes
-from one loop, `_top_pairs`.
+from one loop, `_top_pairs`, and from one solver, `_top_pair`: LAPACK's
+dsyevr asked for the top pair alone.  Only `eig_top` and
+`projected_empirical`, which return the whole spectrum, run a full eigh.
 
 Two draw layouts, each fixed by what reads it.  `_matrices` builds the full
-symmetric H that eigh and the rank-one tilt need from the strict upper
+symmetric H that dsyevr and the rank-one tilt need from the strict upper
 triangle of an N x N draw and N diagonal draws after it; that stream stays as
 it is because the seeded results of sample_matrix, collect_batch and
 tilted_outlier_check rest on it (criterion 11 passes on only 5 of seeds 0-7).
@@ -39,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtpttr
+from scipy.linalg.lapack import dpotrf, dsyevr, dtpttr
 from scipy.optimize import brentq
 
 from .dyson import spectral_measure, support_edge
@@ -168,11 +170,15 @@ def vector_profile(profile: VarianceProfile, v: np.ndarray) -> np.ndarray:
     return _block_sums(u2, profile)
 
 
-def _eig_masses(H: np.ndarray, profile: VarianceProfile):
-    """(ev, masses): eigenvalues ascending and the (p, N) block masses, with
-    masses[k, i] the squared mass of eigenvector i on block k."""
-    ev, V = np.linalg.eigh(H)
-    return ev, _block_sums(V**2, profile, axis=0)
+def _top_pair(H: np.ndarray):
+    """(lambda_1, v_1) of symmetric H: LAPACK's MRRR driver dsyevr asked for
+    the top pair alone (Dhillon-Parlett 2004), reading the upper triangle.
+    v_1 is a unit vector whose sign is not fixed."""
+    N = H.shape[0]
+    w, z, m, _, info = dsyevr(H, compute_v=1, range="I", il=N, iu=N)
+    if info != 0 or m != 1:
+        raise RuntimeError(f"dsyevr returned {m} pairs with info={info}, expected the top pair")
+    return float(w[0]), z[:, 0]
 
 
 def _top_pairs(profile: VarianceProfile, N: int, dist: str, key, samples: int, theta=0.0, phi=None):
@@ -188,8 +194,8 @@ def _top_pairs(profile: VarianceProfile, N: int, dist: str, key, samples: int, t
             g = rng.standard_normal(N)
             v = np.sqrt(phi)[b] * g / np.sqrt(_block_sums(g * g, profile))[b]
             H += 2.0 * theta * S_full * np.outer(v, v)
-        ev, masses = _eig_masses(H, profile)
-        lam1[i], rho[i] = ev[-1], masses[:, -1]
+        lam1[i], v1 = _top_pair(H)
+        rho[i] = _block_sums(v1 * v1, profile)
     return lam1, rho
 
 
@@ -230,8 +236,8 @@ def projected_empirical(matrix: np.ndarray, profile: VarianceProfile):
     """Per-block spectral measures: atom lambda_i with weight <v_i, Pi_k v_i>/N."""
     H = np.asarray(matrix, dtype=float)
     _check_symmetric(H)
-    ev, masses = _eig_masses(H, profile)
-    masses /= H.shape[0]
+    ev, V = np.linalg.eigh(H)
+    masses = _block_sums(V**2, profile, axis=0) / H.shape[0]  # masses[k, i]: v_i on block k
     return [DiscreteMeasure(atoms=ev.copy(), weights=masses[k]) for k in range(profile.p)]
 
 

@@ -51,6 +51,10 @@ _EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
 _SWEEP_ENTRIES = 1 << 16  # rows x p per chunk of a sweep's descent: 512 kB per row array
 _RANDOM_STARTS = 8  # Dirichlet starts after the deterministic ones
 _TOL = 1e-9  # the descent's stationarity (tol/10) and gain (tol/1000) stops
+# largest x a sweep takes: I and the descent's gradients grow like x^2; past
+# about 1e34 the projection of psi - t g loses psi to rounding on multi-block
+# profiles, and past 1e154 the 0.5 w u^2 of _sup_fhat overflows
+_X_MAX = 1e30
 
 # ---------------------------------------------------------------------------
 # simplex plumbing
@@ -382,8 +386,8 @@ def rate_sweep(profile: VarianceProfile, xs, seed: int = 0) -> list[RateEvalRepo
     400-step cap (`capped_starts`).
     """
     for x in xs:
-        if not x < math.inf:  # nan or +inf; -inf is below the edge
-            raise UsageError(f"x={x!r} must be finite")
+        if not x <= _X_MAX:  # nan, +inf or too large; -inf is below the edge
+            raise UsageError(f"x={x!r} must be finite and at most {_X_MAX:g}")
     _, r = support_edge(profile)
     edge_tol = _edge_margin(profile)
     reports = [None if x > r + edge_tol else _edge_report(profile, x, x < r - edge_tol) for x in xs]

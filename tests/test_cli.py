@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -323,6 +324,19 @@ def test_density_csv_rows_match_json(prof_paths, tmp_path):
     assert table.shape == (41, 4)
     assert table[:, 0].tolist() == d["x"] and table[:, 1].tolist() == d["density"]
     assert table[:, 2:].T.tolist() == d["block_densities"]
+
+
+@pytest.mark.parametrize("x", ["1e160", "1e300"])
+def test_rate_rejects_x_above_the_limit(prof_paths, tmp_path, capsys, x):
+    # past ~1e154 the rate's x^2-sized terms overflow; the limit is named, not a false message
+    out = tmp_path / "rate.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(out), "rate", "--profile", prof_paths["constant"], "--x", x]) == 2
+    assert "at most 1e+30" in capsys.readouterr().err and not out.exists()
+    assert main(["--out", str(out), "rate", "--profile", prof_paths["constant"], "--x", "1e10"]) == 0
+    assert out.read_text().splitlines()[1:3] == ["x,I,theta_star,psi_star_1,spread",
+                                                 "10000000000.0,2.5e+19,5000000000.0,1.0,0.0"]
 
 
 def test_rate_csv_rows_match_json_reports(prof_paths, tmp_path):
@@ -779,61 +793,81 @@ def _bad_mass_vector_calls():
             for name, f in entries.items() for kind, v in bad.items()]
 
 
+# Each call carries its own id, so removing one renames no other.  The first 52
+# keep the positional ids they were first collected under, which saved lists of
+# test ids name; a new call gets an id "<function>-<what is wrong>".
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: spectral_measure(constant_profile(), 1.0, -1.0, 5),
-        lambda: spectral_measure(constant_profile(), -1.0, 1.0, 1),
-        lambda: stieltjes_total(constant_profile(), 1.9),
-        lambda: log_potential(constant_profile(), 2.0),
-        lambda: eval_J(constant_profile(), 3.0, -0.1),
-        lambda: eval_J(constant_profile(), 1.0, 0.3),
-        lambda: eval_phi(constant_profile(), 0.0, 3.0, [1.0]),
-        lambda: eval_K(constant_profile(), -0.1, [1.0]),
-        lambda: eval_K(wishart_profile(2.0), 0.5, [1.0, 1.0]),
-        lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]),
-        lambda: rate_function(constant_profile(), np.nan),
-        lambda: rate_function(constant_profile(), np.inf),
-        lambda: rate_sweep(constant_profile(), [3.0, np.nan]),
-        lambda: stieltjes_total(constant_profile(), np.inf),
-        lambda: log_potential(constant_profile(), np.inf),
-        lambda: sup_theta(constant_profile(), np.inf, [1.0]),
-        lambda: find_tilt_theta(constant_profile(), np.inf, [1.0]),
-        lambda: eval_J(constant_profile(), 3.0, np.nan),
-        lambda: eval_J(constant_profile(), 3.0, np.inf),
-        lambda: eval_phi(constant_profile(), np.nan, 3.0, [1.0]),
-        lambda: eval_phi(constant_profile(), np.inf, 3.0, [1.0]),
-        lambda: eval_K(constant_profile(), np.nan, [1.0]),
-        lambda: eval_K(constant_profile(), np.inf, [1.0]),
-        lambda: eval_F(constant_profile(), np.nan, 3.0, [1.0]),
-        lambda: eval_F(constant_profile(), np.inf, 3.0, [1.0]),
-        lambda: eval_F_hat(constant_profile(), np.nan, 3.0, [1.0]),
-        lambda: eval_F_hat(constant_profile(), np.inf, 3.0, [1.0]),
-        lambda: f_hat_gradient(constant_profile(), np.nan, 3.0, [1.0]),
-        lambda: f_hat_gradient(constant_profile(), np.inf, 3.0, [1.0]),
-        lambda: f_hat_gradient(constant_profile(), -0.1, 3.0, [1.0]),
-        lambda: f_hat_gradient(constant_profile(), 0.5, 1.0, [1.0]),
-        lambda: outlier_equation_z(constant_profile(), np.nan, 3.0, [1.0]),
-        lambda: outlier_equation_z(constant_profile(), 0.0, 3.0, [1.0]),
-        lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
-        lambda: find_tilt_theta(wishart_profile(2.0), 3.0, [1.0, 0.0]),
-        lambda: eval_K(wishart_profile(2.0), 0.5, [0.5, 0.6]),
-        lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 0),
-        lambda: mc.collect_batch(constant_profile(), 0, 3),
-        lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 0),
-        lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 0),
-        lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5], 0.1, 20, 10),
-        lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, 0.5, 0.1, 20, 10),
-        lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5, 0.5], -1.0, 20, 10),
-        lambda: mc.annealed_integral_mc(wishart_profile(2.0), np.nan, [0.5, 0.5], 0.1, 20, 10),
-        lambda: mc.profile_dirichlet_check(constant_profile(), 0, 10),
-        lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 999),
-        lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000),
-        lambda: mc.quantile_spectrum_matrix(constant_profile(), 0, 3.0),
-        lambda: mc.quantile_spectrum_matrix(constant_profile(), -3, 3.0),
-        lambda: mc.eig_top(np.zeros((0, 0))),
-        lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 5),
-        lambda: sigma_quadratic_form(constant_profile(), [1.0, 0.0], [1.0]),
+        pytest.param(lambda: spectral_measure(constant_profile(), 1.0, -1.0, 5), id="<lambda>0"),
+        pytest.param(lambda: spectral_measure(constant_profile(), -1.0, 1.0, 1), id="<lambda>1"),
+        pytest.param(lambda: stieltjes_total(constant_profile(), 1.9), id="<lambda>2"),
+        pytest.param(lambda: log_potential(constant_profile(), 2.0), id="<lambda>3"),
+        pytest.param(lambda: eval_J(constant_profile(), 3.0, -0.1), id="<lambda>4"),
+        pytest.param(lambda: eval_J(constant_profile(), 1.0, 0.3), id="<lambda>5"),
+        pytest.param(lambda: eval_phi(constant_profile(), 0.0, 3.0, [1.0]), id="<lambda>6"),
+        pytest.param(lambda: eval_K(constant_profile(), -0.1, [1.0]), id="<lambda>7"),
+        pytest.param(lambda: eval_K(wishart_profile(2.0), 0.5, [1.0, 1.0]), id="<lambda>8"),
+        pytest.param(lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]), id="<lambda>9"),
+        pytest.param(lambda: rate_function(constant_profile(), np.nan), id="<lambda>10"),
+        pytest.param(lambda: rate_function(constant_profile(), np.inf), id="<lambda>11"),
+        pytest.param(lambda: rate_sweep(constant_profile(), [3.0, np.nan]), id="<lambda>12"),
+        pytest.param(lambda: stieltjes_total(constant_profile(), np.inf), id="<lambda>13"),
+        pytest.param(lambda: log_potential(constant_profile(), np.inf), id="<lambda>14"),
+        pytest.param(lambda: sup_theta(constant_profile(), np.inf, [1.0]), id="<lambda>15"),
+        pytest.param(lambda: find_tilt_theta(constant_profile(), np.inf, [1.0]), id="<lambda>16"),
+        pytest.param(lambda: eval_J(constant_profile(), 3.0, np.nan), id="<lambda>17"),
+        pytest.param(lambda: eval_J(constant_profile(), 3.0, np.inf), id="<lambda>18"),
+        pytest.param(lambda: eval_phi(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>19"),
+        pytest.param(lambda: eval_phi(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>20"),
+        pytest.param(lambda: eval_K(constant_profile(), np.nan, [1.0]), id="<lambda>21"),
+        pytest.param(lambda: eval_K(constant_profile(), np.inf, [1.0]), id="<lambda>22"),
+        pytest.param(lambda: eval_F(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>23"),
+        pytest.param(lambda: eval_F(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>24"),
+        pytest.param(lambda: eval_F_hat(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>25"),
+        pytest.param(lambda: eval_F_hat(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>26"),
+        pytest.param(lambda: f_hat_gradient(constant_profile(), np.nan, 3.0, [1.0]),
+                     id="<lambda>27"),
+        pytest.param(lambda: f_hat_gradient(constant_profile(), np.inf, 3.0, [1.0]),
+                     id="<lambda>28"),
+        pytest.param(lambda: f_hat_gradient(constant_profile(), -0.1, 3.0, [1.0]), id="<lambda>29"),
+        pytest.param(lambda: f_hat_gradient(constant_profile(), 0.5, 1.0, [1.0]), id="<lambda>30"),
+        pytest.param(lambda: outlier_equation_z(constant_profile(), np.nan, 3.0, [1.0]),
+                     id="<lambda>31"),
+        pytest.param(lambda: outlier_equation_z(constant_profile(), 0.0, 3.0, [1.0]),
+                     id="<lambda>32"),
+        pytest.param(lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
+                     id="<lambda>33"),
+        pytest.param(lambda: find_tilt_theta(wishart_profile(2.0), 3.0, [1.0, 0.0]),
+                     id="<lambda>34"),
+        pytest.param(lambda: eval_K(wishart_profile(2.0), 0.5, [0.5, 0.6]), id="<lambda>35"),
+        pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 0), id="<lambda>36"),
+        pytest.param(lambda: mc.collect_batch(constant_profile(), 0, 3), id="<lambda>37"),
+        pytest.param(lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 0),
+                     id="<lambda>38"),
+        pytest.param(lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 0),
+                     id="<lambda>39"),
+        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5], 0.1, 20, 10),
+                     id="<lambda>40"),
+        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, 0.5, 0.1, 20, 10),
+                     id="<lambda>41"),
+        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5, 0.5], -1.0, 20, 10),
+                     id="<lambda>42"),
+        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), np.nan, [0.5, 0.5], 0.1, 20, 10),
+                     id="<lambda>43"),
+        pytest.param(lambda: mc.profile_dirichlet_check(constant_profile(), 0, 10),
+                     id="<lambda>44"),
+        pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 999), id="<lambda>45"),
+        pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000), id="<lambda>46"),
+        pytest.param(lambda: mc.quantile_spectrum_matrix(constant_profile(), 0, 3.0),
+                     id="<lambda>47"),
+        pytest.param(lambda: mc.quantile_spectrum_matrix(constant_profile(), -3, 3.0),
+                     id="<lambda>48"),
+        pytest.param(lambda: mc.eig_top(np.zeros((0, 0))), id="<lambda>49"),
+        pytest.param(lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 5),
+                     id="<lambda>50"),
+        pytest.param(lambda: sigma_quadratic_form(constant_profile(), [1.0, 0.0], [1.0]),
+                     id="<lambda>51"),
         *_bad_mass_vector_calls(),
     ],
 )

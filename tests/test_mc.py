@@ -71,16 +71,20 @@ def test_streams_pinned(block_14, const_prof):
     for dist, digest in pins.items():
         H = sample_matrix(block_14, 12, dist, seed=3)
         assert hashlib.sha256(H.tobytes()).hexdigest() == digest
+    # collect_batch and _top_pairs: dsyevr's bits, and eigh's lambda_1 of the same draws to 1e-12
     lam1 = mc.collect_batch(block_14, 30, 4, seed=2).lambda1
-    assert lam1.tolist() == [2.779785949057474, 2.278526451633926, 2.6823591873355666, 2.7035022872207395]
+    assert lam1.tolist() == [2.7797859490574743, 2.278526451633927, 2.682359187335568, 2.70350228722074]
+    ref = [eig_top(sample_matrix(block_14, 30, seed=[2, i]))[0] for i in range(4)]
+    assert np.allclose(lam1, ref, rtol=0, atol=1e-12)
     rep = tilted_outlier_check(const_prof, 3.0, [1.0], N=100, samples=4, seed=0)
     # at theta* = (3 + sqrt 5)/4 to rounding
     tilt = [2.890006624192158, 3.0111179125895946, 3.0761935050833125, 3.054278994948759]
     assert np.allclose(rep["lambda1"], tilt, rtol=0, atol=1e-12)
-    # validate --suite mc-heavy: lambda_1 of sample_matrix(seed=[2, 77, i]) before _top_pairs
-    heavy = [2.3400433617448595, 2.680401408480652, 2.3952973285143693, 2.1471597934032562]
-    assert [eig_top(sample_matrix(block_14, 30, seed=[2, 77, i]))[0] for i in range(4)] == heavy
+    # validate --suite mc-heavy: lambda_1 of sample_matrix(seed=[2, 77, i]) through _top_pairs
+    heavy = [2.340043361744861, 2.6804014084806513, 2.3952973285143693, 2.1471597934032567]
     assert mc._top_pairs(block_14, 30, "gaussian", [2, 77], 4)[0].tolist() == heavy
+    ref = [eig_top(sample_matrix(block_14, 30, seed=[2, 77, i]))[0] for i in range(4)]
+    assert np.allclose(heavy, ref, rtol=0, atol=1e-12)
     # validate --suite mc-light: first row of the variance draw, chunk 0 of key [5, 6]
     light = [0.6282363391062198, 0.10439010450125093, -0.1417158389149778, 0.43902401691353354,
              0.8933285594420118, -0.6512250422180655, 0.07140563865044486, -0.1065906356741175,
@@ -657,7 +661,8 @@ def test_collect_batch_invariants(block_14):
     assert np.allclose(batch.rho_v1.sum(axis=1), 1.0, atol=1e-10)
     for i in (0, 7):  # matrix i is drawn from the derived seed [2, i]
         measures = projected_empirical(sample_matrix(block_14, 60, seed=[2, i]), block_14)
-        assert batch.lambda1[i] == measures[0].atoms[-1]
+        # dsyevr against eigh: equal to rounding, not in every bit
+        assert abs(batch.lambda1[i] - measures[0].atoms[-1]) <= 1e-12 * (1.0 + abs(batch.lambda1[i]))
         top = np.array([m.weights[-1] for m in measures]) * 60
         assert np.allclose(batch.rho_v1[i], top, rtol=1e-13, atol=1e-15)
 
@@ -705,12 +710,33 @@ def test_block_sums_match_a_per_block_loop(weights):
     assert np.all(got[..., empty] == 0.0) and np.all(got0[empty] == 0.0)
 
 
-def test_collect_batch_one_eigh_per_matrix(block_14, monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
+def test_collect_batch_one_dsyevr_per_matrix(block_14, monkeypatch):
+    calls = {"dsyevr": [], "eigh": []}
+    dsyevr, eigh = mc.dsyevr, np.linalg.eigh
+    monkeypatch.setattr(mc, "dsyevr", lambda H, **kw: calls["dsyevr"].append(H.shape) or dsyevr(H, **kw))
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls["eigh"].append(H.shape) or eigh(H))
     mc.collect_batch(block_14, 30, 4, "gaussian", seed=2)
-    assert calls == [(30, 30)] * 4
+    assert calls == {"dsyevr": [(30, 30)] * 4, "eigh": []}
+
+
+@pytest.mark.parametrize("N", [2, 3, 30, 200])
+def test_top_pair_matches_eigh(block_14, N):
+    # every entry law, and the tilted matrices _top_pairs builds
+    Hs = [sample_matrix(block_14, N, dist, seed=[N, k]) for k, dist in enumerate(mc.ENTRY_KINDS)]
+    theta, phi = 0.7, np.array([0.3, 0.7])
+    b = block_14.row_blocks(N)
+    rng, H = next(mc._matrices(block_14, N, "gaussian", [np.random.default_rng([N, 9])]))
+    g = rng.standard_normal(N)
+    v = np.sqrt(phi)[b] * g / np.sqrt(mc._block_sums(g * g, block_14))[b]
+    Hs.append(H + 2.0 * theta * block_14.sigma[np.ix_(b, b)] * np.outer(v, v))
+    for H in Hs:
+        lam, v = mc._top_pair(H)
+        ev, V = np.linalg.eigh(H)
+        assert abs(lam - ev[-1]) <= 1e-12 * (1.0 + abs(ev[-1]))
+        assert abs(abs(v @ V[:, -1]) - 1.0) <= 1e-12
+    for theta in (0.0, 0.7):
+        _, rho = mc._top_pairs(block_14, N, "gaussian", [N], 3, theta, phi)
+        assert np.allclose(rho.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_edge_concentration_named_profiles(named_profiles):
@@ -718,6 +744,6 @@ def test_edge_concentration_named_profiles(named_profiles):
     for prof in named_profiles:
         _, r = support_edge(prof)
         lam = np.array(
-            [eig_top(sample_matrix(prof, 800, "gaussian", seed=700 + s))[0] for s in range(25)]
+            [mc._top_pair(sample_matrix(prof, 800, "gaussian", seed=700 + s))[0] for s in range(25)]
         )
         assert np.mean(np.abs(lam - r) > 0.15) < 0.05

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,18 @@ def test_sweep_matches_one_x_at_a_time_across_chunks():
     sweep = rate_sweep(prof, xs)
     for x, rep in zip(xs, sweep):
         _assert_same_report(rep, rate_function(prof, x))
+
+
+def test_sweep_takes_x_up_to_its_limit(named_profiles):
+    # I(x)/x^2 is at its large-x limit from x = 1e10 on, and still is at _X_MAX with no
+    # floating-point warning; the next float above _X_MAX is rejected
+    for prof in named_profiles:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near, far = rate_sweep(prof, [1e10, ratefn._X_MAX])
+        assert far.I / far.x**2 == pytest.approx(near.I / near.x**2, rel=1e-12)
+        with pytest.raises(UsageError, match=r"at most 1e\+30"):
+            rate_sweep(prof, [3.0, np.nextafter(ratefn._X_MAX, np.inf)])
 
 
 def _descent_profiles(named_profiles):
