@@ -125,7 +125,7 @@ def cmd_density(prof, args):
     }
     header = ["x", "density", *(f"density_block_{k+1}" for k in range(prof.p))]
     rows = [*zip(sm.x_grid, sm.density, *sm.block_densities),
-            ["# total_mass", 1.0 - sm.total_mass_error]]
+            ["# total_mass", sm.total_mass]]
     return EXIT_OK, body, _table(header, rows)
 
 

@@ -10,16 +10,16 @@ Stieltjes transform of the limiting spectral measure.  There is one solver
 loop per axis.
 
 Complex axis: every solve walks one ladder of Im z (`_descend`), geometric
-from 0.5 down to the first eta of a schedule, then down the schedule, each
-rung started from the one above; `solve_dyson` walks it for one point and
-one eta, the density grid for all its points and the three etas of
-_ETA_SCHEDULE, and the size-N system of `solve_dyson_finite` is `solve_dyson`
-on N blocks.  On each rung `_solve_block` takes, per row, a full Newton step
-on the multiplicative residual 1 - m (z - sigma (w m)) where it is accepted
-and otherwise the map m -> 1/(z - sigma (w m)), a strict contraction in the
-hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN 2007), so no step length
-is searched or measured: every row stops on one test, a relative step below
-1e-13 with a multiplicative residual below 1e-10 (1 + |z|).
+from 0.5 down to its eta, each rung started from the one above; `solve_dyson`
+walks it for one point, and the size-N system of `solve_dyson_finite` is
+`solve_dyson` on N blocks.  On each rung `_solve_block` takes, per row, a full
+Newton step on the multiplicative residual 1 - m (z - sigma (w m)) where it is
+accepted and otherwise the map m -> 1/(z - sigma (w m)), a strict contraction
+in the hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN 2007), so no step
+length is searched or measured: every row stops on one test (`_stops`), a
+relative step below 1e-13 with a multiplicative residual below 1e-10 (1 + |z|).
+The density grid walks it to _ETA, then takes plain Newton steps at Im z = 0,
+where the boundary value is a regular solution in the bulk (`spectral_measure`).
 
 Real axis: `_damped_newton` is one damped Newton over a stack of rows, each
 with its own positivity-keeping Armijo search and stop, for three systems:
@@ -65,7 +65,8 @@ import numpy as np
 
 from .profiles import UsageError, VarianceProfile
 
-_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3)  # the decreasing Im z of the density's Richardson limit
+_ETA = 1e-2               # the Im z from which the density's rung at Im z = 0 starts
+_REAL_RUNG_STEPS = 20     # plain Newton steps of that rung, per row
 _MEMO_SIZE = 1 << 16      # entries per memoized function, over all profiles
 
 
@@ -133,22 +134,20 @@ _MAX_SWEEPS = 4000
 
 
 def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise solutions of J x = b; NaN rows where J is exactly singular."""
+    """Row-wise solutions of J x = b in one stacked call; NaN rows where J is exactly
+    singular (a zero LU pivot), the others then solved again in one stacked call."""
     try:
         return np.linalg.solve(J, b[..., None])[..., 0]
     except np.linalg.LinAlgError:  # one singular row fails the whole stack
-        if len(J) == 1:
-            return np.full_like(b, np.nan)
-        return np.concatenate([_solve_rows(J[i : i + 1], b[i : i + 1]) for i in range(len(J))])
+        x, ok = np.full_like(b, np.nan), np.linalg.slogdet(J)[0] != 0
+        x[ok] = np.linalg.solve(J[ok], b[ok][..., None])[..., 0]
+        return x
 
 
-def _newton_step(profile, z, m, out) -> np.ndarray:
-    """One full Newton step on the multiplicative residual for each row of m.
-
-    A row's candidate is accepted when it stays in the lower half-plane and
-    lowers max |q|; accepted candidates go to the rows of out.  Returns the
-    mask of rows that got one; the others take the contraction step.
-    """
+def _newton_step(profile, z, m):
+    """(candidate, accepted): one full Newton step on the multiplicative residual
+    for each row of m, and the rows whose candidate stays in the lower half-plane
+    and lowers max |q| (NaN where the Jacobian is exactly singular)."""
     zc = z[:, None]
     Sm = _sigma_w(profile, m)
     q = 1.0 - m * (zc - Sm)
@@ -158,8 +157,14 @@ def _newton_step(profile, z, m, out) -> np.ndarray:
     cand = m + _solve_rows(J, -q)
     ok = np.all(np.imag(cand) < 0, axis=1)
     ok &= np.max(np.abs(_mult_residual(profile, zc, cand)), axis=1) < np.max(np.abs(q), axis=1)
-    out[ok] = cand[ok]
-    return ok
+    return cand, ok
+
+
+def _stops(profile, z, m, nxt) -> np.ndarray:
+    """Rows where the step m -> nxt ends a solve: a relative step below 1e-13 and a
+    multiplicative residual (`_mult_residual`) below 1e-10 (1 + |z|) at nxt."""
+    res = np.max(np.abs(_mult_residual(profile, z[:, None], nxt)), axis=1)
+    return (np.max(np.abs(nxt - m) / np.abs(nxt), axis=1) < 1e-13) & (res < 1e-10 * (1.0 + np.abs(z)))
 
 
 def _solve_block(profile, z, m0):
@@ -167,10 +172,9 @@ def _solve_block(profile, z, m0):
     the Dyson map at each z, from its row of m0 or, when m0 is None, from 1/z.
     The first sweep is a fixed-point step; each later sweep tries one full Newton
     step on the multiplicative residual (`_newton_step`) and falls back to the
-    contraction map when that step is rejected.  Every row stops on one test: a
-    relative step below 1e-13 and a multiplicative residual (`_mult_residual`)
-    below 1e-10 (1 + |z|), which, unlike `_residual`, has no rounding floor above
-    that bound where |m| is large near an atom.  A row still running after
+    contraction map when that step is rejected.  Every row stops on one test
+    (`_stops`), whose multiplicative residual, unlike `_residual`, has no rounding
+    floor above its bound where |m| is large near an atom.  A row still running after
     _MAX_SWEEPS sweeps, or whose z or start is not finite, comes back as NaN, and
     a row's value does not depend on the rows solved with it."""
     if m0 is None:
@@ -179,50 +183,44 @@ def _solve_block(profile, z, m0):
         m, act = m0.copy(), np.isfinite(z) & np.all(np.isfinite(m0), axis=1)
     m[~act] = np.nan
     its = np.zeros(z.size, dtype=int)
-    res_tol = 1e-10 * (1.0 + np.abs(z))
     for sweep in range(_MAX_SWEEPS):
         idx = np.flatnonzero(act)
         if idx.size == 0:
             break
         za, ma = z[idx], m[idx]
-        nxt = np.empty_like(ma)
-        newton = _newton_step(profile, za, ma, nxt) if sweep else np.zeros(idx.size, bool)
+        nxt, newton = (_newton_step(profile, za, ma) if sweep
+                       else (np.empty_like(ma), np.zeros(idx.size, bool)))
         fp = ~newton
         if fp.any():
             nxt[fp] = fixed_point_map(profile, za[fp, None], ma[fp])
-        done = np.max(np.abs(nxt - ma) / np.abs(nxt), axis=1) < 1e-13
-        done &= np.max(np.abs(_mult_residual(profile, za[:, None], nxt)), axis=1) < res_tol[idx]
         m[idx] = nxt
         its[idx] += 1
-        act[idx[done]] = False
+        act[idx[_stops(profile, za, ma, nxt)]] = False
     m[act] = np.nan
     return m, its
 
 
-def _descend(profile, xs, etas):
-    """(m, iterations): m[j] the rows m(x + i etas[j]) for a decreasing schedule
-    etas, each row solved down the ladder 0.5, ..., 8 etas[0], then etas, from
-    m = 1/z, every rung from the one above (`_solve_block`), with its sweeps
-    summed over the rungs; a row that fails on any rung is NaN from there on.
-    For etas[0] >= 0.25 the ladder starts cold at etas[0].  Rows go down the
-    ladder in blocks of at most _BLOCK_ENTRIES / p^2, which bounds the stack of
-    p x p Newton Jacobians."""
-    ladder, e = [], etas[0]
+def _descend(profile, xs, eta):
+    """(m, iterations): the rows m(x + i eta), each solved down the ladder 0.5, ...,
+    8 eta, eta from m = 1/z, every rung from the one above (`_solve_block`), with
+    its sweeps summed over the rungs; a row that fails on any rung is NaN from
+    there on.  For eta >= 0.25 the ladder is one cold solve at eta.  Rows go down
+    the ladder in blocks of at most _BLOCK_ENTRIES / p^2, which bounds the stack
+    of p x p Newton Jacobians."""
+    rungs, e = [eta], eta
     while e < 0.25:
         e *= 8.0
-        ladder.append(min(e, 0.5))
-    rungs = [*reversed(ladder), *etas]
-    out = np.empty((len(etas), xs.size, profile.p), dtype=complex)
+        rungs.insert(0, min(e, 0.5))
+    out = np.empty((xs.size, profile.p), dtype=complex)
     its = np.zeros(xs.size, dtype=int)
     size = max(1, _BLOCK_ENTRIES // profile.p**2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for b in range(0, xs.size, size):
             rows, m = slice(b, b + size), None
-            for j, e in enumerate(rungs):
+            for e in rungs:
                 m, n = _solve_block(profile, xs[rows] + 1j * e, m)
                 its[rows] += n
-                if j >= len(ladder):
-                    out[j - len(ladder), rows] = m
+            out[rows] = m
     return out, its
 
 
@@ -366,8 +364,8 @@ def solve_dyson(profile: VarianceProfile, z) -> DysonSolution:
     if z.imag < 0:
         raise UsageError("solve_dyson needs Im z >= 0")
     if z.imag > 0:
-        m, its = _descend(profile, np.array([z.real]), [z.imag])
-        mc, it = m[0, 0], int(its[0])
+        m, its = _descend(profile, np.array([z.real]), z.imag)
+        mc, it = m[0], int(its[0])
         if np.isnan(mc).any():
             raise ConvergenceError(f"Dyson iteration did not converge at z={z}")
     else:
@@ -578,24 +576,20 @@ class SpectralMeasure:
     block_densities: np.ndarray  # shape (p, len(x_grid))
     l_edge: float
     r_edge: float
-    total_mass_error: float
+    total_mass: float            # trapezoid integral of density over x_grid
+    total_mass_error: float      # |total_mass - 1|
     flags: np.ndarray
 
 
-def _richardson_weights(etas: np.ndarray) -> np.ndarray:
-    """c with c @ f(etas) the polynomial extrapolation of f to eta = 0: c_i the
-    product over j != i of etas[j] / (etas[j] - etas[i]), a unit diagonal for j = i."""
-    return np.prod(etas / (etas - etas[:, None] + np.diag(etas)), axis=1)
-
-
 def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, points: int) -> SpectralMeasure:
-    """Reconstruct the limiting density on a grid by vanishing-eta extrapolation.
+    """The limiting density -Im G(x)/pi on a grid, at Im z = 0 itself.
 
-    density(x) is the Richardson limit of -Im G(x + i eta)/pi over the three
-    etas of _ETA_SCHEDULE; per-block densities use the mass-w_k transforms.
-    The whole grid walks the Im z ladder (`_descend`) in one batch, down to
-    the first eta and then each eta from the previous eta's rows.  Grid points
-    where the extrapolation oscillates (atoms, edges) are flagged.
+    The grid walks the Im z ladder (`_descend`) in one batch down to _ETA, then
+    takes at most _REAL_RUNG_STEPS plain Newton steps (`_newton_step`) at Im z = 0
+    to the boundary value m(x), a regular solution in the bulk and outside the
+    support, each row until `_stops`; block densities use the mass-w_k transforms.
+    A row that does not stop (an atom, or a point exactly on an edge) or ends with
+    some Im m_k > 1e-12 |m_k| is flagged with density 0, so an atom's mass is missed.
     """
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise UsageError("x_min and x_max must be finite")
@@ -603,21 +597,23 @@ def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, point
         raise UsageError("x_min must be below x_max")
     if points < 2:
         raise UsageError("points must be >= 2")
-    grid, etas = np.linspace(x_min, x_max, points), np.array(_ETA_SCHEDULE)
-    vals, _ = _descend(profile, grid, etas)
-    failed = np.isnan(vals).any(axis=(0, 2))
+    grid = np.linspace(x_min, x_max, points)
+    m, _ = _descend(profile, grid, _ETA)
+    failed = np.isnan(m).any(axis=1)
     if failed.any():
         raise ConvergenceError(f"Dyson iteration did not converge at x={grid[failed][0]}")
-    block_f = -np.imag(profile.weights * vals) / np.pi  # (etas, points, p)
-    total_f = block_f.sum(axis=2)
-    coef = _richardson_weights(etas)
-    d0 = coef @ total_f
-    # unstable when dropping the coarsest eta moves the answer: atoms and
-    # edge points do, smooth density and the empty region do not
-    d0_short = _richardson_weights(etas[1:]) @ total_f[1:]
-    flags = (np.abs(d0 - d0_short) > 0.05 * np.abs(d0) + 1e-6) | (d0 < -1e-6)
-    density = np.maximum(d0, 0.0)
-    blocks = np.maximum(np.tensordot(coef, block_f, 1).T, 0.0)
+    act = np.ones(points, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_REAL_RUNG_STEPS):
+            idx = np.flatnonzero(act)
+            if idx.size == 0:
+                break
+            nxt = _newton_step(profile, grid[idx], m[idx])[0]
+            act[idx[_stops(profile, grid[idx], m[idx], nxt)]] = False
+            m[idx] = nxt
+    flags = act | np.any(np.imag(m) > 1e-12 * np.abs(m), axis=1)
+    blocks = np.where(flags, 0.0, np.maximum(-np.imag(profile.weights * m).T / np.pi, 0.0))
+    density = blocks.sum(axis=0)
     mass = float(np.trapezoid(density, grid))
     l_edge, r_edge = support_edge(profile)
     return SpectralMeasure(
@@ -626,6 +622,7 @@ def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, point
         block_densities=blocks,
         l_edge=l_edge,
         r_edge=r_edge,
+        total_mass=mass,
         total_mass_error=abs(mass - 1.0),
         flags=flags,
     )

@@ -582,12 +582,14 @@ def tail_estimate(
 
 def quantile_spectrum_matrix(profile: VarianceProfile, N: int, top: float) -> np.ndarray:
     """Deterministic diagonal matrix: N-1 quantiles of the limiting measure
-    plus a detached top eigenvalue."""
+    plus a detached top eigenvalue.  Their CDF integrates the density on 1501
+    points and puts the mass it misses (an atom) on the flagged points."""
     if N < 1:
         raise UsageError("N must be >= 1")
     l, r = support_edge(profile)
     sm = spectral_measure(profile, l - 0.05, r + 0.05, 1501)
     cum = _cumulative_mass(sm.x_grid, sm.density)
+    cum += max(1.0 - sm.total_mass, 0.0) * np.cumsum(sm.flags) / max(sm.flags.sum(), 1)
     cum /= cum[-1]
     qs = (np.arange(1, N) - 0.5) / (N - 1)
     lam = np.interp(qs, cum, sm.x_grid)

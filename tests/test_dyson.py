@@ -107,11 +107,10 @@ def test_solve_complex_many_row_independent_of_batch(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_descend_blocks_of_rows_change_nothing(seed, monkeypatch):
     prof, zs = _random_batch(seed)
-    etas = [0.02, 0.01]  # one schedule for every row
-    m, its = dyson._descend(prof, zs.real, etas)
+    m, its = dyson._descend(prof, zs.real, 0.01)
     # blocks of 3 rows; unpatched, the 40 rows are one block
     monkeypatch.setattr(dyson, "_BLOCK_ENTRIES", 3 * prof.p**2)
-    mb, its_b = dyson._descend(prof, zs.real, etas)
+    mb, its_b = dyson._descend(prof, zs.real, 0.01)
     assert not np.isnan(m).any()
     assert np.all(mb == m) and np.all(its_b == its)
 
@@ -140,16 +139,19 @@ def test_solve_complex_many_nan_row(block_14):
 
 
 def test_solve_rows_singular_row_is_nan():
-    # one exactly singular system fails np.linalg.solve on the whole stack;
-    # the fallback solves row by row and marks only that row NaN
+    # one exactly singular system would fail np.linalg.solve on the whole
+    # stack; it is NaN, and every other row is its own solve, bit for bit,
+    # for the real stacks of the damped Newton and the complex ones of a rung
     rng = np.random.default_rng(3)
-    J = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    J[1] = [[1, 2], [2, 4]]
-    b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    x = dyson._solve_rows(J, b)
-    assert np.all(np.isnan(x[1]))
-    for i in (0, 2):
-        assert np.array_equal(x[i], np.linalg.solve(J[i : i + 1], b[i : i + 1, :, None])[0, :, 0])
+    for imag in (0.0, 1.0):
+        J = rng.normal(size=(7, 3, 3)) + imag * 1j * rng.normal(size=(7, 3, 3))
+        J = J if imag else J.real
+        J[4] = [[1, 2, 0], [2, 4, 0], [1, 1, 1]]
+        b = rng.normal(size=(7, 3)).astype(J.dtype)
+        x = dyson._solve_rows(J, b)
+        assert np.all(np.isnan(x[4]))
+        for i in (0, 1, 2, 3, 5, 6):
+            assert np.all(x[i] == np.linalg.solve(J[i : i + 1], b[i : i + 1, :, None])[0, :, 0])
 
 
 def _eight_blocks():
@@ -169,7 +171,7 @@ def test_descend_converges_near_the_real_axis(prof):
     _, r = support_edge(prof)
     xs = np.linspace(-r - 0.2, r + 0.2, 801)
     zs = xs + 1e-5j
-    m = dyson._descend(prof, xs, [1e-5])[0][0]
+    m = dyson._descend(prof, xs, 1e-5)[0]
     assert not np.isnan(m).any()
     assert np.all(_residual(prof, zs[:, None], m) < 1e-10 * (1 + np.abs(zs)))
 
@@ -328,6 +330,71 @@ def test_wishart_density_matches_mp_pushforward(wishart2):
     assert np.max(np.abs(sm.density[sel] - ref)) < 1e-5
     # the atom at zero is reported as a flagged point, not silent garbage
     assert sm.flags[np.argmin(np.abs(sm.x_grid))]
+
+
+def _closed_form_density(prof, x):
+    if prof.p == 1:
+        return oracles.sc_density(x)
+    return sum(w * oracles.wishart_block_density(2.0, x, k + 1) for k, w in enumerate(prof.weights))
+
+
+@pytest.mark.parametrize("prof", ["const_prof", "wishart2"])
+def test_density_is_the_closed_form_to_rounding(prof, request):
+    # the Newton rung at Im z = 0 lands on the boundary value itself: every
+    # unflagged point of a whole grid and of windows of half-width 1e-3 and
+    # 1e-4 around each edge (whose middle point is the edge, flagged) matches
+    prof = request.getfixturevalue(prof)
+    _, r = support_edge(prof)
+    # wishart(2)'s inner edge: (1 + alpha) x^2 at the lower MP edge (1 - sqrt(alpha))^2
+    edges = [r] if prof.p == 1 else [r, np.sqrt(oracles.mp_support(2.0)[0] / 3.0)]
+    grids = [(-r - 0.3, r + 0.3, 501)]
+    grids += [(s * e - d, s * e + d, 21) for e in edges for s in (-1, 1) for d in (1e-3, 1e-4)]
+    for lo, hi, n in grids:
+        sm = spectral_measure(prof, lo, hi, n)
+        ok = ~sm.flags
+        ref = _closed_form_density(prof, sm.x_grid)
+        assert np.max(np.abs(sm.density[ok] - ref[ok])) < 1e-12
+        if n == 21:
+            assert np.flatnonzero(sm.flags).tolist() in ([], [10])
+
+
+@pytest.mark.parametrize("prof", [
+    wishart_profile(2.0),
+    wishart_profile(5.0),
+    VarianceProfile([0.2, 0.5, 0.3], [[0, 1, 2], [1, 0, 0], [2, 0, 0]]),
+], ids=["wishart2", "wishart5", "3-block-atom"])
+def test_density_flags_exactly_the_atom(prof):
+    # the grid `quantile_spectrum_matrix` uses: only the point at the atom x = 0
+    # does not stop, and it carries no density
+    l, r = support_edge(prof)
+    sm = spectral_measure(prof, l - 0.05, r + 0.05, 1501)
+    [k] = np.flatnonzero(sm.flags)
+    assert abs(sm.x_grid[k]) < 1e-12 and sm.density[k] == 0.0
+
+
+def test_density_flags_no_bulk_point(named_profiles):
+    for prof in named_profiles:
+        _, r = support_edge(prof)
+        sm = spectral_measure(prof, -r - 0.2, r + 0.2, 201)
+        flagged = sm.x_grid[sm.flags]
+        assert np.all(np.abs(flagged) < 1e-12) and (flagged.size == 0) == (np.diag(prof.sigma) > 0).all()
+
+
+def test_density_matches_a_fine_ladder_on_random_profiles():
+    # against solve_dyson at eta = 1e-8, away from x = 0, where a sparse
+    # profile's atom sits; a third of the profiles are sparse
+    rng = np.random.default_rng(29)
+    for i in range(12):
+        prof = random_profile(rng, pmax=6)
+        if i % 3 == 0:
+            zero = rng.random((prof.p, prof.p)) < 0.4
+            prof = VarianceProfile(prof.weights, np.where(zero | zero.T, 0.0, prof.sigma))
+        _, r = support_edge(prof)
+        sm = spectral_measure(prof, -r - 0.2, r + 0.2, 41)
+        sel = np.abs(sm.x_grid) > 0.05
+        assert not sm.flags[sel].any()
+        ref = np.array([-solve_dyson(prof, x + 1e-8j).G_total.imag / np.pi for x in sm.x_grid[sel]])
+        assert np.all(np.abs(sm.density[sel] - ref) < 1e-3 * (1 + ref))
 
 
 def test_spectral_measure_validates_args(const_prof):

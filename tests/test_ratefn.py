@@ -364,6 +364,21 @@ def test_rate_monotone_and_scaling(const_prof):
             assert vals[i] <= (xs[i] ** 2 / xs[j] ** 2) * vals[j] + 1e-9
 
 
+@pytest.mark.parametrize("prof", ["const_prof", "block_14", "wishart2"])
+def test_rate_derivative_is_the_shifted_tilt(prof, request):
+    # envelope theorem at the saddle point: dI/dx = theta* - G(x)/2, with
+    # theta* the report's tilt; on the constant profile that is the GOE rate's
+    # derivative sqrt(x^2 - 4)/2
+    prof, h = request.getfixturevalue(prof), 1e-4
+    _, r = support_edge(prof)
+    for x in (r + 0.3, r + 1.0, r + 2.5):
+        lo, mid, hi = (rate_function(prof, x + d) for d in (-h, 0.0, h))
+        slope = mid.theta_star - stieltjes_total(prof, x) / 2
+        assert (hi.I - lo.I) / (2 * h) == pytest.approx(slope, abs=1e-6)
+        if prof.p == 1:
+            assert slope == pytest.approx(np.sqrt(x * x - 4) / 2, abs=1e-6)
+
+
 def test_rate_wishart_positive_and_bounded(wishart2):
     _, r = support_edge(wishart2)
     x = r + 0.4
