@@ -26,7 +26,7 @@ from . import __version__, dyson, mc, ratefn
 from .dyson import EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge
 from .mc import InconclusiveError
 from .profiles import ProfileConfigError, UsageError, VarianceProfile, load_profile_file
-from .ratefn import eval_F, eval_F_hat, eval_J, rate_function, rate_function_concave, rate_sweep
+from .ratefn import eval_J, rate_function, rate_function_concave, rate_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_INCONCLUSIVE = 0, 2, 3, 4
 
@@ -120,6 +120,7 @@ def cmd_density(prof, args):
         "block_densities": sm.block_densities.tolist(),
         "l_edge": sm.l_edge,
         "r_edge": sm.r_edge,
+        "total_mass": sm.total_mass,
         "total_mass_error": sm.total_mass_error,
         "flagged": sm.flags.astype(int).tolist(),
     }
@@ -186,18 +187,15 @@ def _suite_identities(prof, seed, threads):
     checks = []
     _, r = support_edge(prof)
     rng = np.random.default_rng(seed)
-    # no draw depends on a solve: draw first, in the loop's order, and batch-fill the memos it reads
+    # no draw depends on a solve: draw first, then evaluate each form over all 200 draws as one
+    # stack of rows (`ratefn._F_rows`), whose solves fill the memos in one batch each
     draws = [(r + rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(prof.p)), rng.uniform(0.0, 0.5),
               rng.uniform(0.0, 2.0)) for _ in range(200)]
-    dyson._solve_real.many(prof, [x for x, *_ in draws])
-    Gs = [stieltjes_total(prof, x) for x, *_ in draws]
-    dyson._inverse_solve.many(prof, [2.0 * (u * G / 2) for (_, _, u, _), G in zip(draws, Gs)])
-    worst_plateau = worst_eq = 0.0
-    for (x, psi, u, th_hat), G in zip(draws, Gs):
-        th = u * G / 2
-        worst_plateau = max(worst_plateau, abs(eval_F(prof, th, x, psi)))
-        gap = abs(eval_F_hat(prof, th_hat, x, psi) - eval_F(prof, th_hat + G / 2, x, psi))
-        worst_eq = max(worst_eq, gap)
+    xs, psis, us, th_hats = (np.array(col) for col in zip(*draws))
+    G = ratefn._ctx_rows(prof, xs)[1]
+    worst_plateau = float(np.abs(ratefn._F_rows(prof, us * G / 2, xs, psis)).max())
+    F_hat = ratefn._F_hat_rows(prof, th_hats, xs, psis)
+    worst_eq = float(np.abs(F_hat - ratefn._F_rows(prof, th_hats + G / 2, xs, psis)).max())
     checks.append(_check("plateau_F_zero", worst_plateau, 1e-8, worst_plateau < 1e-8))
     checks.append(_check("form_equality", worst_eq, 1e-9, worst_eq < 1e-9))
     x = r + 0.4

@@ -104,6 +104,13 @@ def _rowsum(a: np.ndarray) -> np.ndarray:
     return _rows_matvec(_ones(a.shape[-1]), a)
 
 
+def _quad(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v A v along the last axis of v, per row as `v @ A @ v` takes one vector: a
+    vector-matrix BLAS call, then a dot."""
+    v = np.ascontiguousarray(v)[..., None, :]
+    return np.matmul(np.matmul(v, A), np.swapaxes(v, -1, -2))[..., 0, 0]
+
+
 def _sigma_w(profile: VarianceProfile, m: np.ndarray) -> np.ndarray:
     """(sigma (w m))_k along the last axis of m (see `_rows_matvec`)."""
     return _rows_matvec(profile.sigma, m * profile.weights)
@@ -588,8 +595,11 @@ def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, point
     takes at most _REAL_RUNG_STEPS plain Newton steps (`_newton_step`) at Im z = 0
     to the boundary value m(x), a regular solution in the bulk and outside the
     support, each row until `_stops`; block densities use the mass-w_k transforms.
-    A row that does not stop (an atom, or a point exactly on an edge) or ends with
-    some Im m_k > 1e-12 |m_k| is flagged with density 0, so an atom's mass is missed.
+    A row that does not stop or ends with some Im m_k > 1e-12 |m_k| is flagged
+    with density 0: an atom, whose mass is missed, or a point on an edge or
+    within about 1e-6 of one, where the Newton steps slow down (the farthest
+    seen: 1.2e-6 from wishart(2)'s inner edge, 9.8e-7 above the constant
+    profile's edge 2, on 401-point windows).
     """
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise UsageError("x_min and x_max must be finite")
@@ -637,11 +647,11 @@ def log_potential(profile: VarianceProfile, x: float) -> float:
     """integral log(x - y) d mu(y) for x above the support edge, in closed
     form from the one real-axis solve m = m(x) (`_free_energy`)."""
     require_above_edge(profile, x)
-    return _free_energy(profile, x, _solve_real(profile, x))
+    return float(_free_energy(profile, x, _solve_real(profile, x)))
 
 
-def _free_energy(profile: VarianceProfile, x: float, m: np.ndarray) -> float:
-    """The Dyson free energy at x and m,
+def _free_energy(profile: VarianceProfile, x, m: np.ndarray):
+    """The Dyson free energy at x and m, per row of m (one x a row),
 
         L(x) = sum_k w_k (x m_k - log m_k) - (1/2) (w m)^T sigma (w m) - 1,
 
@@ -650,4 +660,5 @@ def _free_energy(profile: VarianceProfile, x: float, m: np.ndarray) -> float:
     = G(x), and L(x) = log x + O(x^-2) at infinity, as for the log
     potential; an error in m moves L only at second order."""
     g = profile.weights * m
-    return float((x * g.sum() - 1.0) - profile.weights @ np.log(m) - 0.5 * (g @ profile.sigma @ g))
+    log_m = _rows_matvec(profile.weights, np.log(m))
+    return (x * g.sum(axis=-1) - 1.0) - log_m - 0.5 * _quad(profile.sigma, g)

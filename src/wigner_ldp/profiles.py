@@ -88,20 +88,24 @@ class VarianceProfile:
         return isinstance(other, VarianceProfile) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return hash(self._key)
 
     def mass_vector(self, v) -> np.ndarray:
-        """The one reader of a block mass vector: v as p floats, each at least
-        -1e-12 (rounding negatives clip to 0), summing to 1 within 1e-9.  Both
-        tests fail on NaN, and inf breaks the sum, so neither gets through;
+        """v as a block mass vector: `mass_rows` of the one row v."""
+        return self.mass_rows([v])[0]
+
+    def mass_rows(self, rows) -> np.ndarray:
+        """The one reader of block mass vectors: each row as p floats, each at
+        least -1e-12 (rounding negatives clip to 0), summing to 1 within 1e-9.
+        Both tests fail on NaN, and inf breaks the sum, so neither gets through;
         what does not read as floats (strings, ragged lists) is refused too."""
         try:
-            a = np.asarray(v, dtype=float)
+            a = np.asarray(rows, dtype=float)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"mass vector is not an array of floats: {exc}") from None
-        if a.shape != (self.p,):
+        if a.ndim != 2 or a.shape[1] != self.p:
             raise UsageError(f"expected a mass vector of length {self.p}")
-        if not (np.all(a >= -1e-12) and abs(a.sum() - 1.0) <= 1e-9):
+        if not ((a >= -1e-12).all() and (abs(a.sum(axis=1) - 1.0) <= 1e-9).all()):
             raise UsageError("mass vector must be finite, nonnegative and sum to 1")
         return np.clip(a, 0.0, None)
 

@@ -28,8 +28,16 @@ is reported as capped.  Every per-row sum and product of the objective and
 its gradient goes through `dyson._rows_matvec`, one BLAS call per row, so a
 row's trajectory is the same alone, stacked, permuted or strided.
 
-Below the seam 2 theta < G(x), J and phi are taken at v = G^{-1}(2 theta),
-whose bordered solve returns m(v) with v: one solve per tilt point.
+The ingredients J, phi, K, F and Fhat are row cores over stacks of
+(x, theta, psi) (`_J_rows`, `_phi_rows`, `_K_rows`, `_F_rows`,
+`_F_hat_rows`); `eval_J` and the other public functions are one-row calls
+of them.  A core checks its stack once, as the one-row call checks one row,
+takes the m(x) of every row from one batch of the real-axis memo and, below
+the seam 2 theta < G(x), the tilt point v = G^{-1}(2 theta) with m(v) from
+one batch of the bordered solve (`_tilt_point`): one solve per tilt point.
+Each row is computed with the operations of a one-row call (stacked
+vector-matrix and dot BLAS calls, libm's log and square), so a row's value
+is the same bits alone or in any stack.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from . import dyson
 from .dyson import (
-    ConvergenceError, _edge_margin, _free_energy, _inverse_solve, _rows_matvec, _rowsum,
+    ConvergenceError, _edge_margin, _free_energy, _inverse_solve, _quad, _rows_matvec, _rowsum,
     _solve_real, require_above_edge, support_edge,
 )
 from .profiles import UsageError, VarianceProfile
@@ -82,25 +91,136 @@ def _ctx(profile: VarianceProfile, x: float):
     return m, float(profile.weights @ m)
 
 
+def _memo_rows(memo, profile, args) -> list:
+    """memo.many(profile, args); the first failed row raises its error."""
+    vals = memo.many(profile, args)
+    for v in vals:
+        if isinstance(v, Exception):
+            raise v
+    return vals
+
+
+def _ctx_rows(profile: VarianceProfile, xs):
+    """(m(x), G(x)) per x of xs as stacks, `_ctx` of each x: one batch of the
+    real-axis memo, read through `dyson` (this module's `_solve_real` may be a
+    stand-in that takes one x a call)."""
+    M = np.array(_memo_rows(dyson._solve_real, profile, xs)).reshape(len(xs), profile.p)
+    return M, _rows_matvec(profile.weights, M)
+
+
 # ---------------------------------------------------------------------------
-# building blocks J, phi, K, F, Fhat
+# building blocks J, phi, K, F, Fhat: row cores over stacks, and one-row calls
 # ---------------------------------------------------------------------------
 
 
-def _require_theta(theta: float, name: str = "theta", positive: bool = False) -> None:
-    """UsageError unless theta is finite and nonnegative (positive if asked)."""
-    if not (math.isfinite(theta) and (theta > 0 if positive else theta >= 0)):
+def _require_theta(theta, name: str = "theta", positive: bool = False) -> np.ndarray:
+    """theta as floats; UsageError unless every entry is finite and nonnegative
+    (positive if asked)."""
+    t = np.asarray(theta, dtype=float)
+    if not (np.isfinite(t) & ((t > 0) if positive else (t >= 0))).all():
         raise UsageError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+    return t
 
 
-def _tilt_point(profile: VarianceProfile, x: float, theta: float, G: float):
-    """(v, m(v)): where J and phi are evaluated at tilt strength theta > 0,
-    and the real solve there.  v is x itself when 2 theta >= G(x), taken
-    from that side inside _SEAM_TOL, otherwise v = G^{-1}(2 theta) > x, whose
-    bordered solve gives m(v) with it."""
-    if 2.0 * theta >= G - _SEAM_TOL:
-        return x, _solve_real(profile, x)
-    return _inverse_solve(profile, 2.0 * theta)
+def _above_edge(profile: VarianceProfile, xs) -> np.ndarray:
+    """xs as floats; the first x not above the edge raises `require_above_edge`'s error."""
+    xs = np.asarray(xs, dtype=float)
+    _, r = support_edge(profile)
+    bad = np.flatnonzero(~((r < xs) & (xs < np.inf)))
+    if bad.size:
+        require_above_edge(profile, float(xs[bad[0]]))
+    return xs
+
+
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """f per entry of a, on Python floats (math.log, pow): numpy's log and
+    square differ from libm's in the last bit for about one input in a
+    thousand, and the J and K that payloads report are libm's."""
+    return np.array([f(t) for t in a.tolist()])
+
+
+def _tilt_point(profile: VarianceProfile, thetas, xs):
+    """(G(x), v, m(v)) per row at tilt strength theta > 0: v is where J and phi
+    are taken, x itself where 2 theta >= G(x), taken from that side inside
+    _SEAM_TOL, otherwise v = G^{-1}(2 theta) > x, whose bordered solve gives
+    m(v) with it.  m(x) and m(v) come from one batch of each memo."""
+    M, G = _ctx_rows(profile, xs)
+    v = xs.copy()
+    below = np.flatnonzero(2.0 * thetas < G - _SEAM_TOL)
+    if below.size:
+        for k, (v_k, m_k) in zip(below, _memo_rows(_inverse_solve, profile, 2.0 * thetas[below])):
+            v[k], M[k] = v_k, m_k
+    return G, v, M
+
+
+def _J_at(profile, thetas, v, m_v):
+    """J per row from its tilt point; the log potential at v is the free energy
+    at m(v), as in `log_potential`."""
+    log_2t = _libm(math.log, 2.0 * thetas)
+    return thetas * v - 0.5 - 0.5 * log_2t - 0.5 * _free_energy(profile, v, m_v)
+
+
+def _phi_at(profile, thetas, G, m_v, psis):
+    """phi per row from its tilt point; the excess 1 - G/(2 theta) is 0 where
+    v = G^{-1}(2 theta) > x."""
+    t2 = 2.0 * thetas[:, None]
+    vals = profile.weights * m_v / t2 + np.maximum(1.0 - G[:, None] / t2, 0.0) * psis
+    return vals / vals.sum(axis=1)[:, None]
+
+
+def _J_rows(profile: VarianceProfile, xs, thetas) -> np.ndarray:
+    """J(x, theta) per row of the stacks xs and thetas (see `eval_J`)."""
+    xs, thetas = _above_edge(profile, xs), _require_theta(thetas)
+    J = np.zeros(len(xs))
+    pos = np.flatnonzero(thetas > 0.0)  # theta = 0 rows keep the limit value 0
+    if pos.size:
+        _, v, m_v = _tilt_point(profile, thetas[pos], xs[pos])
+        J[pos] = _J_at(profile, thetas[pos], v, m_v)
+    return J
+
+
+def _phi_rows(profile: VarianceProfile, thetas, xs, psis) -> np.ndarray:
+    """phi(theta, x, psi) per row of the stacks (see `eval_phi`)."""
+    xs, thetas = _above_edge(profile, xs), _require_theta(thetas, positive=True)
+    psis = profile.mass_rows(psis)
+    G, _, m_v = _tilt_point(profile, thetas, xs)
+    return _phi_at(profile, thetas, G, m_v, psis)
+
+
+def _K_at(profile, thetas, phis):
+    """K per row of the mass vectors phis; -inf where one has an empty block."""
+    w, empty = profile.weights, (phis <= 0.0).any(axis=1)
+    entropy = _rows_matvec(w, np.log(np.where(phis > 0.0, phis, w) / w))  # log 0 skipped
+    K = _libm(lambda t: t**2, thetas) * _quad(profile.sigma, phis) + 0.5 * entropy
+    K[empty] = -np.inf
+    return K
+
+
+def _K_rows(profile: VarianceProfile, thetas, phis) -> np.ndarray:
+    """K(theta, phi) per row of the stacks (see `eval_K`)."""
+    return _K_at(profile, _require_theta(thetas), profile.mass_rows(phis))
+
+
+def _F_rows(profile: VarianceProfile, thetas, xs, psis) -> np.ndarray:
+    """F(theta, x, psi) per row of the stacks (see `eval_F`): J and phi from
+    one tilt point per row."""
+    xs, thetas = _above_edge(profile, xs), _require_theta(thetas)
+    psis = profile.mass_rows(psis)
+    F = np.zeros(len(xs))
+    pos = np.flatnonzero(thetas > 0.0)  # F vanishes at theta = 0
+    if pos.size:
+        th = thetas[pos]
+        G, v, m_v = _tilt_point(profile, th, xs[pos])
+        phi = _phi_at(profile, th, G, m_v, psis[pos])
+        F[pos] = _J_at(profile, th, v, m_v) - _K_at(profile, th, phi)
+    return F
+
+
+def _F_hat_rows(profile: VarianceProfile, theta_hats, xs, psis) -> np.ndarray:
+    """Fhat(theta_hat, x, psi) per row of the stacks (see `eval_F_hat`)."""
+    xs, th = _above_edge(profile, xs), _require_theta(theta_hats, "theta_hat")
+    u, lin, a = _fhat_parts(profile, _ctx_rows(profile, xs)[0], profile.mass_rows(psis))
+    return _fhat(profile.weights, u, lin, a, th)
 
 
 def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
@@ -109,57 +229,35 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     For 2 theta >= G(x): theta x - 1/2 - log(2 theta)/2 - logpot(x)/2.
     Otherwise x is replaced by v = G^{-1}(2 theta) > x.  The log potential
     is the free energy at the tilt point's m(v), as in `log_potential`.
-    theta = 0 returns the limit value 0.
+    theta = 0 returns the limit value 0.  One row of `_J_rows`.
     """
-    require_above_edge(profile, x)
-    _require_theta(theta)
-    if theta == 0.0:
-        return 0.0
-    _, G = _ctx(profile, x)
-    v, m_v = _tilt_point(profile, x, theta, G)
-    return theta * v - 0.5 - 0.5 * math.log(2.0 * theta) - 0.5 * _free_energy(profile, v, m_v)
+    return float(_J_rows(profile, [x], [theta])[0])
 
 
 def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> np.ndarray:
-    """Mass vector phi(theta, x, psi) of the tilted eigenvector profile."""
-    require_above_edge(profile, x)
-    _require_theta(theta, positive=True)
-    psi = profile.mass_vector(psi)
-    _, G = _ctx(profile, x)
-    _, m_v = _tilt_point(profile, x, theta, G)
-    # the excess 1 - G/(2 theta) is 0 where v = G^{-1}(2 theta) > x
-    vals = profile.weights * m_v / (2.0 * theta) + max(1.0 - G / (2.0 * theta), 0.0) * psi
-    return vals / vals.sum()
+    """Mass vector phi(theta, x, psi) of the tilted eigenvector profile
+    (theta > 0).  One row of `_phi_rows`."""
+    return _phi_rows(profile, [theta], [x], [psi])[0]
 
 
 def eval_K(profile: VarianceProfile, theta: float, phi) -> float:
-    """Annealed-integral limit K(theta, phi); -inf when the entropy diverges."""
-    _require_theta(theta)
-    v = profile.mass_vector(phi)
-    w = profile.weights
-    if np.any(v <= 0.0):
-        return -np.inf
-    quad = float(v @ profile.sigma @ v)
-    return theta**2 * quad + 0.5 * float(w @ np.log(v / w))
+    """Annealed-integral limit K(theta, phi); -inf when the entropy diverges.
+    One row of `_K_rows`."""
+    return float(_K_rows(profile, [theta], [phi])[0])
 
 
 def eval_F(profile: VarianceProfile, theta: float, x: float, psi) -> float:
     """F(theta, x, psi) = J(x, theta) - K(theta, phi(theta, x, psi)).
 
-    Vanishes identically for theta <= G(x)/2.
+    Vanishes identically for theta <= G(x)/2.  One row of `_F_rows`.
     """
-    if theta == 0.0:
-        require_above_edge(profile, x)
-        return 0.0
-    return eval_J(profile, x, theta) - eval_K(profile, theta, eval_phi(profile, theta, x, psi))
+    return float(_F_rows(profile, [theta], [x], [psi])[0])
 
 
 def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> float:
-    """Shifted objective; equals eval_F(theta_hat + G(x)/2, x, psi)."""
-    require_above_edge(profile, x)
-    _require_theta(theta_hat, "theta_hat")
-    u, lin, a = _fhat_parts(profile, _solve_real(profile, x), profile.mass_vector(psi)[None])
-    return float(_fhat(profile.weights, u, lin, a, np.array([float(theta_hat)]))[0])
+    """Shifted objective; equals eval_F(theta_hat + G(x)/2, x, psi).  One row
+    of `_F_hat_rows`."""
+    return float(_F_hat_rows(profile, [theta_hat], [x], [psi])[0])
 
 
 def f_hat_gradient(profile: VarianceProfile, theta_hat: float, x: float, psi) -> np.ndarray:
@@ -328,7 +426,7 @@ def _minimize_from(profile, xs, starts, tol):
     xs x starts, x-major, each reading the m(x) of its own x.  Returns (psi,
     value, theta_hat, iterations, capped) per row, with value inf on rows
     whose start is degenerate (a <= _EPS_FLOOR)."""
-    M = np.array([_solve_real(profile, x) for x in xs])
+    M = _ctx_rows(profile, xs)[0]
     at = np.repeat(np.arange(len(xs)), len(starts))  # each row's x
     return _descend_simplex(
         lambda psi, idx: _sup_fhat(profile, M[at[idx]], psi, _EPS_FLOOR),
@@ -459,7 +557,7 @@ def rate_function_concave(profile: VarianceProfile, x: float) -> float:
 
     def value(th_hat):  # J - sup K at each shifted tilt strength of th_hat
         theta = np.atleast_1d(th_hat) + G / 2.0
-        return np.array([eval_J(profile, x, t) for t in theta]) - _sup_K_over_psi(profile, theta, x)
+        return _J_rows(profile, np.full(theta.size, x), theta) - _sup_K_over_psi(profile, theta, x)
 
     grid = np.linspace(0.0, x / profile.mean_sigma, 161)
     i = int(np.argmax(value(grid)))

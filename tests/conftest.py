@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from wigner_ldp.profiles import block_profile, constant_profile, wishart_profile
+from wigner_ldp.profiles import (
+    ContinuousProfileSpec, block_profile, constant_profile, discretize, wishart_profile,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +24,13 @@ def block_14():
 @pytest.fixture(scope="session")
 def block_12():
     return block_profile(1.0 / 3.0, 1.0, 2.0)
+
+
+@pytest.fixture(scope="session")
+def grid3():
+    """The 3-block cell average of a smooth continuous profile."""
+    spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 64)
+    return discretize(spec, 3)[0]
 
 
 @pytest.fixture(scope="session")

@@ -329,6 +329,16 @@ def test_density_csv_rows_match_json(prof_paths, tmp_path):
     assert table[:, 2:].T.tolist() == d["block_densities"]
 
 
+def test_density_json_total_mass_is_the_csv_footer(prof_paths, tmp_path):
+    # the signed mass tells wishart(2)'s missed atom (mass 1/3 at x = 0) from an
+    # excess of mass, which |mass - 1| alone cannot
+    rows, text = _csv_and_json(tmp_path, ["density", "--profile", prof_paths["wishart"],
+                                          "--xmin", "-3", "--xmax", "3", "--points", "501"])
+    d = json.loads(text)
+    assert rows[-1] == ["# total_mass", repr(d["total_mass"])]
+    assert abs(d["total_mass"] - 2.0 / 3.0) < 1e-3 and d["total_mass_error"] == 1.0 - d["total_mass"]
+
+
 @pytest.mark.parametrize("x", ["1e160", "1e300"])
 def test_rate_rejects_x_above_the_limit(prof_paths, tmp_path, capsys, x):
     # past ~1e154 the rate's x^2-sized terms overflow; the limit is named, not a false message
@@ -400,6 +410,24 @@ def test_validate_identities(prof_paths, tmp_path):
     assert d["passed"] is True
     names = {c["name"] for c in d["checks"]}
     assert {"plateau_F_zero", "form_equality", "upper_bound_quarter_a"} <= names
+
+
+def test_identities_suite_is_its_scalar_loop(const_prof, block_14, wishart2, grid3):
+    # the stacked checks take exactly the maxima of the loop over the public
+    # one-point functions at the suite's 200 draws, in the suite's draw order
+    for prof in (const_prof, block_14, wishart2, grid3):
+        got = {c["name"]: c["value"] for c in cli._suite_identities(prof, 3, 1)}
+        _, r = support_edge(prof)
+        rng = np.random.default_rng(3)
+        worst_plateau = worst_eq = 0.0
+        for _ in range(200):
+            x, psi = r + rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(prof.p))
+            u, th_hat = rng.uniform(0.0, 0.5), rng.uniform(0.0, 2.0)
+            G = stieltjes_total(prof, x)
+            worst_plateau = max(worst_plateau, abs(eval_F(prof, u * G / 2, x, psi)))
+            gap = abs(eval_F_hat(prof, th_hat, x, psi) - eval_F(prof, th_hat + G / 2, x, psi))
+            worst_eq = max(worst_eq, gap)
+        assert got["plateau_F_zero"] == worst_plateau and got["form_equality"] == worst_eq
 
 
 @pytest.mark.parametrize("suite", ["identities", "dyson"])

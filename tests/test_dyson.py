@@ -380,6 +380,17 @@ def test_density_flags_no_bulk_point(named_profiles):
         assert np.all(np.abs(flagged) < 1e-12) and (flagged.size == 0) == (np.diag(prof.sigma) > 0).all()
 
 
+@pytest.mark.parametrize("half, points", [(1e-8, 5), (1e-6, 401), (1e-5, 401), (1e-4, 401)])
+def test_density_flags_near_an_edge_only_within_about_1e_6(half, points):
+    # next to an edge the Newton rung at Im z = 0 can run out of steps: a flag
+    # then marks a point beside wishart(2)'s inner edge, but never one farther
+    # than about 1e-6 from it (1.2e-6 is the farthest seen)
+    e = np.sqrt((1.0 - np.sqrt(2.0)) ** 2 / 3.0)
+    sm = spectral_measure(wishart_profile(2.0), e - half, e + half, points)
+    assert np.all(np.abs(sm.x_grid[sm.flags] - e) <= min(half, 2e-6) + 4 * np.spacing(e))
+    assert np.all(sm.density[sm.flags] == 0.0)
+
+
 def test_density_matches_a_fine_ladder_on_random_profiles():
     # against solve_dyson at eta = 1e-8, away from x = 0, where a sparse
     # profile's atom sits; a third of the profiles are sparse

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -200,6 +201,74 @@ def test_K_hand_value():
 
 def test_K_zero_mass_sentinel(block_14):
     assert eval_K(block_14, 1.0, [1.0, 0.0]) == -np.inf
+
+
+# -- row cores -------------------------------------------------------------------
+
+
+def _row_stacks(prof, rng, n=18):
+    """(xs, thetas, psis) with rows below the seam 2 theta = G(x), on it,
+    above it, inside _SEAM_TOL below it, just beyond _SEAM_TOL, and theta = 0."""
+    _, r = support_edge(prof)
+    xs = r + rng.uniform(1e-3, 2.0, n)
+    half_G = np.array([stieltjes_total(prof, x) for x in xs]) / 2
+    kind = np.arange(n) % 6
+    thetas = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+        [rng.uniform(0.05, 0.95, n) * half_G, half_G, rng.uniform(1.05, 3.0, n) * half_G,
+         half_G - 0.25 * ratefn._SEAM_TOL, half_G - ratefn._SEAM_TOL],
+        0.0,
+    )
+    return xs, thetas, rng.dirichlet(np.ones(prof.p), size=n)
+
+
+def test_row_cores_are_the_scalar_functions_bitwise(const_prof, block_14, wishart2, grid3):
+    # each row of a stack is its own one-row call, on every side of the seam
+    rng = np.random.default_rng(41)
+    for prof in (const_prof, block_14, wishart2, grid3):
+        xs, thetas, psis = _row_stacks(prof, rng)
+        pos = thetas > 0.0
+        J = ratefn._J_rows(prof, xs, thetas)
+        F = ratefn._F_rows(prof, thetas, xs, psis)
+        F_hat = ratefn._F_hat_rows(prof, thetas, xs, psis)
+        phi = ratefn._phi_rows(prof, thetas[pos], xs[pos], psis[pos])
+        for k, (x, th, psi) in enumerate(zip(xs.tolist(), thetas.tolist(), psis)):
+            assert J[k] == eval_J(prof, x, th) and F[k] == eval_F(prof, th, x, psi)
+            assert F_hat[k] == eval_F_hat(prof, th, x, psi)
+            if 2 * th >= stieltjes_total(prof, x) - ratefn._SEAM_TOL and th > 0:
+                # J at v = x is the closed form over the log potential, with libm's log
+                assert J[k] == th * x - 0.5 - 0.5 * math.log(2 * th) - 0.5 * log_potential(prof, x)
+        assert (J[~pos] == 0.0).all() and (F[~pos] == 0.0).all()
+        for k, (x, th, psi) in enumerate(zip(xs[pos].tolist(), thetas[pos].tolist(), psis[pos])):
+            assert (phi[k] == eval_phi(prof, th, x, psi)).all()
+        phis, ths = phi, thetas[pos]
+        if prof.p > 1:  # a mass vector with an empty block: the entropy diverges
+            phis, ths = np.vstack([phi, np.eye(prof.p)[0]]), np.append(ths, 0.7)
+        K = ratefn._K_rows(prof, ths, phis)
+        assert [eval_K(prof, th, v) for th, v in zip(ths.tolist(), phis)] == K.tolist()
+        assert np.isfinite(K[: len(phi)]).all() and (prof.p == 1 or K[-1] == -np.inf)
+
+
+def test_a_stack_refuses_a_bad_row_as_the_one_row_call_does(block_14):
+    _, r = support_edge(block_14)
+    xs, psis = [r + 0.5, r - 0.1, r + 1.0], np.full((3, 2), 0.5)
+    with pytest.raises(UsageError) as one:
+        eval_F(block_14, 0.3, r - 0.1, psis[1])
+    for stack in (lambda: ratefn._F_rows(block_14, [0.3] * 3, xs, psis),
+                  lambda: ratefn._F_hat_rows(block_14, [0.3] * 3, xs, psis),
+                  lambda: ratefn._phi_rows(block_14, [0.3] * 3, xs, psis),
+                  lambda: ratefn._J_rows(block_14, xs, [0.3] * 3)):
+        with pytest.raises(UsageError) as many:
+            stack()
+        assert str(many.value) == str(one.value)
+    # a row that is not a mass vector, as mass_vector refuses it; at theta = 0 too
+    bad = [[0.5, 0.5], [1.5, -0.5], [0.5, 0.5]]
+    with pytest.raises(UsageError) as one:
+        block_14.mass_vector(bad[1])
+    for theta in (0.3, 0.0):
+        with pytest.raises(UsageError) as many:
+            ratefn._F_rows(block_14, [theta] * 3, [r + 0.5] * 3, bad)
+        assert str(many.value) == str(one.value)
 
 
 # -- F and Fhat ------------------------------------------------------------------
