@@ -165,9 +165,7 @@ def _suite_dyson(prof, seed, threads):
     checks.append(_check("edges_symmetric", abs(l + r), 1e-9, abs(l + r) <= 1e-9))
     g_edge = stieltjes_total(prof, r + 1e-3)
     checks.append(_check("G_above_edge_finite", g_edge, np.inf, np.isfinite(g_edge) and g_edge > 0))
-    xs = np.linspace(r + 1e-3, r + 3.0, 100)
-    dyson._solve_real.many(prof, xs)  # one batch solve fills the memo that stieltjes_total reads
-    gs = [stieltjes_total(prof, float(x)) for x in xs]
+    gs = dyson._solve_real(prof, np.linspace(r + 1e-3, r + 3.0, 100)) @ prof.weights  # one batch
     mono = bool(np.all(np.diff(gs) < 0))
     checks.append(_check("G_strictly_decreasing", float(mono), 1.0, mono))
     sups = []
@@ -188,14 +186,15 @@ def _suite_identities(prof, seed, threads):
     _, r = support_edge(prof)
     rng = np.random.default_rng(seed)
     # no draw depends on a solve: draw first, then evaluate each form over all 200 draws as one
-    # stack of rows (`ratefn._F_rows`), whose solves fill the memos in one batch each
+    # stack of rows (`ratefn._F_rows`) on one context, whose xs are solved in one batch
     draws = [(r + rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(prof.p)), rng.uniform(0.0, 0.5),
               rng.uniform(0.0, 2.0)) for _ in range(200)]
     xs, psis, us, th_hats = (np.array(col) for col in zip(*draws))
-    G = ratefn._ctx_rows(prof, xs)[1]
-    worst_plateau = float(np.abs(ratefn._F_rows(prof, us * G / 2, xs, psis)).max())
-    F_hat = ratefn._F_hat_rows(prof, th_hats, xs, psis)
-    worst_eq = float(np.abs(F_hat - ratefn._F_rows(prof, th_hats + G / 2, xs, psis)).max())
+    ctx = ratefn._ctx(prof, xs)
+    G = ctx[2]
+    worst_plateau = float(np.abs(ratefn._F_rows(prof, us * G / 2, ctx, psis)).max())
+    F_hat = ratefn._F_hat_rows(prof, th_hats, ctx, psis)
+    worst_eq = float(np.abs(F_hat - ratefn._F_rows(prof, th_hats + G / 2, ctx, psis)).max())
     checks.append(_check("plateau_F_zero", worst_plateau, 1e-8, worst_plateau < 1e-8))
     checks.append(_check("form_equality", worst_eq, 1e-9, worst_eq < 1e-9))
     x = r + 0.4

@@ -43,21 +43,21 @@ is stationary in m exactly at the Dyson equation, so its x-derivative is
 G(x) and an error in m moves it only at second order; it tends to log x at
 infinity.
 
-Memo policy: `support_edge`, the bordered solve `_inverse_solve` behind
-`stieltjes_inverse` and the real-axis solve `_solve_real` are pure functions
-of (profile, argument), each its own memo of at most _MEMO_SIZE entries
-over all profiles (`cache_info()` gives its hits and misses): a
-`functools.lru_cache` for the first, `_Memo`s that batch solves fill for the
-others, whose m is read-only, so no caller can change a later result.
-`log_potential` keeps no memo of its own: the real solve under it is the
-expensive step and is memoized.  Profiles compare and hash by their
-weights and sigma, not their label, so equal profiles loaded separately
-share entries.  Eviction only costs a recompute.
+Memo policy: `support_edge` and the real-axis solve at one x
+(`_solve_real_at`) are pure functions of (profile, argument), each a
+`functools.lru_cache` of at most _MEMO_SIZE entries over all profiles
+(`cache_info()` gives its hits and misses); the memoized m is read-only, so
+no caller can change a later result, and a failed solve raises and is not
+kept.  The batch solves `_solve_real` and `_inverse_solve` keep nothing: a
+caller with many points hands them over as one stack and keeps the rows
+(`ratefn._ctx`), and the one-point public functions (`stieltjes_total`,
+`log_potential`, `solve_dyson` at real z) read the memo.  Profiles compare
+and hash by their weights and sigma, not their label, so equal profiles
+loaded separately share entries.  Eviction only costs a recompute.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -286,61 +286,30 @@ def _on_branch(profile, m) -> np.ndarray:
     return np.abs(lam).max(axis=1) <= 1.0 + 1e-6
 
 
-class _Memo:
-    """LRU memo (at most _MEMO_SIZE entries, `cache_info()` and `cache_clear()` as
-    for lru_cache) of a batch solve rows(profile, args) by (profile, arg).  `many`
-    solves the args it lacks in one call of rows and keeps the rows that succeeded;
-    a failed row comes back as its error, unkept, and a call (one arg) raises it."""
-
-    _info = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.cache_clear()
-
-    def __call__(self, profile, arg):
-        key = (profile, float(arg))
-        if key in self._data:  # a hit, moved to the recent end without the bookkeeping of `many`
-            self._hits += 1
-            return self._data.setdefault(key, self._data.pop(key))
-        [val] = self.many(profile, [arg])
-        if isinstance(val, Exception):
-            raise val
-        return val
-
-    def many(self, profile, args) -> list:
-        keys = [(profile, float(a)) for a in args]
-        got = {k: self._data.pop(k) for k in keys if k in self._data}
-        new = [k for k in dict.fromkeys(keys) if k not in got]
-        self._hits, self._misses = self._hits + len(keys) - len(new), self._misses + len(new)
-        got.update(zip(new, self.rows(profile, [a for _, a in new]) if new else []))
-        self._data.update((k, v) for k, v in got.items() if not isinstance(v, Exception))
-        while len(self._data) > _MEMO_SIZE:  # the least recently used go first
-            self._data.popitem(last=False)
-        return [got[k] for k in keys]
-
-    def cache_info(self):
-        return self._info(self._hits, self._misses, _MEMO_SIZE, len(self._data))
-
-    def cache_clear(self):
-        self._data, self._hits, self._misses = OrderedDict(), 0, 0
-
-
-@_Memo
-def _solve_real(profile, xs):
-    """m(x), read-only, per x of xs (memoized; a call takes one x): Newton on
-    1/m - x + sigma (w m) = 0 from m = 1/x for every x > 0 at once; a row fails
-    (ConvergenceError) unless its residual falls below 1e-14 (1 + x) on `_on_branch`."""
+def _solve_real(profile, xs) -> np.ndarray:
+    """m(x) per x of xs, the rows of a (len(xs), p) stack: Newton on
+    1/m - x + sigma (w m) = 0 from m = 1/x for every x > 0 at once; a row is NaN
+    unless its residual falls below 1e-14 (1 + x) on `_on_branch`."""
     xs = np.asarray(xs, dtype=float)
     rows = np.flatnonzero(xs > 0)
     x, W, tol = xs[rows], profile.sigma * profile.weights, 1e-14 * (1.0 + xs[rows])
     m, ok = _damped_newton(lambda m, i: _real_F(W, m, x[i, None]), lambda m, i: tol[i],
                            np.repeat(1.0 / x[:, None], profile.p, axis=1), profile.p)
     ok[ok] = _on_branch(profile, m[ok])
+    M = np.full((xs.size, profile.p), np.nan)
+    M[rows[ok]] = m[ok]
+    return M
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _solve_real_at(profile, x: float) -> np.ndarray:
+    """m(x), read-only, at one float x (memoized): the row of `_solve_real`;
+    ConvergenceError where that row is NaN."""
+    m = _solve_real(profile, [x])[0]
+    if np.isnan(m).any():
+        raise ConvergenceError(f"real-axis solve failed at x={float(x)}; is x above the support edge?")
     m.setflags(write=False)
-    good = {rows[k]: m[k] for k in np.flatnonzero(ok)}
-    return [good[k] if k in good else ConvergenceError(
-        f"real-axis solve failed at x={xk}; is x above the support edge?") for k, xk in enumerate(xs)]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +345,7 @@ def solve_dyson(profile: VarianceProfile, z) -> DysonSolution:
         if np.isnan(mc).any():
             raise ConvergenceError(f"Dyson iteration did not converge at z={z}")
     else:
-        mc = _solve_real(profile, z.real).astype(complex)
+        mc = _solve_real_at(profile, z.real).astype(complex)
         it = 0
     G_blocks = profile.weights * mc
     return DysonSolution(
@@ -422,34 +391,32 @@ def require_above_edge(profile: VarianceProfile, x: float) -> None:
 def stieltjes_total(profile: VarianceProfile, x: float) -> float:
     """G(x) = sum_k w_k m_k(x) for real x above the support edge."""
     require_above_edge(profile, x)
-    return float(profile.weights @ _solve_real(profile, x))
+    return float(profile.weights @ _solve_real_at(profile, float(x)))
 
 
 def stieltjes_inverse(profile: VarianceProfile, two_theta: float) -> float:
     """The v > r_edge with G(v) = two_theta (see `_inverse_solve`)."""
-    return _inverse_solve(profile, two_theta)[0]
+    return float(_inverse_solve(profile, [two_theta])[0][0])
 
 
-@_Memo
 def _inverse_solve(profile: VarianceProfile, two_thetas):
-    """(v, m(v)), m read-only, for the v > r_edge with G(v) = two_theta, per two_theta
-    (memoized; a call takes one): damped Newton on the bordered system in (m, v)
-    1 - m_k (v - (sigma (w m))_k) = 0, w . m / two_theta - 1 = 0 from m(v0) at
-    v0 = max(1/two_theta + a two_theta, r_edge + `_edge_margin`), the tail-series root
-    of G(v) ~ 1/v + a/v^3.  Every equation is relative, so one stopping test serves
-    every row, and the Jacobian stays regular at the edge.  A failed row is its UsageError
-    unless two_theta > 0, ValueError if no v > r_edge on `_on_branch` is found for
-    two_theta >= G(r_edge + margin), else ConvergenceError."""
+    """(v, m(v)) as stacks, one row per two_theta, for the v > r_edge with
+    G(v) = two_theta: damped Newton on the bordered system in (m, v)
+    1 - m_k (v - (sigma (w m))_k) = 0, w . m / two_theta - 1 = 0 from one batch of
+    `_solve_real` at v0 = max(1/two_theta + a two_theta, r_edge + `_edge_margin`), the
+    tail-series root of G(v) ~ 1/v + a/v^3 (a failed start fails its row).  Every
+    equation is relative, so one stopping test serves every row, and the Jacobian
+    stays regular at the edge.  The first failed row in argument order raises:
+    UsageError unless two_theta > 0, ValueError if no v > r_edge on `_on_branch` is
+    found for two_theta >= G(r_edge + margin), else ConvergenceError."""
     tt, w, p = np.asarray(two_thetas, dtype=float), profile.weights, profile.p
     W = profile.sigma * w
     _, r = support_edge(profile)
     lo = r + _edge_margin(profile)
-    g_lo = float(w @ _solve_real(profile, lo))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v0 = np.maximum(1.0 / tt + profile.mean_sigma * tt, lo)
     rows = np.flatnonzero((tt > 0) & np.isfinite(v0))
-    t, m0 = tt[rows], [np.full(p, np.nan) if isinstance(m, Exception) else m  # a failed start fails
-                       for m in _solve_real.many(profile, v0[rows])]
+    t = tt[rows]
 
     def F(z, i):
         m, v = z[:, :p], z[:, p:]
@@ -461,16 +428,18 @@ def _inverse_solve(profile: VarianceProfile, two_thetas):
         J[:, p, :p] = w / t[i, None]
         return np.concatenate([1.0 - m * d, _rows_matvec(w, m)[:, None] / t[i, None] - 1.0], axis=1), J
 
-    z0 = np.column_stack([np.reshape(m0, (len(rows), p)), v0[rows]])
+    z0 = np.column_stack([_solve_real(profile, v0[rows]), v0[rows]])
     z, ok = _damped_newton(F, lambda z, i: 1e-14, z0, p)
-    m, v = z[:, :p], z[:, p]
-    ok[ok] = (v[ok] > r) & _on_branch(profile, m[ok])
-    m.setflags(write=False)
-    good = {rows[j]: (float(v[j]), m[j]) for j in np.flatnonzero(ok)}
-    return [good[k] if k in good else UsageError("two_theta must be positive") if g <= 0 else
-            ValueError(f"two_theta={g:.6g} has no inverse above the edge r={r!r}")
-            if g >= g_lo or not np.isfinite(v0[k]) else
-            ConvergenceError(f"stieltjes_inverse failed at two_theta={g}") for k, g in enumerate(tt)]
+    ok[ok] = (z[ok, p] > r) & _on_branch(profile, z[ok, :p])
+    failed = np.setdiff1d(np.arange(tt.size), rows[ok])
+    if failed.size:
+        k, g = failed[0], tt[failed[0]]
+        if g <= 0:
+            raise UsageError("two_theta must be positive")
+        if not np.isfinite(v0[k]) or g >= float(w @ _solve_real_at(profile, lo)):
+            raise ValueError(f"two_theta={g:.6g} has no inverse above the edge r={r!r}")
+        raise ConvergenceError(f"stieltjes_inverse failed at two_theta={g}")
+    return z[:, p], z[:, :p]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +486,7 @@ def _fold_system(profile):
     profile (see `support_edge`) in rows z = (m, v, x), from one start row."""
     W, p = profile.sigma * profile.weights, profile.p
     x = 2.0 * np.sqrt(W.sum(axis=1).max()) * 1.01
-    m = _solve_real(profile, x)
+    m = _solve_real_at(profile, x)
 
     def F(z, _):
         m, v, x = z[:, :p], z[:, p:-1], z[:, -1:]
@@ -647,7 +616,7 @@ def log_potential(profile: VarianceProfile, x: float) -> float:
     """integral log(x - y) d mu(y) for x above the support edge, in closed
     form from the one real-axis solve m = m(x) (`_free_energy`)."""
     require_above_edge(profile, x)
-    return float(_free_energy(profile, x, _solve_real(profile, x)))
+    return float(_free_energy(profile, x, _solve_real_at(profile, float(x))))
 
 
 def _free_energy(profile: VarianceProfile, x, m: np.ndarray):

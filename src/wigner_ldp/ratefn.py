@@ -31,13 +31,16 @@ row's trajectory is the same alone, stacked, permuted or strided.
 The ingredients J, phi, K, F and Fhat are row cores over stacks of
 (x, theta, psi) (`_J_rows`, `_phi_rows`, `_K_rows`, `_F_rows`,
 `_F_hat_rows`); `eval_J` and the other public functions are one-row calls
-of them.  A core checks its stack once, as the one-row call checks one row,
-takes the m(x) of every row from one batch of the real-axis memo and, below
-the seam 2 theta < G(x), the tilt point v = G^{-1}(2 theta) with m(v) from
-one batch of the bordered solve (`_tilt_point`): one solve per tilt point.
-Each row is computed with the operations of a one-row call (stacked
-vector-matrix and dot BLAS calls, libm's log and square), so a row's value
-is the same bits alone or in any stack.
+of them.  A core takes the context (xs, m(x), G(x)) of its rows from its
+caller, built once by `_ctx`: it checks the xs against the edge and solves
+one x through the real-axis memo, a stack as one batch of `_solve_real`, so
+a caller solves each x once.  Below the seam 2 theta < G(x) the tilt point
+v = G^{-1}(2 theta) comes with m(v) from one batch of the bordered solve
+(`_tilt_point`): one solve per tilt point.  A core checks the rest of its
+stack once, as the one-row call checks one row.  Each row is computed with
+the operations of a one-row call (stacked vector-matrix and dot BLAS calls,
+libm's log and square), so a row's value is the same bits alone or in any
+stack.
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from . import dyson
 from .dyson import (
     ConvergenceError, _edge_margin, _free_energy, _inverse_solve, _quad, _rows_matvec, _rowsum,
-    _solve_real, require_above_edge, support_edge,
+    _solve_real, _solve_real_at, require_above_edge, support_edge,
 )
 from .profiles import UsageError, VarianceProfile
 
@@ -85,27 +87,25 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ctx(profile: VarianceProfile, x: float):
-    """(m(x), G(x)) for real x above the edge; m(x) is memoized per (profile, x)."""
-    m = _solve_real(profile, x)
-    return m, float(profile.weights @ m)
+def _ctx(profile: VarianceProfile, xs):
+    """(xs, m(x), G(x)) as stacks, one row per x of xs; the first x not above the
+    edge raises `require_above_edge`'s error.  One x reads the memo `_solve_real_at`,
+    more are one batch of `_solve_real`; a row that fails raises the memo's error."""
+    xs = np.asarray(xs, dtype=float)
+    _, r = support_edge(profile)
+    bad = np.flatnonzero(~((r < xs) & (xs < np.inf)))
+    if bad.size:
+        require_above_edge(profile, float(xs[bad[0]]))
+    M = _solve_real_at(profile, xs[0])[None] if xs.size == 1 else _solve_real(profile, xs)
+    failed = np.flatnonzero(np.isnan(M).any(axis=1))
+    if failed.size:
+        _solve_real_at(profile, xs[failed[0]])  # fails again, alone, and raises
+    return xs, M, _rows_matvec(profile.weights, M)
 
 
-def _memo_rows(memo, profile, args) -> list:
-    """memo.many(profile, args); the first failed row raises its error."""
-    vals = memo.many(profile, args)
-    for v in vals:
-        if isinstance(v, Exception):
-            raise v
-    return vals
-
-
-def _ctx_rows(profile: VarianceProfile, xs):
-    """(m(x), G(x)) per x of xs as stacks, `_ctx` of each x: one batch of the
-    real-axis memo, read through `dyson` (this module's `_solve_real` may be a
-    stand-in that takes one x a call)."""
-    M = np.array(_memo_rows(dyson._solve_real, profile, xs)).reshape(len(xs), profile.p)
-    return M, _rows_matvec(profile.weights, M)
+def _take(ctx, rows):
+    """The context of the given rows of ctx."""
+    return tuple(a[rows] for a in ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +122,6 @@ def _require_theta(theta, name: str = "theta", positive: bool = False) -> np.nda
     return t
 
 
-def _above_edge(profile: VarianceProfile, xs) -> np.ndarray:
-    """xs as floats; the first x not above the edge raises `require_above_edge`'s error."""
-    xs = np.asarray(xs, dtype=float)
-    _, r = support_edge(profile)
-    bad = np.flatnonzero(~((r < xs) & (xs < np.inf)))
-    if bad.size:
-        require_above_edge(profile, float(xs[bad[0]]))
-    return xs
-
-
 def _libm(f, a: np.ndarray) -> np.ndarray:
     """f per entry of a, on Python floats (math.log, pow): numpy's log and
     square differ from libm's in the last bit for about one input in a
@@ -139,18 +129,17 @@ def _libm(f, a: np.ndarray) -> np.ndarray:
     return np.array([f(t) for t in a.tolist()])
 
 
-def _tilt_point(profile: VarianceProfile, thetas, xs):
-    """(G(x), v, m(v)) per row at tilt strength theta > 0: v is where J and phi
-    are taken, x itself where 2 theta >= G(x), taken from that side inside
-    _SEAM_TOL, otherwise v = G^{-1}(2 theta) > x, whose bordered solve gives
-    m(v) with it.  m(x) and m(v) come from one batch of each memo."""
-    M, G = _ctx_rows(profile, xs)
-    v = xs.copy()
+def _tilt_point(profile: VarianceProfile, thetas, ctx):
+    """(G(x), v, m(v)) per row of the context ctx at tilt strength theta > 0: v
+    is where J and phi are taken, x itself where 2 theta >= G(x), taken from that
+    side inside _SEAM_TOL, otherwise v = G^{-1}(2 theta) > x, whose bordered
+    solve gives m(v) with it, all such rows in one batch."""
+    v, m_v, G = ctx
     below = np.flatnonzero(2.0 * thetas < G - _SEAM_TOL)
     if below.size:
-        for k, (v_k, m_k) in zip(below, _memo_rows(_inverse_solve, profile, 2.0 * thetas[below])):
-            v[k], M[k] = v_k, m_k
-    return G, v, M
+        v, m_v = v.copy(), m_v.copy()
+        v[below], m_v[below] = _inverse_solve(profile, 2.0 * thetas[below])
+    return G, v, m_v
 
 
 def _J_at(profile, thetas, v, m_v):
@@ -168,22 +157,21 @@ def _phi_at(profile, thetas, G, m_v, psis):
     return vals / vals.sum(axis=1)[:, None]
 
 
-def _J_rows(profile: VarianceProfile, xs, thetas) -> np.ndarray:
-    """J(x, theta) per row of the stacks xs and thetas (see `eval_J`)."""
-    xs, thetas = _above_edge(profile, xs), _require_theta(thetas)
-    J = np.zeros(len(xs))
+def _J_rows(profile: VarianceProfile, ctx, thetas) -> np.ndarray:
+    """J(x, theta) per row of the context ctx and the stack thetas (see `eval_J`)."""
+    thetas = _require_theta(thetas)
+    J = np.zeros(len(thetas))
     pos = np.flatnonzero(thetas > 0.0)  # theta = 0 rows keep the limit value 0
     if pos.size:
-        _, v, m_v = _tilt_point(profile, thetas[pos], xs[pos])
+        _, v, m_v = _tilt_point(profile, thetas[pos], _take(ctx, pos))
         J[pos] = _J_at(profile, thetas[pos], v, m_v)
     return J
 
 
-def _phi_rows(profile: VarianceProfile, thetas, xs, psis) -> np.ndarray:
-    """phi(theta, x, psi) per row of the stacks (see `eval_phi`)."""
-    xs, thetas = _above_edge(profile, xs), _require_theta(thetas, positive=True)
-    psis = profile.mass_rows(psis)
-    G, _, m_v = _tilt_point(profile, thetas, xs)
+def _phi_rows(profile: VarianceProfile, thetas, ctx, psis) -> np.ndarray:
+    """phi(theta, x, psi) per row of the stacks and the context (see `eval_phi`)."""
+    thetas, psis = _require_theta(thetas, positive=True), profile.mass_rows(psis)
+    G, _, m_v = _tilt_point(profile, thetas, ctx)
     return _phi_at(profile, thetas, G, m_v, psis)
 
 
@@ -201,25 +189,24 @@ def _K_rows(profile: VarianceProfile, thetas, phis) -> np.ndarray:
     return _K_at(profile, _require_theta(thetas), profile.mass_rows(phis))
 
 
-def _F_rows(profile: VarianceProfile, thetas, xs, psis) -> np.ndarray:
-    """F(theta, x, psi) per row of the stacks (see `eval_F`): J and phi from
-    one tilt point per row."""
-    xs, thetas = _above_edge(profile, xs), _require_theta(thetas)
-    psis = profile.mass_rows(psis)
-    F = np.zeros(len(xs))
+def _F_rows(profile: VarianceProfile, thetas, ctx, psis) -> np.ndarray:
+    """F(theta, x, psi) per row of the stacks and the context (see `eval_F`):
+    J and phi from one tilt point per row."""
+    thetas, psis = _require_theta(thetas), profile.mass_rows(psis)
+    F = np.zeros(len(thetas))
     pos = np.flatnonzero(thetas > 0.0)  # F vanishes at theta = 0
     if pos.size:
         th = thetas[pos]
-        G, v, m_v = _tilt_point(profile, th, xs[pos])
+        G, v, m_v = _tilt_point(profile, th, _take(ctx, pos))
         phi = _phi_at(profile, th, G, m_v, psis[pos])
         F[pos] = _J_at(profile, th, v, m_v) - _K_at(profile, th, phi)
     return F
 
 
-def _F_hat_rows(profile: VarianceProfile, theta_hats, xs, psis) -> np.ndarray:
-    """Fhat(theta_hat, x, psi) per row of the stacks (see `eval_F_hat`)."""
-    xs, th = _above_edge(profile, xs), _require_theta(theta_hats, "theta_hat")
-    u, lin, a = _fhat_parts(profile, _ctx_rows(profile, xs)[0], profile.mass_rows(psis))
+def _F_hat_rows(profile: VarianceProfile, theta_hats, ctx, psis) -> np.ndarray:
+    """Fhat(theta_hat, x, psi) per row of the stacks and the context (see `eval_F_hat`)."""
+    th = _require_theta(theta_hats, "theta_hat")
+    u, lin, a = _fhat_parts(profile, ctx[1], profile.mass_rows(psis))
     return _fhat(profile.weights, u, lin, a, th)
 
 
@@ -231,13 +218,13 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     is the free energy at the tilt point's m(v), as in `log_potential`.
     theta = 0 returns the limit value 0.  One row of `_J_rows`.
     """
-    return float(_J_rows(profile, [x], [theta])[0])
+    return float(_J_rows(profile, _ctx(profile, [x]), [theta])[0])
 
 
 def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> np.ndarray:
     """Mass vector phi(theta, x, psi) of the tilted eigenvector profile
     (theta > 0).  One row of `_phi_rows`."""
-    return _phi_rows(profile, [theta], [x], [psi])[0]
+    return _phi_rows(profile, [theta], _ctx(profile, [x]), [psi])[0]
 
 
 def eval_K(profile: VarianceProfile, theta: float, phi) -> float:
@@ -251,21 +238,21 @@ def eval_F(profile: VarianceProfile, theta: float, x: float, psi) -> float:
 
     Vanishes identically for theta <= G(x)/2.  One row of `_F_rows`.
     """
-    return float(_F_rows(profile, [theta], [x], [psi])[0])
+    return float(_F_rows(profile, [theta], _ctx(profile, [x]), [psi])[0])
 
 
 def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> float:
     """Shifted objective; equals eval_F(theta_hat + G(x)/2, x, psi).  One row
     of `_F_hat_rows`."""
-    return float(_F_hat_rows(profile, [theta_hat], [x], [psi])[0])
+    return float(_F_hat_rows(profile, [theta_hat], _ctx(profile, [x]), [psi])[0])
 
 
 def f_hat_gradient(profile: VarianceProfile, theta_hat: float, x: float, psi) -> np.ndarray:
     """Analytic simplex gradient of Fhat in psi at fixed theta_hat."""
-    require_above_edge(profile, x)
+    M = _ctx(profile, [x])[1]
     _require_theta(theta_hat, "theta_hat")
     psi = profile.mass_vector(psi)[None]
-    return _fhat_grad(profile, _solve_real(profile, x), np.array([float(theta_hat)]), psi)[0]
+    return _fhat_grad(profile, M, np.array([float(theta_hat)]), psi)[0]
 
 
 def _fhat_parts(profile, m, psi):
@@ -323,12 +310,11 @@ def sup_theta(profile: VarianceProfile, x: float, psi):
     A zero quadratic form makes the supremum infinite (the linear term always
     has positive coefficient for a mass vector), reported as (inf, inf).
     """
-    require_above_edge(profile, x)
-    m, G = _ctx(profile, x)
-    val, th = _sup_fhat(profile, m, profile.mass_vector(psi)[None], 0.0)
+    _, M, G = _ctx(profile, [x])
+    val, th = _sup_fhat(profile, M, profile.mass_vector(psi)[None], 0.0)
     if np.isinf(val[0]):
         return np.inf, np.inf
-    return float(th[0] + G / 2.0), float(val[0])
+    return float(th[0] + G[0] / 2.0), float(val[0])
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +406,17 @@ def _descend_simplex(f, grad, psi, max_iter, tol):
     return psi, val, aux, its, act
 
 
-def _minimize_from(profile, xs, starts, tol):
+def _minimize_from(profile, M, starts, tol):
     """Projected-gradient descent of psi -> sup_theta Fhat from every row of
-    starts at every x of xs at once, at most 400 steps a row; the rows are
-    xs x starts, x-major, each reading the m(x) of its own x.  Returns (psi,
-    value, theta_hat, iterations, capped) per row, with value inf on rows
-    whose start is degenerate (a <= _EPS_FLOOR)."""
-    M = _ctx_rows(profile, xs)[0]
-    at = np.repeat(np.arange(len(xs)), len(starts))  # each row's x
+    starts at every x of a sweep at once, at most 400 steps a row, given the
+    rows m(x) of M; the rows are xs x starts, x-major, each reading the m(x) of
+    its own x.  Returns (psi, value, theta_hat, iterations, capped) per row,
+    with value inf on rows whose start is degenerate (a <= _EPS_FLOOR)."""
+    at = np.repeat(np.arange(len(M)), len(starts))  # each row's x
     return _descend_simplex(
         lambda psi, idx: _sup_fhat(profile, M[at[idx]], psi, _EPS_FLOOR),
         lambda psi, th, idx: _fhat_grad(profile, M[at[idx]], th, psi),
-        np.tile(project_simplex(starts), (len(xs), 1)), 400, tol,
+        np.tile(project_simplex(starts), (len(M), 1)), 400, tol,
     )
 
 
@@ -444,13 +429,12 @@ def _edge_report(profile, x, below):
     )
 
 
-def _report(profile, x, psi, vals, th, its, capped):
-    """The report at x above the edge from its rows of `_minimize_from`."""
+def _report(profile, x, G, psi, vals, th, its, capped):
+    """The report at x above the edge, where G = G(x), from its rows of `_minimize_from`."""
     fin = np.flatnonzero(np.isfinite(vals))
     if fin.size == 0:
         raise ValueError(f"no feasible start: <psi, S psi> <= {_EPS_FLOOR} at every start")
     best = fin[np.argmin(vals[fin])]  # the first start among equal values
-    _, G = _ctx(profile, x)
     return RateEvalReport(
         x=x,
         I=float(vals[best]),
@@ -495,9 +479,10 @@ def rate_sweep(profile: VarianceProfile, xs, seed: int = 0) -> list[RateEvalRepo
     size = max(1, _SWEEP_ENTRIES // (n * profile.p))
     for b in range(0, len(above), size):
         chunk = above[b : b + size]
-        rows = _minimize_from(profile, [xs[j] for j in chunk], start_rows, _TOL)
+        _, M, G = _ctx(profile, [xs[j] for j in chunk])
+        rows = _minimize_from(profile, M, start_rows, _TOL)
         for k, j in enumerate(chunk):
-            reports[j] = _report(profile, xs[j], *(a[k * n : (k + 1) * n] for a in rows))
+            reports[j] = _report(profile, xs[j], G[k], *(a[k * n : (k + 1) * n] for a in rows))
     return reports
 
 
@@ -520,13 +505,14 @@ def _tangent_concave(profile: VarianceProfile) -> bool:
     return bool(ev.max() <= 1e-10 * max(1.0, profile.max_sigma))
 
 
-def _sup_K_over_psi(profile, thetas, x):
-    """sup over psi of K(theta, phi(theta, x, psi)) per theta of thetas, as the
-    rows of one projected-gradient ascent; K is concave in psi on concave profiles.
-    Needs theta >= G(x)/2, where phi = c + beta psi with beta >= 0 (at 2 theta =
-    G, beta = 0 and phi does not depend on psi)."""
+def _sup_K_over_psi(profile, thetas, ctx):
+    """sup over psi of K(theta, phi(theta, x, psi)) per theta of thetas at the
+    one x of the context ctx, as the rows of one projected-gradient ascent; K is
+    concave in psi on concave profiles.  Needs theta >= G(x)/2, where
+    phi = c + beta psi with beta >= 0 (at 2 theta = G, beta = 0 and phi does not
+    depend on psi)."""
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    m_x, G = _ctx(profile, x)
+    _, (m_x,), (G,) = ctx
     w, sig = profile.weights, profile.sigma
     c = w * m_x / (2.0 * th[:, None])
     beta = 1.0 - G / (2.0 * th)
@@ -552,12 +538,13 @@ def rate_function_concave(profile: VarianceProfile, x: float) -> float:
     """
     if not _tangent_concave(profile):
         raise UsageError("profile is not concave on the simplex tangent space")
-    require_above_edge(profile, x)
-    _, G = _ctx(profile, x)
+    ctx = _ctx(profile, [x])
+    G = ctx[2][0]
 
     def value(th_hat):  # J - sup K at each shifted tilt strength of th_hat
         theta = np.atleast_1d(th_hat) + G / 2.0
-        return _J_rows(profile, np.full(theta.size, x), theta) - _sup_K_over_psi(profile, theta, x)
+        J = _J_rows(profile, _take(ctx, np.zeros(theta.size, dtype=int)), theta)
+        return J - _sup_K_over_psi(profile, theta, ctx)
 
     grid = np.linspace(0.0, x / profile.mean_sigma, 161)
     i = int(np.argmax(value(grid)))
@@ -595,7 +582,7 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
     _, r = support_edge(profile)
 
     def excess(z):
-        return _nu(profile, theta, _solve_real(profile, z), phi) - 1.0
+        return _nu(profile, theta, _solve_real_at(profile, z), phi) - 1.0
 
     z_lo = r + _edge_margin(profile)
     if excess(z_lo) <= 0.0:
@@ -615,11 +602,10 @@ def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:
     where mu > 0 is the top eigenvalue of B^{1/2} K B^{1/2}; so
     theta* = (G + 1/mu) / 2.
     """
-    require_above_edge(profile, x)
+    _, (m,), (G,) = _ctx(profile, [x])
     psi = profile.mass_vector(psi)
     if float(psi @ profile.sigma @ psi) <= 0.0:
         raise UsageError("find_tilt_theta needs <psi, S psi> > 0")
-    m, G = _ctx(profile, x)
     K = np.linalg.solve(np.eye(profile.p) - profile.sigma * (profile.weights * m * m), profile.sigma)
     b = np.sqrt(m * psi)
     mu = np.linalg.eigvalsh(b[:, None] * (0.5 * (K + K.T)) * b)[-1]

@@ -432,13 +432,12 @@ def test_identities_suite_is_its_scalar_loop(const_prof, block_14, wishart2, gri
 
 @pytest.mark.parametrize("suite", ["identities", "dyson"])
 def test_validate_payload_independent_of_memo_history(prof_paths, tmp_path, monkeypatch, suite):
-    # a result depends only on its inputs: cold memos, warm memos and memos
-    # filled beforehand by the same batches in reversed order give the same bytes
-    memos = (dyson._solve_real, dyson._inverse_solve)
-    batches = []
-    for memo in memos:
-        monkeypatch.setattr(memo, "rows", lambda p, args, memo=memo, rows=memo.rows:
-                            batches.append((memo, p, list(args))) or rows(p, args))
+    # a result depends only on its inputs: cold memos, warm memos and a real-axis
+    # memo filled beforehand, x by x in reversed order, with every x the suite
+    # solved give the same bytes
+    batches, solve = [], dyson._solve_real
+    for module in (dyson, ratefn):
+        monkeypatch.setattr(module, "_solve_real", lambda p, xs: batches.append((p, list(xs))) or solve(p, xs))
 
     def payload():
         out = tmp_path / "val.json"
@@ -449,27 +448,62 @@ def test_validate_payload_independent_of_memo_history(prof_paths, tmp_path, monk
 
     def clear():
         support_edge.cache_clear()
-        for memo in memos:
-            memo.cache_clear()
+        dyson._solve_real_at.cache_clear()
 
     clear()
     cold = payload()
-    assert max(len(args) for _, _, args in batches) >= 50  # the suite solves in batches
+    assert max(len(xs) for _, xs in batches) >= 50  # the suite solves in batches
     warm = payload()
     clear()
-    for memo, p, args in list(batches):
-        memo.many(p, args[::-1])
+    for p, xs in batches[::-1]:
+        for x in xs[::-1]:
+            if x > support_edge(p)[1]:
+                dyson._solve_real_at(p, x)
     assert payload() == warm == cold
 
 
 def test_rate_and_identities_run_with_a_plain_real_solve(prof_paths, tmp_path, monkeypatch):
-    # a wrapper of the real solve that is a plain function (as a tracer
-    # installs) has none of the memo's methods: the rate paths call it per x
+    # the rate paths call the real solve through ratefn's module name, which a
+    # tracer replaces by a plain wrapper function
     monkeypatch.setattr(ratefn, "_solve_real", lambda *a: dyson._solve_real(*a))
     out = str(tmp_path / "out.json")
     for argv in (["rate", "--profile", prof_paths["block"], "--x", "3.0,3.5"],
                  ["validate", "--profile", prof_paths["constant"], "--suite", "identities"]):
         assert main(["--out", out, *argv]) == 0, argv
+
+
+def test_each_x_is_solved_once(prof_paths, tmp_path, monkeypatch):
+    # validate --suite identities hands its 200 xs to the real solve in one
+    # batch (and rate_sweep's 3 in another), and rate --x solves each x above
+    # the edge exactly once
+    calls, solve = [], dyson._solve_real
+    counted = []
+    monkeypatch.setattr(ratefn, "_solve_real", lambda p, xs: calls.append(list(xs)) or solve(p, xs))
+    monkeypatch.setattr(dyson, "_solve_real", lambda p, xs: counted.extend(xs) or solve(p, xs))
+    out = str(tmp_path / "out.json")
+    assert main(["--out", out, "validate", "--profile", prof_paths["block"], "--suite", "identities"]) == 0
+    assert [len(c) for c in calls] == [200, 3]
+    calls.clear()
+    above = [3.0, 3.5, 4.25, 5.0]  # the edge is about 2.83
+    assert main(["--out", out, "rate", "--profile", prof_paths["block"], "--x", "3.0,3.5,0.5,4.25,5.0"]) == 0
+    solved = [x for c in calls for x in c] + counted
+    assert [solved.count(x) for x in above] == [1, 1, 1, 1] and 0.5 not in solved
+
+
+def test_traced_names_exist():
+    # perfbench/tracer.py wraps these names by attribute: a rename that would
+    # stop traced benchmark runs fails here (the tracer is loaded, not installed)
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"wigner_ldp.{layer}")
+        assert [n for n in names if not callable(getattr(module, n, None))] == [], layer
+    assert ratefn._solve_real is dyson._solve_real and callable(mc.dpotrf)
 
 
 def test_validate_mc_heavy(prof_paths, tmp_path):

@@ -9,11 +9,11 @@ from wigner_ldp.dyson import (
     _damped_newton,
     _fold_system,
     _inverse_solve,
-    _Memo,
     _residual,
     _sigma_w,
     _solve_block,
     _solve_real,
+    _solve_real_at,
     fixed_point_map,
     hyperbolic_D,
     log_potential,
@@ -24,7 +24,7 @@ from wigner_ldp.dyson import (
     stieltjes_total,
     support_edge,
 )
-from wigner_ldp.profiles import VarianceProfile, wishart_profile
+from wigner_ldp.profiles import UsageError, VarianceProfile, wishart_profile
 
 from conftest import random_profile, split_block
 
@@ -474,11 +474,11 @@ def test_edge_is_the_fold_point():
     for _ in range(5):
         prof = random_profile(rng, pmax=5)
         _, r = support_edge(prof)
-        m = _solve_real(prof, r + 1e-8)
+        m = _solve_real_at(prof, r + 1e-8)
         rho = np.max(np.abs(np.linalg.eigvals((m**2)[:, None] * prof.sigma * prof.weights)))
         assert 1 - 1e-2 < rho < 1
         with pytest.raises(ConvergenceError):
-            _solve_real(prof, r - 1e-8)
+            _solve_real_at(prof, r - 1e-8)
 
 
 def test_edge_and_real_solve_need_no_complex_solve(monkeypatch):
@@ -488,7 +488,7 @@ def test_edge_and_real_solve_need_no_complex_solve(monkeypatch):
     monkeypatch.setattr(dyson, "_solve_block", refuse)
     prof = VarianceProfile([0.35, 0.65], [[1.3, 0.4], [0.4, 0.9]])
     _, r = support_edge.__wrapped__(prof)
-    m = _solve_real.rows(prof, [r + 0.25])[0]
+    m = _solve_real(prof, [r + 0.25])[0]
     assert np.all(m > 0) and _residual(prof, r + 0.25, m) < 1e-11
 
 
@@ -554,16 +554,22 @@ def test_stieltjes_below_edge_raises(const_prof):
 
 
 def test_inverse_calls_the_real_solve_at_most_twice(monkeypatch):
-    # one solve just above the edge, whose G sorts failures into ValueError and
-    # ConvergenceError, and one at the tail-series start
+    # on success one real-axis batch, the tail-series starts; on a failure also
+    # the solve just above the edge, whose G sorts it into ValueError or
+    # ConvergenceError
     prof = VarianceProfile([0.3, 0.7], [[1.1, 0.35], [0.35, 0.6]])
     _, r = support_edge(prof)
     target = 0.5 * stieltjes_total(prof, r + 1e-3)
     calls = []
-    rows = _solve_real.rows
-    monkeypatch.setattr(dyson, "_solve_real", _Memo(lambda p, xs: calls.extend(xs) or rows(p, xs)))
-    [(v, _)] = _inverse_solve.rows(prof, [target])
-    assert v > r and len(calls) <= 2
+    solve = dyson._solve_real
+    monkeypatch.setattr(dyson, "_solve_real", lambda p, xs: calls.append(list(xs)) or solve(p, xs))
+    monkeypatch.setattr(dyson, "_solve_real_at", _solve_real_at.__wrapped__)  # no memo hits
+    v, _ = _inverse_solve(prof, [target, 2 * target])
+    assert (v > r).all() and len(calls) == 1 and len(calls[0]) == 2
+    calls.clear()
+    with pytest.raises(ValueError):
+        _inverse_solve(prof, [target, 1e3])
+    assert len(calls) == 2 and calls[1] == [r + dyson._edge_margin(prof)]
 
 
 def test_inverse_round_trip(const_prof):
@@ -654,32 +660,46 @@ def test_log_potential_scaling(named_profiles):
 
 
 def test_memos_bounded():
-    for fn in (support_edge, _inverse_solve, _solve_real):
+    for fn in (support_edge, _solve_real_at):
         assert fn.cache_info().maxsize == _MEMO_SIZE
 
 
-def _bits(row):
-    """A result row as comparable bytes; a failed row as its error's type and text."""
-    return (type(row), str(row)) if isinstance(row, Exception) else np.hstack(row).tobytes()
+def _error(call):
+    """The type and text of the error that call() raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_real_axis_rows_independent_of_batch(seed):
-    # every row of the real-axis core is its one-row call bit for bit: alone,
-    # stacked, permuted, and beside rows that fail (x <= 0, x below the edge,
-    # 2 theta <= 0 or beyond G at the edge)
+    # every row of the real-axis cores is its one-row call bit for bit: alone,
+    # stacked and permuted; beside rows that fail (x <= 0 or below the edge) the
+    # real solve's rows keep their bits and the failed ones are NaN, and a
+    # bordered batch with rows that fail (2 theta <= 0 or beyond G at the edge)
+    # raises the one-row error of the first of them in argument order
     rng = np.random.default_rng(seed)
     prof = random_profile(rng, pmax=6)
     _, r = support_edge(prof)
     xs = np.append(r + rng.uniform(1e-6, 3.0, 10), [r - 0.1, 0.0, -1.0])
-    g = np.array([prof.weights @ m for m in _solve_real.rows(prof, xs[:10])])
-    tts = np.append(g * rng.uniform(0.01, 1.0, 10), [-0.1, 2.0 * g.max() + 5.0])
-    for rows, args, fails in ((_solve_real.rows, xs, 3), (_inverse_solve.rows, tts, 2)):
-        alone = [_bits(rows(prof, [a])[0]) for a in args]
-        assert [_bits(v) for v in rows(prof, args)] == alone
-        perm = rng.permutation(args.size)
-        assert [_bits(v) for v in rows(prof, args[perm])] == [alone[k] for k in perm]
-        assert [isinstance(b, tuple) for b in alone[-fails - 1 :]] == [False] + [True] * fails
+    alone = [_solve_real(prof, [x])[0].tobytes() for x in xs]
+    for perm in (np.arange(xs.size), rng.permutation(xs.size)):
+        assert [m.tobytes() for m in _solve_real(prof, xs[perm])] == [alone[k] for k in perm]
+    M = _solve_real(prof, xs)
+    assert np.isfinite(M[:10]).all() and np.isnan(M[10:]).all()
+    assert [m.tobytes() for m in M[:10]] == [_solve_real_at(prof, x).tobytes() for x in xs[:10]]
+    g = M[:10] @ prof.weights
+    tts = g * rng.uniform(0.01, 1.0, 10)
+    alone = [np.column_stack(_inverse_solve(prof, [t])).tobytes() for t in tts]
+    for perm in (np.arange(tts.size), rng.permutation(tts.size)):
+        v, m = _inverse_solve(prof, tts[perm])
+        assert [row.tobytes() for row in np.column_stack([v, m])] == [alone[k] for k in perm]
+    bad = [-0.1, 2.0 * g.max() + 5.0]
+    errors = [_error(lambda: _inverse_solve(prof, [t])) for t in bad]
+    assert errors[0][0] is UsageError and errors[1][0] is ValueError
+    for order in ((0, 1), (1, 0)):
+        args = np.insert(tts, [3, 7], [bad[k] for k in order])
+        assert _error(lambda: _inverse_solve(prof, args)) == errors[order[0]]
     # the fold system from its start, perturbed starts and a start off the positive cone
     F, tol, z0, _ = _fold_system(prof)
     starts = np.vstack([z0, z0 * rng.uniform(0.97, 1.03, (3, z0.size)), -z0])
@@ -693,43 +713,12 @@ def test_real_axis_rows_independent_of_batch(seed):
         assert okk[0] == ok[k] and zk.tobytes() == z[k : k + 1].tobytes()
 
 
-def test_failed_rows_are_not_memoized(block_14):
-    _, r = support_edge(block_14)
-    x_ok, x_bad = r + 0.37, r - 0.37
-    rows = _solve_real.many(block_14, [x_bad, x_ok, 0.0])
-    assert isinstance(rows[0], ConvergenceError) and isinstance(rows[2], ConvergenceError)
-    info = _solve_real.cache_info()
-    assert _solve_real(block_14, x_ok) is rows[1]
-    with pytest.raises(ConvergenceError):
-        _solve_real(block_14, x_bad)
-    after = _solve_real.cache_info()
-    assert (after.hits, after.misses) == (info.hits + 1, info.misses + 1)
-
-
-def test_memo_batches_fill_it_up_to_its_bound(monkeypatch):
-    # a batch keeps each row that succeeded, evicting the least recently used
-    # beyond the bound, and hands back a failed row's error without keeping it
-    monkeypatch.setattr(dyson, "_MEMO_SIZE", 3)
-    solved = []
-    memo = _Memo(lambda p, args: solved.extend(args)
-                 or [ValueError(a) if a < 0 else 2 * a for a in args])
-    out = memo.many("p", [1.0, -1.0, 2.0, 3.0, 4.0, 1.0])
-    assert [v for v in out if not isinstance(v, Exception)] == [2.0, 4.0, 6.0, 8.0, 2.0]
-    assert solved == [1.0, -1.0, 2.0, 3.0, 4.0]
-    assert memo.cache_info() == (1, 5, 3, 3)
-    assert memo("p", 4.0) == 8.0 and memo("p", 2.0) == 4.0  # held
-    assert memo("p", 1.0) == 2.0 and solved[-1] == 1.0  # evicted, solved again
-    with pytest.raises(ValueError):
-        memo("p", -1.0)
-    assert memo.cache_info().currsize == 3
-
-
 def test_solve_real_memo_is_read_only(const_prof):
     # a write into the memoized m would change every later result at (profile, x)
-    m = _solve_real(const_prof, 3.0)
+    m = _solve_real_at(const_prof, 3.0)
     with pytest.raises(ValueError):
         m[0] = 1.0
-    assert _solve_real(const_prof, 3.0)[0] == pytest.approx(SC_M3, abs=1e-12)
+    assert _solve_real_at(const_prof, 3.0)[0] == pytest.approx(SC_M3, abs=1e-12)
 
 
 def test_edge_memo_shared_by_equal_profiles():

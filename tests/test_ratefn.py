@@ -12,9 +12,9 @@ from scipy.integrate import quad
 import wigner_ldp
 from wigner_ldp import dyson, oracles, ratefn
 from wigner_ldp.dyson import (
-    _solve_real, log_potential, solve_dyson, stieltjes_inverse, stieltjes_total, support_edge,
+    _solve_real_at, log_potential, solve_dyson, stieltjes_inverse, stieltjes_total, support_edge,
 )
-from wigner_ldp.profiles import ContinuousProfileSpec, UsageError, VarianceProfile, discretize
+from wigner_ldp.profiles import ContinuousProfileSpec, UsageError, VarianceProfile, discretize, wishart_profile
 from wigner_ldp.ratefn import (
     _EPS_FLOOR,
     _default_starts,
@@ -95,19 +95,18 @@ def test_J_and_phi_below_the_seam_match_the_solve_at_v(named_profiles):
         J = eval_J(prof, x, th)
         ref = th * v - 0.5 - 0.5 * np.log(2 * th) - 0.5 * log_potential(prof, v)
         assert abs(J - ref) <= 1e-13 * (1 + abs(J))
-        vals = prof.weights * _solve_real(prof, v) / (2 * th)
+        vals = prof.weights * _solve_real_at(prof, v) / (2 * th)
         phi = eval_phi(prof, th, x, rng.dirichlet(np.ones(prof.p)))
         assert np.max(np.abs(phi - vals / vals.sum())) <= 1e-13
 
 
-def _count_real_solves(monkeypatch, calls, *modules):
-    """Rebind _solve_real in modules to a memo that keeps nothing and records
-    in calls every x it solves."""
-    monkeypatch.setattr(dyson, "_MEMO_SIZE", 0)
-    rows = dyson._solve_real.rows
-    solve = dyson._Memo(lambda p, xs: calls.extend(xs) or rows(p, xs))
-    for module in modules:
-        monkeypatch.setattr(module, "_solve_real", solve)
+def _count_real_solves(monkeypatch, calls):
+    """Route every real-axis solve past the one-x memo, recording in calls
+    every x it solves."""
+    solve, unmemoized = dyson._solve_real, dyson._solve_real_at.__wrapped__
+    for module in (dyson, ratefn):
+        monkeypatch.setattr(module, "_solve_real", lambda p, xs: calls.extend(xs) or solve(p, xs))
+        monkeypatch.setattr(module, "_solve_real_at", unmemoized)
 
 
 def test_tilt_point_inside_the_edge_margin(named_profiles):
@@ -119,7 +118,7 @@ def test_tilt_point_inside_the_edge_margin(named_profiles):
         lo = r + dyson._edge_margin(prof)
         x = r + 0.25 * (lo - r)  # r + 5e-10 on the constant profile
         th = (stieltjes_total(prof, x) + stieltjes_total(prof, lo)) / 4
-        v, m = dyson._inverse_solve(prof, 2 * th)
+        (v,), (m,) = dyson._inverse_solve(prof, [2 * th])
         assert x < v < lo
         # G(v) = 2 theta through the m(v) that solves the Dyson equation at v
         assert abs(prof.weights @ m - 2 * th) <= 1e-12 and dyson._residual(prof, v, m) <= 1e-12
@@ -131,16 +130,14 @@ def test_tilt_point_inside_the_edge_margin(named_profiles):
 
 
 def test_J_below_the_seam_makes_no_real_solve_at_v(named_profiles, monkeypatch):
-    # one bordered solve gives v and m(v): at a fresh theta the real solves are
-    # the one at x and the bordered solve's two (just above the edge, at its start)
+    # one bordered solve gives v and m(v): the real solves are the one at x
+    # and the bordered solve's start
     calls = []
-    _count_real_solves(monkeypatch, calls, dyson, ratefn)
+    _count_real_solves(monkeypatch, calls)
     for prof, x, th in _below_seam_cases(named_profiles):
-        th *= 1 - 1e-7  # a tilt strength no other test asks for
         calls.clear()
         eval_J(prof, x, th)
-        assert len(calls) <= 3
-        assert not dyson._inverse_solve(prof, 2 * th)[1].flags.writeable
+        assert len(calls) == 2
 
 
 def test_J_domain(const_prof):
@@ -227,11 +224,11 @@ def test_row_cores_are_the_scalar_functions_bitwise(const_prof, block_14, wishar
     rng = np.random.default_rng(41)
     for prof in (const_prof, block_14, wishart2, grid3):
         xs, thetas, psis = _row_stacks(prof, rng)
-        pos = thetas > 0.0
-        J = ratefn._J_rows(prof, xs, thetas)
-        F = ratefn._F_rows(prof, thetas, xs, psis)
-        F_hat = ratefn._F_hat_rows(prof, thetas, xs, psis)
-        phi = ratefn._phi_rows(prof, thetas[pos], xs[pos], psis[pos])
+        pos, ctx = thetas > 0.0, ratefn._ctx(prof, xs)
+        J = ratefn._J_rows(prof, ctx, thetas)
+        F = ratefn._F_rows(prof, thetas, ctx, psis)
+        F_hat = ratefn._F_hat_rows(prof, thetas, ctx, psis)
+        phi = ratefn._phi_rows(prof, thetas[pos], ratefn._take(ctx, pos), psis[pos])
         for k, (x, th, psi) in enumerate(zip(xs.tolist(), thetas.tolist(), psis)):
             assert J[k] == eval_J(prof, x, th) and F[k] == eval_F(prof, th, x, psi)
             assert F_hat[k] == eval_F_hat(prof, th, x, psi)
@@ -254,20 +251,16 @@ def test_a_stack_refuses_a_bad_row_as_the_one_row_call_does(block_14):
     xs, psis = [r + 0.5, r - 0.1, r + 1.0], np.full((3, 2), 0.5)
     with pytest.raises(UsageError) as one:
         eval_F(block_14, 0.3, r - 0.1, psis[1])
-    for stack in (lambda: ratefn._F_rows(block_14, [0.3] * 3, xs, psis),
-                  lambda: ratefn._F_hat_rows(block_14, [0.3] * 3, xs, psis),
-                  lambda: ratefn._phi_rows(block_14, [0.3] * 3, xs, psis),
-                  lambda: ratefn._J_rows(block_14, xs, [0.3] * 3)):
-        with pytest.raises(UsageError) as many:
-            stack()
-        assert str(many.value) == str(one.value)
+    with pytest.raises(UsageError) as many:  # the context the cores take
+        ratefn._ctx(block_14, xs)
+    assert str(many.value) == str(one.value)
     # a row that is not a mass vector, as mass_vector refuses it; at theta = 0 too
     bad = [[0.5, 0.5], [1.5, -0.5], [0.5, 0.5]]
     with pytest.raises(UsageError) as one:
         block_14.mass_vector(bad[1])
     for theta in (0.3, 0.0):
         with pytest.raises(UsageError) as many:
-            ratefn._F_rows(block_14, [theta] * 3, [r + 0.5] * 3, bad)
+            ratefn._F_rows(block_14, [theta] * 3, ratefn._ctx(block_14, [r + 0.5] * 3), bad)
         assert str(many.value) == str(one.value)
 
 
@@ -433,19 +426,47 @@ def test_rate_monotone_and_scaling(const_prof):
             assert vals[i] <= (xs[i] ** 2 / xs[j] ** 2) * vals[j] + 1e-9
 
 
-@pytest.mark.parametrize("prof", ["const_prof", "block_14", "wishart2"])
-def test_rate_derivative_is_the_shifted_tilt(prof, request):
+@pytest.mark.parametrize("name", ["const_prof", "block_14", "wishart2", *(f"random{k}" for k in range(5))])
+def test_rate_derivative_is_the_shifted_tilt(name, request):
     # envelope theorem at the saddle point: dI/dx = theta* - G(x)/2, with
     # theta* the report's tilt; on the constant profile that is the GOE rate's
     # derivative sqrt(x^2 - 4)/2
-    prof, h = request.getfixturevalue(prof), 1e-4
+    if name.startswith("random"):
+        prof = random_profile(np.random.default_rng(int(name[6:])), pmax=3)
+    else:
+        prof = request.getfixturevalue(name)
+    h = 1e-4
     _, r = support_edge(prof)
     for x in (r + 0.3, r + 1.0, r + 2.5):
         lo, mid, hi = (rate_function(prof, x + d) for d in (-h, 0.0, h))
         slope = mid.theta_star - stieltjes_total(prof, x) / 2
         assert (hi.I - lo.I) / (2 * h) == pytest.approx(slope, abs=1e-6)
-        if prof.p == 1:
+        if name == "const_prof":
             assert slope == pytest.approx(np.sqrt(x * x - 4) / 2, abs=1e-6)
+
+
+def _simplex_grid(p):
+    """Mass vectors on a grid of the simplex: 2,001 points for p = 2, step 1/300 for p = 3."""
+    if p == 2:
+        a = np.linspace(0.0, 1.0, 2001)
+        return np.column_stack([a, 1.0 - a])
+    i, j = np.divmod(np.arange(301 * 301), 301)
+    keep = i + j <= 300
+    return np.column_stack([i[keep], j[keep], 300 - i[keep] - j[keep]]) / 300.0
+
+
+def test_rate_is_at_most_the_grid_minimum(wishart2, block_14, grid3):
+    # the descent's minimum over psi is no worse than the best point of a fine
+    # grid of the simplex, on profiles with p = 2 and p = 3
+    rng = np.random.default_rng(13)
+    pc3 = VarianceProfile([0.2, 0.5, 0.3], [[1.5, 0.4, 0.2], [0.4, 1.0, 0.7], [0.2, 0.7, 2.0]])
+    two = VarianceProfile(rng.dirichlet(np.ones(2) * 5), [[0.4, 1.3], [1.3, 1.9]])
+    for prof in (wishart2, block_14, two, grid3, pc3):
+        psi = _simplex_grid(prof.p)
+        _, r = support_edge(prof)
+        for x in (r + 0.2, r + 1.0, r + 3.0):
+            grid_min = _sup_fhat(prof, _solve_real_at(prof, x), psi, 0.0)[0].min()
+            assert rate_function(prof, x).I <= grid_min + 1e-9, (prof.p, x)
 
 
 def test_rate_wishart_positive_and_bounded(wishart2):
@@ -518,17 +539,18 @@ def test_stacked_descent_rows_independent(seed):
     _, r = support_edge(prof)
     x = r + rng.uniform(0.05, 1.0)
     starts = _default_starts(prof, 8, seed)
-    stacked = _minimize_from(prof, [x], starts, 1e-9)
+    m = _solve_real_at(prof, x)
+    stacked = _minimize_from(prof, m[None], starts, 1e-9)
     perm = rng.permutation(len(starts))
-    permuted = _minimize_from(prof, [x], starts[perm], 1e-9)
+    permuted = _minimize_from(prof, m[None], starts[perm], 1e-9)
     for full, other in zip(stacked, permuted):
         assert np.array_equal(full[perm], other)
     for i in range(len(starts)):
-        alone = _minimize_from(prof, [x], starts[i : i + 1], 1e-9)
+        alone = _minimize_from(prof, m[None], starts[i : i + 1], 1e-9)
         for full, one in zip(stacked, alone):
             assert np.array_equal(full[i : i + 1], one)
     # a strided (non-contiguous) view of the rows reaches the row kernels as it is
-    m, rows = _solve_real(prof, x), project_simplex(starts)
+    rows = project_simplex(starts)
     strided = np.repeat(rows, 2, axis=1)[:, ::2]
     for full, other in zip(_sup_fhat(prof, m, rows, 1e-8), _sup_fhat(prof, m, strided, 1e-8)):
         assert np.array_equal(full, other)
@@ -601,7 +623,7 @@ def _descent_profiles(named_profiles):
 def _long_run_I(prof, x):
     """min over rate_function's starts of the descent run 20,000 steps a row
     with tol 0, so that a row stops only where no step lowers its value."""
-    m = _solve_real(prof, x)
+    m = _solve_real_at(prof, x)
     vals = _descend_simplex(
         lambda psi, _: _sup_fhat(prof, m, psi, _EPS_FLOOR),
         lambda psi, th, _: _fhat_grad(prof, m, th, psi),
@@ -636,7 +658,7 @@ def test_descent_stops_rows_at_the_iteration_cap():
     # 17 start rows: 3 steps leave every row running, 400 leave none
     spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 64)
     prof = discretize(spec, 8)[0]
-    m = _solve_real(prof, support_edge(prof)[1] + 0.5)
+    m = _solve_real_at(prof, support_edge(prof)[1] + 0.5)
     starts = project_simplex(_default_starts(prof, 8, 0))
 
     def descend(max_iter):
@@ -685,6 +707,21 @@ def test_concave_exchange_wishart(wishart2):
         )
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.5, None])
+def test_concave_rate_derivative_is_the_shifted_tilt(alpha):
+    # central differences of the exchanged-order rate are theta* - G(x)/2, with
+    # theta* the tilt of rate_function's saddle point, on wishart(2), wishart(3.5)
+    # and a concave 2-block profile
+    prof = (wishart_profile(alpha) if alpha else
+            VarianceProfile([0.4, 0.6], [[0.5, 1.5], [1.5, 1.0]]))
+    h = 1e-4
+    _, r = support_edge(prof)
+    for x in (r + 0.3, r + 1.0):
+        fd = (rate_function_concave(prof, x + h) - rate_function_concave(prof, x - h)) / (2 * h)
+        slope = rate_function(prof, x).theta_star - stieltjes_total(prof, x) / 2
+        assert fd == pytest.approx(slope, abs=1e-6)
+
+
 def test_concave_matches_goe(const_prof):
     assert rate_function_concave(const_prof, 3.0) == pytest.approx(
         oracles.goe_rate(3.0), abs=1e-6
@@ -705,7 +742,7 @@ def test_wishart_sup_K_image_identity(wishart2):
     G = stieltjes_total(wishart2, x)
     for th_hat in (0.1, 0.5, 1.0):
         theta = th_hat + G / 2
-        lhs = _sup_K_over_psi(wishart2, theta, x)
+        lhs = _sup_K_over_psi(wishart2, theta, ratefn._ctx(wishart2, [x]))
         grid = np.linspace(1e-9, 1 - 1e-9, 10001)
         rhs = max(eval_K(wishart2, theta, np.array([a, 1 - a])) for a in grid)
         assert lhs == pytest.approx(rhs, abs=1e-7)
@@ -756,13 +793,13 @@ def test_outlier_solves_nu_equal_one(named_profiles):
             z = outlier_equation_z(prof, th, x, psi)
             phi = eval_phi(prof, th, x, psi)
             assert z >= x - 1e-12 * (1 + x)
-            assert _nu(prof, th, _solve_real(prof, z), phi) == pytest.approx(1.0, abs=1e-12)
+            assert _nu(prof, th, _solve_real_at(prof, z), phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outlier_calls_the_real_solve_at_most_20_times(named_profiles, monkeypatch):
     # eval_phi's solves plus the edge check plus Brent's root on its bracket
     calls = []
-    _count_real_solves(monkeypatch, calls, ratefn)
+    _count_real_solves(monkeypatch, calls)
     for prof, x, psi, th_star in _tilt_cases(named_profiles):
         for th in (th_star, 3.0 * th_star):
             calls.clear()
@@ -788,7 +825,7 @@ def test_tilt_theta_solves_the_outlier_equation(named_profiles):
                 psi = rng.dirichlet(np.ones(prof.p))
                 th = find_tilt_theta(prof, x, psi)
                 phi = eval_phi(prof, th, x, psi)
-                assert _nu(prof, th, _solve_real(prof, x), phi) == pytest.approx(1.0, abs=1e-12)
+                assert _nu(prof, th, _solve_real_at(prof, x), phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tilt_needs_positive_form(wishart2):
