@@ -187,9 +187,8 @@ def _suite_identities(prof, seed, threads):
     rng = np.random.default_rng(seed)
     # no draw depends on a solve: draw first, then evaluate each form over all 200 draws as one
     # stack of rows (`ratefn._F_rows`) on one context, whose xs are solved in one batch
-    draws = [(r + rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(prof.p)), rng.uniform(0.0, 0.5),
-              rng.uniform(0.0, 2.0)) for _ in range(200)]
-    xs, psis, us, th_hats = (np.array(col) for col in zip(*draws))
+    xs, psis = r + rng.uniform(0.05, 1.0, 200), rng.dirichlet(np.ones(prof.p), 200)
+    us, th_hats = rng.uniform(0.0, 0.5, 200), rng.uniform(0.0, 2.0, 200)
     ctx = ratefn._ctx(prof, xs)
     G = ctx[2]
     worst_plateau = float(np.abs(ratefn._F_rows(prof, us * G / 2, ctx, psis)).max())

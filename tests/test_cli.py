@@ -414,15 +414,15 @@ def test_validate_identities(prof_paths, tmp_path):
 
 def test_identities_suite_is_its_scalar_loop(const_prof, block_14, wishart2, grid3):
     # the stacked checks take exactly the maxima of the loop over the public
-    # one-point functions at the suite's 200 draws, in the suite's draw order
+    # one-point functions at the suite's 200 draws, drawn as the suite draws them
     for prof in (const_prof, block_14, wishart2, grid3):
         got = {c["name"]: c["value"] for c in cli._suite_identities(prof, 3, 1)}
         _, r = support_edge(prof)
         rng = np.random.default_rng(3)
+        xs, psis = r + rng.uniform(0.05, 1.0, 200), rng.dirichlet(np.ones(prof.p), 200)
+        us, th_hats = rng.uniform(0.0, 0.5, 200), rng.uniform(0.0, 2.0, 200)
         worst_plateau = worst_eq = 0.0
-        for _ in range(200):
-            x, psi = r + rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(prof.p))
-            u, th_hat = rng.uniform(0.0, 0.5), rng.uniform(0.0, 2.0)
+        for x, psi, u, th_hat in zip(xs.tolist(), psis, us.tolist(), th_hats.tolist()):
             G = stieltjes_total(prof, x)
             worst_plateau = max(worst_plateau, abs(eval_F(prof, u * G / 2, x, psi)))
             gap = abs(eval_F_hat(prof, th_hat, x, psi) - eval_F(prof, th_hat + G / 2, x, psi))
