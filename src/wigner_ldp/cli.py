@@ -165,7 +165,7 @@ def _suite_dyson(prof, seed, threads):
     checks.append(_check("edges_symmetric", abs(l + r), 1e-9, abs(l + r) <= 1e-9))
     g_edge = stieltjes_total(prof, r + 1e-3)
     checks.append(_check("G_above_edge_finite", g_edge, np.inf, np.isfinite(g_edge) and g_edge > 0))
-    gs = dyson._solve_real(prof, np.linspace(r + 1e-3, r + 3.0, 100)) @ prof.weights  # one batch
+    gs = dyson._solve_real(prof, np.linspace(r + 1e-3, r + 3.0, 100)) @ prof.weights
     mono = bool(np.all(np.diff(gs) < 0))
     checks.append(_check("G_strictly_decreasing", float(mono), 1.0, mono))
     sups = []

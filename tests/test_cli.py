@@ -457,8 +457,7 @@ def test_validate_payload_independent_of_memo_history(prof_paths, tmp_path, monk
     clear()
     for p, xs in batches[::-1]:
         for x in xs[::-1]:
-            if x > support_edge(p)[1]:
-                dyson._solve_real_at(p, x)
+            dyson._solve_real_at(p, x)
     assert payload() == warm == cold
 
 
@@ -476,8 +475,7 @@ def test_each_x_is_solved_once(prof_paths, tmp_path, monkeypatch):
     # validate --suite identities hands its 200 xs to the real solve in one
     # batch (and rate_sweep's 3 in another), and rate --x solves each x above
     # the edge exactly once
-    calls, solve = [], dyson._solve_real
-    counted = []
+    calls, counted, solve = [], [], dyson._solve_real
     monkeypatch.setattr(ratefn, "_solve_real", lambda p, xs: calls.append(list(xs)) or solve(p, xs))
     monkeypatch.setattr(dyson, "_solve_real", lambda p, xs: counted.extend(xs) or solve(p, xs))
     out = str(tmp_path / "out.json")
