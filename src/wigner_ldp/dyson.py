@@ -105,10 +105,8 @@ def _rowsum(a: np.ndarray) -> np.ndarray:
 
 
 def _quad(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v A v along the last axis of v, per row as `v @ A @ v` takes one vector: a
-    vector-matrix BLAS call, then a dot."""
-    v = np.ascontiguousarray(v)[..., None, :]
-    return np.matmul(np.matmul(v, A), np.swapaxes(v, -1, -2))[..., 0, 0]
+    """<v, A v> along the last axis of v, per row: the row sum of v times `_rows_matvec`."""
+    return _rowsum(v * _rows_matvec(A, v))
 
 
 def _sigma_w(profile: VarianceProfile, m: np.ndarray) -> np.ndarray:
@@ -627,7 +625,9 @@ def _free_energy(profile: VarianceProfile, x, m: np.ndarray):
     the log potential when m = m(x).  It is stationary in m exactly where
     1/m = x - sigma (w m), so by the envelope theorem dL/dx = sum_k w_k m_k
     = G(x), and L(x) = log x + O(x^-2) at infinity, as for the log
-    potential; an error in m moves L only at second order."""
+    potential; an error in m moves L only at second order.  Each sum over a
+    row is one BLAS call (`_rowsum`, `_rows_matvec`, `_quad`), so a row's value
+    is the same alone or in any stack."""
     g = profile.weights * m
     log_m = _rows_matvec(profile.weights, np.log(m))
-    return (x * g.sum(axis=-1) - 1.0) - log_m - 0.5 * _quad(profile.sigma, g)
+    return (x * _rowsum(g) - 1.0) - log_m - 0.5 * _quad(profile.sigma, g)

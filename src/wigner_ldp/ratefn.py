@@ -24,9 +24,7 @@ Barzilai-Borwein length first (Barzilai-Borwein, IMA J. Numer. Anal. 1988;
 the spectral projected gradient of Birgin-Martinez-Raydan, SIAM J. Optim.
 2000), backtracks to its own Armijo test, and stops on its own
 projected-gradient norm or gain; a row still running at the iteration cap
-is reported as capped.  Every per-row sum and product of the objective and
-its gradient goes through `dyson._rows_matvec`, one BLAS call per row, so a
-row's trajectory is the same alone, stacked, permuted or strided.
+is reported as capped.
 
 The ingredients J, phi, K, F and Fhat are row cores over stacks of
 (x, theta, psi) (`_J_rows`, `_phi_rows`, `_K_rows`, `_F_rows`,
@@ -37,15 +35,16 @@ one x through the real-axis memo, a stack as one batch of `_solve_real`, so
 a caller solves each x once.  Below the seam 2 theta < G(x) the tilt point
 v = G^{-1}(2 theta) comes with m(v) from one batch of the bordered solve
 (`_tilt_point`): one solve per tilt point.  A core checks the rest of its
-stack once, as the one-row call checks one row.  Each row is computed with
-the operations of a one-row call (stacked vector-matrix and dot BLAS calls,
-libm's log and square), so a row's value is the same bits alone or in any
-stack.
+stack once, as the one-row call checks one row.
+
+Row independence rests on one rule: every reduction over a row is one BLAS
+call per row (`dyson._rows_matvec`, and `_rowsum` and `_quad` through it), and
+everything else is elementwise.  So a row's values, and its trajectory in the
+descent, are the same bits alone, stacked, permuted or strided.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,13 +121,6 @@ def _require_theta(theta, name: str = "theta", positive: bool = False) -> np.nda
     return t
 
 
-def _libm(f, a: np.ndarray) -> np.ndarray:
-    """f per entry of a, on Python floats (math.log, pow): numpy's log and
-    square differ from libm's in the last bit for about one input in a
-    thousand, and the J and K that payloads report are libm's."""
-    return np.array([f(t) for t in a.tolist()])
-
-
 def _tilt_point(profile: VarianceProfile, thetas, ctx):
     """(G(x), v, m(v)) per row of the context ctx at tilt strength theta > 0: v
     is where J and phi are taken, x itself where 2 theta >= G(x), taken from that
@@ -145,8 +137,7 @@ def _tilt_point(profile: VarianceProfile, thetas, ctx):
 def _J_at(profile, thetas, v, m_v):
     """J per row from its tilt point; the log potential at v is the free energy
     at m(v), as in `log_potential`."""
-    log_2t = _libm(math.log, 2.0 * thetas)
-    return thetas * v - 0.5 - 0.5 * log_2t - 0.5 * _free_energy(profile, v, m_v)
+    return thetas * v - 0.5 - 0.5 * np.log(2.0 * thetas) - 0.5 * _free_energy(profile, v, m_v)
 
 
 def _phi_at(profile, thetas, G, m_v, psis):
@@ -154,7 +145,7 @@ def _phi_at(profile, thetas, G, m_v, psis):
     v = G^{-1}(2 theta) > x."""
     t2 = 2.0 * thetas[:, None]
     vals = profile.weights * m_v / t2 + np.maximum(1.0 - G[:, None] / t2, 0.0) * psis
-    return vals / vals.sum(axis=1)[:, None]
+    return vals / _rowsum(vals)[:, None]
 
 
 def _J_rows(profile: VarianceProfile, ctx, thetas) -> np.ndarray:
@@ -179,7 +170,7 @@ def _K_at(profile, thetas, phis):
     """K per row of the mass vectors phis; -inf where one has an empty block."""
     w, empty = profile.weights, (phis <= 0.0).any(axis=1)
     entropy = _rows_matvec(w, np.log(np.where(phis > 0.0, phis, w) / w))  # log 0 skipped
-    K = _libm(lambda t: t**2, thetas) * _quad(profile.sigma, phis) + 0.5 * entropy
+    K = thetas * thetas * _quad(profile.sigma, phis) + 0.5 * entropy
     K[empty] = -np.inf
     return K
 
@@ -259,7 +250,7 @@ def _fhat_parts(profile, m, psi):
     """(u, lin, a) per row of psi at m = m(x): u_k = 2 psi_k / (w_k m_k),
     lin = <1/m, psi> and a = <psi, S psi>."""
     u = 2.0 * psi / (profile.weights * m)
-    return u, _rowsum(psi / m), _rowsum(psi * _rows_matvec(profile.sigma, psi))
+    return u, _rowsum(psi / m), _quad(profile.sigma, psi)
 
 
 def _fhat(w, u, lin, a, th):
@@ -458,10 +449,12 @@ def rate_sweep(profile: VarianceProfile, xs, seed: int = 0) -> list[RateEvalRepo
     best of a multi-start projected-gradient minimization of the tilt
     envelope over mass vectors kept off the degenerate set by _EPS_FLOOR,
     from the deterministic starts and _RANDOM_STARTS Dirichlet draws of seed
-    (`_default_starts`).  The starts of every x above the edge descend
-    together as the rows of one stack (`_descend_simplex`, stopping at
-    _TOL), in whole-x chunks of at most _SWEEP_ENTRIES rows x p; rows are
+    (`_default_starts`).  The starts of every distinct x above the edge
+    descend together as the rows of one stack (`_descend_simplex`, stopping
+    at _TOL), in whole-x chunks of at most _SWEEP_ENTRIES rows x p; rows are
     independent, so a report does not depend on the other xs of the sweep.
+    A repeated x is solved and descended once, and each of its positions
+    gets its own report from those rows.
     The spread across feasible starts is reported rather than hidden.
     diagnostics counts the feasible starts' iterations, the starts that met
     a stopping test (`converged_starts`) and those still running at the
@@ -473,16 +466,21 @@ def rate_sweep(profile: VarianceProfile, xs, seed: int = 0) -> list[RateEvalRepo
     _, r = support_edge(profile)
     edge_tol = _edge_margin(profile)
     reports = [None if x > r + edge_tol else _edge_report(profile, x, x < r - edge_tol) for x in xs]
-    above = [j for j, rep in enumerate(reports) if rep is None]
+    at = {}  # each distinct x above the edge, with its positions in xs
+    for j, rep in enumerate(reports):
+        if rep is None:
+            at.setdefault(xs[j], []).append(j)
+    above = list(at)
     start_rows = _default_starts(profile, _RANDOM_STARTS, seed)
     n = len(start_rows)
     size = max(1, _SWEEP_ENTRIES // (n * profile.p))
     for b in range(0, len(above), size):
         chunk = above[b : b + size]
-        _, M, G = _ctx(profile, [xs[j] for j in chunk])
+        _, M, G = _ctx(profile, chunk)
         rows = _minimize_from(profile, M, start_rows, _TOL)
-        for k, j in enumerate(chunk):
-            reports[j] = _report(profile, xs[j], G[k], *(a[k * n : (k + 1) * n] for a in rows))
+        for k, x in enumerate(chunk):
+            for j in at[x]:
+                reports[j] = _report(profile, xs[j], G[k], *(a[k * n : (k + 1) * n] for a in rows))
     return reports
 
 
@@ -519,9 +517,7 @@ def _sup_K_over_psi(profile, thetas, ctx):
 
     # ascent of K as the descent of -K (negation is exact)
     def minus_K(psi, i):
-        phi = c[i] + beta[i, None] * psi
-        K = th[i] ** 2 * _rowsum(phi * _rows_matvec(sig, phi)) + 0.5 * _rowsum(w * np.log(phi / w))
-        return -K, np.zeros(len(psi))
+        return -_K_at(profile, th[i], c[i] + beta[i, None] * psi), np.zeros(len(psi))
 
     def minus_grad(psi, _, i):
         phi = c[i] + beta[i, None] * psi
@@ -604,7 +600,7 @@ def find_tilt_theta(profile: VarianceProfile, x: float, psi) -> float:
     """
     _, (m,), (G,) = _ctx(profile, [x])
     psi = profile.mass_vector(psi)
-    if float(psi @ profile.sigma @ psi) <= 0.0:
+    if _quad(profile.sigma, psi) <= 0.0:
         raise UsageError("find_tilt_theta needs <psi, S psi> > 0")
     K = np.linalg.solve(np.eye(profile.p) - profile.sigma * (profile.weights * m * m), profile.sigma)
     b = np.sqrt(m * psi)

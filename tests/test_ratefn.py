@@ -1,4 +1,4 @@
-import math
+import itertools
 import os
 import subprocess
 import sys
@@ -219,22 +219,34 @@ def _row_stacks(prof, rng, n=18):
     return xs, thetas, rng.dirichlet(np.ones(prof.p), size=n)
 
 
+def _strided(a):
+    """A copy of a whose last axis is a non-contiguous view."""
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
 def test_row_cores_are_the_scalar_functions_bitwise(const_prof, block_14, wishart2, grid3):
-    # each row of a stack is its own one-row call, on every side of the seam
+    # each row of a stack is its own one-row call, on every side of the seam,
+    # and keeps its bits in a permuted and in a strided copy of the stack
     rng = np.random.default_rng(41)
     for prof in (const_prof, block_14, wishart2, grid3):
         xs, thetas, psis = _row_stacks(prof, rng)
         pos, ctx = thetas > 0.0, ratefn._ctx(prof, xs)
         J = ratefn._J_rows(prof, ctx, thetas)
+        L = dyson._free_energy(prof, xs, ctx[1])
+        perm = rng.permutation(len(xs))
+        for c, th, rows in ((ratefn._take(ctx, perm), thetas[perm], perm),
+                            (tuple(_strided(a) for a in ctx), _strided(thetas), slice(None))):
+            assert np.array_equal(ratefn._J_rows(prof, c, th), J[rows])
+            assert np.array_equal(dyson._free_energy(prof, c[0], c[1]), L[rows])
         F = ratefn._F_rows(prof, thetas, ctx, psis)
         F_hat = ratefn._F_hat_rows(prof, thetas, ctx, psis)
         phi = ratefn._phi_rows(prof, thetas[pos], ratefn._take(ctx, pos), psis[pos])
         for k, (x, th, psi) in enumerate(zip(xs.tolist(), thetas.tolist(), psis)):
             assert J[k] == eval_J(prof, x, th) and F[k] == eval_F(prof, th, x, psi)
-            assert F_hat[k] == eval_F_hat(prof, th, x, psi)
+            assert F_hat[k] == eval_F_hat(prof, th, x, psi) and L[k] == log_potential(prof, x)
             if 2 * th >= stieltjes_total(prof, x) - ratefn._SEAM_TOL and th > 0:
-                # J at v = x is the closed form over the log potential, with libm's log
-                assert J[k] == th * x - 0.5 - 0.5 * math.log(2 * th) - 0.5 * log_potential(prof, x)
+                # J at v = x is the closed form over the log potential, with numpy's log
+                assert J[k] == th * x - 0.5 - 0.5 * np.log(2 * th) - 0.5 * log_potential(prof, x)
         assert (J[~pos] == 0.0).all() and (F[~pos] == 0.0).all()
         for k, (x, th, psi) in enumerate(zip(xs[pos].tolist(), thetas[pos].tolist(), psis[pos])):
             assert (phi[k] == eval_phi(prof, th, x, psi)).all()
@@ -243,6 +255,9 @@ def test_row_cores_are_the_scalar_functions_bitwise(const_prof, block_14, wishar
             phis, ths = np.vstack([phi, np.eye(prof.p)[0]]), np.append(ths, 0.7)
         K = ratefn._K_rows(prof, ths, phis)
         assert [eval_K(prof, th, v) for th, v in zip(ths.tolist(), phis)] == K.tolist()
+        perm = rng.permutation(len(ths))
+        assert np.array_equal(ratefn._K_rows(prof, ths[perm], phis[perm]), K[perm])
+        assert np.array_equal(ratefn._K_rows(prof, _strided(ths), _strided(phis)), K)
         assert np.isfinite(K[: len(phi)]).all() and (prof.p == 1 or K[-1] == -np.inf)
 
 
@@ -583,6 +598,28 @@ def test_sweep_matches_one_x_at_a_time(named_profiles):
         assert [rep.I for rep in alone[3:5]] == [np.inf, 0.0]
 
 
+def test_a_repeated_x_is_solved_and_descended_once(block_14, monkeypatch):
+    # six copies of one x hand the real solve one row and the descent one x, and
+    # come back as six separate reports equal to the one-x report; two xs
+    # repeated make one batch of two rows
+    support_edge(block_14)
+    dyson._solve_real_at.cache_clear()
+    solved, descended, solve, minimize = [], [], dyson._solve_real, ratefn._minimize_from
+    for mod in (ratefn, dyson):
+        monkeypatch.setattr(mod, "_solve_real", lambda p, xs: solved.extend(xs) or solve(p, xs))
+    monkeypatch.setattr(ratefn, "_minimize_from",
+                        lambda p, M, starts, tol: descended.append(len(M)) or minimize(p, M, starts, tol))
+    sweep = rate_sweep(block_14, [3.0] * 6)
+    assert solved == [3.0] and descended == [1]
+    one = rate_function(block_14, 3.0)
+    assert len({id(rep) for rep in sweep}) == len({id(rep.psi_star) for rep in sweep}) == 6
+    for rep in sweep:
+        _assert_same_report(rep, one)
+    solved.clear()
+    rate_sweep(block_14, [3.0, 4.0, 3.0, 0.5, 4.0, 3.0])
+    assert solved == [3.0, 4.0]
+
+
 def test_sweep_matches_one_x_at_a_time_across_chunks():
     # a 4-x sweep at p = 128 holds more rows x p than one chunk of the descent
     spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 256)
@@ -695,6 +732,72 @@ def test_rate_metamorphic_relations():
             assert I <= x * x / (4.0 * prof.mean_sigma)
 
 
+def _max_form(sigma):
+    """(A, psi_A): the max of <psi, sigma psi> over the simplex and a maximizer,
+    by support enumeration.  A maximizer of least support S is a KKT point of
+    its face, sigma_SS psi_S = lam 1 with sum psi_S = 1, and that bordered
+    system is regular there: a null vector would leave the form constant along
+    a line to a smaller face.  Every other solution with psi_S >= 0 is a point
+    of the simplex, so the best of them is A."""
+    p, best = len(sigma), (-np.inf, None)
+    for k in range(1, p + 1):
+        for S in map(list, itertools.combinations(range(p), k)):
+            B = np.block([[sigma[np.ix_(S, S)], -np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+            try:
+                sol = np.linalg.solve(B, np.eye(k + 1)[k])[:k]
+            except np.linalg.LinAlgError:
+                continue
+            if sol.min() >= 0.0:
+                psi = np.zeros(p)
+                psi[S] = sol
+                best = max(best, (psi @ sigma @ psi, psi), key=lambda t: t[0])
+    return best
+
+
+def _far_field_profiles():
+    """ROADMAP item 13's worked profile, then one seeded random profile for each
+    p = 2..5 (sigma uniform on [0, 2] and symmetrised, Dirichlet weights)."""
+    profs = [VarianceProfile([0.3595, 0.3161, 0.3244], [[1.5466, 0.4046, 1.6384], [0.4046, 0.1817, 0.8677],
+                                                       [1.6384, 0.8677, 1.2602]])]
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 4, 5):
+        s = rng.uniform(0.0, 2.0, (p, p))
+        profs.append(VarianceProfile(rng.dirichlet(np.ones(p)), (s + s.T) / 2))
+    return profs
+
+
+def test_max_form_by_support_enumeration():
+    # the exact A is at least the form at every vertex and at 2,000 random mass
+    # vectors, and is attained at its maximizer
+    rng = np.random.default_rng(6)
+    profs = _far_field_profiles()
+    for prof in profs:
+        A, psi = _max_form(prof.sigma)
+        pts = np.vstack([np.eye(prof.p), rng.dirichlet(np.ones(prof.p), size=2000)])
+        assert psi.min() >= 0.0 and psi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert A == pytest.approx(psi @ prof.sigma @ psi, rel=1e-14)
+        assert np.einsum("ij,jk,ik->i", pts, prof.sigma, pts).max() <= A * (1 + 1e-12)
+    A, psi = _max_form(profs[0].sigma)
+    assert A == pytest.approx(1.564530, abs=1e-6) and np.allclose(psi, [0.8047, 0.0, 0.1953], atol=1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 13: far from the edge every descent row of the worked profile "
+                          "caps above x^2/(4A)")
+def test_rate_meets_the_far_field_bound():
+    # I(x) <= x^2 / (4A) with A = max over the simplex of <psi, S psi>: the log
+    # term of Fhat is not negative and <1/m, psi> <= x, so sup_theta Fhat at the
+    # maximizer of the form is at most x^2 / (4A), and I is an inf over psi
+    over = []
+    for prof in _far_field_profiles():
+        A = _max_form(prof.sigma)[0]
+        for rep in rate_sweep(prof, [1e3, 1e6]):
+            bound = rep.x**2 / (4.0 * A)
+            if not rep.I <= bound * (1 + 1e-12):
+                over.append((prof.p, rep.x, rep.I, bound))
+    assert over == []
+
+
 # -- exchanged min-max -------------------------------------------------------------
 
 
@@ -746,6 +849,23 @@ def test_wishart_sup_K_image_identity(wishart2):
         grid = np.linspace(1e-9, 1 - 1e-9, 10001)
         rhs = max(eval_K(wishart2, theta, np.array([a, 1 - a])) for a in grid)
         assert lhs == pytest.approx(rhs, abs=1e-7)
+
+
+def test_sup_K_over_psi_is_the_grid_max_on_a_concave_profile():
+    # the exchanged order's ascent reaches the max of K over the phi-image of a
+    # 10,001-point psi grid on a concave 2-block profile, the grid taken as one stack
+    prof = VarianceProfile([0.4, 0.6], [[0.5, 1.5], [1.5, 1.0]])
+    a = np.linspace(0.0, 1.0, 10001)
+    psis = np.column_stack([a, 1.0 - a])
+    _, r = support_edge(prof)
+    for x in (r + 0.3, r + 1.0):
+        ctx = ratefn._ctx(prof, [x])
+        grid_ctx = ratefn._take(ctx, np.zeros(a.size, dtype=int))
+        for th_hat in (0.1, 0.5, 1.0):
+            thetas = np.full(a.size, th_hat + ctx[2][0] / 2)
+            K = ratefn._K_rows(prof, thetas, ratefn._phi_rows(prof, thetas, grid_ctx, psis))
+            sup = ratefn._sup_K_over_psi(prof, thetas[0], ctx)[0]
+            assert sup == pytest.approx(K.max(), abs=1e-7)
 
 
 # -- outliers ----------------------------------------------------------------------
