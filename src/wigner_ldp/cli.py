@@ -131,7 +131,7 @@ def cmd_density(prof, args):
 
 
 def cmd_rate(prof, args):
-    rows = rate_sweep(prof, args.x, seed=args.seed)
+    rows = rate_sweep(prof, args.x)
     body = {
         "reports": [{**vars(r), "psi_star": r.psi_star.tolist()} for r in rows],
         "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
@@ -203,7 +203,7 @@ def _suite_identities(prof, seed, threads):
     a = prof.mean_sigma
     ok4, ok2 = True, True
     xs = [r + dx for dx in (0.2, 0.6, 1.0)]
-    for x, rep in zip(xs, rate_sweep(prof, xs, seed=seed)):
+    for x, rep in zip(xs, rate_sweep(prof, xs)):
         ok4 &= rep.I <= x**2 / (4 * a) + 1e-6
         ok2 &= rep.I <= x**2 / (2 * a) + 1e-6
     checks.append(_check("upper_bound_quarter_a", float(ok4), 1.0, ok4))
@@ -238,9 +238,9 @@ def _suite_blocks(prof, seed, threads):
     checks.append(_check("edge_scaling", abs(r - r_pred), 1e-3, abs(r - r_pred) < 1e-3))
     worst = 0.0
     xs = [r + dx for dx in (0.15, 0.45, 0.9)]
-    for x, direct in zip(xs, rate_sweep(prof, xs, seed=seed)):
-        ref = block_rate(alpha, lambda y: rate_function(p1, y, seed=seed).I,
-                         lambda y: rate_function(p2, y, seed=seed).I, x)
+    for x, direct in zip(xs, rate_sweep(prof, xs)):
+        ref = block_rate(alpha, lambda y: rate_function(p1, y).I,
+                         lambda y: rate_function(p2, y).I, x)
         worst = max(worst, abs(direct.I - ref))
     checks.append(_check("block_rate_identity", worst, 2e-3, worst < 2e-3))
     return checks
@@ -251,7 +251,7 @@ def _suite_wishart(prof, seed, threads):
     _, r = support_edge(prof)
     worst = 0.0
     xs = [r + dx for dx in (0.15, 0.35, 0.6)]
-    for x, rep in zip(xs, rate_sweep(prof, xs, seed=seed)):
+    for x, rep in zip(xs, rate_sweep(prof, xs)):
         worst = max(worst, abs(rep.I - rate_function_concave(prof, x)))
     checks.append(_check("minimax_exchange", worst, 2e-3, worst < 2e-3))
     return checks
@@ -311,7 +311,7 @@ def _suite_mc_heavy(prof, seed, threads):
         checks.append(_check("tilted_outlier", gap, 0.15, gap < 0.15))
     # tail trend toward the rate function
     x_tail = r + 0.2
-    ref = rate_function(prof, x_tail, seed=seed).I
+    ref = rate_function(prof, x_tail).I
     pts = mc.tail_estimate(prof, x_tail, [20, 40], 100000, "gaussian", seed=seed, threads=threads)
     trend = pts[1].rate < pts[0].rate and pts[1].rate > ref
     checks.append(
@@ -345,7 +345,7 @@ def cmd_validate(prof, args):
 def cmd_mc_tail(prof, args):
     _, r = support_edge(prof)
     # the reference first: one that fails then throws no sampling run away
-    ref = rate_function(prof, args.x, seed=args.seed).I if args.x > r else 0.0
+    ref = rate_function(prof, args.x).I if args.x > r else 0.0
     pts = mc.tail_estimate(prof, args.x, args.N, args.samples, args.dist, args.seed, args.threads)
     body = {"reference_rate": ref, "points": [vars(p) for p in pts]}
     return EXIT_INCONCLUSIVE if any(p.one_sided for p in pts) else EXIT_OK, body, None

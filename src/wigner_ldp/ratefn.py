@@ -148,8 +148,8 @@ def _phi_at(profile, thetas, G, m_v, psis):
     return vals / _rowsum(vals)[:, None]
 
 
-def _J_rows(profile: VarianceProfile, ctx, thetas) -> np.ndarray:
-    """J(x, theta) per row of the context ctx and the stack thetas (see `eval_J`)."""
+def _J_rows(profile: VarianceProfile, thetas, ctx) -> np.ndarray:
+    """J(x, theta) per row of the stack thetas and the context ctx (see `eval_J`)."""
     thetas = _require_theta(thetas)
     J = np.zeros(len(thetas))
     pos = np.flatnonzero(thetas > 0.0)  # theta = 0 rows keep the limit value 0
@@ -209,7 +209,7 @@ def eval_J(profile: VarianceProfile, x: float, theta: float) -> float:
     is the free energy at the tilt point's m(v), as in `log_potential`.
     theta = 0 returns the limit value 0.  One row of `_J_rows`.
     """
-    return float(_J_rows(profile, _ctx(profile, [x]), [theta])[0])
+    return float(_J_rows(profile, [theta], _ctx(profile, [x]))[0])
 
 
 def eval_phi(profile: VarianceProfile, theta: float, x: float, psi) -> np.ndarray:
@@ -324,15 +324,15 @@ class RateEvalReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _default_starts(profile: VarianceProfile, n_random: int, seed: int) -> np.ndarray:
+def _default_starts(profile: VarianceProfile) -> np.ndarray:
     """Rows: the weights; per block k, its vertex when sigma_kk > 0, else the
     midpoint of k and its first partner l (sigma_kl > 0), and none for an
-    isolated block; then n_random Dirichlet draws."""
+    isolated block; then _RANDOM_STARTS Dirichlet draws of default_rng(0)."""
     eye = np.eye(profile.p)
     partner = profile.sigma * (1.0 - eye) > 0
     own = np.diag(profile.sigma) > 0
     corners = np.where(own[:, None], eye, (eye + eye[np.argmax(partner, axis=1)]) / 2)
-    draws = np.random.default_rng(seed).dirichlet(np.ones(profile.p), size=n_random)
+    draws = np.random.default_rng(0).dirichlet(np.ones(profile.p), size=_RANDOM_STARTS)
     return np.vstack([profile.weights, corners[own | partner.any(axis=1)], draws])
 
 
@@ -397,7 +397,7 @@ def _descend_simplex(f, grad, psi, max_iter, tol):
     return psi, val, aux, its, act
 
 
-def _minimize_from(profile, M, starts, tol):
+def _minimize_from(profile, M, starts):
     """Projected-gradient descent of psi -> sup_theta Fhat from every row of
     starts at every x of a sweep at once, at most 400 steps a row, given the
     rows m(x) of M; the rows are xs x starts, x-major, each reading the m(x) of
@@ -407,7 +407,7 @@ def _minimize_from(profile, M, starts, tol):
     return _descend_simplex(
         lambda psi, idx: _sup_fhat(profile, M[at[idx]], psi, _EPS_FLOOR),
         lambda psi, th, idx: _fhat_grad(profile, M[at[idx]], th, psi),
-        np.tile(project_simplex(starts), (len(M), 1)), 400, tol,
+        np.tile(project_simplex(starts), (len(M), 1)), 400, _TOL,
     )
 
 
@@ -442,14 +442,14 @@ def _report(profile, x, G, psi, vals, th, its, capped):
     )
 
 
-def rate_sweep(profile: VarianceProfile, xs, seed: int = 0) -> list[RateEvalReport]:
+def rate_sweep(profile: VarianceProfile, xs) -> list[RateEvalReport]:
     """Rate of deviation of the top eigenvalue to each x of xs, in order.
 
     Infinite below the support edge, zero at it.  Above it the value is the
     best of a multi-start projected-gradient minimization of the tilt
     envelope over mass vectors kept off the degenerate set by _EPS_FLOOR,
-    from the deterministic starts and _RANDOM_STARTS Dirichlet draws of seed
-    (`_default_starts`).  The starts of every distinct x above the edge
+    from the profile's fixed starts (`_default_starts`), so a report is a
+    function of (profile, x).  The starts of every distinct x above the edge
     descend together as the rows of one stack (`_descend_simplex`, stopping
     at _TOL), in whole-x chunks of at most _SWEEP_ENTRIES rows x p; rows are
     independent, so a report does not depend on the other xs of the sweep.
@@ -471,23 +471,23 @@ def rate_sweep(profile: VarianceProfile, xs, seed: int = 0) -> list[RateEvalRepo
         if rep is None:
             at.setdefault(xs[j], []).append(j)
     above = list(at)
-    start_rows = _default_starts(profile, _RANDOM_STARTS, seed)
+    start_rows = _default_starts(profile)
     n = len(start_rows)
     size = max(1, _SWEEP_ENTRIES // (n * profile.p))
     for b in range(0, len(above), size):
         chunk = above[b : b + size]
         _, M, G = _ctx(profile, chunk)
-        rows = _minimize_from(profile, M, start_rows, _TOL)
+        rows = _minimize_from(profile, M, start_rows)
         for k, x in enumerate(chunk):
             for j in at[x]:
                 reports[j] = _report(profile, xs[j], G[k], *(a[k * n : (k + 1) * n] for a in rows))
     return reports
 
 
-def rate_function(profile: VarianceProfile, x: float, seed: int = 0) -> RateEvalReport:
-    """Rate of deviation of the top eigenvalue to x: a sweep of one x
-    (`rate_sweep`)."""
-    return rate_sweep(profile, [x], seed)[0]
+def rate_function(profile: VarianceProfile, x: float) -> RateEvalReport:
+    """Rate of deviation of the top eigenvalue to x, a function of (profile,
+    x) alone: a sweep of one x (`rate_sweep`)."""
+    return rate_sweep(profile, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +539,7 @@ def rate_function_concave(profile: VarianceProfile, x: float) -> float:
 
     def value(th_hat):  # J - sup K at each shifted tilt strength of th_hat
         theta = np.atleast_1d(th_hat) + G / 2.0
-        J = _J_rows(profile, _take(ctx, np.zeros(theta.size, dtype=int)), theta)
+        J = _J_rows(profile, theta, _take(ctx, np.zeros(theta.size, dtype=int)))
         return J - _sup_K_over_psi(profile, theta, ctx)
 
     grid = np.linspace(0.0, x / profile.mean_sigma, 161)

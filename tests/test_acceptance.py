@@ -52,7 +52,7 @@ def goe_grid_rates(profiles):
     xs = np.unique(np.concatenate([np.linspace(2.05, 3.9, 16), [2.1, 2.5, 3.0, 4.0]]))
     assert xs.size == 20
     prof = profiles["constant"]
-    return xs, np.array([rate_function(prof, float(x), seed=SEED).I for x in xs])
+    return xs, np.array([rate_function(prof, float(x)).I for x in xs])
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def block_points(profiles):
         prof = profiles[key]
         _, r = support_edge(prof)
         for x in np.linspace(r + 0.1, r + 1.6, 10):
-            direct = rate_function(prof, float(x), seed=SEED).I
+            direct = rate_function(prof, float(x)).I
             ref = oracles.block_rate(
                 al,
                 lambda y, s=s1: oracles.goe_rate(y / np.sqrt(s)),
@@ -82,7 +82,7 @@ def wishart_points(profiles):
     out = []
     for dx in (0.1, 0.2, 0.35, 0.55, 0.8):
         x = r + dx
-        out.append((prof, x, rate_function(prof, x, seed=SEED).I, rate_function_concave(prof, x)))
+        out.append((prof, x, rate_function(prof, x).I, rate_function_concave(prof, x)))
     return out
 
 

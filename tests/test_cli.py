@@ -43,6 +43,8 @@ def prof_paths(tmp_path_factory):
         # the small block gets no row at N <= 8
         "light": {"kind": "piecewise_constant", "weights": [0.05, 0.95],
                   "sigma": [[1.0, 0.5], [0.5, 2.0]]},
+        "three": {"kind": "piecewise_constant", "weights": [0.2, 0.3, 0.5],
+                  "sigma": [[1.0, 0.4, 0.2], [0.4, 2.0, 0.7], [0.2, 0.7, 0.5]]},
         # a block part read from a grid file named relative to the profile
         "nested": {"kind": "block", "alpha": 0.5, "sigma1": {"kind": "grid", "file": "sigma.txt", "p": 2},
                    "sigma2": 4.0},
@@ -572,6 +574,22 @@ def test_mc_tail_reference_fails_before_sampling(prof_paths, monkeypatch):
     monkeypatch.setattr(mc, "_chunks", no_sampling)
     assert main(["mc", "tail", "--profile", prof_paths["constant"], "--x", "2.2", "--N", "20",
                  "--samples", "300"]) == 3
+
+
+def test_rate_values_do_not_read_the_seed(prof_paths, tmp_path):
+    # the rate is a function of (profile, x): its body, and mc tail's reference,
+    # are the same at every --seed on a 3-block profile whose edge is about 1.856
+    def run(seed, *argv):
+        out = tmp_path / "out.json"
+        assert main(["--seed", seed, "--out", str(out), *argv, "--profile", prof_paths["three"]]) == 0
+        body = json.loads(out.read_text())
+        del body["manifest"]
+        return body
+
+    rates = [run(seed, "--format", "json", "rate", "--x", "1.9,2.5,3.0") for seed in "012"]
+    assert rates[0] == rates[1] == rates[2]
+    tail = ["mc", "tail", "--x", "2.2", "--N", "10", "--samples", "300"]
+    assert run("1", *tail)["reference_rate"] == run("2", *tail)["reference_rate"]
 
 
 def test_mc_tilt(prof_paths, tmp_path):

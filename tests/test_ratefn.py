@@ -231,12 +231,12 @@ def test_row_cores_are_the_scalar_functions_bitwise(const_prof, block_14, wishar
     for prof in (const_prof, block_14, wishart2, grid3):
         xs, thetas, psis = _row_stacks(prof, rng)
         pos, ctx = thetas > 0.0, ratefn._ctx(prof, xs)
-        J = ratefn._J_rows(prof, ctx, thetas)
+        J = ratefn._J_rows(prof, thetas, ctx)
         L = dyson._free_energy(prof, xs, ctx[1])
         perm = rng.permutation(len(xs))
         for c, th, rows in ((ratefn._take(ctx, perm), thetas[perm], perm),
                             (tuple(_strided(a) for a in ctx), _strided(thetas), slice(None))):
-            assert np.array_equal(ratefn._J_rows(prof, c, th), J[rows])
+            assert np.array_equal(ratefn._J_rows(prof, th, c), J[rows])
             assert np.array_equal(dyson._free_energy(prof, c[0], c[1]), L[rows])
         F = ratefn._F_rows(prof, thetas, ctx, psis)
         F_hat = ratefn._F_hat_rows(prof, thetas, ctx, psis)
@@ -494,16 +494,15 @@ def test_rate_wishart_positive_and_bounded(wishart2):
 
 def test_default_starts_rows(wishart2):
     # the weights; a vertex per block with a variance of its own, the midpoint with its
-    # first partner for a zero-variance block, nothing for an isolated block; then the
-    # Dirichlet draws, each row as one dirichlet call of a fresh seeded generator gives it
+    # first partner for a zero-variance block, nothing for an isolated block; then 8
+    # Dirichlet draws, each row as one dirichlet call of default_rng(0) gives it
     w = wishart2.weights.tolist()
-    assert _default_starts(wishart2, 0, 5).tolist() == [w, [0.5, 0.5], [0.5, 0.5]]
+    assert _default_starts(wishart2)[:-8].tolist() == [w, [0.5, 0.5], [0.5, 0.5]]
     prof = VarianceProfile([0.25] * 4, [[1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 2, 0, 3]])
-    rows = _default_starts(prof, 0, 5)
-    assert rows.tolist() == [[0.25] * 4, [1, 0, 0, 0], [0, 0.5, 0, 0.5], [0, 0, 0, 1]]
-    rng = np.random.default_rng(7)
-    draws = [rng.dirichlet(np.ones(4)) for _ in range(8)]
-    assert np.array_equal(_default_starts(prof, 8, 7), np.vstack([rows, draws]))
+    rows = _default_starts(prof)
+    assert rows[:-8].tolist() == [[0.25] * 4, [1, 0, 0, 0], [0, 0.5, 0, 0.5], [0, 0, 0, 1]]
+    rng = np.random.default_rng(0)
+    assert np.array_equal(rows[-8:], [rng.dirichlet(np.ones(4)) for _ in range(8)])
 
 
 # -- Newton theta_hat and the stacked descent ------------------------------------
@@ -553,15 +552,15 @@ def test_stacked_descent_rows_independent(seed):
     prof = random_profile(rng, pmax=5)
     _, r = support_edge(prof)
     x = r + rng.uniform(0.05, 1.0)
-    starts = _default_starts(prof, 8, seed)
+    starts = np.vstack([_default_starts(prof), rng.dirichlet(np.ones(prof.p), 8)])
     m = _solve_real_at(prof, x)
-    stacked = _minimize_from(prof, m[None], starts, 1e-9)
+    stacked = _minimize_from(prof, m[None], starts)
     perm = rng.permutation(len(starts))
-    permuted = _minimize_from(prof, m[None], starts[perm], 1e-9)
+    permuted = _minimize_from(prof, m[None], starts[perm])
     for full, other in zip(stacked, permuted):
         assert np.array_equal(full[perm], other)
     for i in range(len(starts)):
-        alone = _minimize_from(prof, m[None], starts[i : i + 1], 1e-9)
+        alone = _minimize_from(prof, m[None], starts[i : i + 1])
         for full, one in zip(stacked, alone):
             assert np.array_equal(full[i : i + 1], one)
     # a strided (non-contiguous) view of the rows reaches the row kernels as it is
@@ -589,9 +588,9 @@ def test_sweep_matches_one_x_at_a_time(named_profiles):
     for prof in profs:
         _, r = support_edge(prof)
         xs = [r + 0.05, r + 0.5, r + 1.7, r - 1.0, r, r + 0.5, -np.inf, r + 3.0]
-        alone = [rate_function(prof, x, seed=3) for x in xs]
+        alone = [rate_function(prof, x) for x in xs]
         for order in (np.arange(len(xs)), rng.permutation(len(xs)), [1, 1, 6, 1]):
-            sweep = rate_sweep(prof, [xs[i] for i in order], seed=3)
+            sweep = rate_sweep(prof, [xs[i] for i in order])
             assert len(sweep) == len(order)
             for i, rep in zip(order, sweep):
                 _assert_same_report(rep, alone[i])
@@ -608,7 +607,7 @@ def test_a_repeated_x_is_solved_and_descended_once(block_14, monkeypatch):
     for mod in (ratefn, dyson):
         monkeypatch.setattr(mod, "_solve_real", lambda p, xs: solved.extend(xs) or solve(p, xs))
     monkeypatch.setattr(ratefn, "_minimize_from",
-                        lambda p, M, starts, tol: descended.append(len(M)) or minimize(p, M, starts, tol))
+                        lambda p, M, starts: descended.append(len(M)) or minimize(p, M, starts))
     sweep = rate_sweep(block_14, [3.0] * 6)
     assert solved == [3.0] and descended == [1]
     one = rate_function(block_14, 3.0)
@@ -626,7 +625,7 @@ def test_sweep_matches_one_x_at_a_time_across_chunks():
     prof = discretize(spec, 128)[0]
     _, r = support_edge(prof)
     xs = [r + 0.6, r + 0.3, r + 0.5, r + 0.4]
-    rows = len(_default_starts(prof, 8, 0)) * prof.p
+    rows = len(_default_starts(prof)) * prof.p
     assert ratefn._SWEEP_ENTRIES // rows < len(xs)  # more than one chunk
     sweep = rate_sweep(prof, xs)
     for x, rep in zip(xs, sweep):
@@ -664,7 +663,7 @@ def _long_run_I(prof, x):
     vals = _descend_simplex(
         lambda psi, _: _sup_fhat(prof, m, psi, _EPS_FLOOR),
         lambda psi, th, _: _fhat_grad(prof, m, th, psi),
-        project_simplex(_default_starts(prof, 8, 0)), 20000, 0.0,
+        project_simplex(_default_starts(prof)), 20000, 0.0,
     )[1]
     return vals[np.isfinite(vals)].min()
 
@@ -696,7 +695,7 @@ def test_descent_stops_rows_at_the_iteration_cap():
     spec = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 64)
     prof = discretize(spec, 8)[0]
     m = _solve_real_at(prof, support_edge(prof)[1] + 0.5)
-    starts = project_simplex(_default_starts(prof, 8, 0))
+    starts = project_simplex(_default_starts(prof))
 
     def descend(max_iter):
         return _descend_simplex(
@@ -843,11 +842,12 @@ def test_wishart_sup_K_image_identity(wishart2):
     _, r = support_edge(wishart2)
     x = r + 0.3
     G = stieltjes_total(wishart2, x)
+    a = np.linspace(1e-9, 1 - 1e-9, 10001)
+    phis = np.column_stack([a, 1 - a])
     for th_hat in (0.1, 0.5, 1.0):
         theta = th_hat + G / 2
         lhs = _sup_K_over_psi(wishart2, theta, ratefn._ctx(wishart2, [x]))
-        grid = np.linspace(1e-9, 1 - 1e-9, 10001)
-        rhs = max(eval_K(wishart2, theta, np.array([a, 1 - a])) for a in grid)
+        rhs = ratefn._K_rows(wishart2, np.full(a.size, theta), phis).max()
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
