@@ -288,6 +288,24 @@ def test_finite_n_is_solve_dyson_on_n_blocks(wishart2, monkeypatch):
         solve_dyson_finite(S, z)
 
 
+@pytest.mark.parametrize("z", [2j, 0.5 + 0.05j, -1 + 0.2j])
+def test_finite_n_is_the_block_system_at_the_row_fractions(z):
+    # rows of one block have the same equation, so the N-row solution is, row by row,
+    # the block solution at weights n_k/N with the blocks that get no row dropped
+    rng = np.random.default_rng(8)
+    light = VarianceProfile([0.005, 0.495, 0.5], [[1.0, 0.4, 0.2], [0.4, 2.0, 0.7], [0.2, 0.7, 0.5]])
+    empty = 0
+    for prof in [light, *(random_profile(rng, pmax=5) for _ in range(4))]:
+        for N in (50, 100, 200):
+            b = prof.row_blocks(N)
+            mN = solve_dyson_finite(prof.sigma[np.ix_(b, b)], z)
+            blocks, row, n = np.unique(b, return_inverse=True, return_counts=True)
+            mk = solve_dyson(VarianceProfile(n / N, prof.sigma[np.ix_(blocks, blocks)]), z).m[row]
+            assert np.max(np.abs(mN - mk) / np.abs(mk)) < 1e-12
+            empty += blocks.size < prof.p
+    assert empty == 2  # the 0.005 block gets no row at N = 50 and 100
+
+
 def test_finite_n_validates_input():
     with pytest.raises(ValueError):
         solve_dyson_finite(np.array([[1.0, 0.5], [0.4, 1.0]]), 2j)
