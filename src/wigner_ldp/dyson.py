@@ -457,10 +457,12 @@ def _perron(profile, m):
 
 
 def _irreducible_parts(profile):
-    """Profiles of the parts that sigma > 0 links blocks into, on which the
-    Dyson system decouples: weights rescaled to unit sum and sigma by the
-    part's mass, so m is unchanged; parts with sigma = 0 (an atom at 0) are
-    left out."""
+    """(mass, part) per part that sigma > 0 links blocks into, in the order of
+    each part's first block; H is block-diagonal over the parts once its rows
+    are relabelled, and the Dyson system decouples.  A part keeps the
+    profile's m: its weights are rescaled to unit sum and its sigma by its mass.
+    Parts with sigma = 0 (an atom at 0) are left out, and an irreducible
+    profile is its own one part, of mass 1."""
     link = profile.sigma > 0
     label = np.arange(profile.p)
     while True:  # each block takes the least label it is linked to
@@ -469,13 +471,13 @@ def _irreducible_parts(profile):
             break
         label = new
     if not label.any():
-        return [profile]
+        return [(1.0, profile)]
     parts = []
     for c in np.unique(label):
         idx = np.flatnonzero(label == c)
-        mass, block = profile.weights[idx].sum(), profile.sigma[np.ix_(idx, idx)]
+        mass, block = float(profile.weights[idx].sum()), profile.sigma[np.ix_(idx, idx)]
         if block.any():
-            parts.append(VarianceProfile(profile.weights[idx] / mass, mass * block))
+            parts.append((mass, VarianceProfile(profile.weights[idx] / mass, mass * block)))
     return parts
 
 
@@ -525,7 +527,7 @@ def support_edge(profile: VarianceProfile) -> tuple[float, float]:
     within EDGE_GAP_TOL (1 + r).
     """
     r, upper, lower = -np.inf, -np.inf, -np.inf
-    for part in _irreducible_parts(profile):
+    for _, part in _irreducible_parts(profile):
         z, _ = _damped_newton(*_fold_system(part))
         x, m = float(z[0, -1]), z[0, : part.p]
         w, sigma = part.weights, part.sigma

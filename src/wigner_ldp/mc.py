@@ -563,12 +563,8 @@ def tail_estimate(
                 hits += info != 0
             return hits
 
-        chunks = _chunks([seed, N], samples, MC_CHUNK)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                hits = sum(ex.map(chunk_hits, chunks))
-        else:
-            hits = sum(map(chunk_hits, chunks))
+        with ThreadPoolExecutor(max_workers=workers) as ex:  # one worker is the sequential path
+            hits = sum(ex.map(chunk_hits, _chunks([seed, N], samples, MC_CHUNK)))
         p_lo, p_hi = wilson_interval(hits, samples)
         ph = hits / samples
         # + 0.0 maps the -0.0 of an all-hit point to 0.0; p_hi > 0 for every n >= 1

@@ -15,22 +15,6 @@ def sc_density(x):
     return np.where(np.abs(x) < 2, np.sqrt(np.maximum(4.0 - x * x, 0.0)) / (2 * np.pi), 0.0)
 
 
-def sc_stieltjes(z):
-    """Stieltjes transform of the semicircle, branch with G ~ 1/z at infinity."""
-    z = np.asarray(z, dtype=complex)
-    s = np.sqrt(z * z - 4.0)
-    s = np.where(np.real(np.conj(z) * s) >= 0, s, -s)
-    return (z - s) / 2.0
-
-
-def sc_cdf(y: float) -> float:
-    if y <= -2:
-        return 0.0
-    if y >= 2:
-        return 1.0
-    return 0.5 + (y * np.sqrt(4 - y * y) + 4 * np.arcsin(y / 2)) / (4 * np.pi)
-
-
 def goe_rate(x: float) -> float:
     """Large-deviation rate of the top GOE eigenvalue, support edge 2.
 
@@ -62,19 +46,6 @@ def mp_stieltjes(alpha: float, z):
     if g.ndim == 0:
         return complex(g)
     return g
-
-
-def mp_stieltjes_bar(alpha: float, z: float) -> float:
-    """Second branch of the MP transform (square root taken with + sign).
-
-    Real, increasing on (r_+, infinity) with r_+ = (1+sqrt(alpha))^2, and
-    equal to mp_stieltjes at the branch point.
-    """
-    lo, hi = mp_support(alpha)
-    if z < hi - 1e-12 * (1.0 + hi):
-        raise ValueError(f"mp_stieltjes_bar needs z >= {hi}")
-    s = np.sqrt(max((z - alpha - 1.0) ** 2 - 4.0 * alpha, 0.0))
-    return float((z - alpha + 1.0 + s) / (2.0 * z))
 
 
 def mp_density(alpha: float, u):

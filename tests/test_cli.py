@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -504,6 +506,23 @@ def test_traced_names_exist():
         module = importlib.import_module(f"wigner_ldp.{layer}")
         assert [n for n in names if not callable(getattr(module, n, None))] == [], layer
     assert ratefn._solve_real is dyson._solve_real and callable(mc.dpotrf)
+    # a hook reads its function's arguments by parameter name (a["N_list"], a.get("dist")):
+    # each name it reads, found in the hook's own source, is a parameter of what it wraps
+    read_any = set()
+    for full, hook in tracer.HOOKS.items():
+        layer, name = full.split(".")
+        params = inspect.signature(getattr(importlib.import_module(f"wigner_ldp.{layer}"), name)).parameters
+        arg = inspect.getfullargspec(hook).args[1]
+        read = set()
+        for node in ast.walk(ast.parse(inspect.getsource(hook))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                node = ast.Subscript(value=node.func.value, slice=node.args[0])
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == arg and isinstance(node.slice, ast.Constant)):
+                read.add(node.slice.value)
+        assert read - set(params) == set(), full
+        read_any |= read
+    assert read_any  # the search found the names the hooks read
 
 
 def test_validate_mc_heavy(prof_paths, tmp_path):
@@ -520,7 +539,41 @@ def test_validate_unknown_suite(prof_paths):
 
 
 def test_validate_blocks_needs_block_profile(prof_paths):
-    assert main(["validate", "--profile", prof_paths["constant"], "--suite", "blocks"]) == 2
+    # sigma > 0 links all blocks of these into one part, so H does not split
+    for name in ("constant", "wishart", "grid8", "three"):
+        assert main(["validate", "--profile", prof_paths[name], "--suite", "blocks"]) == 2, name
+
+
+_REDUCIBLE = {
+    # block-diagonal once blocks 0 and 2 are neighbours: exited 2 when the suite cut only
+    # between contiguous blocks
+    "permuted": {"kind": "piecewise_constant", "weights": [0.3, 0.4, 0.3],
+                 "sigma": [[1.0, 0.0, 1.0], [0.0, 4.0, 0.0], [1.0, 0.0, 1.0]]},
+    # three interleaved parts: the zero-diagonal pair {0, 3}, the block {1} and the pair {2, 4}
+    "three_parts": {"kind": "piecewise_constant", "weights": [0.1, 0.2, 0.3, 0.15, 0.25],
+                    "sigma": [[0.0, 0.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                              [0.0, 0.0, 1.0, 0.0, 0.5], [2.0, 0.0, 0.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.5, 0.0, 3.0]]},
+}
+
+
+@pytest.mark.parametrize("name", ["block", "nested", *_REDUCIBLE])
+def test_validate_blocks_passes_on_any_reducible_profile(prof_paths, tmp_path, name):
+    # H is block-diagonal over the parts c of mass alpha_c, so r = max_c sqrt(alpha_c) r_c and
+    # I(x) = min_c alpha_c I_c(x / sqrt(alpha_c)) hold exactly, within the solvers' tolerances
+    path = prof_paths.get(name) or tmp_path / f"{name}.json"
+    if name in _REDUCIBLE:
+        path.write_text(json.dumps(_REDUCIBLE[name]))
+    out = tmp_path / "val.json"
+    assert main(["--out", str(out), "validate", "--profile", str(path), "--suite", "blocks"]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert list(checks) == ["edge_scaling", "block_rate_identity"]
+    prof = load_profile_file(path)
+    _, r = support_edge(prof)
+    rates = [rep.I for rep in rate_sweep(prof, r + np.array([0.15, 0.45, 0.9]))]
+    assert checks["edge_scaling"]["bound"] == 2 * dyson.EDGE_GAP_TOL * (1 + r)
+    assert checks["block_rate_identity"]["bound"] in [1e-9 * (1 + rate) for rate in rates]
+    assert all(c["pass"] and c["value"] <= c["bound"] for c in checks.values())
 
 
 def test_mc_tail_zero_hits_exit4(prof_paths, tmp_path):
@@ -715,6 +768,8 @@ def test_validate_mc_light_zero_diagonal_profile(prof_paths, tmp_path):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["variance_diag"]["pass"] is True
     assert checks["variance_diag"]["bound"] == 0.0
+    # every bound is the number its check compares against
+    assert checks["bulk_event_frequency"]["bound"] == 0.95
 
 
 @pytest.mark.parametrize(

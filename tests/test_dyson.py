@@ -472,6 +472,26 @@ def test_edges_reducible_profiles():
     assert support_edge(prof)[1] == pytest.approx(2.0, abs=1e-10)
 
 
+def test_irreducible_parts_do_not_depend_on_the_row_order():
+    # the contiguous profile {0, 1} {2} {3, 4}, with a zero-diagonal pair, and its rows
+    # permuted have the same parts: equal masses and edges (parts sorted by mass)
+    w = np.array([0.1, 0.15, 0.2, 0.3, 0.25])
+    s = np.zeros((5, 5))
+    s[0, 1] = s[1, 0] = 2.0
+    s[2, 2] = 1.0
+    s[3:, 3:] = [[1.0, 0.5], [0.5, 3.0]]
+
+    def parts(perm):
+        found = dyson._irreducible_parts(VarianceProfile(w[perm], s[np.ix_(perm, perm)]))
+        return np.array(sorted((mass, support_edge(part)[1]) for mass, part in found))
+
+    base = parts(np.arange(5))
+    assert base[:, 0] == pytest.approx([0.2, 0.25, 0.55], abs=1e-15)
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        assert parts(rng.permutation(5)) == pytest.approx(base, abs=1e-12)
+
+
 def test_edge_between_duality_bounds():
     # weak duality for r = min_{m>0} max_k (1/m_k + (sigma (w m))_k): every
     # m > 0 bounds r above, every lam on the simplex bounds it below

@@ -640,7 +640,7 @@ def test_tail_pool_never_exceeds_chunks(const_prof, monkeypatch):
     assert pts == tail_estimate(const_prof, 2.2, [10, 12], 3 * mc.MC_CHUNK - 5, seed=2, threads=1)
     sizes.clear()
     tail_estimate(const_prof, 2.2, [10], mc.MC_CHUNK, seed=2, threads=64)
-    assert sizes == []  # one chunk runs without a pool
+    assert sizes == [1]  # one chunk runs in a pool of one worker, the sequential path
 
 
 def test_vector_profile_sums_to_one(block_14):

@@ -81,32 +81,6 @@ def test_mp_moment_series_order6():
     assert abs(complex(oracles.mp_stieltjes(alpha, z)).real - partial) < rem + 1e-12
 
 
-def test_mp_bar_branch():
-    alpha = 2.0
-    hi = oracles.mp_support(alpha)[1]
-    assert oracles.mp_stieltjes_bar(alpha, hi) == pytest.approx(
-        complex(oracles.mp_stieltjes(alpha, hi)).real, abs=1e-12
-    )
-    zs = np.linspace(hi + 1e-9, hi + 30, 50)
-    vals = [oracles.mp_stieltjes_bar(alpha, z) for z in zs]
-    assert np.all(np.diff(vals) > 0)
-    assert oracles.mp_stieltjes_bar(alpha, 1e8) > 0.49  # tends to 1/2 + growing sqrt/2z
-    with pytest.raises(ValueError):
-        oracles.mp_stieltjes_bar(alpha, hi - 0.1)
-
-
-def test_wishart_bar_total_grows():
-    # the + branch of the composed transform grows without bound in theta
-    alpha = 2.0
-    def g_bar_total(z):
-        u = (1 + alpha) * z * z
-        return 2.0 * z * oracles.mp_stieltjes_bar(alpha, u) + (alpha - 1.0) / ((1 + alpha) * z)
-
-    zs = np.linspace(oracles.wishart_edge(alpha) + 1e-6, 50.0, 50)
-    vals = [g_bar_total(z) for z in zs]
-    assert np.all(np.diff(vals) > 0) and vals[-1] > 30
-
-
 # -- BBP and block composition ----------------------------------------------
 
 
@@ -137,7 +111,3 @@ def test_semicircle_helpers():
     grid = np.linspace(-2, 2, 4001)
     # trapezoid converges like h^(3/2) at the sqrt edges
     assert np.trapezoid(oracles.sc_density(grid), grid) == pytest.approx(1.0, abs=1e-5)
-    g = oracles.sc_stieltjes(3.0 + 0j)
-    assert g == pytest.approx((3 - np.sqrt(5)) / 2)
-    assert oracles.sc_cdf(-2.5) == 0.0 and oracles.sc_cdf(2.5) == 1.0
-    assert oracles.sc_cdf(0.0) == pytest.approx(0.5)
