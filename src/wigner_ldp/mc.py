@@ -1,6 +1,6 @@
 """Seeded Monte Carlo for profile-sampled Wigner matrices.
 
-Sampling convention, written once in `_entry_sd`: row i sits at
+Sampling convention, written once in `_entry_var`: row i sits at
 t_i = (i - 1/2)/N, its block is the partition interval containing t_i, and
 H_ij = X_ij / sqrt(N) with Var X_ij = (1 + 1_{i=j}) sigma_{kl} for the blocks
 k, l of rows i, j.
@@ -17,12 +17,17 @@ Two draw layouts, each fixed by what reads it.  `_matrices` builds the full
 symmetric H that dsyevr and the rank-one tilt need from the strict upper
 triangle of an N x N draw and N diagonal draws after it; that stream stays as
 it is because the seeded results of sample_matrix, collect_batch and
-tilted_outlier_check rest on it (criterion 11 passes on only 5 of seeds 0-7).
+tilted_outlier_check rest on it (criterion 11 passes on only 5 of seeds 0-7;
+building H from the packed lower draw below turned it red at seed 0, with
+gaps 0.0267, 0.0035 and 0.0079 at N = 100, 200, 400).
 The tail tests lambda_1 < x by a Cholesky factorization of x I - H, which
-reads only the lower triangle, so `_tril_draw` draws just that triangle,
-N(N+1)/2 variates per matrix, column by column.  That is LAPACK's packed
-lower storage, so each draw row unpacks with one dtpttr call into the array
-dpotrf factors: half the draws, and no symmetric assembly.
+reads only the lower triangle, so it draws just that triangle, N(N+1)/2
+variates per matrix, column by column: LAPACK's packed lower storage, laid out
+once per N by `_packed_layout`.  Each row of a `_packed_draw` unpacks with one
+dtpttr call into the array dpotrf factors: half the draws, and no symmetric
+assembly.  A chunk draws in slices of _TAIL_SLICE matrices from its generator;
+a split draw takes the same variates as the whole one, so slicing changes no
+stream, and at most two slices are live, the last until the next is drawn.
 
 The annealed integral sees a uniform unit vector u only through its block
 masses rho(u), and `_mass_draws` samples those directly.  With u = g/|g| for
@@ -51,6 +56,7 @@ from .ratefn import eval_phi, find_tilt_theta
 ENTRY_KINDS = ("gaussian", "rademacher", "uniform")
 _SQRT3 = math.sqrt(3.0)
 MC_CHUNK = 256
+_TAIL_SLICE = 32  # matrices a tail chunk draws at once, a divisor of MC_CHUNK, chosen by timing
 MIN_SPHERE_SAMPLES = 1000  # fewest samples spherical_integral_mc accepts
 # effective sample size below which spherical_integral_mc warns: the log-mean
 # then rests on a few dozen draws and the jackknife stderr understates its error
@@ -87,10 +93,10 @@ def entry_log_mgf(dist: str, t):
     raise UsageError(f"unknown entry distribution {dist!r}")
 
 
-def _entry_sd(profile: VarianceProfile, N: int) -> np.ndarray:
-    """Standard deviations of the entries of H: sqrt((1 + I) o Sigma_N / N)."""
+def _entry_var(profile: VarianceProfile, N: int) -> np.ndarray:
+    """Var X_ij = (1 + 1_{i=j}) sigma_{kl} of X = sqrt(N) H: the sampling convention."""
     b = profile.row_blocks(N)
-    return np.sqrt((1.0 + np.eye(N)) * profile.sigma[np.ix_(b, b)] / N)
+    return (1.0 + np.eye(N)) * profile.sigma[np.ix_(b, b)]
 
 
 def _chunks(key, samples: int, size: int):
@@ -103,7 +109,7 @@ def _chunks(key, samples: int, size: int):
 def _matrices(profile: VarianceProfile, N: int, dist: str, rngs):
     """(rng, H) per generator: H drawn from rng, which is left for the caller's
     further draws."""
-    sd = _entry_sd(profile, N)
+    sd = np.sqrt(_entry_var(profile, N) / N)
     for rng in rngs:
         U = np.triu(_draw(rng, (N, N), dist), 1) * sd
         H = U + U.T
@@ -121,17 +127,21 @@ def sample_matrix(profile: VarianceProfile, N: int, dist: str = "gaussian", seed
     return H
 
 
-def _tril_draw(profile: VarianceProfile, N: int, dist: str, rng, count: int):
-    """Lower triangles of `count` draws of H from rng.
-
-    Returns (vals, i, j) with i >= j listed column by column: vals[r, k] is
-    H[i[k], j[k]] of draw r.
-    """
+def _packed_layout(profile: VarianceProfile, N: int):
+    """(var, sd, diag) of H's lower triangle in LAPACK packed order, entry
+    (i, j), i >= j, column by column: var = Var X_ij, sd = sqrt(var / N) the
+    entry's standard deviation in H, and diag marks i == j."""
     j, i = np.triu_indices(N)
-    sd = _entry_sd(profile, N)[i, j]
+    var = _entry_var(profile, N)[i, j]
+    return var, np.sqrt(var / N), i == j
+
+
+def _packed_draw(sd: np.ndarray, dist: str, rng, count: int) -> np.ndarray:
+    """`count` packed lower triangles of H from rng, one per row, scaled by the
+    layout's sd: the next count x sd.size variates of rng."""
     vals = _draw(rng, (count, sd.size), dist)
     vals *= sd
-    return vals, i, j
+    return vals
 
 
 def _check_symmetric(H: np.ndarray) -> None:
@@ -530,11 +540,12 @@ def tail_estimate(
     """Plain MC frequency of {lambda_1 >= x} per matrix size.
 
     A draw hits when the Cholesky factorization of x I - H fails, which it
-    does iff lambda_1 >= x.  Only the lower triangle is drawn, in packed
-    storage (module docstring); each matrix is unpacked by dtpttr into its own
-    Fortran-order array and factored by one dpotrf call, so a chunk holds its
-    draw and one N x N array at a time.  x must be finite, samples and every
-    N at least 1.
+    does iff lambda_1 >= x.  Only the lower triangle is drawn, in the packed
+    layout built once per N (module docstring); each matrix is unpacked by
+    dtpttr into its own Fortran-order array and factored by one dpotrf call.
+    A chunk draws its matrices in slices of _TAIL_SLICE, so it holds at most
+    two slices of its draw and one N x N array at a time.  x must be finite,
+    samples and every N at least 1.
 
     rate = -(1/N) log p_hat with a Wilson interval mapped through the same
     transform; zero hits produce a one-sided point (rate = inf, finite
@@ -549,18 +560,20 @@ def tail_estimate(
     out = []
     workers = min(threads, math.ceil(samples / MC_CHUNK))
     for N in N_list:
+        _, sd, diag = _packed_layout(profile, N)
+        sd = -sd  # draws of -H, exactly: x I - H once x is added on the diagonal
 
-        def chunk_hits(chunk, N=N):
+        def chunk_hits(chunk, N=N, sd=sd, diag=diag):
             _, rows, rng = chunk
-            vals, i, j = _tril_draw(profile, N, dist, rng, rows)
-            np.negative(vals, out=vals)
-            vals[:, i == j] += x
-            # row r is matrix r in packed lower storage (module docstring)
             hits = 0
-            for row in vals:
-                a, _ = dtpttr(N, row, uplo="L")
-                _, info = dpotrf(a, lower=1, overwrite_a=1)
-                hits += info != 0
+            for done in range(0, rows, _TAIL_SLICE):
+                vals = _packed_draw(sd, dist, rng, min(_TAIL_SLICE, rows - done))
+                vals[:, diag] += x
+                # row r is matrix r in packed lower storage (module docstring)
+                for row in vals:
+                    a, _ = dtpttr(N, row, uplo="L")
+                    _, info = dpotrf(a, lower=1, overwrite_a=1)
+                    hits += info != 0
             return hits
 
         with ThreadPoolExecutor(max_workers=workers) as ex:  # one worker is the sequential path

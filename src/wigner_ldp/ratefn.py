@@ -32,9 +32,10 @@ The ingredients J, phi, K, F and Fhat are row cores over stacks of
 of them.  A core takes the context (xs, m(x), G(x)) of its rows from its
 caller, built once by `_ctx`: it checks the xs against the edge and solves
 one x through the real-axis memo, a stack as one batch of `_solve_real`, so
-a caller solves each x once.  Below the seam 2 theta < G(x) the tilt point
-v = G^{-1}(2 theta) comes with m(v) from one batch of the bordered solve
-(`_tilt_point`): one solve per tilt point.  A core checks the rest of its
+a caller solves each x once.  J and phi come from one core, `_tilt_rows`,
+which finds one tilt point v per row and reads both off it: below the seam
+2 theta < G(x), v = G^{-1}(2 theta) comes with m(v) from one batch of the
+bordered solve, so one solve per tilt point.  A core checks the rest of its
 stack once, as the one-row call checks one row.
 
 Row independence rests on one rule: every reduction over a row is one BLAS
@@ -121,31 +122,21 @@ def _require_theta(theta, name: str = "theta", positive: bool = False) -> np.nda
     return t
 
 
-def _tilt_point(profile: VarianceProfile, thetas, ctx):
-    """(G(x), v, m(v)) per row of the context ctx at tilt strength theta > 0: v
-    is where J and phi are taken, x itself where 2 theta >= G(x), taken from that
-    side inside _SEAM_TOL, otherwise v = G^{-1}(2 theta) > x, whose bordered
-    solve gives m(v) with it, all such rows in one batch."""
+def _tilt_rows(profile: VarianceProfile, thetas, ctx, psis):
+    """(J, phi) per row of the context ctx at tilt strength theta > 0, both read
+    off one tilt point v: x where 2 theta >= G(x) (from that side inside
+    _SEAM_TOL), else v = G^{-1}(2 theta) > x, where phi's excess 1 - G/(2 theta)
+    is 0 and the bordered solve gives m(v) too, all such rows in one batch.  The
+    log potential at v is the free energy at m(v); psis may be one mass vector."""
     v, m_v, G = ctx
     below = np.flatnonzero(2.0 * thetas < G - _SEAM_TOL)
     if below.size:
         v, m_v = v.copy(), m_v.copy()
         v[below], m_v[below] = _inverse_solve(profile, 2.0 * thetas[below])
-    return G, v, m_v
-
-
-def _J_at(profile, thetas, v, m_v):
-    """J per row from its tilt point; the log potential at v is the free energy
-    at m(v), as in `log_potential`."""
-    return thetas * v - 0.5 - 0.5 * np.log(2.0 * thetas) - 0.5 * _free_energy(profile, v, m_v)
-
-
-def _phi_at(profile, thetas, G, m_v, psis):
-    """phi per row from its tilt point; the excess 1 - G/(2 theta) is 0 where
-    v = G^{-1}(2 theta) > x."""
+    J = thetas * v - 0.5 - 0.5 * np.log(2.0 * thetas) - 0.5 * _free_energy(profile, v, m_v)
     t2 = 2.0 * thetas[:, None]
     vals = profile.weights * m_v / t2 + np.maximum(1.0 - G[:, None] / t2, 0.0) * psis
-    return vals / _rowsum(vals)[:, None]
+    return J, vals / _rowsum(vals)[:, None]
 
 
 def _J_rows(profile: VarianceProfile, thetas, ctx) -> np.ndarray:
@@ -153,17 +144,15 @@ def _J_rows(profile: VarianceProfile, thetas, ctx) -> np.ndarray:
     thetas = _require_theta(thetas)
     J = np.zeros(len(thetas))
     pos = np.flatnonzero(thetas > 0.0)  # theta = 0 rows keep the limit value 0
-    if pos.size:
-        _, v, m_v = _tilt_point(profile, thetas[pos], _take(ctx, pos))
-        J[pos] = _J_at(profile, thetas[pos], v, m_v)
+    if pos.size:  # phi is not read: the weights stand in for psi
+        J[pos] = _tilt_rows(profile, thetas[pos], _take(ctx, pos), profile.weights)[0]
     return J
 
 
 def _phi_rows(profile: VarianceProfile, thetas, ctx, psis) -> np.ndarray:
     """phi(theta, x, psi) per row of the stacks and the context (see `eval_phi`)."""
     thetas, psis = _require_theta(thetas, positive=True), profile.mass_rows(psis)
-    G, _, m_v = _tilt_point(profile, thetas, ctx)
-    return _phi_at(profile, thetas, G, m_v, psis)
+    return _tilt_rows(profile, thetas, ctx, psis)[1]
 
 
 def _K_at(profile, thetas, phis):
@@ -188,9 +177,8 @@ def _F_rows(profile: VarianceProfile, thetas, ctx, psis) -> np.ndarray:
     pos = np.flatnonzero(thetas > 0.0)  # F vanishes at theta = 0
     if pos.size:
         th = thetas[pos]
-        G, v, m_v = _tilt_point(profile, th, _take(ctx, pos))
-        phi = _phi_at(profile, th, G, m_v, psis[pos])
-        F[pos] = _J_at(profile, th, v, m_v) - _K_at(profile, th, phi)
+        J, phi = _tilt_rows(profile, th, _take(ctx, pos), psis[pos])
+        F[pos] = J - _K_at(profile, th, phi)
     return F
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -94,17 +95,20 @@ def test_streams_pinned(block_14, const_prof):
              -0.21158040673113876]
     _, rows, rng = next(mc._chunks([5, 6], 79 * mc.MC_CHUNK, mc.MC_CHUNK))
     assert rows == mc.MC_CHUNK
-    assert mc._tril_draw(const_prof, 6, "gaussian", rng, rows)[0][0].tolist() == light
+    sd = mc._packed_layout(const_prof, 6)[1]
+    assert mc._packed_draw(sd, "gaussian", rng, rows)[0].tolist() == light
 
 
 def test_variance_calibration(block_14):
     # the variances the tail estimator draws: sigma_ij/N off the diagonal,
     # 2 sigma_ii/N on it, in both blocks
     N = 6
-    draws = [mc._tril_draw(block_14, N, "gaussian", rng, rows)
+    layout_var, sd, diag = mc._packed_layout(block_14, N)
+    draws = [mc._packed_draw(sd, "gaussian", rng, rows)
              for _, rows, rng in mc._chunks([5, N], 200 * mc.MC_CHUNK, mc.MC_CHUNK)]
-    var = np.concatenate([vals for vals, _, _ in draws]).var(axis=0) * N
-    _, i, j = draws[0]
+    var = np.concatenate(draws).var(axis=0) * N
+    j, i = np.triu_indices(N)
+    assert np.array_equal(diag, i == j)
     assert np.all(i >= j) and i.size == N * (N + 1) // 2
     assert np.all(np.diff(j * N + i) > 0)  # column by column
     b = block_14.row_blocks(N)
@@ -112,6 +116,7 @@ def test_variance_calibration(block_14):
     for (r, c) in [(1, 0), (5, 4), (0, 0), (5, 5)]:
         k = np.flatnonzero((i == r) & (j == c))[0]
         target = (2.0 if r == c else 1.0) * S[r, c]
+        assert layout_var[k] == target and sd[k] == np.sqrt(target / N)
         if target == 0:
             assert var[k] == 0.0
         else:
@@ -536,8 +541,8 @@ def test_tail_thread_count_invariance(const_prof, block_14):
 
 def test_tail_streams_differ_across_N(const_prof):
     # each N draws from its own stream [seed, N, chunk], so the per-N estimates are independent
-    a = mc._tril_draw(const_prof, 20, "gaussian", np.random.default_rng([3, 20, 0]), 4)[0]
-    b = mc._tril_draw(const_prof, 40, "gaussian", np.random.default_rng([3, 40, 0]), 4)[0]
+    a, b = (mc._packed_draw(mc._packed_layout(const_prof, N)[1], "gaussian",
+                            np.random.default_rng([3, N, 0]), 4) for N in (20, 40))
     assert not np.allclose(a[0, :20] * np.sqrt(20), b[0, :20] * np.sqrt(40))
 
 
@@ -551,8 +556,10 @@ def test_tail_points_independent_of_N_order(block_14):
 def _eigvalsh_hits(prof, x, N, samples, dist, seed):
     """lambda_1 >= x counts on the tail's chunk streams, rebuilt as full matrices."""
     hits = 0
+    j, i = np.triu_indices(N)
+    sd = mc._packed_layout(prof, N)[1]
     for _, cnt, rng in mc._chunks([seed, N], samples, mc.MC_CHUNK):
-        vals, i, j = mc._tril_draw(prof, N, dist, rng, cnt)
+        vals = mc._packed_draw(sd, dist, rng, cnt)
         H = np.zeros((cnt, N, N))
         H[:, i, j] = vals
         H[:, j, i] = vals
@@ -588,12 +595,30 @@ def test_tail_one_factorization_per_matrix(block_14, monkeypatch):
 @pytest.mark.parametrize("N", [1, 7, 20])
 def test_tail_draw_is_lapack_packed_lower(const_prof, N):
     # the tail unpacks each draw row with dtpttr, which reads packed lower
-    # storage: entry (i, j), i >= j, column by column, exactly _tril_draw's order
-    vals, i, j = mc._tril_draw(const_prof, N, "gaussian", np.random.default_rng([3, N, 0]), 5)
+    # storage: entry (i, j), i >= j, column by column, exactly _packed_layout's order
+    j, i = np.triu_indices(N)
+    sd = mc._packed_layout(const_prof, N)[1]
+    vals = mc._packed_draw(sd, "gaussian", np.random.default_rng([3, N, 0]), 5)
     for row in vals:
         a, info = mc.dtpttr(N, row, uplo="L")
         assert info == 0 and a.flags.f_contiguous
         assert np.array_equal(a[i, j], row)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tail_chunk_holds_at_most_two_slices_of_its_draw(const_prof, threads):
+    # one chunk at N = 80, whose whole draw is 256 x 3240 doubles (6.6 MB): a
+    # slice is freed once the next one is drawn, so two slices are live at
+    # most, with a quarter more for the layout, one unpacked matrix and temporaries
+    N = 80
+    tail_estimate(const_prof, 2.2, [N], mc.MC_CHUNK, threads=threads)
+    tracemalloc.start()
+    try:
+        tail_estimate(const_prof, 2.2, [N], mc.MC_CHUNK, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * 2 * mc._TAIL_SLICE * N * (N + 1) // 2
 
 
 def test_tail_hits_pinned(const_prof):

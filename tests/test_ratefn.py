@@ -948,6 +948,26 @@ def test_tilt_theta_solves_the_outlier_equation(named_profiles):
                 assert _nu(prof, th, _solve_real_at(prof, x), phi) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_the_optimizers_tilt_puts_the_outlier_at_x():
+    # at a report's psi*, the saddle's tilt theta* is the one whose outlier sits
+    # at x: the descent's stationarity in psi, tied to the closed-form tilt, on
+    # random profiles with zero variances; up to r + 1.2, as farther out more
+    # starts stop at the iteration cap (ROADMAP item 6)
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        p = int(rng.integers(1, 6))
+        s = rng.uniform(0.0, 2.0, size=(p, p))
+        zero = np.triu(rng.random((p, p)) < 0.3)
+        s = np.where(zero | zero.T, 0.0, (s + s.T) / 2)
+        if not s.any():
+            continue
+        prof = VarianceProfile(rng.dirichlet(np.ones(p)), s)
+        _, r = support_edge(prof)
+        for rep in rate_sweep(prof, [r + 0.05, r + 0.3, r + 0.7, r + 1.2]):
+            th = find_tilt_theta(prof, rep.x, rep.psi_star)
+            assert rep.theta_star == pytest.approx(th, rel=0, abs=1e-8 * (1 + rep.theta_star))
+
+
 def test_tilt_needs_positive_form(wishart2):
     with pytest.raises(ValueError):
         find_tilt_theta(wishart2, 2.0, [1.0, 0.0])
