@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .dyson import (
     ConvergenceError, _edge_margin, _free_energy, _inverse_solve, _quad, _rows_matvec, _rowsum,
@@ -520,6 +519,10 @@ def rate_function_concave(profile: VarianceProfile, x: float) -> float:
     Valid when psi -> <psi, S psi> is concave on the simplex (checked on the
     tangent space); must agree with rate_function on such profiles.
     """
+    # imported on first call: at module level scipy.optimize would add about
+    # 0.15 s and 20 MB to every CLI run, and only `validate --suite wishart` comes here
+    from scipy.optimize import minimize_scalar
+
     if not _tangent_concave(profile):
         raise UsageError("profile is not concave on the simplex tangent space")
     ctx = _ctx(profile, [x])
@@ -562,6 +565,8 @@ def outlier_equation_z(profile: VarianceProfile, theta: float, x: float, psi) ->
     m_k(z) <= 1/(z - r) there and the Perron root is monotone in D,
     nu(z) <= nu|_{m=1} / (z - r), and [r + margin, r + nu|_{m=1}] brackets
     it for Brent's method."""
+    from scipy.optimize import brentq  # on first call, as in rate_function_concave
+
     phi = eval_phi(profile, theta, x, psi)
     _, r = support_edge(profile)
 

@@ -740,12 +740,20 @@ def test_manifest_excludes_threads(prof_paths, tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_cli_import_loads_no_scipy_stats():
-    # every CLI run pays its imports: scipy.stats adds about 0.5 s and 20 MB (2-core Xeon)
+@pytest.mark.parametrize("module, scipy_part", [
+    ("wigner_ldp.cli", "scipy.stats"),
+    ("wigner_ldp.cli", "scipy.optimize"),
+    ("wigner_ldp", "scipy"),
+])
+def test_import_loads_no_scipy_part(module, scipy_part):
+    # every CLI run pays its imports (2-core Xeon): scipy.stats would add about
+    # 0.5 s and 20 MB, scipy.optimize about 0.15 s and 20 MB; the package
+    # itself (profiles, dyson) needs numpy only
     src = str(Path(wigner_ldp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-    probe = "import sys, wigner_ldp.cli; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    probe = (f"import sys, {module}; "
+             f"print([m for m in sys.modules if m == {scipy_part!r} or m.startswith({scipy_part + '.'!r})])")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

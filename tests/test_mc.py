@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -320,13 +321,20 @@ def test_spherical_rank_one_matches_hyp1f1(theta):
     assert neg.extra["z"] < -lam < 0 < lam < est.extra["z"]
 
 
-def test_spherical_saddle_point_and_ess():
+@pytest.mark.parametrize("theta", [0.5, 10.0, 50.0])
+def test_spherical_saddle_point_and_ess(theta):
     M = np.diag(np.r_[np.linspace(-2.0, 2.0, 59), 3.0])
-    est = spherical_integral_mc(M, 0.5, 4000, seed=0)
+    est = spherical_integral_mc(M, theta, 4000, seed=0)
     z = est.extra["z"]
     lam = np.linalg.eigvalsh(M)
-    assert z > lam.max()
-    assert np.mean(1.0 / (z - lam)) == pytest.approx(1.0, rel=1e-9)
+    gaps = lam.max() - lam
+    d = mc._saddle_gap(gaps, theta)
+    # z is the root: lambda_max + d, with d solving the gap form to rounding
+    assert z == lam.max() + d and d > 0
+    assert np.mean(1.0 / (d + gaps)) == pytest.approx(2.0 * theta, rel=1e-13)
+    # read at z itself, the equation also carries the rounding of lambda_max + d:
+    # at most half an ulp of z, against the gap d that dominates the mean at large theta
+    assert np.mean(1.0 / (z - lam)) == pytest.approx(2.0 * theta, rel=1e-13 + math.ulp(z) / d)
     assert 0 < est.extra["ess"] <= 4000
     # uniform proposal: z at infinity and every weight equal
     flat = spherical_integral_mc(M, 0.0, 4000, seed=0)
@@ -630,6 +638,36 @@ def test_tail_hits_pinned(const_prof):
     rad = tail_estimate(const_prof, 2.05, [40], samples, "rademacher", seed=20240802)
     assert [pt.hits for pt in gauss] == [103, 78, 59]
     assert [pt.hits for pt in rad] == [23]
+
+
+def _rademacher_tail_exact(N, x, gauge):
+    """P(lambda_1 >= x) for the constant profile's Rademacher matrix, by
+    enumerating its sign patterns: entries +-sqrt(2/N) on the diagonal and
+    +-sqrt(1/N) off it.  With `gauge`, the signs of H[0, 1:] are fixed to +:
+    D H D with D = diag(+-1) has the same spectrum and maps the patterns onto
+    the gauged ones 2^(N-1) to 1.  Returns p and the distance from x to the
+    nearest lambda_1 atom."""
+    j, i = np.triu_indices(N)  # entry (i, j), i >= j
+    free = ~((j == 0) & (i > 0)) if gauge else np.ones(i.size, dtype=bool)
+    k = int(free.sum())
+    signs = np.ones((2**k, i.size))
+    signs[:, free] = 1 - 2 * ((np.arange(2**k)[:, None] >> np.arange(k)) & 1)
+    H = np.zeros((2**k, N, N))
+    H[:, i, j] = H[:, j, i] = signs * np.where(i == j, np.sqrt(2.0 / N), np.sqrt(1.0 / N))
+    lam1 = np.linalg.eigvalsh(H)[:, -1]
+    return float(np.mean(lam1 >= x)), float(np.min(np.abs(lam1 - x)))
+
+
+@pytest.mark.parametrize("N, x, gauge, samples", [(5, 1.8, False, 2 * 10**5), (6, 1.9, True, 4 * 10**5)])
+def test_tail_rademacher_matches_exact_enumeration(const_prof, N, x, gauge, samples):
+    # the Rademacher law has no closed form; at small N it is a finite sum
+    # (2^15 patterns at N = 5, 2^16 gauged ones at N = 6)
+    p, gap = _rademacher_tail_exact(N, x, gauge)
+    # x off every atom of lambda_1, where the Cholesky test and eigvalsh could round apart
+    assert gap > 1e-9 and 0 < p < 1
+    pt = tail_estimate(const_prof, x, [N], samples, "rademacher", seed=0)[0]
+    lo, hi = wilson_interval(pt.hits, samples)
+    assert lo <= p <= hi, (p, pt.p_hat, lo, hi)
 
 
 @pytest.mark.parametrize(
