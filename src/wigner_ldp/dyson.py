@@ -17,9 +17,12 @@ Newton step on the multiplicative residual 1 - m (z - sigma (w m)) where it is
 accepted and otherwise the map m -> 1/(z - sigma (w m)), a strict contraction
 in the hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN 2007), so no step
 length is searched or measured: every row stops on one test (`_stops`), a
-relative step below 1e-13 with a multiplicative residual below 1e-10 (1 + |z|).
-The density grid walks it to _ETA, then takes plain Newton steps at Im z = 0,
-where the boundary value is a regular solution in the bulk (`spectral_measure`).
+multiplicative residual below 1e-10 (1 + |z|) with, on the last rung, whose m is
+the answer, a relative step below 1e-13 as well.  The density grid solves only
+its points inside the certified support |x| <= r + EDGE_GAP_TOL (1 + r), the
+rest being exact zeros: it walks the ladder to _ETA, then takes plain Newton
+steps at Im z = 0, where the boundary value is a regular solution in the bulk
+(`spectral_measure`).
 
 Real axis: `_damped_newton` is one damped Newton over a stack of rows, each
 with its own positivity-keeping Armijo search and stop, for three systems:
@@ -75,19 +78,8 @@ class ConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# metric and map
+# row kernels and map
 # ---------------------------------------------------------------------------
-
-
-def hyperbolic_D(u: np.ndarray, v: np.ndarray):
-    """max_k |u_k - v_k|^2 / (Im u_k Im v_k) over the last axis, for lower
-    half-plane vectors (one value per row of a stack): the hyperbolic metric
-    in which the fixed-point map contracts."""
-    num = np.abs(u - v) ** 2
-    den = np.imag(u) * np.imag(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = np.max(num / den, axis=-1)
-    return np.where(np.any(den <= 0, axis=-1), np.inf, D)[()]
 
 
 def _rows_matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -165,23 +157,29 @@ def _newton_step(profile, z, m):
     return cand, ok
 
 
-def _stops(profile, z, m, nxt) -> np.ndarray:
-    """Rows where the step m -> nxt ends a solve: a relative step below 1e-13 and a
-    multiplicative residual (`_mult_residual`) below 1e-10 (1 + |z|) at nxt."""
+def _stops(profile, z, m, nxt, last=True) -> np.ndarray:
+    """Rows where the step m -> nxt ends a solve: a multiplicative residual
+    (`_mult_residual`) below 1e-10 (1 + |z|) at nxt and, on a `last` rung, a
+    relative step below 1e-13 as well.  A rung above the last only starts the next
+    one, so the residual alone ends it, without the sweep the step test needs."""
     res = np.max(np.abs(_mult_residual(profile, z[:, None], nxt)), axis=1)
-    return (np.max(np.abs(nxt - m) / np.abs(nxt), axis=1) < 1e-13) & (res < 1e-10 * (1.0 + np.abs(z)))
+    ok = res < 1e-10 * (1.0 + np.abs(z))
+    if last:
+        ok &= np.max(np.abs(nxt - m) / np.abs(nxt), axis=1) < 1e-13
+    return ok
 
 
-def _solve_block(profile, z, m0):
+def _solve_block(profile, z, m0, last=True):
     """(m, iterations), one row per z of a block of `_descend`: the fixed point of
     the Dyson map at each z, from its row of m0 or, when m0 is None, from 1/z.
     The first sweep is a fixed-point step; each later sweep tries one full Newton
     step on the multiplicative residual (`_newton_step`) and falls back to the
     contraction map when that step is rejected.  Every row stops on one test
-    (`_stops`), whose multiplicative residual, unlike `_residual`, has no rounding
-    floor above its bound where |m| is large near an atom.  A row still running after
-    _MAX_SWEEPS sweeps, or whose z or start is not finite, comes back as NaN, and
-    a row's value does not depend on the rows solved with it."""
+    (`_stops`, its step test only on the `last` rung), whose multiplicative
+    residual, unlike `_residual`, has no rounding floor above its bound where |m|
+    is large near an atom.  A row still running after _MAX_SWEEPS sweeps, or whose
+    z or start is not finite, comes back as NaN, and a row's value does not depend
+    on the rows solved with it."""
     if m0 is None:
         m, act = np.repeat((1.0 / z)[:, None], profile.p, axis=1), np.isfinite(z)
     else:
@@ -200,7 +198,7 @@ def _solve_block(profile, z, m0):
             nxt[fp] = fixed_point_map(profile, za[fp, None], ma[fp])
         m[idx] = nxt
         its[idx] += 1
-        act[idx[_stops(profile, za, ma, nxt)]] = False
+        act[idx[_stops(profile, za, ma, nxt, last)]] = False
     m[act] = np.nan
     return m, its
 
@@ -209,9 +207,10 @@ def _descend(profile, xs, eta):
     """(m, iterations): the rows m(x + i eta), each solved down the ladder 0.5, ...,
     8 eta, eta from m = 1/z, every rung from the one above (`_solve_block`), with
     its sweeps summed over the rungs; a row that fails on any rung is NaN from
-    there on.  For eta >= 0.25 the ladder is one cold solve at eta.  Rows go down
-    the ladder in blocks of at most _BLOCK_ENTRIES / p^2, which bounds the stack
-    of p x p Newton Jacobians."""
+    there on.  Only the last rung's m is returned, so only it runs `_stops`' step
+    test; the rungs above it stop on the residual.  For eta >= 0.25 the ladder is
+    one cold solve at eta.  Rows go down the ladder in blocks of at most
+    _BLOCK_ENTRIES / p^2, which bounds the stack of p x p Newton Jacobians."""
     rungs, e = [eta], eta
     while e < 0.25:
         e *= 8.0
@@ -222,8 +221,8 @@ def _descend(profile, xs, eta):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for b in range(0, xs.size, size):
             rows, m = slice(b, b + size), None
-            for e in rungs:
-                m, n = _solve_block(profile, xs[rows] + 1j * e, m)
+            for e in rungs:  # strictly decreasing, so only the last equals eta
+                m, n = _solve_block(profile, xs[rows] + 1j * e, m, last=e == eta)
                 its[rows] += n
             out[rows] = m
     return out, its
@@ -560,15 +559,16 @@ class SpectralMeasure:
 def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, points: int) -> SpectralMeasure:
     """The limiting density -Im G(x)/pi on a grid, at Im z = 0 itself.
 
-    The grid walks the Im z ladder (`_descend`) in one batch down to _ETA, then
-    takes at most _REAL_RUNG_STEPS plain Newton steps (`_newton_step`) at Im z = 0
-    to the boundary value m(x), a regular solution in the bulk and outside the
-    support, each row until `_stops`; block densities use the mass-w_k transforms.
-    A row that does not stop or ends with some Im m_k > 1e-12 |m_k| is flagged
-    with density 0: an atom, whose mass is missed, or a point on an edge or
-    within about 1e-6 of one, where the Newton steps slow down (the farthest
-    seen: 1.2e-6 from wishart(2)'s inner edge, 9.8e-7 above the constant
-    profile's edge 2, on 401-point windows).
+    `support_edge` certifies that mu lies in |x| <= r + EDGE_GAP_TOL (1 + r), so
+    grid points outside that bracket get density 0 and no flag without a solve.
+    The points inside walk the Im z ladder (`_descend`) in one batch down to
+    _ETA, then take at most _REAL_RUNG_STEPS plain Newton steps (`_newton_step`)
+    at Im z = 0 to the boundary value m(x), a regular solution in the bulk, each
+    row until `_stops`; block densities use the mass-w_k transforms.  A row that
+    does not stop or ends with some Im m_k > 1e-12 |m_k| is flagged with density
+    0: an atom, whose mass is missed, or a point inside the bracket on an edge
+    or within about 1e-6 of one, where the Newton steps slow down (the farthest
+    seen: 1.2e-6 from wishart(2)'s inner edge, on 401-point windows).
     """
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise UsageError("x_min and x_max must be finite")
@@ -577,24 +577,29 @@ def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, point
     if points < 2:
         raise UsageError("points must be >= 2")
     grid = np.linspace(x_min, x_max, points)
-    m, _ = _descend(profile, grid, _ETA)
+    l_edge, r_edge = support_edge(profile)
+    inside = np.flatnonzero(np.abs(grid) <= r_edge + EDGE_GAP_TOL * (1.0 + r_edge))
+    x = grid[inside]
+    m, _ = _descend(profile, x, _ETA)
     failed = np.isnan(m).any(axis=1)
     if failed.any():
-        raise ConvergenceError(f"Dyson iteration did not converge at x={grid[failed][0]}")
-    act = np.ones(points, dtype=bool)
+        raise ConvergenceError(f"Dyson iteration did not converge at x={x[failed][0]}")
+    act = np.ones(x.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_REAL_RUNG_STEPS):
             idx = np.flatnonzero(act)
             if idx.size == 0:
                 break
-            nxt = _newton_step(profile, grid[idx], m[idx])[0]
-            act[idx[_stops(profile, grid[idx], m[idx], nxt)]] = False
+            nxt = _newton_step(profile, x[idx], m[idx])[0]
+            act[idx[_stops(profile, x[idx], m[idx], nxt)]] = False
             m[idx] = nxt
-    flags = act | np.any(np.imag(m) > 1e-12 * np.abs(m), axis=1)
-    blocks = np.where(flags, 0.0, np.maximum(-np.imag(profile.weights * m).T / np.pi, 0.0))
+    flags = np.zeros(points, dtype=bool)
+    flags[inside] = act | np.any(np.imag(m) > 1e-12 * np.abs(m), axis=1)
+    blocks = np.zeros((profile.p, points))
+    blocks[:, inside] = np.maximum(-np.imag(profile.weights * m).T / np.pi, 0.0)
+    blocks[:, flags] = 0.0
     density = blocks.sum(axis=0)
     mass = float(np.trapezoid(density, grid))
-    l_edge, r_edge = support_edge(profile)
     return SpectralMeasure(
         x_grid=grid,
         density=density,

@@ -15,7 +15,6 @@ from wigner_ldp.dyson import (
     _solve_real,
     _solve_real_at,
     fixed_point_map,
-    hyperbolic_D,
     log_potential,
     solve_dyson,
     solve_dyson_finite,
@@ -24,7 +23,7 @@ from wigner_ldp.dyson import (
     stieltjes_total,
     support_edge,
 )
-from wigner_ldp.profiles import UsageError, VarianceProfile, wishart_profile
+from wigner_ldp.profiles import UsageError, VarianceProfile, constant_profile, wishart_profile
 
 from conftest import random_profile, split_block
 
@@ -188,6 +187,13 @@ def test_solve_dyson_converges_at_an_atom(prof, atom, eta):
     # mass up to O(eta^2)
     sol = solve_dyson(prof, 1j * eta)
     assert abs(1j * eta * sol.G_total - atom) < 4 * eta**2 + 1e-13
+
+
+def hyperbolic_D(u, v):
+    """max_k |u_k - v_k|^2 / (Im u_k Im v_k) for lower half-plane vectors: the
+    hyperbolic metric in which the fixed-point map contracts."""
+    num, den = np.abs(u - v) ** 2, np.imag(u) * np.imag(v)
+    return np.inf if np.any(den <= 0) else float(np.max(num / den))
 
 
 def test_contraction_certificate(wishart2):
@@ -409,21 +415,105 @@ def test_density_flags_near_an_edge_only_within_about_1e_6(half, points):
     assert np.all(sm.density[sm.flags] == 0.0)
 
 
-def test_density_matches_a_fine_ladder_on_random_profiles():
-    # against solve_dyson at eta = 1e-8, away from x = 0, where a sparse
-    # profile's atom sits; a third of the profiles are sparse
+def _ladder_profiles():
+    """12 seeded random profiles, a third of them sparse (with an atom at 0)."""
     rng = np.random.default_rng(29)
     for i in range(12):
         prof = random_profile(rng, pmax=6)
         if i % 3 == 0:
             zero = rng.random((prof.p, prof.p)) < 0.4
             prof = VarianceProfile(prof.weights, np.where(zero | zero.T, 0.0, prof.sigma))
+        yield prof
+
+
+def test_density_matches_a_fine_ladder_on_random_profiles():
+    # against solve_dyson at eta = 1e-8, away from x = 0, where a sparse
+    # profile's atom sits
+    for prof in _ladder_profiles():
         _, r = support_edge(prof)
         sm = spectral_measure(prof, -r - 0.2, r + 0.2, 41)
         sel = np.abs(sm.x_grid) > 0.05
         assert not sm.flags[sel].any()
         ref = np.array([-solve_dyson(prof, x + 1e-8j).G_total.imag / np.pi for x in sm.x_grid[sel]])
         assert np.all(np.abs(sm.density[sel] - ref) < 1e-3 * (1 + ref))
+
+
+def _full_stop_ladder(prof, xs, eta):
+    """m(x + i eta) down `_descend`'s ladder, every rung run to the full `_stops` test."""
+    rungs = [eta]
+    while rungs[0] < 0.25:
+        rungs.insert(0, min(8 * rungs[0], 0.5))
+    m = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for e in rungs:
+            m, _ = _solve_block(prof, xs + 1j * e, m)
+    return m
+
+
+def _full_stop_density(prof, xs):
+    """(density, flags) of `spectral_measure` at every x, from `_full_stop_ladder`."""
+    m = _full_stop_ladder(prof, xs, dyson._ETA)
+    act = np.ones(xs.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(dyson._REAL_RUNG_STEPS):
+            i = np.flatnonzero(act)
+            if i.size == 0:
+                break
+            nxt = dyson._newton_step(prof, xs[i], m[i])[0]
+            act[i[dyson._stops(prof, xs[i], m[i], nxt)]] = False
+            m[i] = nxt
+    flags = act | np.any(np.imag(m) > 1e-12 * np.abs(m), axis=1)
+    rho = np.maximum(-np.imag(prof.weights * m) / np.pi, 0.0).sum(axis=1)
+    return np.where(flags, 0.0, rho), flags
+
+
+def test_converging_only_the_last_rung_changes_nothing_beyond_rounding(wishart2, block_14):
+    # the rungs above the last stop on the residual alone; their output only
+    # starts the next rung, so the density, its flags and solve_dyson's m agree
+    # with a ladder whose every rung runs the step test as well
+    for prof in [*_ladder_profiles(), wishart2, block_14]:
+        _, r = support_edge(prof)
+        sm = spectral_measure(prof, -r - 0.2, r + 0.2, 41)
+        rho, flags = _full_stop_density(prof, sm.x_grid)
+        assert np.array_equal(sm.flags, flags)
+        assert np.all(np.abs(sm.density - rho) <= 1e-12 * (1 + rho))
+        xs = np.linspace(-r - 0.2, r + 0.2, 9)
+        for eta in (1e-2, 1e-5):
+            ref = _full_stop_ladder(prof, xs, eta)
+            m = np.array([solve_dyson(prof, x + 1j * eta).m for x in xs])
+            assert np.all(np.abs(m - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("prof, lo, hi, bulk", [
+    (constant_profile(), 1.5, 2.5, (1.5, 1.95)),  # straddles the edge 2
+    (wishart_profile(2.0), -2.0, 2.0, (0.3, 1.35)),
+    # reducible: parts of edges 2 sqrt(0.5) and 2 sqrt(2); r is the larger
+    (VarianceProfile([0.5, 0.5], np.diag([1.0, 4.0])), -1.0, 3.5, (1.5, 2.78)),
+], ids=["const-edge", "wishart2", "reducible"])
+def test_density_solves_only_inside_the_certified_support(prof, lo, hi, bulk, monkeypatch):
+    # support_edge puts mu in |x| <= r + EDGE_GAP_TOL (1 + r): every other
+    # point is an exact 0 with no flag and never reaches the complex solve,
+    # while the bulk (of the part with the largest edge) keeps its density
+    seen, descend = [], dyson._descend
+    monkeypatch.setattr(dyson, "_descend", lambda p, xs, eta: seen.append(xs.copy()) or descend(p, xs, eta))
+    _, r = support_edge(prof)
+    sm = spectral_measure(prof, lo, hi, 101)
+    inside = np.abs(sm.x_grid) <= r + dyson.EDGE_GAP_TOL * (1 + r)
+    [xs] = seen
+    assert np.array_equal(xs, sm.x_grid[inside])
+    assert np.all(sm.density[~inside] == 0.0) and np.all(sm.block_densities[:, ~inside] == 0.0)
+    assert not sm.flags[~inside].any()
+    assert np.all(sm.density[(sm.x_grid > bulk[0]) & (sm.x_grid < bulk[1])] > 0)
+
+
+def test_density_outside_the_support_makes_no_complex_solve(const_prof, monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("complex solve outside the support")
+
+    monkeypatch.setattr(dyson, "_solve_block", refuse)
+    monkeypatch.setattr(dyson, "_newton_step", refuse)
+    sm = spectral_measure(const_prof, 2.5, 3.0, 11)
+    assert np.all(sm.block_densities == 0.0) and not sm.flags.any() and sm.total_mass == 0.0
 
 
 def test_spectral_measure_validates_args(const_prof):
