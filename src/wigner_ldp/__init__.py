@@ -14,7 +14,6 @@ from .profiles import (
     discretize,
     load_profile,
     load_profile_file,
-    sigma_quadratic_form,
     wishart_profile,
 )
 from .dyson import (

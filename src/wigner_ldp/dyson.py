@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .profiles import UsageError, VarianceProfile
+from .profiles import UsageError, VarianceProfile, _count, _finite
 
 _ETA = 1e-2               # the Im z from which the density's rung at Im z = 0 starts
 _REAL_RUNG_STEPS = 20     # plain Newton steps of that rung, per row
@@ -331,11 +331,12 @@ def solve_dyson(profile: VarianceProfile, z) -> DysonSolution:
     ladder (`_descend`), which for Im z >= 0.25 is one solve from 1/z;
     iterations is its sweep count, summed over the rungs.  Real z is accepted
     when it lies above the support edge and is solved by the real-axis Newton
-    from m = 1/z; at or below the edge this raises ConvergenceError.
+    from m = 1/z; at or below the edge this raises ConvergenceError.  z must
+    be finite with Im z >= 0 (UsageError).
     """
     z = complex(z)
-    if z.imag < 0:
-        raise UsageError("solve_dyson needs Im z >= 0")
+    _finite(z.real, "Re z")
+    _finite(z.imag, "Im z", "nonnegative")
     if z.imag > 0:
         m, its = _descend(profile, np.array([z.real]), z.imag)
         mc, it = m[0], int(its[0])
@@ -365,8 +366,7 @@ def solve_dyson_finite(SigmaN: np.ndarray, z) -> np.ndarray:
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise UsageError("SigmaN must be square")
     z = complex(z)
-    if z.imag <= 0:
-        raise UsageError("solve_dyson_finite needs Im z > 0")
+    _finite(z.imag, "Im z", "positive")
     n = S.shape[0]
     return solve_dyson(VarianceProfile(np.full(n, 1.0 / n), S), z).m
 
@@ -404,7 +404,7 @@ def _inverse_solve(profile: VarianceProfile, two_thetas):
     tail-series root of G(v) ~ 1/v + a/v^3 (a failed start fails its row).  Every
     equation is relative, so one stopping test serves every row, and the Jacobian
     stays regular at the edge.  The first failed row in argument order raises:
-    UsageError unless two_theta > 0, ValueError if no v > r_edge on `_on_branch` is
+    UsageError unless 0 < two_theta < inf, ValueError if no v > r_edge on `_on_branch` is
     found for two_theta >= G(r_edge + margin), else ConvergenceError."""
     tt, w, p = np.asarray(two_thetas, dtype=float), profile.weights, profile.p
     W = profile.sigma * w
@@ -431,8 +431,7 @@ def _inverse_solve(profile: VarianceProfile, two_thetas):
     failed = np.setdiff1d(np.arange(tt.size), rows[ok])
     if failed.size:
         k, g = failed[0], tt[failed[0]]
-        if g <= 0:
-            raise UsageError("two_theta must be positive")
+        _finite(g, "two_theta", "positive")
         if not np.isfinite(v0[k]) or g >= float(w @ _solve_real_at(profile, lo)):
             raise ValueError(f"two_theta={g:.6g} has no inverse above the edge r={r!r}")
         raise ConvergenceError(f"stieltjes_inverse failed at two_theta={g}")
@@ -570,12 +569,10 @@ def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, point
     or within about 1e-6 of one, where the Newton steps slow down (the farthest
     seen: 1.2e-6 from wishart(2)'s inner edge, on 401-point windows).
     """
-    if not (np.isfinite(x_min) and np.isfinite(x_max)):
-        raise UsageError("x_min and x_max must be finite")
+    _finite([x_min, x_max], "x_min and x_max")
     if not x_min < x_max:
         raise UsageError("x_min must be below x_max")
-    if points < 2:
-        raise UsageError("points must be >= 2")
+    points = _count(points, "points", 2)
     grid = np.linspace(x_min, x_max, points)
     l_edge, r_edge = support_edge(profile)
     inside = np.flatnonzero(np.abs(grid) <= r_edge + EDGE_GAP_TOL * (1.0 + r_edge))

@@ -10,8 +10,8 @@ draws from default_rng([*key, i]), key being the master seed (and N for the
 tail), so results are bit-identical for any thread count.  `sample_matrix` is
 the one draw whose seed the caller gives.  Every sampled top eigenpair comes
 from one loop, `_top_pairs`, and from one solver, `_top_pair`: LAPACK's
-dsyevr asked for the top pair alone.  Only `eig_top` and
-`projected_empirical`, which return the whole spectrum, run a full eigh.
+dsyevr asked for the top pair alone; `eig_top` asks it too.  Only
+`projected_empirical`, which returns the whole spectrum, runs a full eigh.
 
 Two draw layouts, each fixed by what reads it.  `_matrices` builds the full
 symmetric H that dsyevr and the rank-one tilt need from the strict upper
@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dsyevr, dtpttr
 
 from .dyson import spectral_measure, support_edge
-from .profiles import UsageError, VarianceProfile
+from .profiles import UsageError, VarianceProfile, _count, _finite
 from .ratefn import eval_phi, find_tilt_theta
 
 ENTRY_KINDS = ("gaussian", "rademacher", "uniform")
@@ -120,8 +120,7 @@ def sample_matrix(profile: VarianceProfile, N: int, dist: str = "gaussian", seed
     """One symmetric N x N draw with the profile's entry variances, from
     default_rng(seed): seed is anything numpy accepts (an int or a derivation list).
     """
-    if N < 2:
-        raise UsageError("N must be >= 2")
+    N = _count(N, "N", 2)
     _, H = next(_matrices(profile, N, dist, [np.random.default_rng(seed)]))
     return H
 
@@ -153,15 +152,14 @@ def _check_symmetric(H: np.ndarray) -> None:
 
 
 def eig_top(matrix: np.ndarray):
-    """(lambda_1, v_1, spectrum); v_1 unit with first nonzero entry positive."""
+    """(lambda_1, v_1) by `_top_pair`; v_1 unit with first nonzero entry positive."""
     H = np.asarray(matrix, dtype=float)
     _check_symmetric(H)
-    ev, V = np.linalg.eigh(H)
-    v1 = V[:, -1]
+    lam1, v1 = _top_pair(H)
     nz = np.flatnonzero(np.abs(v1) > 1e-12)
     if nz.size and v1[nz[0]] < 0:
         v1 = -v1
-    return float(ev[-1]), v1, ev
+    return lam1, v1
 
 
 def _block_sums(a: np.ndarray, profile: VarianceProfile, axis: int = -1) -> np.ndarray:
@@ -355,12 +353,10 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
     sample size (sum w)^2 / sum w^2 as "ess" and z as "z"; an ESS below
     ESS_FLOOR raises a RuntimeWarning, as the stderr is then unreliable.
     """
-    if samples < MIN_SPHERE_SAMPLES:
-        raise UsageError(f"samples must be >= {MIN_SPHERE_SAMPLES}")
+    samples = _count(samples, "samples", MIN_SPHERE_SAMPLES)
     M = np.asarray(matrix, dtype=float)
     _check_symmetric(M)
-    if not math.isfinite(theta):
-        raise UsageError("theta must be finite")
+    _finite(theta, "theta")
     N = M.shape[0]
     sign = -1.0 if theta < 0 else 1.0
     lam = sign * np.linalg.eigvalsh(M)
@@ -414,8 +410,9 @@ def annealed_integral_mc(
     S^{N-1} (module docstring).  The window keeps rho within sup-distance delta
     of phi_target; an empty window raises InconclusiveError.
     """
-    if N < 1 or samples < 1 or not (delta > 0 and np.isfinite(theta)):
-        raise UsageError("N and samples must be >= 1, delta positive and theta finite")
+    N, samples = _count(N, "N"), _count(samples, "samples")
+    _finite(delta, "delta", "positive")
+    _finite(theta, "theta")
     phi = profile.mass_vector(phi_target)
     vals = np.empty(samples)
     inside = np.zeros(samples, dtype=bool)
@@ -439,8 +436,7 @@ def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed
 
     u is drawn on the sphere itself, as normalised normal rows, so this is the
     check that ties the Dirichlet draws of annealed_integral_mc to the sphere."""
-    if N < 1 or samples < 1:
-        raise UsageError("N and samples must be >= 1")
+    N, samples = _count(N, "N"), _count(samples, "samples")
     b = profile.row_blocks(N)
     counts = np.bincount(b, minlength=profile.p).astype(float)
     a = counts / 2.0
@@ -478,8 +474,7 @@ def tilted_outlier_check(
     """Sample H + 2 theta* E with Gaussian H, E = Sigma o v v^T and v profiled
     by phi(theta*), through `_top_pairs` with key [seed]; reports how the top
     eigenvalue tracks the target x."""
-    if N < 1 or samples < 1:
-        raise UsageError("N and samples must be >= 1")
+    N, samples = _count(N, "N"), _count(samples, "samples")
     theta = find_tilt_theta(profile, x, psi)
     phi = eval_phi(profile, theta, x, psi)
     lam1, rho = _top_pairs(profile, N, "gaussian", [seed], samples, theta, phi)
@@ -510,16 +505,14 @@ def collect_batch(
     profile: VarianceProfile, N: int, samples: int, dist: str = "gaussian", seed: int = 0
 ) -> SampleBatch:
     """Top-eigenvalue data of draw i < samples from default_rng([seed, i]), by `_top_pairs`."""
-    if N < 1 or samples < 1:
-        raise UsageError("N and samples must be >= 1")
+    N, samples = _count(N, "N"), _count(samples, "samples")
     lam1, rho = _top_pairs(profile, N, dist, [seed], samples)
     return SampleBatch(N=N, profile_label=profile.label, seed=seed, lambda1=lam1, rho_v1=rho)
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        raise UsageError("n must be positive")
+    n = _count(n, "n")
     ph, z = hits / n, 1.96
     den = 1.0 + z * z / n
     center = (ph + z * z / (2 * n)) / den
@@ -555,19 +548,16 @@ def tail_estimate(
     layout built once per N (module docstring); each matrix is unpacked by
     dtpttr into its own Fortran-order array and factored by one dpotrf call.
     A chunk draws its matrices in slices of _TAIL_SLICE, so it holds at most
-    two slices of its draw and one N x N array at a time.  x must be finite,
-    samples and every N at least 1.
+    two slices of its draw and one N x N array at a time.  x must be finite;
+    samples, threads and every N are counts of at least 1.
 
     rate = -(1/N) log p_hat with a Wilson interval mapped through the same
     transform; zero hits produce a one-sided point (rate = inf, finite
     rate_lo from the interval's upper endpoint).
     """
-    if not math.isfinite(x):
-        raise UsageError("x must be finite")
-    if samples < 1:
-        raise UsageError("samples must be >= 1")
-    if any(N < 1 for N in N_list):
-        raise UsageError("every N must be >= 1")
+    _finite(x, "x")
+    samples, threads = _count(samples, "samples"), _count(threads, "threads")
+    N_list = [_count(N, "N") for N in N_list]
     out = []
     workers = min(threads, math.ceil(samples / MC_CHUNK))
     for N in N_list:
@@ -604,8 +594,7 @@ def quantile_spectrum_matrix(profile: VarianceProfile, N: int, top: float) -> np
     """Deterministic diagonal matrix: N-1 quantiles of the limiting measure
     plus a detached top eigenvalue.  Their CDF integrates the density on 1501
     points and puts the mass it misses (an atom) on the flagged points."""
-    if N < 1:
-        raise UsageError("N must be >= 1")
+    N = _count(N, "N")
     l, r = support_edge(profile)
     sm = spectral_measure(profile, l - 0.05, r + 0.05, 1501)
     cum = _cumulative_mass(sm.x_grid, sm.density)

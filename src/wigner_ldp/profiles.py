@@ -168,8 +168,7 @@ def discretize(spec: ContinuousProfileSpec, p: int):
     the uniform partition of [0,1] into p equal intervals.  sup_error is the
     largest gap between a sample and its cell average.
     """
-    if p < 1:
-        raise UsageError("p must be >= 1")
+    p = _count(p, "p")
     n = spec.resolution
     if p > n:
         raise UsageError(f"p={p} exceeds grid resolution {n}")
@@ -187,15 +186,6 @@ def discretize(spec: ContinuousProfileSpec, p: int):
     return prof, DiscretizationReport(p=p, sup_error=sup_error)
 
 
-def sigma_quadratic_form(profile: VarianceProfile, phi, psi) -> float:
-    """<phi, S psi> = sum_{kl} sigma_{kl} phi_k psi_l."""
-    a = np.asarray(phi, dtype=float)
-    b = np.asarray(psi, dtype=float)
-    if a.shape != (profile.p,) or b.shape != (profile.p,):
-        raise UsageError("mass vectors must match the profile partition")
-    return float(a @ profile.sigma @ b)
-
-
 def _read(cfg: dict, key: str, read):
     """read(cfg[key]); a missing key or a value read rejects is a ProfileConfigError naming key."""
     if key not in cfg:
@@ -208,12 +198,42 @@ def _read(cfg: dict, key: str, read):
 
 def _exactly(type_):
     """A reader that takes v only when it is a type_ or type_(v) == v: "2" is no
-    int, nor are 2.7 and true, and a NaN is a float (for the finiteness check)."""
+    int, nor are 2.7 and true (Python's or numpy's), and a NaN is a float (for
+    the finiteness check)."""
     def read(v):
-        if isinstance(v, bool) or not (isinstance(v, type_) or type_(v) == v):
+        if isinstance(v, (bool, np.bool_)) or not (isinstance(v, type_) or type_(v) == v):
             raise ValueError(f"{v!r} is not of type {type_.__name__}")
         return type_(v)
     return read
+
+
+def _count(v, name: str, low: int = 1) -> int:
+    """The one reader of a size or a count: v as an int of at least low, read by
+    _exactly(int), so 4.0 and numpy's 4 read as 4; 2.5, NaN, inf, true and "3"
+    are UsageErrors naming the argument."""
+    try:
+        n = _exactly(int)(v)
+        if n >= low:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise UsageError(f"{name} must be an integer >= {low}")
+
+
+def _finite(v, name: str, sign: str = ""):
+    """The one reader of real arguments: v (a number or an array of them) as
+    floats, a UsageError naming the argument unless every entry is a finite
+    integer or float (so no string, boolean or complex number) and, if sign is
+    "positive" or "nonnegative", > 0 or >= 0."""
+    try:
+        t = np.asarray(v)
+    except ValueError:  # a ragged list
+        t = np.array(np.nan)
+    t = np.asarray(t if t.dtype.kind in "iuf" else np.nan, dtype=float)
+    ok = {"": True, "positive": t > 0, "nonnegative": t >= 0}[sign]
+    if not (np.isfinite(t) & ok).all():
+        raise UsageError(f"{name} must be finite" + (f" and {sign}" if sign else ""))
+    return t
 
 
 def _numbers(v):
@@ -263,7 +283,7 @@ def _from_config(cfg: dict, base_dir: Path | None = None):
     if kind == "grid":
         grid = _read(cfg, "file", lambda f: np.loadtxt(Path(base_dir or "") / f))  # an absolute f wins
         spec = ContinuousProfileSpec(grid=grid, label=label)
-        return _read(cfg, "p", lambda p: discretize(spec, _exactly(int)(p))[0]) if "p" in cfg else spec
+        return _read(cfg, "p", lambda p: discretize(spec, p)[0]) if "p" in cfg else spec
     raise ProfileConfigError(f"unknown profile kind: {kind!r}")
 
 

@@ -54,7 +54,7 @@ from .dyson import (
     ConvergenceError, _edge_margin, _free_energy, _inverse_solve, _quad, _rows_matvec, _rowsum,
     _solve_real, _solve_real_at, require_above_edge, support_edge,
 )
-from .profiles import UsageError, VarianceProfile
+from .profiles import UsageError, VarianceProfile, _finite
 
 _SEAM_TOL = 1e-12  # evaluate J and phi from the 2 theta >= G(x) side inside this
 _EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
@@ -112,15 +112,6 @@ def _take(ctx, rows):
 # ---------------------------------------------------------------------------
 
 
-def _require_theta(theta, name: str = "theta", positive: bool = False) -> np.ndarray:
-    """theta as floats; UsageError unless every entry is finite and nonnegative
-    (positive if asked)."""
-    t = np.asarray(theta, dtype=float)
-    if not (np.isfinite(t) & ((t > 0) if positive else (t >= 0))).all():
-        raise UsageError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
-    return t
-
-
 def _tilt_rows(profile: VarianceProfile, thetas, ctx, psis):
     """(J, phi) per row of the context ctx at tilt strength theta > 0, both read
     off one tilt point v: x where 2 theta >= G(x) (from that side inside
@@ -140,7 +131,7 @@ def _tilt_rows(profile: VarianceProfile, thetas, ctx, psis):
 
 def _J_rows(profile: VarianceProfile, thetas, ctx) -> np.ndarray:
     """J(x, theta) per row of the stack thetas and the context ctx (see `eval_J`)."""
-    thetas = _require_theta(thetas)
+    thetas = _finite(thetas, "theta", "nonnegative")
     J = np.zeros(len(thetas))
     pos = np.flatnonzero(thetas > 0.0)  # theta = 0 rows keep the limit value 0
     if pos.size:  # phi is not read: the weights stand in for psi
@@ -150,7 +141,7 @@ def _J_rows(profile: VarianceProfile, thetas, ctx) -> np.ndarray:
 
 def _phi_rows(profile: VarianceProfile, thetas, ctx, psis) -> np.ndarray:
     """phi(theta, x, psi) per row of the stacks and the context (see `eval_phi`)."""
-    thetas, psis = _require_theta(thetas, positive=True), profile.mass_rows(psis)
+    thetas, psis = _finite(thetas, "theta", "positive"), profile.mass_rows(psis)
     return _tilt_rows(profile, thetas, ctx, psis)[1]
 
 
@@ -165,13 +156,13 @@ def _K_at(profile, thetas, phis):
 
 def _K_rows(profile: VarianceProfile, thetas, phis) -> np.ndarray:
     """K(theta, phi) per row of the stacks (see `eval_K`)."""
-    return _K_at(profile, _require_theta(thetas), profile.mass_rows(phis))
+    return _K_at(profile, _finite(thetas, "theta", "nonnegative"), profile.mass_rows(phis))
 
 
 def _F_rows(profile: VarianceProfile, thetas, ctx, psis) -> np.ndarray:
     """F(theta, x, psi) per row of the stacks and the context (see `eval_F`):
     J and phi from one tilt point per row."""
-    thetas, psis = _require_theta(thetas), profile.mass_rows(psis)
+    thetas, psis = _finite(thetas, "theta", "nonnegative"), profile.mass_rows(psis)
     F = np.zeros(len(thetas))
     pos = np.flatnonzero(thetas > 0.0)  # F vanishes at theta = 0
     if pos.size:
@@ -183,7 +174,7 @@ def _F_rows(profile: VarianceProfile, thetas, ctx, psis) -> np.ndarray:
 
 def _F_hat_rows(profile: VarianceProfile, theta_hats, ctx, psis) -> np.ndarray:
     """Fhat(theta_hat, x, psi) per row of the stacks and the context (see `eval_F_hat`)."""
-    th = _require_theta(theta_hats, "theta_hat")
+    th = _finite(theta_hats, "theta_hat", "nonnegative")
     u, lin, a = _fhat_parts(profile, ctx[1], profile.mass_rows(psis))
     return _fhat(profile.weights, u, lin, a, th)
 
@@ -228,9 +219,9 @@ def eval_F_hat(profile: VarianceProfile, theta_hat: float, x: float, psi) -> flo
 def f_hat_gradient(profile: VarianceProfile, theta_hat: float, x: float, psi) -> np.ndarray:
     """Analytic simplex gradient of Fhat in psi at fixed theta_hat."""
     M = _ctx(profile, [x])[1]
-    _require_theta(theta_hat, "theta_hat")
+    th = _finite(theta_hat, "theta_hat", "nonnegative")
     psi = profile.mass_vector(psi)[None]
-    return _fhat_grad(profile, M, np.array([float(theta_hat)]), psi)[0]
+    return _fhat_grad(profile, M, th[None], psi)[0]
 
 
 def _fhat_parts(profile, m, psi):

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 import wigner_ldp
-from wigner_ldp import cli, dyson, mc, oracles, ratefn
+from wigner_ldp import cli, dyson, mc, oracles, profiles, ratefn
 from wigner_ldp.cli import _build_parser, main
 from wigner_ldp.dyson import (
-    ConvergenceError, log_potential, spectral_measure, stieltjes_total, support_edge,
+    ConvergenceError, log_potential, solve_dyson, solve_dyson_finite, spectral_measure,
+    stieltjes_inverse, stieltjes_total, support_edge,
 )
 from wigner_ldp.profiles import (
     ContinuousProfileSpec, ProfileConfigError, UsageError, block_profile, constant_profile,
-    discretize, load_profile_file, sigma_quadratic_form, wishart_profile,
+    discretize, load_profile_file, wishart_profile,
 )
 from wigner_ldp.ratefn import (
     eval_F, eval_F_hat, eval_J, eval_K, eval_phi, f_hat_gradient, find_tilt_theta,
@@ -978,84 +979,163 @@ def _bad_mass_vector_calls():
             for name, f in entries.items() for kind, v in bad.items()]
 
 
-# Each call carries its own id, so removing one renames no other.  The first 52
-# keep the positional ids they were first collected under, which saved lists of
-# test ids name; a new call gets an id "<function>-<what is wrong>".
-@pytest.mark.parametrize(
-    "call",
-    [
-        pytest.param(lambda: spectral_measure(constant_profile(), 1.0, -1.0, 5), id="<lambda>0"),
-        pytest.param(lambda: spectral_measure(constant_profile(), -1.0, 1.0, 1), id="<lambda>1"),
-        pytest.param(lambda: stieltjes_total(constant_profile(), 1.9), id="<lambda>2"),
-        pytest.param(lambda: log_potential(constant_profile(), 2.0), id="<lambda>3"),
-        pytest.param(lambda: eval_J(constant_profile(), 3.0, -0.1), id="<lambda>4"),
-        pytest.param(lambda: eval_J(constant_profile(), 1.0, 0.3), id="<lambda>5"),
-        pytest.param(lambda: eval_phi(constant_profile(), 0.0, 3.0, [1.0]), id="<lambda>6"),
-        pytest.param(lambda: eval_K(constant_profile(), -0.1, [1.0]), id="<lambda>7"),
-        pytest.param(lambda: eval_K(wishart_profile(2.0), 0.5, [1.0, 1.0]), id="<lambda>8"),
-        pytest.param(lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]), id="<lambda>9"),
-        pytest.param(lambda: rate_function(constant_profile(), np.nan), id="<lambda>10"),
-        pytest.param(lambda: rate_function(constant_profile(), np.inf), id="<lambda>11"),
-        pytest.param(lambda: rate_sweep(constant_profile(), [3.0, np.nan]), id="<lambda>12"),
-        pytest.param(lambda: stieltjes_total(constant_profile(), np.inf), id="<lambda>13"),
-        pytest.param(lambda: log_potential(constant_profile(), np.inf), id="<lambda>14"),
-        pytest.param(lambda: sup_theta(constant_profile(), np.inf, [1.0]), id="<lambda>15"),
-        pytest.param(lambda: find_tilt_theta(constant_profile(), np.inf, [1.0]), id="<lambda>16"),
-        pytest.param(lambda: eval_J(constant_profile(), 3.0, np.nan), id="<lambda>17"),
-        pytest.param(lambda: eval_J(constant_profile(), 3.0, np.inf), id="<lambda>18"),
-        pytest.param(lambda: eval_phi(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>19"),
-        pytest.param(lambda: eval_phi(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>20"),
-        pytest.param(lambda: eval_K(constant_profile(), np.nan, [1.0]), id="<lambda>21"),
-        pytest.param(lambda: eval_K(constant_profile(), np.inf, [1.0]), id="<lambda>22"),
-        pytest.param(lambda: eval_F(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>23"),
-        pytest.param(lambda: eval_F(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>24"),
-        pytest.param(lambda: eval_F_hat(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>25"),
-        pytest.param(lambda: eval_F_hat(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>26"),
-        pytest.param(lambda: f_hat_gradient(constant_profile(), np.nan, 3.0, [1.0]),
-                     id="<lambda>27"),
-        pytest.param(lambda: f_hat_gradient(constant_profile(), np.inf, 3.0, [1.0]),
-                     id="<lambda>28"),
-        pytest.param(lambda: f_hat_gradient(constant_profile(), -0.1, 3.0, [1.0]), id="<lambda>29"),
-        pytest.param(lambda: f_hat_gradient(constant_profile(), 0.5, 1.0, [1.0]), id="<lambda>30"),
-        pytest.param(lambda: outlier_equation_z(constant_profile(), np.nan, 3.0, [1.0]),
-                     id="<lambda>31"),
-        pytest.param(lambda: outlier_equation_z(constant_profile(), 0.0, 3.0, [1.0]),
-                     id="<lambda>32"),
-        pytest.param(lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
-                     id="<lambda>33"),
-        pytest.param(lambda: find_tilt_theta(wishart_profile(2.0), 3.0, [1.0, 0.0]),
-                     id="<lambda>34"),
-        pytest.param(lambda: eval_K(wishart_profile(2.0), 0.5, [0.5, 0.6]), id="<lambda>35"),
-        pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 0), id="<lambda>36"),
-        pytest.param(lambda: mc.collect_batch(constant_profile(), 0, 3), id="<lambda>37"),
-        pytest.param(lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 0),
-                     id="<lambda>38"),
-        pytest.param(lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 0),
-                     id="<lambda>39"),
-        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5], 0.1, 20, 10),
-                     id="<lambda>40"),
-        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, 0.5, 0.1, 20, 10),
-                     id="<lambda>41"),
-        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5, 0.5], -1.0, 20, 10),
-                     id="<lambda>42"),
-        pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), np.nan, [0.5, 0.5], 0.1, 20, 10),
-                     id="<lambda>43"),
-        pytest.param(lambda: mc.profile_dirichlet_check(constant_profile(), 0, 10),
-                     id="<lambda>44"),
-        pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 999), id="<lambda>45"),
-        pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000), id="<lambda>46"),
-        pytest.param(lambda: mc.quantile_spectrum_matrix(constant_profile(), 0, 3.0),
-                     id="<lambda>47"),
-        pytest.param(lambda: mc.quantile_spectrum_matrix(constant_profile(), -3, 3.0),
-                     id="<lambda>48"),
-        pytest.param(lambda: mc.eig_top(np.zeros((0, 0))), id="<lambda>49"),
-        pytest.param(lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 5),
-                     id="<lambda>50"),
-        pytest.param(lambda: sigma_quadratic_form(constant_profile(), [1.0, 0.0], [1.0]),
-                     id="<lambda>51"),
-        *_bad_mass_vector_calls(),
-    ],
-)
+# Each call carries its own id, so removing one renames no other.  The
+# "<lambda>k" ids are the positional ids the calls were first collected under,
+# which saved lists of test ids name; a new call gets an id
+# "<function>-<what is wrong>", and a count given a non-integer value the id
+# "<function>-<parameter>-<value>" that the completeness test below reads.
+_ARGUMENT_CHECKS = [
+    pytest.param(lambda: spectral_measure(constant_profile(), 1.0, -1.0, 5), id="<lambda>0"),
+    pytest.param(lambda: spectral_measure(constant_profile(), -1.0, 1.0, 1), id="<lambda>1"),
+    pytest.param(lambda: stieltjes_total(constant_profile(), 1.9), id="<lambda>2"),
+    pytest.param(lambda: log_potential(constant_profile(), 2.0), id="<lambda>3"),
+    pytest.param(lambda: eval_J(constant_profile(), 3.0, -0.1), id="<lambda>4"),
+    pytest.param(lambda: eval_J(constant_profile(), 1.0, 0.3), id="<lambda>5"),
+    pytest.param(lambda: eval_phi(constant_profile(), 0.0, 3.0, [1.0]), id="<lambda>6"),
+    pytest.param(lambda: eval_K(constant_profile(), -0.1, [1.0]), id="<lambda>7"),
+    pytest.param(lambda: eval_K(wishart_profile(2.0), 0.5, [1.0, 1.0]), id="<lambda>8"),
+    pytest.param(lambda: eval_phi(wishart_profile(2.0), 0.5, 3.0, [0.5, 0.6]), id="<lambda>9"),
+    pytest.param(lambda: rate_function(constant_profile(), np.nan), id="<lambda>10"),
+    pytest.param(lambda: rate_function(constant_profile(), np.inf), id="<lambda>11"),
+    pytest.param(lambda: rate_sweep(constant_profile(), [3.0, np.nan]), id="<lambda>12"),
+    pytest.param(lambda: stieltjes_total(constant_profile(), np.inf), id="<lambda>13"),
+    pytest.param(lambda: log_potential(constant_profile(), np.inf), id="<lambda>14"),
+    pytest.param(lambda: sup_theta(constant_profile(), np.inf, [1.0]), id="<lambda>15"),
+    pytest.param(lambda: find_tilt_theta(constant_profile(), np.inf, [1.0]), id="<lambda>16"),
+    pytest.param(lambda: eval_J(constant_profile(), 3.0, np.nan), id="<lambda>17"),
+    pytest.param(lambda: eval_J(constant_profile(), 3.0, np.inf), id="<lambda>18"),
+    pytest.param(lambda: eval_phi(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>19"),
+    pytest.param(lambda: eval_phi(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>20"),
+    pytest.param(lambda: eval_K(constant_profile(), np.nan, [1.0]), id="<lambda>21"),
+    pytest.param(lambda: eval_K(constant_profile(), np.inf, [1.0]), id="<lambda>22"),
+    pytest.param(lambda: eval_F(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>23"),
+    pytest.param(lambda: eval_F(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>24"),
+    pytest.param(lambda: eval_F_hat(constant_profile(), np.nan, 3.0, [1.0]), id="<lambda>25"),
+    pytest.param(lambda: eval_F_hat(constant_profile(), np.inf, 3.0, [1.0]), id="<lambda>26"),
+    pytest.param(lambda: f_hat_gradient(constant_profile(), np.nan, 3.0, [1.0]),
+                 id="<lambda>27"),
+    pytest.param(lambda: f_hat_gradient(constant_profile(), np.inf, 3.0, [1.0]),
+                 id="<lambda>28"),
+    pytest.param(lambda: f_hat_gradient(constant_profile(), -0.1, 3.0, [1.0]), id="<lambda>29"),
+    pytest.param(lambda: f_hat_gradient(constant_profile(), 0.5, 1.0, [1.0]), id="<lambda>30"),
+    pytest.param(lambda: outlier_equation_z(constant_profile(), np.nan, 3.0, [1.0]),
+                 id="<lambda>31"),
+    pytest.param(lambda: outlier_equation_z(constant_profile(), 0.0, 3.0, [1.0]),
+                 id="<lambda>32"),
+    pytest.param(lambda: rate_function_concave(block_profile(0.5, 1.0, 4.0), 3.5),
+                 id="<lambda>33"),
+    pytest.param(lambda: find_tilt_theta(wishart_profile(2.0), 3.0, [1.0, 0.0]),
+                 id="<lambda>34"),
+    pytest.param(lambda: eval_K(wishart_profile(2.0), 0.5, [0.5, 0.6]), id="<lambda>35"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 0), id="<lambda>36"),
+    pytest.param(lambda: mc.collect_batch(constant_profile(), 0, 3), id="<lambda>37"),
+    pytest.param(lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 0),
+                 id="<lambda>38"),
+    pytest.param(lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 0),
+                 id="<lambda>39"),
+    pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5], 0.1, 20, 10),
+                 id="<lambda>40"),
+    pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, 0.5, 0.1, 20, 10),
+                 id="<lambda>41"),
+    pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), 0.3, [0.5, 0.5], -1.0, 20, 10),
+                 id="<lambda>42"),
+    pytest.param(lambda: mc.annealed_integral_mc(wishart_profile(2.0), np.nan, [0.5, 0.5], 0.1, 20, 10),
+                 id="<lambda>43"),
+    pytest.param(lambda: mc.profile_dirichlet_check(constant_profile(), 0, 10),
+                 id="<lambda>44"),
+    pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 999), id="<lambda>45"),
+    pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), np.nan, 1000), id="<lambda>46"),
+    pytest.param(lambda: mc.quantile_spectrum_matrix(constant_profile(), 0, 3.0),
+                 id="<lambda>47"),
+    pytest.param(lambda: mc.quantile_spectrum_matrix(constant_profile(), -3, 3.0),
+                 id="<lambda>48"),
+    pytest.param(lambda: mc.eig_top(np.zeros((0, 0))), id="<lambda>49"),
+    pytest.param(lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 5),
+                 id="<lambda>50"),
+    pytest.param(lambda: eval_F_hat(constant_profile(), -0.1, 3.0, [1.0]),
+                 id="eval_F_hat-theta_hat-negative"),
+    pytest.param(lambda: eval_F_hat(constant_profile(), 0.5, 1.0, [1.0]),
+                 id="eval_F_hat-x-below-edge"),
+    pytest.param(lambda: solve_dyson(constant_profile(), complex(np.nan, 1.0)),
+                 id="solve_dyson-Re-z-nan"),
+    pytest.param(lambda: solve_dyson(constant_profile(), complex(1.0, np.nan)),
+                 id="solve_dyson-Im-z-nan"),
+    pytest.param(lambda: solve_dyson(constant_profile(), np.inf), id="solve_dyson-z-inf"),
+    pytest.param(lambda: solve_dyson_finite(np.ones((2, 2)), complex(1.0, np.nan)),
+                 id="solve_dyson_finite-Im-z-nan"),
+    pytest.param(lambda: stieltjes_inverse(constant_profile(), np.nan),
+                 id="stieltjes_inverse-two_theta-nan"),
+    pytest.param(lambda: stieltjes_inverse(constant_profile(), np.inf),
+                 id="stieltjes_inverse-two_theta-inf"),
+    pytest.param(lambda: spectral_measure(constant_profile(), -1.0, 1.0, 2.5),
+                 id="spectral_measure-points-2.5"),
+    pytest.param(lambda: discretize(ContinuousProfileSpec(np.ones((4, 4))), 2.5),
+                 id="discretize-p-2.5"),
+    pytest.param(lambda: mc.sample_matrix(constant_profile(), 2.5), id="sample_matrix-N-2.5"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [2.5], 10),
+                 id="tail_estimate-N_list-2.5"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [20], np.nan),
+                 id="tail_estimate-samples-nan"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [20], True),
+                 id="tail_estimate-samples-True"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 10, threads=0),
+                 id="tail_estimate-threads-0"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [20], 10, threads=2.5),
+                 id="tail_estimate-threads-2.5"),
+    pytest.param(lambda: mc.collect_batch(constant_profile(), True, 3), id="collect_batch-N-True"),
+    pytest.param(lambda: mc.collect_batch(constant_profile(), 5, 2.5),
+                 id="collect_batch-samples-2.5"),
+    pytest.param(lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 2.5, 2),
+                 id="tilted_outlier_check-N-2.5"),
+    pytest.param(lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 2.5),
+                 id="tilted_outlier_check-samples-2.5"),
+    pytest.param(lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 2.5, 10),
+                 id="annealed_integral_mc-N-2.5"),
+    pytest.param(lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 2.5),
+                 id="annealed_integral_mc-samples-2.5"),
+    pytest.param(lambda: mc.profile_dirichlet_check(constant_profile(), 2.5, 10),
+                 id="profile_dirichlet_check-N-2.5"),
+    pytest.param(lambda: mc.profile_dirichlet_check(constant_profile(), 5, 2.5),
+                 id="profile_dirichlet_check-samples-2.5"),
+    pytest.param(lambda: mc.quantile_spectrum_matrix(constant_profile(), 2.5, 3.0),
+                 id="quantile_spectrum_matrix-N-2.5"),
+    pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 1000.5),
+                 id="spherical_integral_mc-samples-1000.5"),
+    pytest.param(lambda: mc.wilson_interval(1, 2.5), id="wilson_interval-n-2.5"),
+    pytest.param(lambda: eval_J(constant_profile(), 3.0, "0.3"), id="eval_J-theta-string"),
+    pytest.param(lambda: eval_K(constant_profile(), True, [1.0]), id="eval_K-theta-True"),
+    *_bad_mass_vector_calls(),
+]
+
+
+@pytest.mark.parametrize("call", _ARGUMENT_CHECKS)
 def test_library_argument_checks_raise_usage_error(call):
     with pytest.raises(UsageError):
         call()
+
+
+_COUNT_PARAMETERS = {"N", "N_list", "samples", "points", "p", "n", "threads"}
+
+
+def test_every_count_parameter_has_a_non_integer_row():
+    # every public function taking a size or a count is refused a non-integer one
+    ids = {c.id for c in _ARGUMENT_CHECKS}
+    missing = []
+    for module in (profiles, dyson, ratefn, mc):
+        for name, f in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(f) or f.__module__ != module.__name__:
+                continue
+            for param in _COUNT_PARAMETERS & set(inspect.signature(f).parameters):
+                if not any(f"{name}-{param}-{v}" in ids for v in ("2.5", "1000.5", "nan", "True")):
+                    missing.append(f"{name}({param})")
+    assert not missing, missing
+
+
+def test_integral_floats_and_numpy_ints_read_as_counts():
+    prof = constant_profile()
+    pts = [mc.tail_estimate(prof, 2.2, [6], s, seed=1) for s in (4, 4.0, np.int64(4))]
+    assert pts[1] == pts[0] and pts[2] == pts[0] and type(pts[1][0].samples) is int
+    ref = spectral_measure(prof, -1.0, 1.0, 4)
+    for points in (4.0, np.int64(4)):
+        sm = spectral_measure(prof, -1.0, 1.0, points)
+        assert np.array_equal(sm.x_grid, ref.x_grid) and np.array_equal(sm.density, ref.density)

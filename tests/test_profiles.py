@@ -11,7 +11,6 @@ from wigner_ldp.profiles import (
     discretize,
     load_profile,
     load_profile_file,
-    sigma_quadratic_form,
 )
 
 from conftest import random_profile
@@ -233,16 +232,17 @@ def test_discretize_p_exceeds_resolution():
 def test_quadratic_form_constant_is_one(const_prof):
     rng = np.random.default_rng(0)
     psi = rng.dirichlet([1.0])
-    assert sigma_quadratic_form(const_prof, psi, psi) == pytest.approx(1.0)
+    assert psi @ const_prof.sigma @ psi == pytest.approx(1.0)
 
 
 def test_quadratic_form_wishart(wishart2):
     w = wishart2.weights
-    assert sigma_quadratic_form(wishart2, w, w) == pytest.approx(4.0 / 9.0, abs=1e-15)
+    assert w @ wishart2.sigma @ w == pytest.approx(4.0 / 9.0, abs=1e-15)
 
 
 def test_quadratic_form_block_vertex(block_14):
-    assert sigma_quadratic_form(block_14, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+    e = np.array([1.0, 0.0])
+    assert e @ block_14.sigma @ e == pytest.approx(1.0)
 
 
 def test_quadratic_form_symmetric_and_nonnegative():
@@ -252,11 +252,6 @@ def test_quadratic_form_symmetric_and_nonnegative():
         for _ in range(20):
             a = rng.dirichlet(np.ones(prof.p))
             b = rng.dirichlet(np.ones(prof.p))
-            q_ab = sigma_quadratic_form(prof, a, b)
-            assert q_ab == pytest.approx(sigma_quadratic_form(prof, b, a), rel=1e-12)
-            assert sigma_quadratic_form(prof, a, a) >= 0.0
-
-
-def test_quadratic_form_dimension_mismatch(wishart2):
-    with pytest.raises(ValueError):
-        sigma_quadratic_form(wishart2, [1.0], [0.5, 0.5])
+            q_ab = a @ prof.sigma @ b
+            assert q_ab == pytest.approx(b @ prof.sigma @ a, rel=1e-12)
+            assert a @ prof.sigma @ a >= 0.0
