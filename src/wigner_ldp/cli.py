@@ -90,11 +90,17 @@ def _mass_option(prof: VarianceProfile, args, name: str) -> np.ndarray:
     return v
 
 
-def _table(header, rows) -> str:
-    """The one CSV writer: a str cell is written as it is, a number as
-    repr(float(v)), so a payload keeps every bit of its values."""
-    return "".join(",".join(c if isinstance(c, str) else repr(float(c)) for c in line) + "\n"
-                   for line in (header, *rows))
+def _table(header, columns, footer=None) -> str:
+    """The one CSV writer, column by column: a column of str is written as it
+    is, any other as the repr of each value read as a float, so a payload keeps
+    every bit of its values; footer, a last row, is written cell by cell the
+    same way."""
+    cells = [c.tolist() if c.dtype.kind == "U" else map(repr, c.astype(float).tolist())
+             for c in map(np.asarray, columns)]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    if footer is not None:
+        lines.append(",".join(c if isinstance(c, str) else repr(float(c)) for c in footer))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +131,8 @@ def cmd_density(prof, args):
         "flagged": sm.flags.astype(int).tolist(),
     }
     header = ["x", "density", *(f"density_block_{k+1}" for k in range(prof.p))]
-    rows = [*zip(sm.x_grid, sm.density, *sm.block_densities),
-            ["# total_mass", sm.total_mass]]
-    return EXIT_OK, body, _table(header, rows)
+    return EXIT_OK, body, _table(header, [sm.x_grid, sm.density, *sm.block_densities],
+                                 footer=["# total_mass", sm.total_mass])
 
 
 def cmd_rate(prof, args):
@@ -138,8 +143,8 @@ def cmd_rate(prof, args):
                   for r in rows],
     }
     header = ["x", "I", "theta_star", *(f"psi_star_{k+1}" for k in range(prof.p)), "spread"]
-    table = _table(header, [[r.x, r.I, r.theta_star, *r.psi_star, r.spread] for r in rows])
-    return EXIT_OK, body, table
+    columns = zip(*([r.x, r.I, r.theta_star, *r.psi_star, r.spread] for r in rows))
+    return EXIT_OK, body, _table(header, columns)
 
 
 # -- validation suites -------------------------------------------------------
@@ -362,8 +367,8 @@ def cmd_mc_tilt(prof, args):
             ("theta_star", "target_x", "mean_lambda1", "std_lambda1", "mean_profile_gap")}
     table = None
     if args.format == "csv":  # the only command whose table is not its default payload
-        table = _table(["seed_index", "lambda1"],
-                       [[str(i), lam] for i, lam in enumerate(rep["lambda1"])])
+        lam = rep["lambda1"]
+        table = _table(["seed_index", "lambda1"], [[str(i) for i in range(len(lam))], lam])
     return EXIT_OK, body, table
 
 
@@ -375,8 +380,8 @@ def cmd_mc_batch(prof, args):
         "rho_mean": batch.rho_v1.mean(axis=0).tolist(),
     }
     header = ["seed_index", "lambda1", *(f"rho_{k+1}" for k in range(prof.p))]
-    rows = [[str(i), lam, *rho] for i, (lam, rho) in enumerate(zip(batch.lambda1, batch.rho_v1))]
-    return EXIT_OK, body, _table(header, rows)
+    index = [str(i) for i in range(len(batch.lambda1))]
+    return EXIT_OK, body, _table(header, [index, batch.lambda1, *batch.rho_v1.T])
 
 
 def cmd_mc_dirichlet(prof, args):

@@ -16,13 +16,14 @@ walks it for one point, and the size-N system of `solve_dyson_finite` is
 Newton step on the multiplicative residual 1 - m (z - sigma (w m)) where it is
 accepted and otherwise the map m -> 1/(z - sigma (w m)), a strict contraction
 in the hyperbolic metric (Helton-Rashidi Far-Speicher, IMRN 2007), so no step
-length is searched or measured: every row stops on one test (`_stops`), a
-multiplicative residual below 1e-10 (1 + |z|) with, on the last rung, whose m is
-the answer, a relative step below 1e-13 as well.  The density grid solves only
-its points inside the certified support |x| <= r + EDGE_GAP_TOL (1 + r), the
-rest being exact zeros: it walks the ladder to _ETA, then takes plain Newton
-steps at Im z = 0, where the boundary value is a regular solution in the bulk
-(`spectral_measure`).
+length is searched or measured: every row stops on one test (`_stops`).  A rung
+whose m is the answer stops at a multiplicative residual below 1e-10 (1 + |z|)
+and a relative step below 1e-13; a rung whose m only starts the next one stops
+at start quality, a residual below _SEED_TOL (1 + |z|).  The density grid
+solves only its points inside the certified support |x| <= r + EDGE_GAP_TOL
+(1 + r), the rest being exact zeros: it walks the ladder to _ETA, every rung a
+start, then takes plain Newton steps at Im z = 0, where the boundary value is a
+regular solution in the bulk (`spectral_measure`).
 
 Real axis: `_damped_newton` is one damped Newton over a stack of rows, each
 with its own positivity-keeping Armijo search and stop, for three systems:
@@ -69,6 +70,10 @@ import numpy as np
 from .profiles import UsageError, VarianceProfile, _count, _finite
 
 _ETA = 1e-2               # the Im z from which the density's rung at Im z = 0 starts
+# residual bound, relative to 1 + |z|, of a rung whose m only starts the next one:
+# a tenth of the gap _ETA between the density's last ladder rung and the real
+# axis, which its start crosses anyway
+_SEED_TOL = _ETA / 10
 _REAL_RUNG_STEPS = 20     # plain Newton steps of that rung, per row
 _MEMO_SIZE = 1 << 16      # entries per memoized function, over all profiles
 
@@ -158,15 +163,15 @@ def _newton_step(profile, z, m):
 
 
 def _stops(profile, z, m, nxt, last=True) -> np.ndarray:
-    """Rows where the step m -> nxt ends a solve: a multiplicative residual
-    (`_mult_residual`) below 1e-10 (1 + |z|) at nxt and, on a `last` rung, a
-    relative step below 1e-13 as well.  A rung above the last only starts the next
-    one, so the residual alone ends it, without the sweep the step test needs."""
+    """Rows where the step m -> nxt ends a solve.  On a `last` rung, whose m is
+    returned, that is a multiplicative residual (`_mult_residual`) below
+    1e-10 (1 + |z|) at nxt and a relative step below 1e-13.  A rung whose m only
+    starts the next solve stops at start quality, a residual below
+    _SEED_TOL (1 + |z|), without the sweep a step test needs."""
     res = np.max(np.abs(_mult_residual(profile, z[:, None], nxt)), axis=1)
-    ok = res < 1e-10 * (1.0 + np.abs(z))
-    if last:
-        ok &= np.max(np.abs(nxt - m) / np.abs(nxt), axis=1) < 1e-13
-    return ok
+    if not last:
+        return res < _SEED_TOL * (1.0 + np.abs(z))
+    return (res < 1e-10 * (1.0 + np.abs(z))) & (np.max(np.abs(nxt - m) / np.abs(nxt), axis=1) < 1e-13)
 
 
 def _solve_block(profile, z, m0, last=True):
@@ -175,11 +180,11 @@ def _solve_block(profile, z, m0, last=True):
     The first sweep is a fixed-point step; each later sweep tries one full Newton
     step on the multiplicative residual (`_newton_step`) and falls back to the
     contraction map when that step is rejected.  Every row stops on one test
-    (`_stops`, its step test only on the `last` rung), whose multiplicative
-    residual, unlike `_residual`, has no rounding floor above its bound where |m|
-    is large near an atom.  A row still running after _MAX_SWEEPS sweeps, or whose
-    z or start is not finite, comes back as NaN, and a row's value does not depend
-    on the rows solved with it."""
+    (`_stops`: the full test on a `last` rung, start quality on any other), whose
+    multiplicative residual, unlike `_residual`, has no rounding floor above its
+    bound where |m| is large near an atom.  A row still running after _MAX_SWEEPS
+    sweeps, or whose z or start is not finite, comes back as NaN, and a row's
+    value does not depend on the rows solved with it."""
     if m0 is None:
         m, act = np.repeat((1.0 / z)[:, None], profile.p, axis=1), np.isfinite(z)
     else:
@@ -203,14 +208,16 @@ def _solve_block(profile, z, m0, last=True):
     return m, its
 
 
-def _descend(profile, xs, eta):
+def _descend(profile, xs, eta, last=True):
     """(m, iterations): the rows m(x + i eta), each solved down the ladder 0.5, ...,
     8 eta, eta from m = 1/z, every rung from the one above (`_solve_block`), with
     its sweeps summed over the rungs; a row that fails on any rung is NaN from
-    there on.  Only the last rung's m is returned, so only it runs `_stops`' step
-    test; the rungs above it stop on the residual.  For eta >= 0.25 the ladder is
-    one cold solve at eta.  Rows go down the ladder in blocks of at most
-    _BLOCK_ENTRIES / p^2, which bounds the stack of p x p Newton Jacobians."""
+    there on.  The rungs above eta only start the next one, so they stop at start
+    quality (`_stops`); the rung at eta runs the full test when `last`, that is
+    when its m is the answer, and stops at start quality too when the caller only
+    starts a further solve from it.  For eta >= 0.25 the ladder is one cold solve
+    at eta.  Rows go down the ladder in blocks of at most _BLOCK_ENTRIES / p^2,
+    which bounds the stack of p x p Newton Jacobians."""
     rungs, e = [eta], eta
     while e < 0.25:
         e *= 8.0
@@ -222,7 +229,7 @@ def _descend(profile, xs, eta):
         for b in range(0, xs.size, size):
             rows, m = slice(b, b + size), None
             for e in rungs:  # strictly decreasing, so only the last equals eta
-                m, n = _solve_block(profile, xs[rows] + 1j * e, m, last=e == eta)
+                m, n = _solve_block(profile, xs[rows] + 1j * e, m, last=last and e == eta)
                 its[rows] += n
             out[rows] = m
     return out, its
@@ -561,9 +568,10 @@ def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, point
     `support_edge` certifies that mu lies in |x| <= r + EDGE_GAP_TOL (1 + r), so
     grid points outside that bracket get density 0 and no flag without a solve.
     The points inside walk the Im z ladder (`_descend`) in one batch down to
-    _ETA, then take at most _REAL_RUNG_STEPS plain Newton steps (`_newton_step`)
-    at Im z = 0 to the boundary value m(x), a regular solution in the bulk, each
-    row until `_stops`; block densities use the mass-w_k transforms.  A row that
+    _ETA, every rung only a start and so stopped at start quality, then take at
+    most _REAL_RUNG_STEPS plain Newton steps (`_newton_step`) at Im z = 0 to the
+    boundary value m(x), a regular solution in the bulk, each row until the full
+    `_stops` test; block densities use the mass-w_k transforms.  A row that
     does not stop or ends with some Im m_k > 1e-12 |m_k| is flagged with density
     0: an atom, whose mass is missed, or a point inside the bracket on an edge
     or within about 1e-6 of one, where the Newton steps slow down (the farthest
@@ -577,7 +585,7 @@ def spectral_measure(profile: VarianceProfile, x_min: float, x_max: float, point
     l_edge, r_edge = support_edge(profile)
     inside = np.flatnonzero(np.abs(grid) <= r_edge + EDGE_GAP_TOL * (1.0 + r_edge))
     x = grid[inside]
-    m, _ = _descend(profile, x, _ETA)
+    m, _ = _descend(profile, x, _ETA, last=False)
     failed = np.isnan(m).any(axis=1)
     if failed.any():
         raise ConvergenceError(f"Dyson iteration did not converge at x={x[failed][0]}")

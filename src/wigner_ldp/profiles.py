@@ -97,16 +97,13 @@ class VarianceProfile:
     def mass_rows(self, rows) -> np.ndarray:
         """The one reader of block mass vectors: each row as p floats, each at
         least -1e-12 (rounding negatives clip to 0), summing to 1 within 1e-9.
-        Both tests fail on NaN, and inf breaks the sum, so neither gets through;
-        what does not read as floats (strings, ragged lists) is refused too."""
-        try:
-            a = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"mass vector is not an array of floats: {exc}") from None
+        The entries are read by `_finite`, so NaN, inf, strings (numeric ones
+        too), booleans and ragged lists are refused."""
+        a = _finite(rows, "mass vector")
         if a.ndim != 2 or a.shape[1] != self.p:
             raise UsageError(f"expected a mass vector of length {self.p}")
         if not ((a >= -1e-12).all() and (abs(a.sum(axis=1) - 1.0) <= 1e-9).all()):
-            raise UsageError("mass vector must be finite, nonnegative and sum to 1")
+            raise UsageError("mass vector must be nonnegative and sum to 1")
         return np.clip(a, 0.0, None)
 
     def row_blocks(self, n: int) -> np.ndarray:

@@ -390,6 +390,23 @@ def test_mc_tilt_csv_rows_match_json(prof_paths, tmp_path):
     assert float(lam1.mean()) == json.loads(text)["mean_lambda1"]
 
 
+def test_table_writes_each_cell_as_the_per_cell_writer_did():
+    # the column-wise writer against the one it replaced, inlined here: a str
+    # cell as it is, any other as repr(float(v)), one row at a time
+    def per_cell(header, rows):
+        return "".join(",".join(c if isinstance(c, str) else repr(float(c)) for c in line) + "\n"
+                       for line in (header, *rows))
+
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22, 0.1, 2.0])
+    index = [str(i) for i in range(odd.size)]
+    cols = [index, odd, odd[::-1].astype(np.float32), np.arange(odd.size), odd.tolist()]
+    header = ["seed_index", "a", "b", "c", "d"]
+    assert cli._table(header, cols) == per_cell(header, zip(*cols))
+    footer = ["# total_mass", np.float64(0.75)]
+    assert cli._table(header, cols, footer=footer) == per_cell(header, [*zip(*cols), footer])
+    assert cli._table(header, [[], []]) == per_cell(header, [])
+
+
 def test_parser_is_built_once_and_reused(prof_paths, tmp_path):
     # a second run through the same parser sees nothing of the runs before it
     assert _build_parser() is _build_parser()
@@ -1104,6 +1121,8 @@ _ARGUMENT_CHECKS = [
     pytest.param(lambda: mc.wilson_interval(1, 2.5), id="wilson_interval-n-2.5"),
     pytest.param(lambda: eval_J(constant_profile(), 3.0, "0.3"), id="eval_J-theta-string"),
     pytest.param(lambda: eval_K(constant_profile(), True, [1.0]), id="eval_K-theta-True"),
+    pytest.param(lambda: eval_K(wishart_profile(2.0), 0.3, ["0.5", "0.5"]), id="eval_K-phi-strings"),
+    pytest.param(lambda: eval_K(wishart_profile(2.0), 0.3, [True, False]), id="eval_K-phi-booleans"),
     *_bad_mass_vector_calls(),
 ]
 

@@ -23,7 +23,10 @@ from wigner_ldp.dyson import (
     stieltjes_total,
     support_edge,
 )
-from wigner_ldp.profiles import UsageError, VarianceProfile, constant_profile, wishart_profile
+from wigner_ldp.profiles import (
+    ContinuousProfileSpec, UsageError, VarianceProfile, block_profile, constant_profile, discretize,
+    wishart_profile,
+)
 
 from conftest import random_profile, split_block
 
@@ -446,7 +449,7 @@ def _full_stop_ladder(prof, xs, eta):
     m = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for e in rungs:
-            m, _ = _solve_block(prof, xs + 1j * e, m)
+            m, _ = dyson._solve_block(prof, xs + 1j * e, m)
     return m
 
 
@@ -484,6 +487,33 @@ def test_converging_only_the_last_rung_changes_nothing_beyond_rounding(wishart2,
             assert np.all(np.abs(m - ref) <= 1e-13 * np.abs(ref))
 
 
+_SMOOTH = ContinuousProfileSpec.from_function(lambda s, t: 1 + 2 * np.exp(-4 * (s - t) ** 2) + s * t, 64)
+
+
+@pytest.mark.parametrize("prof", [
+    constant_profile(), wishart_profile(2.0), block_profile(0.5, 1.0, 4.0), discretize(_SMOOTH, 8)[0],
+], ids=["constant", "wishart2", "block14", "8-block"])
+def test_density_ladder_stops_every_rung_at_start_quality(prof, monkeypatch):
+    # every ladder rung of the density only starts the next one, so none runs
+    # the full stop test, and the ladder makes well under the row-sweeps of one
+    # whose every rung does
+    calls, solve = [], dyson._solve_block
+
+    def spy(p, z, m0, last=True):
+        m, its = solve(p, z, m0, last)
+        calls.append((last, int(its.sum())))
+        return m, its
+
+    monkeypatch.setattr(dyson, "_solve_block", spy)
+    _, r = support_edge(prof)
+    xs = spectral_measure(prof, -r - 0.2, r + 0.2, 501).x_grid
+    assert calls and not any(last for last, _ in calls)
+    seeded = sum(n for _, n in calls)
+    calls.clear()
+    _full_stop_ladder(prof, xs[np.abs(xs) <= r + dyson.EDGE_GAP_TOL * (1 + r)], dyson._ETA)
+    assert seeded <= 0.7 * sum(n for _, n in calls)
+
+
 @pytest.mark.parametrize("prof, lo, hi, bulk", [
     (constant_profile(), 1.5, 2.5, (1.5, 1.95)),  # straddles the edge 2
     (wishart_profile(2.0), -2.0, 2.0, (0.3, 1.35)),
@@ -495,7 +525,8 @@ def test_density_solves_only_inside_the_certified_support(prof, lo, hi, bulk, mo
     # point is an exact 0 with no flag and never reaches the complex solve,
     # while the bulk (of the part with the largest edge) keeps its density
     seen, descend = [], dyson._descend
-    monkeypatch.setattr(dyson, "_descend", lambda p, xs, eta: seen.append(xs.copy()) or descend(p, xs, eta))
+    monkeypatch.setattr(dyson, "_descend",
+                        lambda p, xs, eta, **kw: seen.append(xs.copy()) or descend(p, xs, eta, **kw))
     _, r = support_edge(prof)
     sm = spectral_measure(prof, lo, hi, 101)
     inside = np.abs(sm.x_grid) <= r + dyson.EDGE_GAP_TOL * (1 + r)
