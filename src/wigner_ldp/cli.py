@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, dyson, mc, ratefn
 from .dyson import EDGE_GAP_TOL, ConvergenceError, spectral_measure, stieltjes_total, support_edge
 from .mc import InconclusiveError
-from .profiles import ProfileConfigError, UsageError, VarianceProfile, load_profile_file
+from .profiles import ProfileConfigError, UsageError, VarianceProfile, _count, _finite, load_profile_file
 from .ratefn import eval_J, rate_function, rate_function_concave, rate_sweep
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_INCONCLUSIVE = 0, 2, 3, 4
@@ -36,37 +36,14 @@ _NOT_OPTIONS = frozenset(
 )
 
 
-def _finite_float(text: str, positive: bool = False) -> float:
+def _comma_list(text: str, item=float) -> list:
+    """The one parser of a comma-separated option: one or more numbers, blank items skipped."""
     try:
-        v = float(text)
-    except ValueError:
-        v = np.nan
-    if not np.isfinite(v) or (positive and not v > 0):
-        raise argparse.ArgumentTypeError(f"not a {'positive' if positive else 'finite'} float: {text!r}")
-    return v
-
-
-_positive_float = partial(_finite_float, positive=True)
-
-
-def _int_at_least(text: str, low: int) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < low:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}: {text!r}")
-    return n
-
-
-_positive_int = partial(_int_at_least, low=1)
-
-
-def _comma_list(text: str, item=_finite_float) -> list:
-    """The one parser of a comma-separated option: one or more items, blank items skipped."""
-    vals = [item(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [item(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:  # an item that is no number
+        vals = []
     if not vals:
-        raise argparse.ArgumentTypeError(f"not a nonempty comma-separated list: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a nonempty comma-separated list of {item.__name__}s: {text!r}")
     return vals
 
 
@@ -82,8 +59,8 @@ def _mass_option(prof: VarianceProfile, args, name: str) -> np.ndarray:
     absent.  Returns them normalised and stores them so on args, so the
     estimator, the reference and the manifest all see the same vector."""
     values = getattr(args, name)
-    v = prof.weights if values is None else np.asarray(values, dtype=float)
-    if v.shape != (prof.p,) or np.any(v < 0) or not v.sum() > 0:
+    v = prof.weights if values is None else _finite(values, f"--{name}", "nonnegative")
+    if v.shape != (prof.p,) or not v.sum() > 0:
         raise UsageError(f"--{name} needs {prof.p} nonnegative values with a positive sum")
     v = v / v.sum()
     setattr(args, name, v.tolist())
@@ -136,7 +113,7 @@ def cmd_density(prof, args):
 
 
 def cmd_rate(prof, args):
-    rows = rate_sweep(prof, args.x)
+    rows = rate_sweep(prof, _finite(args.x, "x").tolist())  # else -inf reads as below the edge
     body = {
         "reports": [{**vars(r), "psi_star": r.psi_star.tolist()} for r in rows],
         "notes": ["inf marks x below the support edge" if not np.isfinite(r.I) else ""
@@ -403,7 +380,9 @@ def cmd_mc_dirichlet(prof, args):
 def _run(args) -> int:
     """Load the profile, run the command, and write its payload with the manifest:
     the CSV table when the command has one and JSON was not asked for, else JSON.
-    An --out whose directory does not exist is rejected before the command runs."""
+    A bad --seed or --threads, or an --out in no directory, exits before the command runs."""
+    _count(args.seed, "seed", 0)
+    _count(args.threads, "threads")
     if args.out and not Path(args.out).parent.is_dir():
         raise UsageError(f"cannot write --out {args.out}: no directory {Path(args.out).parent}")
     prof = _load(args.profile)
@@ -439,8 +418,8 @@ def _run(args) -> int:
 @cache  # built once per process: parsing never changes a default
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wigner-ldp", description=__doc__)
-    ap.add_argument("--seed", type=partial(_int_at_least, low=0), default=0)
-    ap.add_argument("--threads", type=_positive_int, default=1)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", type=str, default=None)
     ap.add_argument("--format", choices=("csv", "json"), default=None,
                     help="table commands default to csv, report commands to json")
@@ -452,8 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_edge)
 
     p = sub.add_parser("density", parents=[prof], help="limiting spectral density on a grid")
-    p.add_argument("--xmin", type=_finite_float, required=True)
-    p.add_argument("--xmax", type=_finite_float, required=True)
+    p.add_argument("--xmin", type=float, required=True)
+    p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.set_defaults(fn=cmd_density)
 
@@ -469,42 +448,42 @@ def _build_parser() -> argparse.ArgumentParser:
     mcsub = pmc.add_subparsers(dest="mc_command", required=True)
 
     p = mcsub.add_parser("tail", parents=[prof])
-    p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--N", type=partial(_comma_list, item=_positive_int), required=True)
-    p.add_argument("--samples", type=_positive_int, default=100000)
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--N", type=partial(_comma_list, item=int), required=True)
+    p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")
     p.set_defaults(fn=cmd_mc_tail)
 
     p = mcsub.add_parser("spherical", parents=[prof])
-    p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--N", type=_positive_int, default=150)
-    p.add_argument("--samples", type=_positive_int, default=100000)
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--N", type=int, default=150)
+    p.add_argument("--samples", type=int, default=100000)
     p.set_defaults(fn=cmd_mc_spherical)
 
     p = mcsub.add_parser("annealed", parents=[prof])
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--N", type=_positive_int, default=200)
-    p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--delta", type=_positive_float, default=0.1)
+    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--N", type=int, default=200)
+    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--phi", type=_comma_list, default=None)
     p.set_defaults(fn=cmd_mc_annealed)
 
     p = mcsub.add_parser("tilt", parents=[prof])
-    p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--N", type=_positive_int, default=200)
-    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--N", type=int, default=200)
+    p.add_argument("--samples", type=int, default=50)
     p.add_argument("--psi", type=_comma_list, default=None)
     p.set_defaults(fn=cmd_mc_tilt)
 
     p = mcsub.add_parser("dirichlet", parents=[prof])
-    p.add_argument("--N", type=_positive_int, default=100)
-    p.add_argument("--samples", type=_positive_int, default=100000)
+    p.add_argument("--N", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100000)
     p.set_defaults(fn=cmd_mc_dirichlet)
 
     p = mcsub.add_parser("batch", parents=[prof])
-    p.add_argument("--N", type=_positive_int, default=200)
-    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--N", type=int, default=200)
+    p.add_argument("--samples", type=int, default=50)
     p.add_argument("--dist", choices=mc.ENTRY_KINDS, default="gaussian")
     p.set_defaults(fn=cmd_mc_batch)
 

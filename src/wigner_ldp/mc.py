@@ -147,7 +147,7 @@ def _check_symmetric(H: np.ndarray) -> None:
         raise UsageError("matrix must be square and nonempty")
     if not np.all(np.isfinite(H)):
         raise UsageError("matrix must be finite")
-    if not np.allclose(H, H.T, atol=1e-12):
+    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12):
         raise UsageError("matrix must be symmetric")
 
 
@@ -354,6 +354,7 @@ def spherical_integral_mc(matrix: np.ndarray, theta: float, samples: int, seed: 
     ESS_FLOOR raises a RuntimeWarning, as the stderr is then unreliable.
     """
     samples = _count(samples, "samples", MIN_SPHERE_SAMPLES)
+    seed = _count(seed, "seed", 0)
     M = np.asarray(matrix, dtype=float)
     _check_symmetric(M)
     _finite(theta, "theta")
@@ -410,7 +411,7 @@ def annealed_integral_mc(
     S^{N-1} (module docstring).  The window keeps rho within sup-distance delta
     of phi_target; an empty window raises InconclusiveError.
     """
-    N, samples = _count(N, "N"), _count(samples, "samples")
+    N, samples, seed = _count(N, "N"), _count(samples, "samples"), _count(seed, "seed", 0)
     _finite(delta, "delta", "positive")
     _finite(theta, "theta")
     phi = profile.mass_vector(phi_target)
@@ -436,7 +437,7 @@ def profile_dirichlet_check(profile: VarianceProfile, N: int, samples: int, seed
 
     u is drawn on the sphere itself, as normalised normal rows, so this is the
     check that ties the Dirichlet draws of annealed_integral_mc to the sphere."""
-    N, samples = _count(N, "N"), _count(samples, "samples")
+    N, samples, seed = _count(N, "N"), _count(samples, "samples"), _count(seed, "seed", 0)
     b = profile.row_blocks(N)
     counts = np.bincount(b, minlength=profile.p).astype(float)
     a = counts / 2.0
@@ -474,7 +475,7 @@ def tilted_outlier_check(
     """Sample H + 2 theta* E with Gaussian H, E = Sigma o v v^T and v profiled
     by phi(theta*), through `_top_pairs` with key [seed]; reports how the top
     eigenvalue tracks the target x."""
-    N, samples = _count(N, "N"), _count(samples, "samples")
+    N, samples, seed = _count(N, "N"), _count(samples, "samples"), _count(seed, "seed", 0)
     theta = find_tilt_theta(profile, x, psi)
     phi = eval_phi(profile, theta, x, psi)
     lam1, rho = _top_pairs(profile, N, "gaussian", [seed], samples, theta, phi)
@@ -505,7 +506,7 @@ def collect_batch(
     profile: VarianceProfile, N: int, samples: int, dist: str = "gaussian", seed: int = 0
 ) -> SampleBatch:
     """Top-eigenvalue data of draw i < samples from default_rng([seed, i]), by `_top_pairs`."""
-    N, samples = _count(N, "N"), _count(samples, "samples")
+    N, samples, seed = _count(N, "N"), _count(samples, "samples"), _count(seed, "seed", 0)
     lam1, rho = _top_pairs(profile, N, dist, [seed], samples)
     return SampleBatch(N=N, profile_label=profile.label, seed=seed, lambda1=lam1, rho_v1=rho)
 
@@ -549,7 +550,7 @@ def tail_estimate(
     dtpttr into its own Fortran-order array and factored by one dpotrf call.
     A chunk draws its matrices in slices of _TAIL_SLICE, so it holds at most
     two slices of its draw and one N x N array at a time.  x must be finite;
-    samples, threads and every N are counts of at least 1.
+    samples, threads and every N are counts of at least 1, and seed of at least 0.
 
     rate = -(1/N) log p_hat with a Wilson interval mapped through the same
     transform; zero hits produce a one-sided point (rate = inf, finite
@@ -557,6 +558,7 @@ def tail_estimate(
     """
     _finite(x, "x")
     samples, threads = _count(samples, "samples"), _count(threads, "threads")
+    seed = _count(seed, "seed", 0)
     N_list = [_count(N, "N") for N in N_list]
     out = []
     workers = min(threads, math.ceil(samples / MC_CHUNK))

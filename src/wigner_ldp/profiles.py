@@ -217,16 +217,24 @@ def _count(v, name: str, low: int = 1) -> int:
     raise UsageError(f"{name} must be an integer >= {low}")
 
 
+def _holds_bool(v) -> bool:
+    """Whether v is a boolean (Python's or numpy's), an array of them, or a list
+    or tuple holding one at any depth: np.asarray reads [True, 0.0] as floats."""
+    if isinstance(v, (list, tuple)):
+        return any(map(_holds_bool, v))
+    return isinstance(v, bool) or getattr(v, "dtype", None) == bool
+
+
 def _finite(v, name: str, sign: str = ""):
     """The one reader of real arguments: v (a number or an array of them) as
     floats, a UsageError naming the argument unless every entry is a finite
-    integer or float (so no string, boolean or complex number) and, if sign is
-    "positive" or "nonnegative", > 0 or >= 0."""
+    integer or float (so no string, boolean or complex number, also inside a
+    list of floats) and, if sign is "positive" or "nonnegative", > 0 or >= 0."""
     try:
         t = np.asarray(v)
     except ValueError:  # a ragged list
         t = np.array(np.nan)
-    t = np.asarray(t if t.dtype.kind in "iuf" else np.nan, dtype=float)
+    t = np.asarray(t if t.dtype.kind in "iuf" and not _holds_bool(v) else np.nan, dtype=float)
     ok = {"": True, "positive": t > 0, "nonnegative": t >= 0}[sign]
     if not (np.isfinite(t) & ok).all():
         raise UsageError(f"{name} must be finite" + (f" and {sign}" if sign else ""))

@@ -856,6 +856,18 @@ def test_bad_numeric_options_exit_2(prof_paths, argv, monkeypatch):
     assert _exit_code(argv) == 2
 
 
+@pytest.mark.parametrize("option,text,message", [
+    ("--N", "2.5", "argument --N: not a nonempty comma-separated list of ints: '2.5'"),
+    ("--N", "8,x", "argument --N: not a nonempty comma-separated list of ints: '8,x'"),
+    ("--x", "abc", "argument --x: invalid float value: 'abc'"),
+])
+def test_text_that_is_no_number_is_refused_by_argparse(prof_paths, capsys, option, text, message):
+    # the one refusal left to argparse, with a message that names the option and the text
+    argv = ["mc", "tail", "--profile", prof_paths["constant"], "--x", "2.5", "--N", "8", option, text]
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
 @pytest.mark.parametrize("name", ["constant", "wishart", "block", "light"])
 def test_validate_dyson_accepts_rounding_level_errors(prof_paths, tmp_path, name):
     # the N-row solve equals the block solve at the row fractions n_k/N up to rounding
@@ -967,6 +979,57 @@ def test_manifest_options_are_the_parsed_options(prof_paths, tmp_path):
     assert {tuple(cmd[:2] if cmd[0] == "mc" else cmd[:1]) for _, cmd in runs} == set(parsers)
 
 
+def _number_type(action):
+    """int or float for an option argparse turns into numbers (a comma list by its
+    item), else action.type."""
+    if isinstance(action.type, partial):
+        return action.type.keywords["item"]
+    return float if action.type is cli._comma_list else action.type
+
+
+def test_every_numeric_cli_option_is_read_by_the_library(prof_paths, tmp_path, capsys, monkeypatch):
+    # argparse only turns text into numbers: a value that parses but breaks a rule reaches
+    # the library reader of its option, which refuses it before any draw with one stderr line
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the argument was rejected")
+
+    for name in ("_chunks", "_matrices"):
+        monkeypatch.setattr(mc, name, no_sampling)
+    bad = {float: ("nan", "inf", "-inf"), int: ("0", "-1")}
+
+    def bad_options(parser):
+        """--option=value for each numeric option of parser and each value it refuses."""
+        out = []
+        for a in parser._actions:
+            if a.option_strings and a.type not in (None, str):
+                assert _number_type(a) in bad, a.option_strings
+                values = ("-1",) if a.dest == "seed" else bad[_number_type(a)]
+                out += [f"{a.option_strings[0]}={v}" for v in values]
+        return out
+
+    x = repr(support_edge(load_profile_file(prof_paths["constant"]))[1] + 0.5)
+    commands = {}
+    for cmd in _grid_commands(x):
+        n = 2 if cmd[0] == "mc" else 1
+        commands.setdefault(tuple(cmd[:n]), cmd[n:])  # validate: its first suite
+    out, runs = tmp_path / "out", []
+    for head, parser in _subcommand_parsers():
+        rest = commands[tuple(head)]
+        for option in bad_options(_build_parser()):
+            runs.append([option, *head, *rest])
+        for option in bad_options(parser):
+            name = option.split("=")[0]
+            i = rest.index(name) if name in rest else len(rest)  # the option and its value go
+            runs.append([*head, *rest[:i], *rest[i + 2:], option])
+    for argv in runs:
+        argv = ["--out", str(out), *argv, "--profile", prof_paths["constant"]]
+        assert _exit_code(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert any(line.startswith("usage error: ") for line in err.splitlines()), (argv, err)
+        assert "Traceback" not in err and not out.exists(), argv
+    assert len(runs) >= 60
+
+
 def test_usage_error_is_the_one_argument_error():
     assert issubclass(UsageError, ValueError) and issubclass(ProfileConfigError, UsageError)
     assert wigner_ldp.UsageError is UsageError
@@ -994,6 +1057,9 @@ def _bad_mass_vector_calls():
            "ragged": [[0.5], [0.5, 0.1]]}
     return [pytest.param(partial(f, v), id=f"{name}-{kind}")
             for name, f in entries.items() for kind, v in bad.items()]
+
+
+_NEARLY_SYMMETRIC = np.array([[0.0, 1.0], [1.000009, 0.0]])
 
 
 # Each call carries its own id, so removing one renames no other.  The
@@ -1123,6 +1189,30 @@ _ARGUMENT_CHECKS = [
     pytest.param(lambda: eval_K(constant_profile(), True, [1.0]), id="eval_K-theta-True"),
     pytest.param(lambda: eval_K(wishart_profile(2.0), 0.3, ["0.5", "0.5"]), id="eval_K-phi-strings"),
     pytest.param(lambda: eval_K(wishart_profile(2.0), 0.3, [True, False]), id="eval_K-phi-booleans"),
+    pytest.param(lambda: eval_K(wishart_profile(2.0), 0.3, [True, 0.0]),
+                 id="eval_K-phi-mixed-boolean"),
+    # symmetric to within numpy's default rtol of 1e-5 but not to the absolute 1e-12
+    pytest.param(lambda: mc.eig_top(_NEARLY_SYMMETRIC), id="eig_top-matrix-rtol"),
+    pytest.param(lambda: mc.projected_empirical(_NEARLY_SYMMETRIC, wishart_profile(2.0)),
+                 id="projected_empirical-matrix-rtol"),
+    pytest.param(lambda: mc.spherical_integral_mc(_NEARLY_SYMMETRIC, 0.3, 1000),
+                 id="spherical_integral_mc-matrix-rtol"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [6], 10, seed=2.5),
+                 id="tail_estimate-seed-2.5"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [6], 10, seed=-1),
+                 id="tail_estimate-seed-negative"),
+    pytest.param(lambda: mc.tail_estimate(constant_profile(), 2.2, [6], 10, seed="3"),
+                 id="tail_estimate-seed-string"),
+    pytest.param(lambda: mc.spherical_integral_mc(np.eye(5), 0.3, 1000, seed=True),
+                 id="spherical_integral_mc-seed-True"),
+    pytest.param(lambda: mc.annealed_integral_mc(constant_profile(), 0.3, [1.0], 0.1, 20, 10, 2.5),
+                 id="annealed_integral_mc-seed-2.5"),
+    pytest.param(lambda: mc.profile_dirichlet_check(constant_profile(), 5, 10, seed=True),
+                 id="profile_dirichlet_check-seed-True"),
+    pytest.param(lambda: mc.tilted_outlier_check(constant_profile(), 3.0, [1.0], 5, 2, seed=2.5),
+                 id="tilted_outlier_check-seed-2.5"),
+    pytest.param(lambda: mc.collect_batch(constant_profile(), 5, 3, seed=True),
+                 id="collect_batch-seed-True"),
     *_bad_mass_vector_calls(),
 ]
 
@@ -1133,11 +1223,12 @@ def test_library_argument_checks_raise_usage_error(call):
         call()
 
 
-_COUNT_PARAMETERS = {"N", "N_list", "samples", "points", "p", "n", "threads"}
+_COUNT_PARAMETERS = {"N", "N_list", "samples", "points", "p", "n", "threads", "seed"}
 
 
 def test_every_count_parameter_has_a_non_integer_row():
-    # every public function taking a size or a count is refused a non-integer one
+    # every public function taking a size, a count or a seed is refused a non-integer one;
+    # sample_matrix hands its seed to numpy, which also takes a derivation list
     ids = {c.id for c in _ARGUMENT_CHECKS}
     missing = []
     for module in (profiles, dyson, ratefn, mc):
@@ -1145,6 +1236,8 @@ def test_every_count_parameter_has_a_non_integer_row():
             if name.startswith("_") or not inspect.isfunction(f) or f.__module__ != module.__name__:
                 continue
             for param in _COUNT_PARAMETERS & set(inspect.signature(f).parameters):
+                if (name, param) == ("sample_matrix", "seed"):
+                    continue
                 if not any(f"{name}-{param}-{v}" in ids for v in ("2.5", "1000.5", "nan", "True")):
                     missing.append(f"{name}({param})")
     assert not missing, missing
