@@ -308,8 +308,12 @@ def cmd_validate(prof, args):
 
 
 def cmd_mc_tail(prof, args):
+    # the counts, then the reference, then the draws: a bad count costs no
+    # reference, and a failed reference throws no sampling run away
+    _count(args.samples, "samples")
+    for N in args.N:
+        _count(N, "N")
     _, r = support_edge(prof)
-    # the reference first: one that fails then throws no sampling run away
     ref = rate_function(prof, args.x).I if args.x > r else 0.0
     pts = mc.tail_estimate(prof, args.x, args.N, args.samples, args.dist, args.seed, args.threads)
     body = {"reference_rate": ref, "points": [vars(p) for p in pts]}
@@ -317,7 +321,10 @@ def cmd_mc_tail(prof, args):
 
 
 def cmd_mc_spherical(prof, args):
-    ref = eval_J(prof, args.x, args.theta)  # rejects a bad x or theta before any sampling
+    # the counts, then x and theta, before the reference spectrum and any sampling
+    _count(args.samples, "samples", mc.MIN_SPHERE_SAMPLES)
+    _count(args.N, "N")
+    ref = eval_J(prof, args.x, args.theta)
     M = mc.quantile_spectrum_matrix(prof, args.N, args.x)
     est = mc.spherical_integral_mc(M, args.theta, args.samples, args.seed)
     body = {"estimate": est.value, "stderr": est.stderr, "ess": est.extra["ess"],

@@ -13,7 +13,7 @@ from one loop, `_top_pairs`, and from one solver, `_top_pair`: LAPACK's
 dsyevr asked for the top pair alone; `eig_top` asks it too.  Only
 `projected_empirical`, which returns the whole spectrum, runs a full eigh.
 
-Two draw layouts, each fixed by what reads it.  `_matrices` builds the full
+Three draw layouts, each fixed by what reads it.  `_matrices` builds the full
 symmetric H that dsyevr and the rank-one tilt need from the strict upper
 triangle of an N x N draw and N diagonal draws after it; that stream stays as
 it is because the seeded results of sample_matrix, collect_batch and
@@ -28,6 +28,13 @@ dtpttr call into the array dpotrf factors: half the draws, and no symmetric
 assembly.  A chunk draws in slices of _TAIL_SLICE matrices from its generator;
 a split draw takes the same variates as the whole one, so slicing changes no
 stream, and at most two slices are live, the last until the next is drawn.
+With Gaussian entries and every sigma entry one value s, H is the GOE scaled
+by sqrt(s/N), and Householder reduction makes it orthogonally similar to a
+tridiagonal T with independent entries (Trotter 1984; Dumitriu-Edelman 2002,
+beta = 1): a_k ~ N(0, 2s/N) on the diagonal and b_k = sqrt(s chi^2_{N-k}/N),
+k = 1..N-1, below it.  So lambda_1(T) has exactly the law of lambda_1(H),
+and the tail draws T from 2N - 1 variates (`_tridiagonal_draw`) and factors
+x I - T, still one dpotrf per matrix, on an N x N array.
 
 The annealed integral sees a uniform unit vector u only through its block
 masses rho(u), and `_mass_draws` samples those directly.  With u = g/|g| for
@@ -140,6 +147,71 @@ def _packed_draw(sd: np.ndarray, dist: str, rng, count: int) -> np.ndarray:
     vals = _draw(rng, (count, sd.size), dist)
     vals *= sd
     return vals
+
+
+def _tridiagonal_draw(s: float, N: int, rng, count: int):
+    """(a, b) of `count` tridiagonal models T of the Gaussian H with constant
+    sigma = s, one per row: the diagonal a = sqrt(2s/N) g, (count, N), with g
+    the next count x N normals of rng, then the subdiagonal b = sqrt(s c/N),
+    (count, N - 1), with c the next count x (N - 1) chi-squares of rng,
+    column k (from 0) of N - 1 - k degrees."""
+    a = rng.standard_normal((count, N))
+    a *= math.sqrt(2.0 * s / N)
+    b = rng.chisquare(np.arange(N - 1, 0, -1), size=(count, N - 1))
+    b *= s / N
+    np.sqrt(b, out=b)
+    return a, b
+
+
+def _packed_hits(profile: VarianceProfile, N: int, x: float, dist: str):
+    """The tail's dense hit counter at size N: a function of one `_chunks` item
+    that draws its matrices' packed lower triangles slice by slice, unpacks
+    each by dtpttr and factors x I - H by one dpotrf (module docstring)."""
+    _, sd, diag = _packed_layout(profile, N)
+    sd = -sd  # draws of -H, exactly: x I - H once x is added on the diagonal
+
+    def chunk_hits(chunk):
+        _, rows, rng = chunk
+        hits = 0
+        for done in range(0, rows, _TAIL_SLICE):
+            vals = _packed_draw(sd, dist, rng, min(_TAIL_SLICE, rows - done))
+            vals[:, diag] += x
+            # row r is matrix r in packed lower storage (module docstring)
+            for row in vals:
+                a, _ = dtpttr(N, row, uplo="L")
+                _, info = dpotrf(a, lower=1, overwrite_a=1)
+                hits += info != 0
+        return hits
+
+    return chunk_hits
+
+
+def _tridiagonal_hits(profile: VarianceProfile, N: int, x: float, dist: str):
+    """The tail's hit counter at size N for Gaussian entries and constant
+    sigma = s: a function of one `_chunks` item that draws its matrices'
+    tridiagonal models by `_tridiagonal_draw` (module docstring), writes
+    x I - T slice by slice into one zeroed stack of Fortran-order N x N
+    arrays, and factors each by one dpotrf."""
+    s = float(profile.sigma.flat[0])
+
+    def chunk_hits(chunk):
+        _, rows, rng = chunk
+        a, b = _tridiagonal_draw(s, N, rng, rows)
+        stack = np.empty((min(_TAIL_SLICE, rows), N * N))
+        hits = 0
+        for done in range(0, rows, _TAIL_SLICE):
+            part = slice(done, min(done + _TAIL_SLICE, rows))
+            # row r: x I - T of matrix done + r, column by column; dpotrf reads the lower triangle
+            m = stack[:part.stop - part.start]
+            m.fill(0.0)
+            np.subtract(x, a[part], out=m[:, ::N + 1])
+            np.negative(b[part], out=m[:, 1::N + 1])
+            for row in m:
+                _, info = dpotrf(row.reshape((N, N), order="F"), lower=1, overwrite_a=1)
+                hits += info != 0
+        return hits
+
+    return chunk_hits
 
 
 def _check_symmetric(H: np.ndarray) -> None:
@@ -545,11 +617,14 @@ def tail_estimate(
     """Plain MC frequency of {lambda_1 >= x} per matrix size.
 
     A draw hits when the Cholesky factorization of x I - H fails, which it
-    does iff lambda_1 >= x.  Only the lower triangle is drawn, in the packed
-    layout built once per N (module docstring); each matrix is unpacked by
-    dtpttr into its own Fortran-order array and factored by one dpotrf call.
-    A chunk draws its matrices in slices of _TAIL_SLICE, so it holds at most
-    two slices of its draw and one N x N array at a time.  x must be finite;
+    does iff lambda_1 >= x.  The hit counter is picked once per (profile,
+    dist): Gaussian entries with every sigma entry one value take
+    `_tridiagonal_hits`, every other input `_packed_hits` (module
+    docstring).  Both factor each matrix by one dpotrf call on a
+    Fortran-order N x N array.  A tridiagonal chunk of `rows` matrices draws
+    its rows x N normals, then its rows x (N - 1) chi-squares, and holds them
+    and one slice of _TAIL_SLICE N x N arrays; a packed chunk draws slice by
+    slice and holds at most two slices of its draw.  x must be finite;
     samples, threads and every N are counts of at least 1, and seed of at least 0.
 
     rate = -(1/N) log p_hat with a Wilson interval mapped through the same
@@ -562,23 +637,10 @@ def tail_estimate(
     N_list = [_count(N, "N") for N in N_list]
     out = []
     workers = min(threads, math.ceil(samples / MC_CHUNK))
+    constant = np.all(profile.sigma == profile.sigma.flat[0])
+    hit_counter = _tridiagonal_hits if dist == "gaussian" and constant else _packed_hits
     for N in N_list:
-        _, sd, diag = _packed_layout(profile, N)
-        sd = -sd  # draws of -H, exactly: x I - H once x is added on the diagonal
-
-        def chunk_hits(chunk, N=N, sd=sd, diag=diag):
-            _, rows, rng = chunk
-            hits = 0
-            for done in range(0, rows, _TAIL_SLICE):
-                vals = _packed_draw(sd, dist, rng, min(_TAIL_SLICE, rows - done))
-                vals[:, diag] += x
-                # row r is matrix r in packed lower storage (module docstring)
-                for row in vals:
-                    a, _ = dtpttr(N, row, uplo="L")
-                    _, info = dpotrf(a, lower=1, overwrite_a=1)
-                    hits += info != 0
-            return hits
-
+        chunk_hits = hit_counter(profile, N, x, dist)
         with ThreadPoolExecutor(max_workers=workers) as ex:  # one worker is the sequential path
             hits = sum(ex.map(chunk_hits, _chunks([seed, N], samples, MC_CHUNK)))
         p_lo, p_hi = wilson_interval(hits, samples)

@@ -647,6 +647,26 @@ def test_mc_tail_reference_fails_before_sampling(prof_paths, monkeypatch):
                  "--samples", "300"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["tail", "--x", "2.2", "--N", "0", "--samples", "300"],
+    ["tail", "--x", "2.2", "--N", "20,0", "--samples", "300"],
+    ["tail", "--x", "2.2", "--N", "20", "--samples", "0"],
+    ["spherical", "--x", "3.0", "--theta", "0.3", "--N", "40", "--samples", "0"],
+    ["spherical", "--x", "3.0", "--theta", "0.3", "--N", "40", "--samples", "500"],
+    ["spherical", "--x", "3.0", "--theta", "0.3", "--N", "0", "--samples", "2000"],
+], ids=["tail-N-0", "tail-second-N-0", "tail-samples-0", "spherical-samples-0",
+        "spherical-samples-500", "spherical-N-0"])
+def test_mc_counts_are_refused_before_the_reference(prof_paths, monkeypatch, argv):
+    # mc tail's reference rate and mc spherical's reference spectrum cost a
+    # solve each: a count the estimator would refuse is refused before them
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference ran before the counts were read")
+
+    monkeypatch.setattr(cli, "rate_function", no_reference)
+    monkeypatch.setattr(mc, "quantile_spectrum_matrix", no_reference)
+    assert main(["mc", *argv, "--profile", prof_paths["constant"]]) == 2
+
+
 def test_rate_values_do_not_read_the_seed(prof_paths, tmp_path):
     # the rate is a function of (profile, x): its body, and mc tail's reference,
     # are the same at every --seed on a 3-block profile whose edge is about 1.856

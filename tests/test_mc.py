@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import hyp1f1
 from scipy.stats import ks_2samp
 
@@ -587,7 +589,7 @@ def test_tail_hits_match_eigvalsh(block_14, N, dist):
         assert pt.hits == _eigvalsh_hits(block_14, x, N, samples, dist, seed)
 
 
-def test_tail_one_factorization_per_matrix(block_14, monkeypatch):
+def test_tail_one_factorization_per_matrix(block_14, const_prof, monkeypatch):
     shapes = []
     dpotrf = mc.dpotrf
 
@@ -596,8 +598,10 @@ def test_tail_one_factorization_per_matrix(block_14, monkeypatch):
         return dpotrf(a, **kw)
 
     monkeypatch.setattr(mc, "dpotrf", counted)
-    tail_estimate(block_14, 3.0, [7, 20], 300, "gaussian", seed=1)
-    assert shapes == [((7, 7), True)] * 300 + [((20, 20), True)] * 300
+    for prof in (block_14, const_prof):  # the packed draw, then the tridiagonal one
+        shapes.clear()
+        tail_estimate(prof, 3.0, [7, 20], 300, "gaussian", seed=1)
+        assert shapes == [((7, 7), True)] * 300 + [((20, 20), True)] * 300
 
 
 @pytest.mark.parametrize("N", [1, 7, 20])
@@ -614,30 +618,134 @@ def test_tail_draw_is_lapack_packed_lower(const_prof, N):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_tail_chunk_holds_at_most_two_slices_of_its_draw(const_prof, threads):
-    # one chunk at N = 80, whose whole draw is 256 x 3240 doubles (6.6 MB): a
+def test_tail_chunk_holds_at_most_two_slices_of_its_draw(block_14, threads):
+    # one dense chunk at N = 80, whose whole draw is 256 x 3240 doubles (6.6 MB): a
     # slice is freed once the next one is drawn, so two slices are live at
     # most, with a quarter more for the layout, one unpacked matrix and temporaries
     N = 80
-    tail_estimate(const_prof, 2.2, [N], mc.MC_CHUNK, threads=threads)
+    tail_estimate(block_14, 2.2, [N], mc.MC_CHUNK, threads=threads)
     tracemalloc.start()
     try:
-        tail_estimate(const_prof, 2.2, [N], mc.MC_CHUNK, threads=threads)
+        tail_estimate(block_14, 2.2, [N], mc.MC_CHUNK, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * 2 * mc._TAIL_SLICE * N * (N + 1) // 2
 
 
-def test_tail_hits_pinned(const_prof):
+def test_tridiagonal_tail_chunk_holds_its_draw_and_one_slice(const_prof):
+    # one tridiagonal chunk at N = 80 holds its (2N - 1) x 256 variates and one
+    # slice of N x N arrays, with a quarter more for temporaries
+    N = 80
+    tail_estimate(const_prof, 2.2, [N], mc.MC_CHUNK)
+    tracemalloc.start()
+    try:
+        tail_estimate(const_prof, 2.2, [N], mc.MC_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * ((2 * N - 1) * mc.MC_CHUNK + mc._TAIL_SLICE * N * N)
+
+
+def test_tail_hits_pinned(const_prof, block_14):
     # hit counts on the streams criterion 14 reads (its seeds, x lowered so
     # that every N hits; 4 chunks, the last one partial): a change to the draw,
-    # the unpack or the factorization that moves a single hit shows here
+    # the unpack or the factorization that moves a single hit shows here.
+    # The constant Gaussian tail draws tridiagonal models; block_14 keeps the
+    # dense packed draw on the same seed.
     samples = 4 * mc.MC_CHUNK + 5
     gauss = tail_estimate(const_prof, 2.05, [20, 40, 80], samples, "gaussian", seed=20240801)
+    dense = tail_estimate(block_14, 3.0, [20, 40, 80], samples, "gaussian", seed=20240801)
     rad = tail_estimate(const_prof, 2.05, [40], samples, "rademacher", seed=20240802)
-    assert [pt.hits for pt in gauss] == [103, 78, 59]
+    assert [pt.hits for pt in gauss] == [99, 75, 39]
+    assert [pt.hits for pt in dense] == [62, 43, 20]
     assert [pt.hits for pt in rad] == [23]
+
+
+def _eigvalsh_tridiagonal_hits(s, x, N, samples, seed):
+    """lambda_1 >= x counts on the tail's chunk streams, drawn here as the
+    tridiagonal model: N normals of variance 2s/N per matrix, then N - 1
+    chi-squares of N - 1, ..., 1 degrees scaled by s/N, and counted by
+    eigvalsh_tridiagonal."""
+    hits = 0
+    for _, cnt, rng in mc._chunks([seed, N], samples, mc.MC_CHUNK):
+        a = rng.standard_normal((cnt, N)) * math.sqrt(2 * s / N)
+        b = np.sqrt(s * rng.chisquare(N - np.arange(1, N), size=(cnt, N - 1)) / N)
+        hits += sum(eigvalsh_tridiagonal(d, e, select="i", select_range=(N - 1, N - 1))[0] >= x
+                    for d, e in zip(a, b))
+    return hits
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5])
+@pytest.mark.parametrize("N, x", [(1, 1.5), (7, 2.0), (20, 2.0), (80, 1.9)])
+def test_tridiagonal_tail_hits_match_eigvalsh_tridiagonal(s, N, x):
+    # the constant Gaussian tail is the tridiagonal model's (Dumitriu-Edelman,
+    # beta = 1); both sample counts end in a partial chunk
+    prof = VarianceProfile(weights=[1.0], sigma=[[s]])
+    x *= math.sqrt(s)
+    for samples in (2000, 2 * mc.MC_CHUNK + 3):
+        pt = tail_estimate(prof, x, [N], samples, seed=11)[0]
+        assert 0 < pt.hits < samples
+        assert pt.hits == _eigvalsh_tridiagonal_hits(s, x, N, samples, 11)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5])
+@pytest.mark.parametrize("N", [5, 20])
+def test_tridiagonal_draw_matches_the_goe_trace_moments(s, N):
+    # E tr T^2 = E tr H^2 = s (N + 1) and E tr T^4 = s^2 (2N + 5 + 5/N) for H
+    # of the constant profile s with Gaussian entries
+    n = 10**5
+    a, b = mc._tridiagonal_draw(s, N, np.random.default_rng([7, N]), n)
+    zero = np.zeros((n, 1))
+    b2 = np.concatenate([zero, b * b, zero], axis=1)  # b2[:, k] couples rows k - 1 and k
+    t2 = np.sum(a * a, axis=1) + 2 * np.sum(b2, axis=1)
+    # tr T^4 = |T^2|_F^2 from T^2's diagonal and its first two off-diagonals
+    d = a * a + b2[:, :-1] + b2[:, 1:]
+    e1 = b * (a[:, :-1] + a[:, 1:])
+    e2 = b[:, :-1] * b[:, 1:]
+    t4 = np.sum(d * d, axis=1) + 2 * np.sum(e1 * e1, axis=1) + 2 * np.sum(e2 * e2, axis=1)
+    for t, exact in ((t2, s * (N + 1)), (t4, s * s * (2 * N + 5 + 5 / N))):
+        assert abs(t.mean() - exact) < 5 * t.std() / math.sqrt(n), (t.mean(), exact)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_tridiagonal_tail_matches_the_exact_law_at_N_2(s):
+    # at N = 2, lambda_1 = u + r with u ~ N(0, s/2) and r^2 ~ (s/2) chi^2_2
+    # independent, so P(lambda_1 >= x) = int phi_{s/2}(u) exp(-max(x - u, 0)^2 / s) du
+    x = 1.5 * math.sqrt(s)
+
+    def f(u):
+        return math.exp(-u * u / s - max(x - u, 0.0) ** 2 / s) / math.sqrt(math.pi * s)
+
+    p = quad(f, -np.inf, x)[0] + quad(f, x, np.inf)[0]
+    assert p == pytest.approx(0.231175, abs=5e-7)  # the same p for every s: lambda_1 scales as sqrt(s)
+    samples = 2 * 10**5
+    pt = tail_estimate(VarianceProfile(weights=[1.0], sigma=[[s]]), x, [2], samples, seed=3)[0]
+    lo, hi = wilson_interval(pt.hits, samples)
+    assert lo <= p <= hi, (p, pt.p_hat, lo, hi)
+
+
+_THREE = [0.2, 0.3, 0.5]
+
+
+@pytest.mark.parametrize(
+    "prof, dist, tridiagonal",
+    [(VarianceProfile([1.0], [[1.0]]), "gaussian", True),
+     (VarianceProfile([1.0], [[2.5]]), "gaussian", True),
+     (VarianceProfile(_THREE, np.full((3, 3), 1.7)), "gaussian", True),
+     (VarianceProfile(_THREE, [[1.7, 1.7, 1.7], [1.7, 1.7, 1.8], [1.7, 1.8, 1.7]]), "gaussian", False),
+     (VarianceProfile([1.0], [[1.0]]), "rademacher", False),
+     (VarianceProfile([1.0], [[1.0]]), "uniform", False)],
+    ids=["constant", "scaled-constant", "equal-3-block", "one-unequal-entry", "rademacher", "uniform"],
+)
+def test_tail_takes_the_tridiagonal_draw_only_for_constant_gaussian(prof, dist, tridiagonal, monkeypatch):
+    drawn = []
+    for name in ("_tridiagonal_draw", "_packed_draw"):
+        monkeypatch.setattr(mc, name, lambda *a, name=name, f=getattr(mc, name): drawn.append(name) or f(*a))
+    tail_estimate(prof, 2.2, [6, 9], mc.MC_CHUNK + 1, dist, seed=1)
+    # two chunks per N: one tridiagonal draw per chunk, or one packed draw per slice
+    slices = mc.MC_CHUNK // mc._TAIL_SLICE + 1
+    assert drawn == (["_tridiagonal_draw"] * 4 if tridiagonal else ["_packed_draw"] * 2 * slices)
 
 
 def _rademacher_tail_exact(N, x, gauge):
