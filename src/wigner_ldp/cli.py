@@ -500,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         code = _run(args)
     except UsageError as e:
@@ -509,7 +509,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, ValueError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(f"# wall_time_s={time.time() - t0:.3f}", file=sys.stderr)
+    print(f"# wall_time_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
     return code
 
 

@@ -24,7 +24,9 @@ Barzilai-Borwein length first (Barzilai-Borwein, IMA J. Numer. Anal. 1988;
 the spectral projected gradient of Birgin-Martinez-Raydan, SIAM J. Optim.
 2000), backtracks to its own Armijo test, and stops on its own
 projected-gradient norm or gain; a row still running at the iteration cap
-is reported as capped.
+is reported as capped.  The halvings are tried in stacked blocks, and a row
+takes its first length that passes or no longer moves it, of at most 40;
+rows are independent, so that is the length one halving per call reaches.
 
 The ingredients J, phi, K, F and Fhat are row cores over stacks of
 (x, theta, psi) (`_J_rows`, `_phi_rows`, `_K_rows`, `_F_rows`,
@@ -61,6 +63,9 @@ _EPS_FLOOR = 1e-8  # <psi, S psi> at or below which a start is degenerate
 _SWEEP_ENTRIES = 1 << 16  # rows x p per chunk of a sweep's descent: 512 kB per row array
 _RANDOM_STARTS = 8  # Dirichlet starts after the deterministic ones
 _TOL = 1e-9  # the descent's stationarity (tol/10) and gain (tol/1000) stops
+# trial lengths a row gets per call of f in the line search, 40 in all: the first
+# alone, as most rows take it, then stacked (widths chosen by timing rate sweeps)
+_BLOCKS = (1, 8, 31)
 # largest x a sweep takes: I and the descent's gradients grow like x^2; past
 # about 1e34 the projection of psi - t g loses psi to rounding on multi-block
 # profiles, and past 1e154 the 0.5 w u^2 of _sup_fhat overflows
@@ -256,19 +261,19 @@ def _sup_fhat(profile, m, psi, a_floor):
     fin = a > a_floor
     c = 0.5 * profile.weights * u * u
     h0 = _rowsum(c) - 2.0 * a
-    act = fin & (h0 > 0.0)
-    th[act] = h0[act] / (2.0 * a[act] * u[act].max(axis=1))
+    idx = np.flatnonzero(fin & (h0 > 0.0))  # rows still rising, and their parts
+    t, uu, ci, a2 = h0[idx] / (2.0 * a[idx] * u[idx].max(axis=1)), u[idx], c[idx], 2.0 * a[idx]
+    th[idx] = t
     for _ in range(200):
-        idx = np.flatnonzero(act)
         if idx.size == 0:
             break
-        t, uu, ci = th[idx], u[idx], c[idx]
         q = 1.0 / (1.0 + t[:, None] * uu)
-        h = _rowsum(ci * q) - 2.0 * a[idx]
+        h = _rowsum(ci * q) - a2
         up = h > 0.0
         nxt = t + h / _rowsum(ci * uu * q * q)
         th[idx[up]] = nxt[up]
-        act[idx[~up | (nxt - t <= 4.0 * np.spacing(nxt))]] = False
+        go = up & ~(nxt - t <= 4.0 * np.spacing(nxt))
+        idx, t, uu, ci, a2 = idx[go], nxt[go], uu[go], ci[go], a2[go]
     val[fin] = np.maximum(_fhat(profile.weights, u[fin], lin[fin], a[fin], th[fin]), 0.0)
     return val, th
 
@@ -324,8 +329,14 @@ def _descend_simplex(f, grad, psi, max_iter, tol):
     after one when no length passes the Armijo test or its gain falls below
     tol/1000.  Its first trial length is the short Barzilai-Borwein length
     s'y/y'y of its last accepted step s and the gradient change y over it,
-    or twice its last accepted length on its first step or when s'y <= 0;
-    it is halved until the Armijo test passes.
+    or twice its last accepted length on its first step or when s'y <= 0.
+    It takes the first of t, t/2, t/4, ... (at most 40 lengths) that passes
+    the Armijo test or no longer moves it (|cand - psi| < 1e-13, a stop).
+    The first length is one call of f; a row that neither passes nor stops
+    there tries its next lengths in stacked blocks (_BLOCKS), one copy of the
+    row per length in one call of f.  f and grad act row by row, so a row's
+    extra copies change no bit: the result is that of halving one length per
+    call.
     Returns (psi, values, aux, iterations, capped) per row, where capped
     marks the rows still running after max_iter steps; a row where f is not
     finite at its start comes back as it is, with 0 iterations."""
@@ -355,22 +366,29 @@ def _descend_simplex(f, grad, psi, max_iter, tol):
         its[idx] += 1
         g_last[idx] = g
         gain = np.full(idx.size, -np.inf)
-        j = np.arange(idx.size)  # rows of the stack still backtracking
-        for _ in range(40):
-            cand = project_simplex(x0[j] - t[j, None] * g[j])
-            nd = np.sqrt(_rowsum((cand - x0[j]) ** 2))
+        j = rj = np.arange(idx.size)  # rows still backtracking; each row once per length
+        tk = t
+        for n, width in enumerate(_BLOCKS):
+            if n:  # the next lengths of the rows in j, by successive halving
+                tk = np.cumprod(np.column_stack([t[j] / 2.0, np.full((j.size, width - 1), 0.5)]), axis=1)
+                t[j] = tk[:, -1]
+                rj, tk = np.repeat(j, width), tk.ravel()
+            cand = project_simplex(x0[rj] - tk[:, None] * g[rj])
+            nd = np.sqrt(_rowsum((cand - x0[rj]) ** 2))
             moved = nd >= 1e-13  # a row that no longer moves stops
-            cval, caux = f(cand, idx[j])
-            ok = moved & (cval <= v0[j] - 1e-4 * nd * nd / np.maximum(t[j], 1e-300))
-            acc = j[ok]
-            gain[acc] = v0[acc] - cval[ok]
+            cval, caux = f(cand, idx[rj])
+            ok = moved & (cval <= v0[rj] - 1e-4 * nd * nd / np.maximum(tk, 1e-300))
+            end = (ok | ~moved).reshape(-1, width)
+            first = np.arange(j.size) * width + np.argmax(end, axis=1)  # each row's first end
+            won = first[ok[first]]
+            acc = rj[won]
+            gain[acc] = v0[acc] - cval[won]
             rows = idx[acc]
-            s[rows] = cand[ok] - x0[acc]
-            psi[rows], val[rows], aux[rows], step[rows] = cand[ok], cval[ok], caux[ok], t[acc]
-            j = j[moved & ~ok]
+            s[rows] = cand[won] - x0[acc]
+            psi[rows], val[rows], aux[rows], step[rows] = cand[won], cval[won], caux[won], tk[won]
+            j = j[~end.any(axis=1)]
             if j.size == 0:
                 break
-            t[j] /= 2.0
         act[idx[~(gain >= 1e-3 * tol)]] = False
     return psi, val, aux, its, act
 

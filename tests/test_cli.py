@@ -68,6 +68,15 @@ def test_edge_constant(prof_paths, tmp_path, capsys):
     assert d["manifest"]["command"] == "edge"
 
 
+def test_wall_time_reads_a_monotonic_clock(prof_paths, tmp_path, capsys, monkeypatch):
+    # a wall clock stepped back by 1e6 s a read leaves the reported run time alone
+    stepped = iter(range(10**9, 0, -10**6))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(stepped)))
+    assert main(["--out", str(tmp_path / "edge.json"), "edge", "--profile", prof_paths["constant"]]) == 0
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert line.startswith("# wall_time_s=") and 0.0 <= float(line.split("=")[1]) < 60.0
+
+
 def test_edge_payload_carries_duality_gap(prof_paths, tmp_path):
     out = tmp_path / "edge.json"
     assert main(["--out", str(out), "edge", "--profile", prof_paths["constant"]]) == 0

@@ -710,6 +710,143 @@ def test_descent_stops_rows_at_the_iteration_cap():
     assert not descend(400)[4].any()
 
 
+def _sequential_descent(f, grad, psi, max_iter, tol):
+    """`_descend_simplex` with one trial length per call of f: each row halves
+    its length t until the Armijo test passes, it stops moving or it has tried
+    40 lengths.  Returns (psi, values, aux, iterations, capped) and the number
+    of lengths each row tried at each step."""
+    psi = np.array(psi, dtype=float)
+    val, aux = f(psi, np.arange(len(psi)))
+    step = np.ones(len(psi))
+    s, g_last = np.zeros_like(psi), np.zeros_like(psi)
+    its = np.zeros(len(psi), dtype=int)
+    act = np.isfinite(val)
+    tried = []
+    for k in range(max_iter + 1):
+        idx = np.flatnonzero(act)
+        if idx.size == 0:
+            break
+        x0 = psi[idx]
+        g = grad(x0, aux[idx], idx)
+        pg = project_simplex(x0 - g) - x0
+        run = np.sqrt(ratefn._rowsum(pg * pg)) > 0.1 * tol
+        act[idx[~run]] = False
+        if k == max_iter:
+            break
+        idx, x0, g = idx[run], x0[run], g[run]
+        v0, t = val[idx], 2.0 * step[idx]
+        y = g - g_last[idx]
+        sy = ratefn._rowsum(s[idx] * y)
+        bb = (its[idx] > 0) & (sy > 0.0)
+        t[bb] = sy[bb] / ratefn._rowsum(y[bb] ** 2)
+        its[idx] += 1
+        g_last[idx] = g
+        gain = np.full(idx.size, -np.inf)
+        j = np.arange(idx.size)
+        lengths = np.zeros(idx.size, dtype=int)
+        for _ in range(40):
+            lengths[j] += 1
+            cand = project_simplex(x0[j] - t[j, None] * g[j])
+            nd = np.sqrt(ratefn._rowsum((cand - x0[j]) ** 2))
+            moved = nd >= 1e-13
+            cval, caux = f(cand, idx[j])
+            ok = moved & (cval <= v0[j] - 1e-4 * nd * nd / np.maximum(t[j], 1e-300))
+            acc = j[ok]
+            gain[acc] = v0[acc] - cval[ok]
+            rows = idx[acc]
+            s[rows] = cand[ok] - x0[acc]
+            psi[rows], val[rows], aux[rows], step[rows] = cand[ok], cval[ok], caux[ok], t[acc]
+            j = j[moved & ~ok]
+            if j.size == 0:
+                break
+            t[j] /= 2.0
+        tried.extend(lengths)
+        act[idx[~(gain >= 1e-3 * tol)]] = False
+    return (psi, val, aux, its, act), np.array(tried)
+
+
+def _sequential_into(tried):
+    """`_sequential_descent` in the place of `_descend_simplex`, adding the
+    lengths each row tried to the list tried."""
+    def descend(*args):
+        out, lengths = _sequential_descent(*args)
+        tried.extend(lengths)
+        return out
+    return descend
+
+
+def _assert_same_rows(a, b):
+    for one, other in zip(a, b, strict=True):
+        assert one.dtype == other.dtype and np.array_equal(one, other)
+
+
+def test_stacked_backtracking_matches_sequential_halving(named_profiles, monkeypatch):
+    # every output of the descent, in rate sweeps and in the exchanged order's
+    # ascent of K, is the same bits as with one-at-a-time halving; some rows go
+    # past the first two blocks (9 halvings or more)
+    tried = []
+    for prof in _descent_profiles(named_profiles):
+        _, r = support_edge(prof)
+        M, starts = ratefn._ctx(prof, [r + 1e-4, r + 0.05, r + 3.0, 1e6])[1], _default_starts(prof)
+        stacked = _minimize_from(prof, M, starts)
+        with monkeypatch.context() as mp:
+            mp.setattr(ratefn, "_descend_simplex", _sequential_into(tried))
+            _assert_same_rows(_minimize_from(prof, M, starts), stacked)
+    assert max(tried) > sum(ratefn._BLOCKS[:-1])  # the last block runs
+    for prof in (wishart_profile(2.0), wishart_profile(4.0)):
+        _, r = support_edge(prof)
+        for x in (r + 0.05, r + 1.0):
+            ctx = ratefn._ctx(prof, [x])
+            thetas = np.linspace(0.0, 3.0, 13) + ctx[2][0] / 2
+            stacked = ratefn._sup_K_over_psi(prof, thetas, ctx)
+            with monkeypatch.context() as mp:
+                mp.setattr(ratefn, "_descend_simplex", _sequential_into(tried))
+                assert np.array_equal(ratefn._sup_K_over_psi(prof, thetas, ctx), stacked)
+
+
+def test_line_search_tries_40_lengths_and_calls_f_once_a_block():
+    # where no length passes the Armijo test and every candidate still moves,
+    # a row tries 40 lengths, in one call of f per block, and stops after one
+    # step at its start, as one-at-a-time halving does
+    start = np.array([[0.5, 0.5]])
+    calls = []
+
+    def flat(psi, _):
+        calls.append(len(psi))
+        return np.zeros(len(psi)), np.zeros(len(psi))
+
+    def steep(psi, aux, _):
+        return np.tile([-1e3, 1e3], (len(psi), 1))
+
+    out = _descend_simplex(flat, steep, start, 400, ratefn._TOL)
+    assert calls == [1, *ratefn._BLOCKS] and sum(ratefn._BLOCKS) == 40
+    ref, tried = _sequential_descent(flat, steep, start, 400, ratefn._TOL)
+    _assert_same_rows(out, ref)
+    assert tried.tolist() == [40] and out[3].tolist() == [1] and np.array_equal(out[0], start)
+    assert not out[4].any()
+
+
+def test_line_search_calls_f_at_most_once_a_block_a_step(wishart2, monkeypatch):
+    # a deep-backtracking sweep: at most 1 + len(_BLOCKS) calls of f a step,
+    # where one-at-a-time halving makes more; a row evaluates its lengths up to
+    # the end of the block where one-at-a-time halving stops, and no more (at
+    # x = 1e3 some rows stop there because they no longer move)
+    calls, steps, tried = [], [], []
+    sup, grad = ratefn._sup_fhat, ratefn._fhat_grad
+    monkeypatch.setattr(ratefn, "_sup_fhat", lambda *a: calls.append(len(a[2])) or sup(*a))
+    monkeypatch.setattr(ratefn, "_fhat_grad", lambda *a: steps.append(1) or grad(*a))
+    M, starts = ratefn._ctx(wishart2, [1e3, 1e6])[1], _default_starts(wishart2)
+    _minimize_from(wishart2, M, starts)
+    budget, rows = 1 + len(ratefn._BLOCKS) * len(steps), sum(calls)
+    assert len(calls) <= budget
+    calls.clear()
+    monkeypatch.setattr(ratefn, "_descend_simplex", _sequential_into(tried))
+    _minimize_from(wishart2, M, starts)
+    assert len(calls) > budget
+    ends = np.cumsum(ratefn._BLOCKS)
+    assert rows == len(M) * len(starts) + ends[np.searchsorted(ends, tried)].sum()
+
+
 def test_rate_metamorphic_relations():
     # sigma -> c sigma: r -> sqrt(c) r and I_{c sigma}(sqrt(c) x) = I(x); a block
     # permutation changes nothing; I(x) <= x^2 / (4a)
