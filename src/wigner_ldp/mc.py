@@ -25,16 +25,26 @@ reads only the lower triangle, so it draws just that triangle, N(N+1)/2
 variates per matrix, column by column: LAPACK's packed lower storage, laid out
 once per N by `_packed_layout`.  Each row of a `_packed_draw` unpacks with one
 dtpttr call into the array dpotrf factors: half the draws, and no symmetric
-assembly.  A chunk draws in slices of _TAIL_SLICE matrices from its generator;
-a split draw takes the same variates as the whole one, so slicing changes no
-stream, and at most two slices are live, the last until the next is drawn.
+assembly.  The tail reads only dpotrf's info, so it calls dpotrf with
+clean=0, which skips zeroing the unused triangle.  A chunk draws in slices of
+_TAIL_SLICE matrices from its generator, and at most two slices are live, the
+last until the next is drawn.  A split draw of normals or uniforms takes the
+same variates as the whole one.  Rademacher signs are the bits of random
+bytes, eight per byte where `_draw` takes one int64 per sign, and numpy
+buffers byte draws per call, so a split byte draw takes other bytes: a chunk
+draws all its `_sign_bytes` in one call and unpacks them slice by slice.
+Either way slicing changes no stream.  `_draw`, and so `_matrices`, keeps one
+int64 per Rademacher sign.
 With Gaussian entries and every sigma entry one value s, H is the GOE scaled
 by sqrt(s/N), and Householder reduction makes it orthogonally similar to a
 tridiagonal T with independent entries (Trotter 1984; Dumitriu-Edelman 2002,
 beta = 1): a_k ~ N(0, 2s/N) on the diagonal and b_k = sqrt(s chi^2_{N-k}/N),
 k = 1..N-1, below it.  So lambda_1(T) has exactly the law of lambda_1(H),
 and the tail draws T from 2N - 1 variates (`_tridiagonal_draw`) and factors
-x I - T, still one dpotrf per matrix, on an N x N array.
+x I - T, still one dpotrf per matrix, on an N x N array.  A chunk zeroes one
+stack of _TAIL_SLICE such arrays, and each slice rewrites only their diagonal
+and subdiagonal: the Cholesky factor of T is bidiagonal, so every entry off
+the band stays zero through each factorization, passed or failed.
 
 The annealed integral sees a uniform unit vector u only through its block
 masses rho(u), and `_mass_draws` samples those directly.  With u = g/|g| for
@@ -62,7 +72,9 @@ from .ratefn import eval_phi, find_tilt_theta
 ENTRY_KINDS = ("gaussian", "rademacher", "uniform")
 _SQRT3 = math.sqrt(3.0)
 MC_CHUNK = 256
-_TAIL_SLICE = 32  # matrices a tail chunk draws at once, a divisor of MC_CHUNK, chosen by timing
+# matrices a tail chunk draws at once, a divisor of MC_CHUNK, chosen by timing:
+# within 2% of the fastest of 4..256 on both hit counters at N = 40 and 80
+_TAIL_SLICE = 32
 MIN_SPHERE_SAMPLES = 1000  # fewest samples spherical_integral_mc accepts
 # effective sample size below which spherical_integral_mc warns: the log-mean
 # then rests on a few dozen draws and the jackknife stderr understates its error
@@ -141,10 +153,26 @@ def _packed_layout(profile: VarianceProfile, N: int):
     return var, np.sqrt(var / N), i == j
 
 
-def _packed_draw(sd: np.ndarray, dist: str, rng, count: int) -> np.ndarray:
+def _sign_bytes(rng, count: int, n: int) -> np.ndarray:
+    """count rows of ceil(n / 8) random bytes from rng in one call: the bits
+    of n Rademacher signs per row (module docstring)."""
+    return rng.integers(0, 256, size=(count, -(-n // 8)), dtype=np.uint8)
+
+
+def _packed_draw(sd: np.ndarray, dist: str, rng, count: int, signs=None) -> np.ndarray:
     """`count` packed lower triangles of H from rng, one per row, scaled by the
-    layout's sd: the next count x sd.size variates of rng."""
-    vals = _draw(rng, (count, sd.size), dist)
+    layout's sd.  Gaussian and uniform entries are the next count x sd.size
+    variates of rng.  Rademacher entries are (2 b - 1) sd for the bits b of
+    the rows of `signs`, most significant bit first; signs defaults to the
+    next `_sign_bytes` of rng, and rng is not read when it is given."""
+    if dist != "rademacher":
+        vals = _draw(rng, (count, sd.size), dist)
+        vals *= sd
+        return vals
+    if signs is None:
+        signs = _sign_bytes(rng, count, sd.size)
+    vals = np.unpackbits(signs, axis=1, count=sd.size) * 2.0
+    vals -= 1.0
     vals *= sd
     return vals
 
@@ -172,14 +200,17 @@ def _packed_hits(profile: VarianceProfile, N: int, x: float, dist: str):
 
     def chunk_hits(chunk):
         _, rows, rng = chunk
+        # the chunk's sign bytes in one call: numpy buffers byte draws per call
+        signs = _sign_bytes(rng, rows, sd.size) if dist == "rademacher" else None
         hits = 0
         for done in range(0, rows, _TAIL_SLICE):
-            vals = _packed_draw(sd, dist, rng, min(_TAIL_SLICE, rows - done))
+            part = slice(done, min(done + _TAIL_SLICE, rows))
+            vals = _packed_draw(sd, dist, rng, part.stop - done, None if signs is None else signs[part])
             vals[:, diag] += x
             # row r is matrix r in packed lower storage (module docstring)
             for row in vals:
                 a, _ = dtpttr(N, row, uplo="L")
-                _, info = dpotrf(a, lower=1, overwrite_a=1)
+                _, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
                 hits += info != 0
         return hits
 
@@ -189,25 +220,27 @@ def _packed_hits(profile: VarianceProfile, N: int, x: float, dist: str):
 def _tridiagonal_hits(profile: VarianceProfile, N: int, x: float, dist: str):
     """The tail's hit counter at size N for Gaussian entries and constant
     sigma = s: a function of one `_chunks` item that draws its matrices'
-    tridiagonal models by `_tridiagonal_draw` (module docstring), writes
-    x I - T slice by slice into one zeroed stack of Fortran-order N x N
-    arrays, and factors each by one dpotrf."""
+    tridiagonal models by `_tridiagonal_draw` (module docstring), writes the
+    band of x I - T slice by slice into a stack of Fortran-order N x N arrays
+    zeroed once per chunk, and factors each by one dpotrf."""
     s = float(profile.sigma.flat[0])
 
     def chunk_hits(chunk):
         _, rows, rng = chunk
         a, b = _tridiagonal_draw(s, N, rng, rows)
-        stack = np.empty((min(_TAIL_SLICE, rows), N * N))
+        stack = np.zeros((min(_TAIL_SLICE, rows), N * N))
+        # row r of stack is matrix r of a slice, column by column; dpotrf reads the lower triangle
+        views = [row.reshape((N, N), order="F") for row in stack]
         hits = 0
         for done in range(0, rows, _TAIL_SLICE):
             part = slice(done, min(done + _TAIL_SLICE, rows))
-            # row r: x I - T of matrix done + r, column by column; dpotrf reads the lower triangle
-            m = stack[:part.stop - part.start]
-            m.fill(0.0)
+            # only the band is written: T's Cholesky factor is bidiagonal, so
+            # every entry off the band stays the zero it was set to above
+            m = stack[:part.stop - done]
             np.subtract(x, a[part], out=m[:, ::N + 1])
             np.negative(b[part], out=m[:, 1::N + 1])
-            for row in m:
-                _, info = dpotrf(row.reshape((N, N), order="F"), lower=1, overwrite_a=1)
+            for view in views[:len(m)]:
+                _, info = dpotrf(view, lower=1, clean=0, overwrite_a=1)
                 hits += info != 0
         return hits
 
@@ -620,11 +653,14 @@ def tail_estimate(
     does iff lambda_1 >= x.  The hit counter is picked once per (profile,
     dist): Gaussian entries with every sigma entry one value take
     `_tridiagonal_hits`, every other input `_packed_hits` (module
-    docstring).  Both factor each matrix by one dpotrf call on a
-    Fortran-order N x N array.  A tridiagonal chunk of `rows` matrices draws
-    its rows x N normals, then its rows x (N - 1) chi-squares, and holds them
-    and one slice of _TAIL_SLICE N x N arrays; a packed chunk draws slice by
-    slice and holds at most two slices of its draw.  x must be finite;
+    docstring).  Both factor each matrix by one dpotrf call, without its
+    clean pass, on a Fortran-order N x N array.  A tridiagonal chunk of
+    `rows` matrices draws its rows x N normals, then its rows x (N - 1)
+    chi-squares, and holds them and one stack of _TAIL_SLICE N x N arrays,
+    zeroed once, of which each slice rewrites only the band.  A packed chunk
+    draws slice by slice and holds at most two slices of its draw; with
+    Rademacher entries it draws its sign bytes whole, 1/64 of the variates'
+    size, and unpacks them slice by slice.  x must be finite;
     samples, threads and every N are counts of at least 1, and seed of at least 0.
 
     rate = -(1/N) log p_hat with a Wilson interval mapped through the same

@@ -594,13 +594,17 @@ def test_tail_one_factorization_per_matrix(block_14, const_prof, monkeypatch):
     dpotrf = mc.dpotrf
 
     def counted(a, **kw):
+        # the hit counters read only info, so no pass cleans the unused triangle
+        assert kw == {"lower": 1, "clean": 0, "overwrite_a": 1}
         shapes.append((a.shape, a.flags.f_contiguous))
         return dpotrf(a, **kw)
 
     monkeypatch.setattr(mc, "dpotrf", counted)
-    for prof in (block_14, const_prof):  # the packed draw, then the tridiagonal one
+    # the packed draw, the tridiagonal one, then the packed Rademacher signs on both profiles
+    for prof, dist in ((block_14, "gaussian"), (const_prof, "gaussian"),
+                       (block_14, "rademacher"), (const_prof, "rademacher")):
         shapes.clear()
-        tail_estimate(prof, 3.0, [7, 20], 300, "gaussian", seed=1)
+        tail_estimate(prof, 3.0, [7, 20], 300, dist, seed=1)
         assert shapes == [((7, 7), True)] * 300 + [((20, 20), True)] * 300
 
 
@@ -621,16 +625,19 @@ def test_tail_draw_is_lapack_packed_lower(const_prof, N):
 def test_tail_chunk_holds_at_most_two_slices_of_its_draw(block_14, threads):
     # one dense chunk at N = 80, whose whole draw is 256 x 3240 doubles (6.6 MB): a
     # slice is freed once the next one is drawn, so two slices are live at
-    # most, with a quarter more for the layout, one unpacked matrix and temporaries
+    # most, with a quarter more for the layout, one unpacked matrix and
+    # temporaries; for Rademacher signs these include the chunk's 256 x 405
+    # random bytes and a slice's 0/1 bits
     N = 80
-    tail_estimate(block_14, 2.2, [N], mc.MC_CHUNK, threads=threads)
-    tracemalloc.start()
-    try:
-        tail_estimate(block_14, 2.2, [N], mc.MC_CHUNK, threads=threads)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 8 * 2 * mc._TAIL_SLICE * N * (N + 1) // 2
+    for dist in ("gaussian", "rademacher"):
+        tail_estimate(block_14, 2.2, [N], mc.MC_CHUNK, dist, threads=threads)
+        tracemalloc.start()
+        try:
+            tail_estimate(block_14, 2.2, [N], mc.MC_CHUNK, dist, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 2 * mc._TAIL_SLICE * N * (N + 1) // 2, dist
 
 
 def test_tridiagonal_tail_chunk_holds_its_draw_and_one_slice(const_prof):
@@ -660,20 +667,74 @@ def test_tail_hits_pinned(const_prof, block_14):
     assert [pt.hits for pt in gauss] == [99, 75, 39]
     assert [pt.hits for pt in dense] == [62, 43, 20]
     assert [pt.hits for pt in rad] == [23]
+    # 23 is also the count on the earlier draw of one int64 per sign, so the
+    # Rademacher stream is pinned by the digest of its first chunk's draw
+    _, rows, rng = next(mc._chunks([20240802, 40], samples, mc.MC_CHUNK))
+    vals = mc._packed_draw(mc._packed_layout(const_prof, 40)[1], "rademacher", rng, rows)
+    assert (hashlib.sha256(vals.tobytes()).hexdigest()
+            == "597bd366cc3cbc6ec7f003ba4389b91674bb69a4af3d9dcf2585cb0f266c9376")
 
 
-def _eigvalsh_tridiagonal_hits(s, x, N, samples, seed):
-    """lambda_1 >= x counts on the tail's chunk streams, drawn here as the
+@pytest.mark.parametrize("N", [7, 40])
+def test_tail_rademacher_signs_are_the_chunk_bytes(block_14, N, monkeypatch):
+    # the tail's Rademacher draw, rebuilt from the chunk generators alone: each
+    # chunk draws rows x ceil(n / 8) bytes in one call, and a matrix's n
+    # packed entries are -+sd (draws of -H) by its row's bits, most
+    # significant first; 3 chunks, the last one ending in a partial slice
+    samples = 2 * mc.MC_CHUNK + 37
+    n = N * (N + 1) // 2
+    sd = mc._packed_layout(block_14, N)[1]
+    drawn = []
+    draw = mc._packed_draw
+
+    def recorded(*a):
+        vals = draw(*a)
+        drawn.append(vals.copy())  # before the tail adds x on the diagonal
+        return vals
+
+    monkeypatch.setattr(mc, "_packed_draw", recorded)
+    tail_estimate(block_14, 3.0, [N], samples, "rademacher", seed=5)
+    assert sum(map(len, drawn)) == samples
+    assert np.array_equal(np.abs(np.concatenate(drawn)), np.broadcast_to(sd, (samples, n)))
+    signs = [np.unpackbits(rng.integers(0, 256, size=(rows, -(-n // 8)), dtype=np.uint8), axis=1)[:, :n]
+             for _, rows, rng in mc._chunks([5, N], samples, mc.MC_CHUNK)]
+    assert np.array_equal(np.concatenate(drawn), np.where(np.concatenate(signs) == 1, -sd, sd))
+    # test_tail_thread_count_invariance holds the counts equal at threads 1 and 3
+
+
+def _eigvalsh_tridiagonal_lambda1(s, N, samples, seed):
+    """lambda_1 of each matrix on the tail's chunk streams, drawn here as the
     tridiagonal model: N normals of variance 2s/N per matrix, then N - 1
-    chi-squares of N - 1, ..., 1 degrees scaled by s/N, and counted by
+    chi-squares of N - 1, ..., 1 degrees scaled by s/N, and solved by
     eigvalsh_tridiagonal."""
-    hits = 0
+    lam1 = []
     for _, cnt, rng in mc._chunks([seed, N], samples, mc.MC_CHUNK):
         a = rng.standard_normal((cnt, N)) * math.sqrt(2 * s / N)
         b = np.sqrt(s * rng.chisquare(N - np.arange(1, N), size=(cnt, N - 1)) / N)
-        hits += sum(eigvalsh_tridiagonal(d, e, select="i", select_range=(N - 1, N - 1))[0] >= x
-                    for d, e in zip(a, b))
-    return hits
+        lam1 += [eigvalsh_tridiagonal(d, e, select="i", select_range=(N - 1, N - 1))[0]
+                 for d, e in zip(a, b)]
+    return np.array(lam1)
+
+
+def _eigvalsh_tridiagonal_hits(s, x, N, samples, seed):
+    """lambda_1 >= x counts of `_eigvalsh_tridiagonal_lambda1`."""
+    return int(np.sum(_eigvalsh_tridiagonal_lambda1(s, N, samples, seed) >= x))
+
+
+def test_tridiagonal_tail_stack_holds_across_alternating_outcomes(const_prof):
+    # x at the median of lambda_1, so passing and failing factorizations
+    # alternate inside every slice of a chunk's reused stack: a failure stops
+    # dpotrf midway, and the next matrix written into its row must still see
+    # zeros off the band.  4 chunks, the last one ending in a partial slice.
+    N, seed = 80, 13
+    samples = 3 * mc.MC_CHUNK + mc._TAIL_SLICE + 5
+    lam1 = _eigvalsh_tridiagonal_lambda1(1.0, N, samples, seed)
+    x = float(np.mean(np.sort(lam1)[samples // 2 - 1:samples // 2 + 1]))  # between two draws
+    assert np.min(np.abs(lam1 - x)) > 1e-9  # where the Cholesky test and eigvalsh could round apart
+    hit = lam1 >= x
+    assert np.count_nonzero(hit[1:] != hit[:-1]) > samples // 3
+    pt = tail_estimate(const_prof, x, [N], samples, seed=seed)[0]
+    assert pt.hits == np.count_nonzero(hit)
 
 
 @pytest.mark.parametrize("s", [1.0, 2.5])
